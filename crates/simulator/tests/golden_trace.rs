@@ -33,6 +33,16 @@ const FIXTURE: &str = concat!(
     "/tests/fixtures/golden_trace_quick.txt"
 );
 
+/// The convolution fixture: the same record format over `vgg_like` and
+/// `resnet_like`, so `Conv2d`/`MaxPool2d`/`Residual` forward and backward
+/// bits are pinned in tier-1 and not only by the benchmark digest. It was
+/// generated by the PR 5 implicit-GEMM packers and must stay byte-unchanged
+/// across any rewrite of the conv kernels.
+const CONV_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/golden_trace_conv.txt"
+);
+
 /// Communication periods exercised per section: a mix of τ = 1 (sync),
 /// short and long local-update periods.
 const TAUS: [usize; 10] = [1, 4, 2, 8, 3, 5, 1, 6, 2, 4];
@@ -43,14 +53,32 @@ fn build_cluster(
     averaging: AveragingStrategy,
     seed: u64,
 ) -> PasgdCluster {
-    let split = GaussianMixture::small_test().generate(seed);
+    build_cluster_for(
+        nn::models::mlp_classifier(8, &[16], 3, 42),
+        GaussianMixture::small_test(),
+        workers,
+        momentum,
+        averaging,
+        seed,
+    )
+}
+
+fn build_cluster_for(
+    model: nn::Network,
+    task: GaussianMixture,
+    workers: usize,
+    momentum: MomentumMode,
+    averaging: AveragingStrategy,
+    seed: u64,
+) -> PasgdCluster {
+    let split = task.generate(seed);
     let runtime = RuntimeModel::new(
         DelayDistribution::exponential(0.5),
         CommModel::constant(0.3),
         workers,
     );
     PasgdCluster::new(
-        nn::models::mlp_classifier(8, &[16], 3, 42),
+        model,
         split,
         runtime,
         ClusterConfig {
@@ -79,8 +107,12 @@ fn record_round(out: &mut String, section: &str, round: usize, c: &mut PasgdClus
     );
 }
 
-fn run_section(out: &mut String, section: &str, mut c: PasgdCluster) {
-    for (round, &tau) in TAUS.iter().enumerate() {
+fn run_section(out: &mut String, section: &str, c: PasgdCluster) {
+    run_section_taus(out, section, c, &TAUS);
+}
+
+fn run_section_taus(out: &mut String, section: &str, mut c: PasgdCluster, taus: &[usize]) {
+    for (round, &tau) in taus.iter().enumerate() {
         let _ = c.run_round(tau);
         record_round(out, section, round, &mut c);
     }
@@ -162,23 +194,61 @@ fn golden_trace() -> String {
     out
 }
 
-#[test]
-fn full_precision_trace_is_bit_identical_to_fixture() {
-    let trace = golden_trace();
+/// Generates the convolution golden trace: five rounds of each conv model
+/// family on flattened 1×8×8 images.
+fn golden_trace_conv() -> String {
+    let task = GaussianMixture {
+        dim: 64,
+        ..GaussianMixture::small_test()
+    };
+    let mut out = String::new();
+    out.push_str("# section,round,iterations,clock_f64_bits,train_loss_f32_bits\n");
+    run_section_taus(
+        &mut out,
+        "vgg-like",
+        build_cluster_for(
+            nn::models::vgg_like(1, 8, 3, 42),
+            task.clone(),
+            2,
+            MomentumMode::None,
+            AveragingStrategy::FullAverage,
+            14,
+        ),
+        &TAUS[..5],
+    );
+    run_section_taus(
+        &mut out,
+        "resnet-like",
+        build_cluster_for(
+            nn::models::resnet_like(1, 8, 3, 43),
+            task,
+            2,
+            MomentumMode::paper_block(),
+            AveragingStrategy::FullAverage,
+            15,
+        ),
+        &TAUS[..5],
+    );
+    out
+}
+
+/// Compares `trace` with the committed fixture, or rewrites the fixture
+/// when `ADACOMM_REGEN_GOLDEN` is set.
+fn check_against_fixture(trace: &str, fixture: &str) {
     if std::env::var("ADACOMM_REGEN_GOLDEN").is_ok() {
         std::fs::create_dir_all(
-            std::path::Path::new(FIXTURE)
+            std::path::Path::new(fixture)
                 .parent()
                 .expect("fixture has a parent dir"),
         )
         .expect("create fixtures dir");
-        std::fs::write(FIXTURE, &trace).expect("write golden fixture");
-        eprintln!("regenerated {FIXTURE}");
+        std::fs::write(fixture, trace).expect("write golden fixture");
+        eprintln!("regenerated {fixture}");
         return;
     }
-    let expected = std::fs::read_to_string(FIXTURE).unwrap_or_else(|e| {
+    let expected = std::fs::read_to_string(fixture).unwrap_or_else(|e| {
         panic!(
-            "missing golden fixture {FIXTURE} ({e}); \
+            "missing golden fixture {fixture} ({e}); \
              run with ADACOMM_REGEN_GOLDEN=1 to create it"
         )
     });
@@ -191,4 +261,14 @@ fn full_precision_trace_is_bit_identical_to_fixture() {
         expected.lines().count(),
         "golden trace length changed"
     );
+}
+
+#[test]
+fn full_precision_trace_is_bit_identical_to_fixture() {
+    check_against_fixture(&golden_trace(), FIXTURE);
+}
+
+#[test]
+fn conv_trace_is_bit_identical_to_fixture() {
+    check_against_fixture(&golden_trace_conv(), CONV_FIXTURE);
 }
