@@ -99,11 +99,17 @@ fn backoff_millis(policy: &SupervisorPolicy, label: &str, next_attempt: u32) -> 
     if policy.backoff_base_millis == 0 {
         return 0;
     }
+    (policy.backoff_base_millis << (next_attempt - 2).min(8))
+        + jitter_millis(policy, label, next_attempt)
+}
+
+/// The seeded jitter term of [`backoff_millis`], in `[0, base]`.
+fn jitter_millis(policy: &SupervisorPolicy, label: &str, next_attempt: u32) -> u64 {
     let mut rng = rand::rngs::StdRng::seed_from_u64(
         policy.seed ^ fnv1a64(label.as_bytes()) ^ u64::from(next_attempt),
     );
     let jitter = (rng.gen::<f64>() * policy.backoff_base_millis as f64) as u64;
-    policy.backoff_base_millis << (next_attempt - 2).min(8) | jitter.min(policy.backoff_base_millis)
+    jitter.min(policy.backoff_base_millis)
 }
 
 /// Extracts a printable message from a `catch_unwind` payload.
@@ -270,6 +276,33 @@ mod tests {
             backoff_millis(&reseeded, "run-a", 2) != a1
                 || backoff_millis(&reseeded, "run-a", 3) != backoff_millis(&policy, "run-a", 3)
         );
+    }
+
+    #[test]
+    fn backoff_adds_jitter_to_the_exponential_base() {
+        // base·2ⁿ + U[0, base]: the jitter is added, not OR-ed in. At the
+        // first retries the shifted base still has low bits set, so an OR
+        // would swallow the jitter bits that overlap them.
+        let mut disagreements = 0;
+        for seed in 0..64 {
+            let policy = SupervisorPolicy {
+                backoff_base_millis: 20,
+                seed,
+                ..SupervisorPolicy::default()
+            };
+            for attempt in 2..6 {
+                let base = 20u64 << (attempt - 2);
+                let got = backoff_millis(&policy, "run-a", attempt);
+                assert!(
+                    (base..=base + 20).contains(&got),
+                    "seed {seed} attempt {attempt}: {got} outside [{base}, {}]",
+                    base + 20
+                );
+                let ored = base | jitter_millis(&policy, "run-a", attempt);
+                disagreements += usize::from(got != ored);
+            }
+        }
+        assert!(disagreements > 0, "no seed separates + from |");
     }
 
     #[test]

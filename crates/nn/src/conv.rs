@@ -2,139 +2,123 @@
 //!
 //! Images travel through the network flattened row-major as `[c, h, w]`;
 //! each spatial layer carries its own input geometry, so no tensor-level
-//! NCHW machinery is needed. Convolution runs as **implicit GEMM**: the
-//! packed-panel GEMM driver in `tensor` asks a [`tensor::PackRhs`]
-//! implementation for one `NR`-wide panel of the im2col matrix at a time,
-//! and the packers here gather image patches straight into that reused
-//! packing scratch — no im2col matrix is ever materialised. The forward
-//! path therefore allocates nothing per call beyond its output tensor, and
-//! the backward cache is the compact input image (`c·h·w` per element)
-//! instead of the `c·k²·oh·ow` column matrix.
+//! NCHW machinery is needed.
+//!
+//! # Zero-copy convolution
+//!
+//! [`Conv2d`] copies each image once into **zero-bordered planes** — per
+//! channel an `H' × W'` grid, `H' = h + 2·pad`, `W' = w + 2·pad`, the image
+//! in the middle and `+0.0` around it. In that layout im2col row
+//! `kk = (ch, ky, kx)` *is* the contiguous slice starting at
+//! `off[kk] = ch·H'W' + ky·W' + kx`, indexed by the **padded-flat** output
+//! pixel `q = oy·W' + ox`: `plane[off[kk] + q]` is input pixel
+//! `(ch, oy + ky, ox + kx)` of the bordered image. So the im2col matrix
+//! never exists, in any form: all three convolution products are the
+//! windowed GEMM kernels of `tensor` ([`tensor::window_gemm_tn_into`] and
+//! its siblings) over the offset table `off`, with no packing and no
+//! scatter.
+//!
+//! Padded-flat rows are `W'` wide but only `ow = W' − k + 1` pixels of each
+//! are outputs; the other `k − 1` are **wrap columns** (the window has run
+//! over the right border into the next row). Forward computes them and
+//! drops them at the store (12 % extra FMAs at 16×16); the gradient planes
+//! hold `+0.0` there, so they contribute nothing.
+//!
+//! # Why the bits do not change
+//!
+//! Every output element sees the same ordered float operations as the
+//! materialised-im2col formulation (the test-only reference in this file):
+//!
+//! 1. **Forward** — `y[co][q] = Σ_kk W[co][kk] · plane[off[kk] + q]`, one
+//!    FMA accumulator from `+0.0`, `kk` ascending; border terms are
+//!    `fma(w, +0, acc)`, exactly the zeros im2col holds at padding.
+//! 2. **Weight gradient** — vector lanes run across *output channels*, so
+//!    each `(co, kk)` element is still one accumulator reduced over pixels
+//!    in ascending order; a wrap column adds `fma(+0, x, acc)`, which
+//!    leaves a finite `acc` unchanged. Per-image `dW` is then added into
+//!    `grad_weight` in image order. The bias gradient is the same pass's
+//!    column sums.
+//! 3. **Input gradient** — col2im is fused into the product: row `kk` of
+//!    `Wᵀ·dy` is added straight into the window at `off[kk]` of a
+//!    zero-bordered gradient plane. An input pixel receives its `(ky, kx)`
+//!    contributions in ascending `kk` (the kernel's ordering rule, see
+//!    [`tensor::window_gemm_tn_add`]), as the col2im loop delivered them;
+//!    wrap columns add `+0.0`.
+//!
+//! Accumulators start at `+0.0` and every gradient buffer is zero-filled,
+//! so a `−0.0` that an extra `+0.0` term could flip never reaches a stored
+//! value. Inputs that already hold inf/NaN carry no bit contract.
 
 use crate::Layer;
 use rand::Rng;
-use tensor::{gemm_rhs, matmul_tn_into, Init, PackRhs, Tensor};
+use tensor::{
+    window_gemm_lanes_into, window_gemm_tn_add, window_gemm_tn_into, Init, Tensor, WINDOW_PANEL,
+};
 
 /// The `(channels, height, width)` geometry of a flattened image tensor.
 pub type ImageDims = (usize, usize, usize);
 
-/// The shared geometry of the implicit-GEMM packers: one flattened image
-/// plus the convolution shape.
-struct PatchGeometry<'a> {
+/// Sizes of one layer's padded-flat layout (see the module docs).
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    /// Input geometry `(c, h, w)`.
     dims: ImageDims,
-    out_hw: (usize, usize),
-    kernel: usize,
     pad: usize,
-    img: &'a [f32],
+    /// Output spatial size `(oh, ow)`.
+    out_hw: (usize, usize),
+    /// Bordered row length `W'`.
+    row: usize,
+    /// One image's bordered planes, `c·H'·W'`.
+    plane_len: usize,
+    /// Padded-flat output pixels, `(oh − 1)·W' + ow`.
+    pixels: usize,
+    /// `pixels` rounded up to the window kernels' panel width.
+    width: usize,
+    /// Output channels rounded up to the lane kernel's vector width.
+    lanes: usize,
 }
 
-impl PatchGeometry<'_> {
-    fn fan_in(&self) -> usize {
-        self.dims.0 * self.kernel * self.kernel
-    }
-
-    fn row_len(&self) -> usize {
-        self.out_hw.0 * self.out_hw.1
-    }
-
-    /// Splits a fan-in index into its `(channel, ky, kx)` coordinates.
-    fn kernel_coords(&self, f: usize) -> (usize, usize, usize) {
-        let per_ch = self.kernel * self.kernel;
-        (f / per_ch, (f % per_ch) / self.kernel, f % self.kernel)
-    }
-}
-
-/// The forward-path packer: logical row `kk = (ch, ky, kx)` and column
-/// `j =` output pixel of the im2col matrix (`[fan_in, oh·ow]`), gathered
-/// on demand. Row-major panel writes copy contiguous input-row runs, so
-/// packing one panel costs the same memory traffic as the corresponding
-/// im2col slice did — without the materialised matrix.
-struct PatchPack<'a>(PatchGeometry<'a>);
-
-impl PackRhs for PatchPack<'_> {
-    fn k(&self) -> usize {
-        self.0.fan_in()
-    }
-
-    fn n(&self) -> usize {
-        self.0.row_len()
-    }
-
-    fn pack_panel(&self, j0: usize, width: usize, nr: usize, dst: &mut [f32]) {
-        let g = &self.0;
-        let (_, h, w) = g.dims;
-        let (_, ow) = g.out_hw;
-        let pad = g.pad as isize;
-        // Zero-fill once: padding positions and the column tail stay 0.
-        dst.fill(0.0);
-        for (kr, row) in dst.chunks_exact_mut(nr).enumerate() {
-            let (ch, ky, kx) = g.kernel_coords(kr);
-            // Walk the panel's pixels as runs sharing one output row `oy`;
-            // each run's in-bounds stretch is a single contiguous copy.
-            let mut jj = 0;
-            while jj < width {
-                let pixel = j0 + jj;
-                let (oy, ox0) = (pixel / ow, pixel % ow);
-                let run = (width - jj).min(ow - ox0);
-                let iy = oy as isize + ky as isize - pad;
-                if iy >= 0 && iy < h as isize {
-                    // ox in [ox_lo, ox_hi) keeps ix = ox + kx - pad inside
-                    // the image row.
-                    let ox_lo = (ox0 as isize).max(pad - kx as isize);
-                    let ox_hi = ((ox0 + run) as isize).min(w as isize + pad - kx as isize);
-                    if ox_hi > ox_lo {
-                        let ix0 = (ox_lo + kx as isize - pad) as usize;
-                        let len = (ox_hi - ox_lo) as usize;
-                        let src = ch * h * w + iy as usize * w + ix0;
-                        let at = jj + (ox_lo - ox0 as isize) as usize;
-                        row[at..at + len].copy_from_slice(&g.img[src..src + len]);
-                    }
-                }
-                jj += run;
-            }
+impl Layout {
+    fn new(dims: ImageDims, out_channels: usize, kernel: usize, pad: usize) -> Self {
+        let (c, h, w) = dims;
+        let (rows, row) = (h + 2 * pad, w + 2 * pad);
+        let (oh, ow) = (rows - kernel + 1, row - kernel + 1);
+        let pixels = (oh - 1) * row + ow;
+        let width = pixels.next_multiple_of(WINDOW_PANEL);
+        Layout {
+            dims,
+            pad,
+            out_hw: (oh, ow),
+            row,
+            plane_len: c * rows * row,
+            pixels,
+            width,
+            lanes: out_channels.next_multiple_of(8),
         }
     }
-}
 
-/// The weight-gradient packer: the *transposed* im2col matrix
-/// (`[oh·ow, fan_in]` — row `kk =` output pixel, column `j = (ch, ky,
-/// kx)`), so `dW = dy · colᵀ` runs through the same implicit-GEMM entry.
-/// The reduction over pixels is in ascending pixel order, matching what
-/// `matmul_nt_into(dy, col, ..)` computed over the materialised matrix.
-struct PatchPackT<'a>(PatchGeometry<'a>);
-
-impl PackRhs for PatchPackT<'_> {
-    fn k(&self) -> usize {
-        self.0.row_len()
+    /// Length of a buffer of `images` bordered planes: the planes plus
+    /// `width − pixels` trailing zeros, so that a full-width window at the
+    /// largest offset of the last image stays in bounds.
+    fn planes_len(self, images: usize) -> usize {
+        images * self.plane_len + self.width - self.pixels
     }
 
-    fn n(&self) -> usize {
-        self.0.fan_in()
+    /// Where each image row starts inside the bordered planes, in
+    /// flattened-image row order `(ch, iy)`.
+    fn interior_rows(self) -> impl Iterator<Item = usize> {
+        let (c, h, _) = self.dims;
+        let rows = h + 2 * self.pad;
+        (0..c).flat_map(move |ch| {
+            (0..h).map(move |iy| (ch * rows + iy + self.pad) * self.row + self.pad)
+        })
     }
 
-    fn pack_panel(&self, j0: usize, width: usize, nr: usize, dst: &mut [f32]) {
-        let g = &self.0;
-        let (_, h, w) = g.dims;
-        let (oh, ow) = g.out_hw;
-        let pad = g.pad as isize;
-        dst.fill(0.0);
-        for jj in 0..width {
-            let (ch, ky, kx) = g.kernel_coords(j0 + jj);
-            // Column jj holds patch value (ch, ky, kx) for every output
-            // pixel; writes stride by `nr`, reads stay contiguous per row.
-            for oy in 0..oh {
-                let iy = oy as isize + ky as isize - pad;
-                if iy < 0 || iy >= h as isize {
-                    continue;
-                }
-                let ox_lo = (pad - kx as isize).max(0);
-                let ox_hi = (w as isize + pad - kx as isize).min(ow as isize);
-                for ox in ox_lo..ox_hi {
-                    let ix = (ox + kx as isize - pad) as usize;
-                    dst[(oy * ow + ox as usize) * nr + jj] =
-                        g.img[ch * h * w + iy as usize * w + ix];
-                }
-            }
+    /// Copies a flattened image into the interior of its bordered planes.
+    fn fill_planes(self, img: &[f32], planes: &mut [f32]) {
+        let w = self.dims.2;
+        for (src, at) in img.chunks_exact(w).zip(self.interior_rows()) {
+            planes[at..at + w].copy_from_slice(src);
         }
     }
 }
@@ -143,6 +127,19 @@ impl PackRhs for PatchPackT<'_> {
 ///
 /// Input: `[batch, c_in·h·w]`; output `[batch, c_out·h'·w']` with
 /// `h' = h + 2·pad − k + 1`.
+///
+/// Every geometry runs the same zero-copy path: each image is copied once
+/// into zero-bordered `(h + 2·pad) × (w + 2·pad)` planes, where im2col row
+/// `(ch, ky, kx)` is the contiguous slice at `ch·H'W' + ky·W' + kx`, and
+/// the forward, weight-gradient and input-gradient products are
+/// [`tensor::window_gemm_tn_into`], [`tensor::window_gemm_lanes_into`] and
+/// [`tensor::window_gemm_tn_add`] over that offset table. No im2col or
+/// gradient-column matrix is ever built; steady state, `forward` allocates
+/// only its output and `backward` only `dx`. Results are bit-identical to
+/// the materialised-im2col formulation (per element: one FMA accumulator
+/// from `+0.0` in ascending `(ch, ky, kx)` / pixel order; per-image `dW`
+/// added in image order; `dx` contributions in ascending `(ky, kx)`). The
+/// training-mode cache is the bordered batch.
 ///
 /// # Example
 ///
@@ -159,23 +156,33 @@ impl PackRhs for PatchPackT<'_> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Conv2d {
-    input_dims: ImageDims,
     out_channels: usize,
-    kernel: usize,
-    pad: usize,
     weight: Tensor, // [c_out, c_in*k*k]
     bias: Tensor,   // [c_out]
     grad_weight: Tensor,
     grad_bias: Tensor,
-    // Compact backward cache: the training-mode input (reused across
-    // batches of the same shape), read back by the implicit-GEMM weight
-    // gradient. A factor c_in·k² smaller than the old per-element im2col
-    // cache.
-    cached_input: Option<Tensor>,
-    // Per-layer workspaces reused across batches (steady-state the forward
-    // and backward passes allocate only their returned tensors).
-    scratch_dw: Vec<f32>,   // [c_out, c_in*k*k] per-element dW
-    scratch_dcol: Vec<f32>, // [c_in*k*k, oh*ow] dcol
+    lay: Layout,
+    // Window offset table: im2col row kk starts at off[kk] of an image's
+    // bordered planes.
+    off: Vec<usize>,
+    // Backward cache: the training-mode batch as bordered planes, image b
+    // at b·plane_len (`Layout::planes_len`); reused across batches of the
+    // same size.
+    cached_planes: Vec<f32>,
+    cached_batch: usize,
+    // Per-layer workspaces, sized by the first pass that needs them (an
+    // evaluation replica never pays for the backward ones), so that steady
+    // state the passes allocate only their returned tensors. Borders, wrap
+    // columns, trailing zeros and dead lanes are +0.0 from allocation and
+    // no pass ever writes them (dx_planes is re-zeroed whole per image).
+    eval_planes: Vec<f32>, // one image's bordered planes
+    weight_t: Vec<f32>,    // [c_in*k*k, c_out]: forward's transposed weights
+    y_rows: Vec<f32>,      // [c_out, width]: padded-flat forward rows
+    dy_lanes: Vec<f32>,    // [pixels, lanes]: dy transposed
+    dy_rows: Vec<f32>,     // [c_out, width]: padded-flat dy
+    dw_lanes: Vec<f32>,    // [c_in*k*k, lanes]: one image's dW
+    db_lanes: Vec<f32>,    // [lanes]: one image's db
+    dx_planes: Vec<f32>,   // one image's bordered dx planes
 }
 
 impl Conv2d {
@@ -200,135 +207,102 @@ impl Conv2d {
             "kernel {kernel} does not fit input {h}x{w} with padding {pad}"
         );
         let fan_in = c * kernel * kernel;
+        let lay = Layout::new(input_dims, out_channels, kernel, pad);
+        let taps = kernel * kernel;
+        let off = (0..fan_in)
+            .map(|kk| {
+                let (ch, ky, kx) = (kk / taps, kk % taps / kernel, kk % kernel);
+                ch * (lay.plane_len / c) + ky * lay.row + kx
+            })
+            .collect();
         Conv2d {
-            input_dims,
             out_channels,
-            kernel,
-            pad,
             weight: Init::KaimingUniform { fan_in }.init(&[out_channels, fan_in], rng),
             bias: Tensor::zeros(&[out_channels]),
             grad_weight: Tensor::zeros(&[out_channels, fan_in]),
             grad_bias: Tensor::zeros(&[out_channels]),
-            cached_input: None,
-            scratch_dw: Vec::new(),
-            scratch_dcol: Vec::new(),
+            lay,
+            off,
+            cached_planes: Vec::new(),
+            cached_batch: 0,
+            eval_planes: Vec::new(),
+            weight_t: Vec::new(),
+            y_rows: Vec::new(),
+            dy_lanes: Vec::new(),
+            dy_rows: Vec::new(),
+            dw_lanes: Vec::new(),
+            db_lanes: Vec::new(),
+            dx_planes: Vec::new(),
         }
     }
 
     /// Output geometry `(c_out, h', w')`.
     pub fn output_dims(&self) -> ImageDims {
-        let (_, h, w) = self.input_dims;
-        (
-            self.out_channels,
-            h + 2 * self.pad - self.kernel + 1,
-            w + 2 * self.pad - self.kernel + 1,
-        )
-    }
-
-    /// The patch geometry over one cached or incoming image.
-    fn geometry<'a>(&self, img: &'a [f32]) -> PatchGeometry<'a> {
-        let (_, oh, ow) = self.output_dims();
-        PatchGeometry {
-            dims: self.input_dims,
-            out_hw: (oh, ow),
-            kernel: self.kernel,
-            pad: self.pad,
-            img,
-        }
+        let (oh, ow) = self.lay.out_hw;
+        (self.out_channels, oh, ow)
     }
 
     /// The parameter-gradient half shared by `backward` and
-    /// `backward_param_only`: per batch element, `dW += dy·colᵀ` (via the
-    /// transposed patch packer) and `db += row sums of dy` into the
-    /// preallocated gradient buffers. Returns the batch size.
+    /// `backward_param_only`: per batch element, `dW` and `db` through the
+    /// lane kernel, added into the preallocated gradient buffers in image
+    /// order. Returns the batch size.
     ///
     /// # Panics
     ///
     /// Panics if called before a training-mode `forward` or the batch size
     /// changed.
     fn accumulate_param_grads(&mut self, grad_out: &Tensor) -> usize {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward");
+        assert!(self.cached_batch > 0, "backward called before forward");
         let batch = grad_out.dims()[0];
         assert_eq!(
-            batch,
-            x.dims()[0],
+            batch, self.cached_batch,
             "batch size changed between forward and backward"
         );
-        let (co, oh, ow) = self.output_dims();
-        let (c, _, _) = self.input_dims;
-        let row_len = oh * ow;
-        let fan_in = c * self.kernel * self.kernel;
+        let lay = self.lay;
+        let (oh, ow) = lay.out_hw;
+        let fan_in = self.off.len();
         self.grad_weight.fill_zero();
         self.grad_bias.fill_zero();
-        self.scratch_dw.resize(co * fan_in, 0.0);
+        self.dy_lanes.resize(lay.pixels * lay.lanes, 0.0);
+        self.dw_lanes.resize(fan_in * lay.lanes, 0.0);
+        self.db_lanes.resize(lay.lanes, 0.0);
         for b in 0..batch {
-            let dy = grad_out.row(b);
-            let packer = PatchPackT(PatchGeometry {
-                dims: self.input_dims,
-                out_hw: (oh, ow),
-                kernel: self.kernel,
-                pad: self.pad,
-                img: x.row(b),
-            });
-            gemm_rhs(dy, &packer, &mut self.scratch_dw, co);
-            for (gw, &dwv) in self
-                .grad_weight
-                .as_mut_slice()
-                .iter_mut()
-                .zip(&self.scratch_dw)
-            {
-                *gw += dwv;
+            // dy transposed to [pixel, channel lane].
+            for (ch, dy_ch) in grad_out.row(b).chunks_exact(oh * ow).enumerate() {
+                for (oy, dy_row) in dy_ch.chunks_exact(ow).enumerate() {
+                    let at = oy * lay.row * lay.lanes + ch;
+                    for (ox, &v) in dy_row.iter().enumerate() {
+                        self.dy_lanes[at + ox * lay.lanes] = v;
+                    }
+                }
             }
-            for ch in 0..co {
-                let s: f32 = dy[ch * row_len..(ch + 1) * row_len].iter().sum();
-                self.grad_bias.as_mut_slice()[ch] += s;
+            window_gemm_lanes_into(
+                &self.dy_lanes,
+                &self.cached_planes[b * lay.plane_len..],
+                &self.off,
+                &mut self.dw_lanes,
+                &mut self.db_lanes,
+                lay.lanes,
+                lay.pixels,
+            );
+            let gw = self.grad_weight.as_mut_slice();
+            for (ch, gw_row) in gw.chunks_exact_mut(fan_in).enumerate() {
+                for (g, dw) in gw_row.iter_mut().zip(self.dw_lanes.chunks_exact(lay.lanes)) {
+                    *g += dw[ch];
+                }
+            }
+            for (g, &db) in self.grad_bias.as_mut_slice().iter_mut().zip(&self.db_lanes) {
+                *g += db;
             }
         }
         batch
     }
 }
 
-/// col2im: scatter-add a `[c_in·k·k, out_h·out_w]` gradient into a (zeroed
-/// by the caller) flattened image gradient.
-fn col2im_into(
-    (c, h, w): ImageDims,
-    (oh, ow): (usize, usize),
-    k: usize,
-    pad: usize,
-    col: &[f32],
-    img: &mut [f32],
-) {
-    let pad = pad as isize;
-    let row_len = oh * ow;
-    for ch in 0..c {
-        for ky in 0..k {
-            for kx in 0..k {
-                let col_row = (ch * k * k + ky * k + kx) * row_len;
-                for oy in 0..oh {
-                    let iy = oy as isize + ky as isize - pad;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = ox as isize + kx as isize - pad;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        img[ch * h * w + iy as usize * w + ix as usize] +=
-                            col[col_row + oy * ow + ox];
-                    }
-                }
-            }
-        }
-    }
-}
-
 impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let (c, h, w) = self.input_dims;
+        let lay = self.lay;
+        let (c, h, w) = lay.dims;
         let flat = c * h * w;
         assert_eq!(
             x.dims().last().copied(),
@@ -337,29 +311,50 @@ impl Layer for Conv2d {
             x.shape()
         );
         let batch = x.dims()[0];
-        let (co, oh, ow) = self.output_dims();
+        let (co, (oh, ow)) = (self.out_channels, lay.out_hw);
         let row_len = oh * ow;
-        // Only backward reads the cache, so evaluation-mode forwards skip
-        // the copy entirely (the trace-point evaluation path is
-        // forward-only); same policy as `Dense`.
-        if train {
-            match &mut self.cached_input {
-                Some(cache) if cache.dims() == x.dims() => cache.copy_from(x),
-                cache => *cache = Some(x.clone()),
+        let fan_in = self.off.len();
+        self.weight_t.resize(fan_in * co, 0.0);
+        self.y_rows.resize(co * lay.width, 0.0);
+        for (ch, w_row) in self.weight.as_slice().chunks_exact(fan_in).enumerate() {
+            for (kk, &v) in w_row.iter().enumerate() {
+                self.weight_t[kk * co + ch] = v;
             }
         }
+        // Only backward reads the cache, so evaluation-mode forwards leave
+        // it alone and border one image at a time in a small scratch (the
+        // trace-point evaluation path is forward-only); same policy as
+        // `Dense`.
+        if !train {
+            self.eval_planes.resize(lay.planes_len(1), 0.0);
+        } else if self.cached_batch != batch {
+            self.cached_planes = vec![0.0; lay.planes_len(batch)];
+            self.cached_batch = batch;
+        }
         let mut out = vec![0.0f32; batch * co * row_len];
-        for b in 0..batch {
-            // [c_out, k*k*c] · [k*k*c, oh*ow] as implicit GEMM straight
-            // into the output rows: the packer reads the image patches
-            // directly, and the bias is added in place afterwards.
-            let dst = &mut out[b * co * row_len..(b + 1) * co * row_len];
-            let packer = PatchPack(self.geometry(x.row(b)));
-            gemm_rhs(self.weight.as_slice(), &packer, dst, co);
-            for ch in 0..co {
+        for (b, dst) in out.chunks_exact_mut(co * row_len).enumerate() {
+            let planes = if train {
+                &mut self.cached_planes[b * lay.plane_len..]
+            } else {
+                &mut self.eval_planes[..]
+            };
+            lay.fill_planes(x.row(b), planes);
+            window_gemm_tn_into(
+                &self.weight_t,
+                planes,
+                &self.off,
+                &mut self.y_rows,
+                co,
+                lay.width,
+            );
+            // Drop the wrap columns and add the bias in the same copy.
+            for (ch, dst_ch) in dst.chunks_exact_mut(row_len).enumerate() {
                 let bias = self.bias.at(ch);
-                for o in dst[ch * row_len..(ch + 1) * row_len].iter_mut() {
-                    *o += bias;
+                let y_ch = &self.y_rows[ch * lay.width..];
+                for (oy, dst_row) in dst_ch.chunks_exact_mut(ow).enumerate() {
+                    for (o, &y) in dst_row.iter_mut().zip(&y_ch[oy * lay.row..]) {
+                        *o = y + bias;
+                    }
                 }
             }
         }
@@ -368,38 +363,42 @@ impl Layer for Conv2d {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let batch = self.accumulate_param_grads(grad_out);
-        let (co, oh, ow) = self.output_dims();
-        let (c, h, w) = self.input_dims;
-        let row_len = oh * ow;
-        let fan_in = c * self.kernel * self.kernel;
-        self.scratch_dcol.resize(fan_in * row_len, 0.0);
+        let lay = self.lay;
+        let (c, h, w) = lay.dims;
+        let (oh, ow) = lay.out_hw;
+        self.dy_rows.resize(self.out_channels * lay.width, 0.0);
+        self.dx_planes.resize(lay.planes_len(1), 0.0);
         let mut dx = vec![0.0f32; batch * c * h * w];
-        for b in 0..batch {
-            // dcol = W^T · dy, scattered back with col2im.
-            matmul_tn_into(
+        for (b, dx_img) in dx.chunks_exact_mut(c * h * w).enumerate() {
+            // dy as padded-flat rows.
+            for (ch, dy_ch) in grad_out.row(b).chunks_exact(oh * ow).enumerate() {
+                for (oy, dy_row) in dy_ch.chunks_exact(ow).enumerate() {
+                    let at = ch * lay.width + oy * lay.row;
+                    self.dy_rows[at..at + ow].copy_from_slice(dy_row);
+                }
+            }
+            // dx planes += Wᵀ · dy, row kk into the window at off[kk]:
+            // col2im without the column matrix.
+            self.dx_planes.fill(0.0);
+            window_gemm_tn_add(
                 self.weight.as_slice(),
-                grad_out.row(b),
-                &mut self.scratch_dcol,
-                co,
-                fan_in,
-                row_len,
+                &self.dy_rows,
+                &self.off,
+                &mut self.dx_planes,
+                self.out_channels,
+                lay.width,
             );
-            col2im_into(
-                self.input_dims,
-                (oh, ow),
-                self.kernel,
-                self.pad,
-                &self.scratch_dcol,
-                &mut dx[b * c * h * w..(b + 1) * c * h * w],
-            );
+            for (dst, at) in dx_img.chunks_exact_mut(w).zip(lay.interior_rows()) {
+                dst.copy_from_slice(&self.dx_planes[at..at + w]);
+            }
         }
         Tensor::from_vec(dx, &[batch, c * h * w]).expect("volume matches")
     }
 
     fn backward_param_only(&mut self, grad_out: &Tensor) -> Tensor {
         let _ = self.accumulate_param_grads(grad_out);
-        // Skip the Wᵀ·dy GEMM and the col2im scatter entirely: nothing
-        // reads the input gradient of a model's first layer.
+        // Skip the Wᵀ·dy product entirely: nothing reads the input
+        // gradient of a model's first layer.
         Tensor::zeros(&[0])
     }
 
@@ -481,28 +480,38 @@ impl Layer for MaxPool2d {
         );
         let batch = x.dims()[0];
         let (oc, oh, ow) = self.output_dims();
+        let per_out = oc * oh * ow;
         self.batch = batch;
-        self.argmax.clear();
-        self.argmax.reserve(batch * oc * oh * ow);
-        let mut out = Vec::with_capacity(batch * oc * oh * ow);
-        for b in 0..batch {
-            let img = x.row(b);
-            for ch in 0..c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best_idx = ch * h * w + (2 * oy) * w + 2 * ox;
-                        let mut best = img[best_idx];
-                        for (dy, dx) in [(0usize, 1usize), (1, 0), (1, 1)] {
-                            let idx = ch * h * w + (2 * oy + dy) * w + 2 * ox + dx;
-                            if img[idx] > best {
-                                best = img[idx];
-                                best_idx = idx;
-                            }
-                        }
-                        out.push(best);
-                        self.argmax.push(best_idx);
+        // Every slot is overwritten below, so the resize only sets the
+        // length; capacity carries over between calls.
+        self.argmax.resize(batch * per_out, 0);
+        let mut out = vec![0.0f32; batch * per_out];
+        let rows = out
+            .chunks_exact_mut(ow)
+            .zip(self.argmax.chunks_exact_mut(ow));
+        for (r, (out_row, arg_row)) in rows.enumerate() {
+            // Output row r = (b, ch, oy) reads image rows 2·oy and 2·oy + 1
+            // of channel ch.
+            let (b, ch, oy) = (r / (oc * oh), r / oh % oc, r % oh);
+            let top = ch * h * w + 2 * oy * w;
+            let (upper, lower) = x.row(b)[top..top + 2 * w].split_at(w);
+            let windows = upper.chunks_exact(2).zip(lower.chunks_exact(2));
+            for (ox, ((o, arg), (up, low))) in
+                out_row.iter_mut().zip(arg_row).zip(windows).enumerate()
+            {
+                let first = top + 2 * ox;
+                let (mut best, mut best_idx) = (up[0], first);
+                for (v, idx) in [
+                    (up[1], first + 1),
+                    (low[0], first + w),
+                    (low[1], first + w + 1),
+                ] {
+                    if v > best {
+                        (best, best_idx) = (v, idx);
                     }
                 }
+                *o = best;
+                *arg = best_idx;
             }
         }
         Tensor::from_vec(out, &[batch, oc * oh * ow]).expect("volume matches")
@@ -569,19 +578,16 @@ mod tests {
         assert_eq!(unpadded.output_dims(), (16, 6, 6));
     }
 
-    /// The packers must reproduce the materialised im2col matrix exactly:
-    /// `PatchPack` panel-by-panel and `PatchPackT` as its transpose.
-    #[test]
-    fn patch_packers_match_materialized_im2col() {
-        let dims: ImageDims = (2, 5, 4);
-        let (kernel, pad) = (3usize, 1usize);
-        let (oh, ow) = (5usize, 4usize);
-        let (c, h, w) = dims;
-        let img: Vec<f32> = (0..c * h * w).map(|i| i as f32 * 0.5 - 3.0).collect();
-        // Reference im2col, the PR 4 loop verbatim.
-        let fan_in = c * kernel * kernel;
+    /// im2col, the PR 4 loop verbatim: `[c·k·k, oh·ow]`, zeros at padding.
+    fn im2col(
+        (c, h, w): ImageDims,
+        (oh, ow): (usize, usize),
+        kernel: usize,
+        pad: usize,
+        img: &[f32],
+    ) -> Vec<f32> {
         let row_len = oh * ow;
-        let mut col = vec![0.0f32; fan_in * row_len];
+        let mut col = vec![0.0f32; c * kernel * kernel * row_len];
         let padi = pad as isize;
         for ch in 0..c {
             for ky in 0..kernel {
@@ -604,51 +610,236 @@ mod tests {
                 }
             }
         }
-        let geometry = || PatchGeometry {
-            dims,
-            out_hw: (oh, ow),
-            kernel,
-            pad,
-            img: &img,
-        };
-        // Forward packer panels vs im2col columns, at an awkward width.
-        let nr = 7usize;
-        let packer = PatchPack(geometry());
-        let mut j0 = 0;
-        while j0 < row_len {
-            let width = nr.min(row_len - j0);
-            let mut panel = vec![f32::NAN; fan_in * nr];
-            packer.pack_panel(j0, width, nr, &mut panel);
-            for kk in 0..fan_in {
-                for jj in 0..nr {
-                    let want = if jj < width {
-                        col[kk * row_len + j0 + jj]
-                    } else {
-                        0.0
-                    };
-                    assert_eq!(panel[kk * nr + jj], want, "panel ({kk}, {j0}+{jj})");
+        col
+    }
+
+    /// col2im, the PR 4 loop verbatim: scatter-add a `[c·k·k, oh·ow]`
+    /// gradient into a zeroed flattened image gradient, `(ch, ky, kx)`
+    /// ascending.
+    fn col2im(
+        (c, h, w): ImageDims,
+        (oh, ow): (usize, usize),
+        k: usize,
+        pad: usize,
+        col: &[f32],
+        img: &mut [f32],
+    ) {
+        let pad = pad as isize;
+        let row_len = oh * ow;
+        for ch in 0..c {
+            for ky in 0..k {
+                for kx in 0..k {
+                    let col_row = (ch * k * k + ky * k + kx) * row_len;
+                    for oy in 0..oh {
+                        let iy = oy as isize + ky as isize - pad;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        for ox in 0..ow {
+                            let ix = ox as isize + kx as isize - pad;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            img[ch * h * w + iy as usize * w + ix as usize] +=
+                                col[col_row + oy * ow + ox];
+                        }
+                    }
                 }
             }
-            j0 += width;
         }
-        // Transposed packer panels vs im2col rows.
-        let packer_t = PatchPackT(geometry());
-        let mut f0 = 0;
-        while f0 < fan_in {
-            let width = nr.min(fan_in - f0);
-            let mut panel = vec![f32::NAN; row_len * nr];
-            packer_t.pack_panel(f0, width, nr, &mut panel);
-            for kk in 0..row_len {
-                for jj in 0..nr {
-                    let want = if jj < width {
-                        col[(f0 + jj) * row_len + kk]
-                    } else {
-                        0.0
-                    };
-                    assert_eq!(panel[kk * nr + jj], want, "t-panel ({kk}, {f0}+{jj})");
+    }
+
+    /// `out[i][j] = Σ_kk a(i, kk) · b(kk, j)`: one FMA accumulator from
+    /// `+0.0`, `kk` ascending — the GEMM contract, spelled out.
+    fn fma_chain_gemm(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: impl Fn(usize, usize) -> f32,
+        b: impl Fn(usize, usize) -> f32,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for kk in 0..k {
+                    acc = a(i, kk).mul_add(b(kk, j), acc);
+                }
+                out[i * n + j] = acc;
+            }
+        }
+        out
+    }
+
+    /// What one training pass produces.
+    #[derive(Debug, PartialEq)]
+    struct PassBits {
+        y: Vec<u32>,
+        grad_weight: Vec<u32>,
+        grad_bias: Vec<u32>,
+        dx: Vec<u32>,
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The layer's own forward + full backward.
+    fn layer_pass(conv: &mut Conv2d, x: &Tensor, dy: &Tensor) -> PassBits {
+        let y = conv.forward(x, true);
+        let dx = conv.backward(dy);
+        PassBits {
+            y: bits(y.as_slice()),
+            grad_weight: bits(conv.grad_weight.as_slice()),
+            grad_bias: bits(conv.grad_bias.as_slice()),
+            dx: bits(dx.as_slice()),
+        }
+    }
+
+    /// The same pass in the materialised-im2col formulation the layer
+    /// replaced (PR 4/5: `y = W·col + b`, `dW += dy·colᵀ`, `db += Σ dy`,
+    /// `dx = col2im(Wᵀ·dy)`), every product an explicit FMA chain.
+    fn reference_pass(
+        conv: &Conv2d,
+        dims: ImageDims,
+        kernel: usize,
+        pad: usize,
+        x: &Tensor,
+        dy: &Tensor,
+    ) -> PassBits {
+        let (c, h, w) = dims;
+        let (co, oh, ow) = conv.output_dims();
+        let (fan_in, row_len) = (c * kernel * kernel, oh * ow);
+        let wt = conv.weight.as_slice();
+        let batch = x.dims()[0];
+        let mut y = Vec::new();
+        let mut gw = vec![0.0f32; co * fan_in];
+        let mut gb = vec![0.0f32; co];
+        let mut dx = vec![0.0f32; batch * c * h * w];
+        for b in 0..batch {
+            let col = im2col(dims, (oh, ow), kernel, pad, x.row(b));
+            let dyb = dy.row(b);
+            let prod = fma_chain_gemm(
+                co,
+                fan_in,
+                row_len,
+                |i, kk| wt[i * fan_in + kk],
+                |kk, j| col[kk * row_len + j],
+            );
+            for (ch, row) in prod.chunks_exact(row_len).enumerate() {
+                y.extend(row.iter().map(|v| v + conv.bias.at(ch)));
+            }
+            let dw = fma_chain_gemm(
+                co,
+                row_len,
+                fan_in,
+                |i, pix| dyb[i * row_len + pix],
+                |pix, kk| col[kk * row_len + pix],
+            );
+            for (g, d) in gw.iter_mut().zip(&dw) {
+                *g += d;
+            }
+            for (g, dy_ch) in gb.iter_mut().zip(dyb.chunks_exact(row_len)) {
+                *g += dy_ch.iter().sum::<f32>();
+            }
+            let dcol = fma_chain_gemm(
+                fan_in,
+                co,
+                row_len,
+                |kk, i| wt[i * fan_in + kk],
+                |i, pix| dyb[i * row_len + pix],
+            );
+            let dx_img = &mut dx[b * c * h * w..(b + 1) * c * h * w];
+            col2im(dims, (oh, ow), kernel, pad, &dcol, dx_img);
+        }
+        PassBits {
+            y: bits(&y),
+            grad_weight: bits(&gw),
+            grad_bias: bits(&gb),
+            dx: bits(&dx),
+        }
+    }
+
+    /// Deterministic operands with exact zeros (ReLU-sparse) and `-0.0`
+    /// sprinkled through otherwise-random values.
+    fn sparse_tensor(dims: &[usize], seed: u64) -> Tensor {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let data = (0..dims.iter().product())
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                match state % 8 {
+                    0 | 1 => 0.0,
+                    2 => -0.0,
+                    _ => (state >> 40) as f32 / 4e6 - 2.0,
+                }
+            })
+            .collect();
+        Tensor::from_vec(data, dims).unwrap()
+    }
+
+    /// Forward, `dW`, `db` and `dx` are bit-identical to the materialised
+    /// reference on every geometry class `Conv2d::new` accepts: channel
+    /// counts off the lane and tile sizes, 1×1 to 5×5 kernels, padding
+    /// below, at and above "same", non-square images, several images.
+    #[test]
+    fn matches_materialized_im2col_reference_bit_for_bit() {
+        let mut seed = 0u64;
+        let mut cases = Vec::new();
+        for c in [1usize, 3, 8] {
+            for co in [1usize, 3, 8, 10, 16] {
+                for kernel in [1usize, 3, 5] {
+                    for pad in [0usize, 1, 2] {
+                        cases.push(((c, 6, 5), co, kernel, pad, 2));
+                    }
                 }
             }
-            f0 += width;
+        }
+        // The benchmark's widest layer shape: many column panels.
+        cases.push(((8, 16, 16), 8, 3, 1, 3));
+        for (dims, co, kernel, pad, batch) in cases {
+            seed += 1;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut conv = Conv2d::new(dims, co, kernel, pad, &mut rng);
+            conv.bias = sparse_tensor(&[co], seed + 1000);
+            let (c, h, w) = dims;
+            let (_, oh, ow) = conv.output_dims();
+            let x = sparse_tensor(&[batch, c * h * w], seed + 2000);
+            let dy = sparse_tensor(&[batch, co * oh * ow], seed + 3000);
+            let want = reference_pass(&conv, dims, kernel, pad, &x, &dy);
+            let got = layer_pass(&mut conv, &x, &dy);
+            assert_eq!(got, want, "{dims:?} -> {co}, kernel {kernel}, pad {pad}");
+            // The first-layer path computes the same parameter gradients.
+            let _ = conv.backward_param_only(&dy);
+            assert_eq!(bits(conv.grad_weight.as_slice()), want.grad_weight);
+            assert_eq!(bits(conv.grad_bias.as_slice()), want.grad_bias);
+            // Evaluation mode is the same forward.
+            assert_eq!(bits(conv.forward(&x, false).as_slice()), want.y);
+        }
+    }
+
+    /// Borders, wrap columns, trailing zeros and dead lanes never pick up
+    /// stale values: a layer that has already seen other batches (of
+    /// another size, in both modes) computes exactly what a fresh layer
+    /// does.
+    #[test]
+    fn reused_scratch_matches_fresh_layer() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let dims = (3, 6, 5);
+        let mut used = Conv2d::new(dims, 10, 3, 1, &mut rng);
+        let fresh = used.clone();
+        let (co, oh, ow) = used.output_dims();
+        for (batch, seed) in [(3usize, 1u64), (2, 2)] {
+            let x = sparse_tensor(&[batch, 3 * 6 * 5], seed);
+            let dy = sparse_tensor(&[batch, co * oh * ow], seed + 10);
+            let _ = used.forward(&sparse_tensor(&[4, 3 * 6 * 5], seed + 20), false);
+            let got = layer_pass(&mut used, &x, &dy);
+            assert_eq!(
+                got,
+                layer_pass(&mut fresh.clone(), &x, &dy),
+                "batch {batch}"
+            );
         }
     }
 

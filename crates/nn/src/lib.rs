@@ -13,6 +13,13 @@
 //! communication-bound) and [`models::resnet_like`] (residual blocks, small
 //! head — computation-bound), plus MLP/softmax baselines.
 //!
+//! Convolution is zero-copy: [`Conv2d`] stores each image as zero-bordered
+//! planes, in which every im2col row is a contiguous slice, and runs its
+//! forward, weight-gradient and input-gradient products as `tensor`'s
+//! windowed GEMM kernels over an offset table — no packing, no column
+//! matrix, col2im fused into the product, and bit-identical to the
+//! materialised-im2col formulation (see [`Conv2d`]).
+//!
 //! # Example
 //!
 //! ```

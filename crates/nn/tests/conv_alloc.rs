@@ -1,31 +1,32 @@
-//! Allocation-counting proof that the implicit-GEMM convolution forward
-//! path materialises no im2col matrices.
+//! Allocation-counting proof that the convolution passes materialise no
+//! im2col-sized matrices.
 //!
-//! A counting global allocator is armed around a steady-state training
-//! forward pass: the only heap traffic allowed is the returned output
-//! tensor (data + shape), which is several times smaller than one batch
-//! element's im2col matrix would be. This test lives alone in its own
-//! integration-test binary so no concurrently-running test can perturb
-//! the counters.
+//! A counting global allocator is armed around steady-state training
+//! passes: the only heap traffic allowed is the returned tensor (data +
+//! shape) — the output for `forward`, `dx` for `backward` — never
+//! `fan_in × oh·ow` floats of column matrix. Counters are per thread, so
+//! the tests here (and the harness around them) cannot perturb each other.
 
 use nn::{Conv2d, Layer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 use tensor::Tensor;
 
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        if ARMED.get() {
+            ALLOCS.set(ALLOCS.get() + 1);
+            BYTES.set(BYTES.get() + layout.size() as u64);
         }
         unsafe { System.alloc(layout) }
     }
@@ -38,35 +39,47 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Runs `f` with this thread's counters armed; returns its result with the
+/// allocation count and bytes it made.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    ALLOCS.set(0);
+    BYTES.set(0);
+    ARMED.set(true);
+    let out = f();
+    ARMED.set(false);
+    (out, ALLOCS.get(), BYTES.get())
+}
+
+// fan_in = 4*3*3 = 36, output pixels = 64: one batch element's im2col
+// matrix would be 36*64*4 = 9216 bytes, the batch's 72 KiB.
+const BATCH: usize = 8;
+const DIMS: (usize, usize, usize) = (4, 8, 8);
+const CO: usize = 8;
+const IM2COL_BYTES: u64 = 36 * 64 * 4;
+
+fn warmed_layer() -> (Conv2d, Tensor, Tensor) {
+    let mut rng = StdRng::seed_from_u64(7);
+    let (c, h, w) = DIMS;
+    let mut conv = Conv2d::new(DIMS, CO, 3, 1, &mut rng);
+    let x = Tensor::randn(&[BATCH, c * h * w], 1.0, &mut rng);
+    let dy = Tensor::randn(&[BATCH, CO * 64], 1.0, &mut rng);
+    // Warm every reused buffer: the bordered-plane cache of this batch
+    // size and the per-layer workspaces.
+    for _ in 0..2 {
+        let _ = conv.forward(&x, true);
+        let _ = conv.backward(&dy);
+    }
+    (conv, x, dy)
+}
+
 #[test]
 fn conv_forward_allocates_only_its_output() {
-    let mut rng = StdRng::seed_from_u64(7);
-    // fan_in = 4*3*3 = 36, output pixels = 64: one batch element's im2col
-    // matrix would be 36*64*4 = 9216 bytes; the whole batch's output is
-    // 8 rows * 8*64 floats * 4 = 16 KiB.
-    let batch = 8usize;
-    let (c, h, w, co) = (4usize, 8usize, 8usize, 8usize);
-    let mut conv = Conv2d::new((c, h, w), co, 3, 1, &mut rng);
-    let x = Tensor::randn(&[batch, c * h * w], 1.0, &mut rng);
-
-    // Warm every reused buffer: the backward cache clone, the GEMM output
-    // scratch, and the thread-local packing scratch.
-    let _ = conv.forward(&x, true);
-    let _ = conv.forward(&x, true);
-
-    ARMED.store(true, Ordering::SeqCst);
-    let y = conv.forward(&x, true);
-    ARMED.store(false, Ordering::SeqCst);
-
-    let allocs = ALLOCS.load(Ordering::SeqCst);
-    let bytes = BYTES.load(Ordering::SeqCst);
-    assert_eq!(y.dims(), &[batch, co * 64]);
-
-    let out_bytes = (batch * co * 64 * 4) as u64;
-    let im2col_bytes = (c * 9 * 64 * 4) as u64; // per batch element
-                                                // The output tensor (data + shape vector) is the only allowed
-                                                // allocation; any materialised im2col matrix would at least double
-                                                // the byte count (batch * 9216 = 72 KiB vs 16 KiB output).
+    let (mut conv, x, _) = warmed_layer();
+    let (y, allocs, bytes) = counted(|| conv.forward(&x, true));
+    assert_eq!(y.dims(), &[BATCH, CO * 64]);
+    // The output tensor (data + shape vector) is the only allowed
+    // allocation: 16 KiB, where one image's im2col matrix is 9 KiB more.
+    let out_bytes = (BATCH * CO * 64 * 4) as u64;
     assert!(
         allocs <= 4,
         "steady-state conv forward made {allocs} allocations"
@@ -74,6 +87,31 @@ fn conv_forward_allocates_only_its_output() {
     assert!(
         bytes <= out_bytes + 1024,
         "steady-state conv forward allocated {bytes} bytes \
-         (output is {out_bytes}, one im2col matrix would be {im2col_bytes})"
+         (output is {out_bytes}, one im2col matrix would be {IM2COL_BYTES})"
     );
+}
+
+#[test]
+fn conv_backward_allocates_only_dx() {
+    let (mut conv, x, dy) = warmed_layer();
+    let _ = conv.forward(&x, true);
+    let (dx, allocs, bytes) = counted(|| conv.backward(&dy));
+    assert_eq!(dx.dims(), x.dims());
+    // dx is 8 KiB; a materialised dcol (or the transposed patch matrix of
+    // the weight gradient) would add 9 KiB per image.
+    let dx_bytes = (x.len() * 4) as u64;
+    assert!(
+        allocs <= 4,
+        "steady-state conv backward made {allocs} allocations"
+    );
+    assert!(
+        bytes <= dx_bytes + 1024,
+        "steady-state conv backward allocated {bytes} bytes \
+         (dx is {dx_bytes}, one im2col matrix would be {IM2COL_BYTES})"
+    );
+    // The first-layer path returns an empty tensor and allocates nothing
+    // of any size that matters.
+    let _ = conv.forward(&x, true);
+    let (_, _, bytes) = counted(|| conv.backward_param_only(&dy));
+    assert!(bytes <= 1024, "param-only backward allocated {bytes} bytes");
 }

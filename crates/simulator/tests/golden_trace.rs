@@ -36,8 +36,9 @@ const FIXTURE: &str = concat!(
 /// The convolution fixture: the same record format over `vgg_like` and
 /// `resnet_like`, so `Conv2d`/`MaxPool2d`/`Residual` forward and backward
 /// bits are pinned in tier-1 and not only by the benchmark digest. It was
-/// generated by the PR 5 implicit-GEMM packers and must stay byte-unchanged
-/// across any rewrite of the conv kernels.
+/// generated by the PR 5 implicit-GEMM packers (committed before the PR 12
+/// zero-copy kernels replaced them) and must stay byte-unchanged across
+/// any rewrite of the conv kernels.
 const CONV_FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/fixtures/golden_trace_conv.txt"

@@ -6,6 +6,14 @@
 //! scratch (matrix multiplication in all transpose combinations, elementwise
 //! arithmetic, reductions, and seeded random initialisation).
 //!
+//! Beside the packed GEMM sit the *windowed* GEMM kernels
+//! ([`window_gemm_tn_into`], [`window_gemm_lanes_into`],
+//! [`window_gemm_tn_add`]): products whose im2col-style operand is an
+//! offset table into a flat buffer, so `nn`'s convolution never packs or
+//! materialises it. Every kernel keeps one contract: each output element
+//! is a single `f32::mul_add` accumulator reduced in ascending index, so
+//! results are bit-identical at any vector width and thread count.
+//!
 //! It is deliberately small — no broadcasting DSL, no autograd, no unsafe —
 //! because the paper under reproduction ([Wang & Joshi, SysML 2019]) does not
 //! depend on any of that; the interesting systems behaviour lives in the
@@ -34,13 +42,15 @@ mod matmul;
 pub mod serde;
 mod shape;
 mod tensor;
+mod window;
 
 pub use error::TensorError;
 pub use init::Init;
 pub use linalg::{average, weighted_average};
-pub use matmul::{gemm_rhs, matmul_into, matmul_nt_into, matmul_tn_into, PackRhs};
+pub use matmul::{matmul_into, matmul_nt_into, matmul_tn_into};
 pub use shape::Shape;
 pub use tensor::Tensor;
+pub use window::{window_gemm_lanes_into, window_gemm_tn_add, window_gemm_tn_into, WINDOW_PANEL};
 
 /// Convenience result alias for fallible tensor operations.
 pub type Result<T> = std::result::Result<T, TensorError>;

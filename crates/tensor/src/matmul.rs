@@ -23,16 +23,16 @@
 //!   so the kernel's per-`k` reads are contiguous; the strided access
 //!   happens once, in the packer. Row-major left operands are read
 //!   directly — packing them would only relocate already-contiguous rows.
-//! * **B micro-panels** — the `·ᵀ` entry and any [`PackRhs`] implementor
-//!   pack the right operand into `NB`-wide row-major micro-panels
-//!   (`bpack[kk·NB + jj]`), zero-padded to width 16 on the final
-//!   sub-16 column tail. The [`PackRhs`] trait is what lets `nn`'s
-//!   convolution pack image patches *directly* (implicit GEMM) instead of
-//!   materialising an im2col matrix first; the PR 4 whole-matrix
-//!   transpose scratch for `·ᵀ` is subsumed by the transposed packer.
-//!   Row-major right operands are again read directly (full-width panels
-//!   are contiguous in place), so the plain `a · b` hot path packs
-//!   nothing but a possible column tail.
+//! * **B micro-panels** — the `·ᵀ` entry packs the right operand into
+//!   `NB`-wide row-major micro-panels (`bpack[kk·NB + jj]`), zero-padded
+//!   to width 16 on the final sub-16 column tail; this panel-sized
+//!   transpose replaces the PR 4 whole-matrix scratch. Row-major right
+//!   operands are again read directly (full-width panels are contiguous
+//!   in place), so the plain `a · b` hot path packs nothing but a
+//!   possible column tail.
+//!
+//! Convolution does not come through here: its im2col operand is never
+//! packed or built; see the windowed kernels in `window.rs`.
 //!
 //! # Bit-exactness contract
 //!
@@ -54,8 +54,7 @@
 //!
 //! The `*_into` free functions are the allocation-free entry points used
 //! by the `nn` layer workspaces; the `Tensor` methods wrap them with a
-//! fresh output buffer. [`gemm_rhs`] exposes the driver over any
-//! [`PackRhs`] implementation for implicit-GEMM callers.
+//! fresh output buffer.
 
 use crate::{Result, Tensor, TensorError};
 use std::cell::RefCell;
@@ -76,11 +75,8 @@ thread_local! {
 /// panels.
 ///
 /// Implementations describe a *logical* row-major `[k, n]` matrix; the
-/// driver asks for one panel at a time. `nn`'s convolution implements
-/// this trait over raw image buffers so conv runs as implicit GEMM — the
-/// im2col gather happens inside `pack_panel`, straight into the reused
-/// packing scratch, and no column matrix is ever materialised.
-pub trait PackRhs {
+/// driver asks for one panel at a time.
+trait PackRhs {
     /// Reduction length (logical row count).
     fn k(&self) -> usize;
     /// Output columns (logical column count).
@@ -330,7 +326,7 @@ fn panel_nb(rem: usize) -> usize {
 /// be read in place (only its sub-16 column tail is packed); otherwise
 /// every panel is packed through `rhs`. The left operand is packed first
 /// when `a_mode` is [`AMode::Packed`].
-fn gemm_driver<P: PackRhs + ?Sized>(
+fn gemm_driver<P: PackRhs>(
     a: &[f32],
     m: usize,
     a_mode: AMode,
@@ -470,24 +466,7 @@ pub fn matmul_nt_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize,
     );
 }
 
-/// Writes `a · rhs` into `out` for row-major `a: [m, rhs.k()]` and any
-/// packable right-hand operand — the implicit-GEMM entry point (`nn`'s
-/// convolution packs image patches through this).
-///
-/// Same bit-exactness contract as [`matmul_into`]: the reduction over
-/// `rhs.k()` is a single FMA accumulator in ascending order.
-///
-/// # Panics
-///
-/// Panics if `a` or `out` disagrees with `(m, rhs.k(), rhs.n())`.
-pub fn gemm_rhs<R: PackRhs + ?Sized>(a: &[f32], rhs: &R, out: &mut [f32], m: usize) {
-    let _t = telemetry::kernel_timer("kernel.gemm_rhs");
-    check_len("a", a.len(), m, rhs.k());
-    check_len("out", out.len(), m, rhs.n());
-    gemm_driver(a, m, AMode::Direct, rhs, None, out);
-}
-
-fn check_len(name: &str, len: usize, rows: usize, cols: usize) {
+pub(crate) fn check_len(name: &str, len: usize, rows: usize, cols: usize) {
     assert_eq!(
         len,
         rows * cols,
@@ -791,47 +770,6 @@ mod tests {
         let mut out_tn = vec![3.5f32; 4];
         matmul_tn_into(b.as_slice(), a.as_slice(), &mut out_tn, 2, 2, 2);
         assert_eq!(out_tn, a.as_slice());
-    }
-
-    #[test]
-    fn gemm_rhs_matches_matmul_into() {
-        // The public implicit-GEMM entry over a custom packer is the same
-        // computation as matmul_into over the materialised matrix.
-        struct Plain {
-            data: Vec<f32>,
-            k: usize,
-            n: usize,
-        }
-        impl PackRhs for Plain {
-            fn k(&self) -> usize {
-                self.k
-            }
-            fn n(&self) -> usize {
-                self.n
-            }
-            fn pack_panel(&self, j0: usize, width: usize, nr: usize, dst: &mut [f32]) {
-                dst.fill(0.0);
-                for kk in 0..self.k {
-                    for jj in 0..width {
-                        dst[kk * nr + jj] = self.data[kk * self.n + j0 + jj];
-                    }
-                }
-            }
-        }
-        for (m, k, n) in [(5, 7, 37), (4, 9, 80), (1, 3, 16)] {
-            let a: Vec<f32> = (0..m * k).map(|i| (i as f32).sin()).collect();
-            let b: Vec<f32> = (0..k * n).map(|i| (i as f32).cos()).collect();
-            let rhs = Plain {
-                data: b.clone(),
-                k,
-                n,
-            };
-            let mut via_rhs = vec![0.0f32; m * n];
-            gemm_rhs(&a, &rhs, &mut via_rhs, m);
-            let mut direct = vec![1.0f32; m * n];
-            matmul_into(&a, &b, &mut direct, m, k, n);
-            assert_eq!(via_rhs, direct, "shape {m}x{k}x{n}");
-        }
     }
 
     #[test]
