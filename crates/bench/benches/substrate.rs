@@ -131,232 +131,6 @@ fn bench_matmul_old_vs_new(c: &mut Criterion) {
     group.finish();
 }
 
-// ---- PR 4 register-blocked kernels, kept verbatim for the packed-vs-
-// pre-PR5 comparison (4-row x 64-column blocks, runtime-width column
-// tail, whole-matrix transpose scratch for the nt entry).
-
-const PR4_MR: usize = 4;
-const PR4_NB: usize = 64;
-
-#[allow(clippy::too_many_arguments)]
-fn pr4_accumulate_rows<const R: usize>(
-    a: &[f32],
-    b: &[f32],
-    out4: &mut [f32],
-    k: usize,
-    n: usize,
-    a_offset: usize,
-    a_row_step: usize,
-    a_stride: usize,
-) {
-    let mut j0 = 0;
-    while j0 + PR4_NB <= n {
-        let mut acc = [[0.0f32; PR4_NB]; R];
-        let mut kk = 0;
-        while kk + 4 <= k {
-            let b0 = &b[kk * n + j0..kk * n + j0 + PR4_NB];
-            let b1 = &b[(kk + 1) * n + j0..(kk + 1) * n + j0 + PR4_NB];
-            let b2 = &b[(kk + 2) * n + j0..(kk + 2) * n + j0 + PR4_NB];
-            let b3 = &b[(kk + 3) * n + j0..(kk + 3) * n + j0 + PR4_NB];
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let base = a_offset + r * a_row_step + kk * a_stride;
-                let a0 = a[base];
-                let a1 = a[base + a_stride];
-                let a2 = a[base + 2 * a_stride];
-                let a3 = a[base + 3 * a_stride];
-                for j in 0..PR4_NB {
-                    let mut t = accr[j];
-                    t = a0.mul_add(b0[j], t);
-                    t = a1.mul_add(b1[j], t);
-                    t = a2.mul_add(b2[j], t);
-                    t = a3.mul_add(b3[j], t);
-                    accr[j] = t;
-                }
-            }
-            kk += 4;
-        }
-        for kr in kk..k {
-            let b_row = &b[kr * n + j0..kr * n + j0 + PR4_NB];
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let av = a[a_offset + r * a_row_step + kr * a_stride];
-                for (o, &bv) in accr.iter_mut().zip(b_row) {
-                    *o = av.mul_add(bv, *o);
-                }
-            }
-        }
-        for (r, accr) in acc.iter().enumerate() {
-            out4[r * n + j0..r * n + j0 + PR4_NB].copy_from_slice(accr);
-        }
-        j0 += PR4_NB;
-    }
-    if j0 < n {
-        // The runtime-width column tail the packed kernels' constant-width
-        // panel dispatch replaced.
-        let nb = n - j0;
-        let mut acc = [[0.0f32; PR4_NB]; R];
-        let mut kk = 0;
-        while kk + 4 <= k {
-            let b0 = &b[kk * n + j0..kk * n + j0 + nb];
-            let b1 = &b[(kk + 1) * n + j0..(kk + 1) * n + j0 + nb];
-            let b2 = &b[(kk + 2) * n + j0..(kk + 2) * n + j0 + nb];
-            let b3 = &b[(kk + 3) * n + j0..(kk + 3) * n + j0 + nb];
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let base = a_offset + r * a_row_step + kk * a_stride;
-                let a0 = a[base];
-                let a1 = a[base + a_stride];
-                let a2 = a[base + 2 * a_stride];
-                let a3 = a[base + 3 * a_stride];
-                for (j, t) in accr[..nb].iter_mut().enumerate() {
-                    let mut acc_v = *t;
-                    acc_v = a0.mul_add(b0[j], acc_v);
-                    acc_v = a1.mul_add(b1[j], acc_v);
-                    acc_v = a2.mul_add(b2[j], acc_v);
-                    acc_v = a3.mul_add(b3[j], acc_v);
-                    *t = acc_v;
-                }
-            }
-            kk += 4;
-        }
-        for kr in kk..k {
-            let b_row = &b[kr * n + j0..kr * n + j0 + nb];
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let av = a[a_offset + r * a_row_step + kr * a_stride];
-                for (o, &bv) in accr[..nb].iter_mut().zip(b_row) {
-                    *o = av.mul_add(bv, *o);
-                }
-            }
-        }
-        for (r, accr) in acc.iter().enumerate() {
-            out4[r * n + j0..r * n + j0 + nb].copy_from_slice(&accr[..nb]);
-        }
-    }
-}
-
-fn pr4_accumulate_row(
-    a: &[f32],
-    b: &[f32],
-    out_row: &mut [f32],
-    k: usize,
-    n: usize,
-    a_stride: usize,
-    a_offset: usize,
-) {
-    let mut kk = 0;
-    while kk + 4 <= k {
-        let a0 = a[a_offset + kk * a_stride];
-        let a1 = a[a_offset + (kk + 1) * a_stride];
-        let a2 = a[a_offset + (kk + 2) * a_stride];
-        let a3 = a[a_offset + (kk + 3) * a_stride];
-        if a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
-            kk += 4;
-            continue;
-        }
-        let b0 = &b[kk * n..(kk + 1) * n];
-        let b1 = &b[(kk + 1) * n..(kk + 2) * n];
-        let b2 = &b[(kk + 2) * n..(kk + 3) * n];
-        let b3 = &b[(kk + 3) * n..(kk + 4) * n];
-        for ((((o, &v0), &v1), &v2), &v3) in out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
-            let mut acc = *o;
-            acc = a0.mul_add(v0, acc);
-            acc = a1.mul_add(v1, acc);
-            acc = a2.mul_add(v2, acc);
-            acc = a3.mul_add(v3, acc);
-            *o = acc;
-        }
-        kk += 4;
-    }
-    for kr in kk..k {
-        let av = a[a_offset + kr * a_stride];
-        if av == 0.0 {
-            continue;
-        }
-        let b_row = &b[kr * n..(kr + 1) * n];
-        for (o, &bv) in out_row.iter_mut().zip(b_row) {
-            *o = av.mul_add(bv, *o);
-        }
-    }
-}
-
-fn pr4_matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    let mut i = 0;
-    while i + PR4_MR <= m {
-        let out_rows = &mut out[i * n..(i + PR4_MR) * n];
-        pr4_accumulate_rows::<PR4_MR>(a, b, out_rows, k, n, i * k, k, 1);
-        i += PR4_MR;
-    }
-    out[i * n..].fill(0.0);
-    for i in i..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        pr4_accumulate_row(a_row, b, out_row, k, n, 1, 0);
-    }
-}
-
-fn pr4_matmul_nt_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    // The whole-matrix transpose scratch (PR 4 used a reused thread-local;
-    // allocating here only shifts the comparison in PR 4's favour).
-    let mut bt = vec![0.0f32; k * n];
-    for j in 0..n {
-        let b_row = &b[j * k..(j + 1) * k];
-        for (kk, &v) in b_row.iter().enumerate() {
-            bt[kk * n + j] = v;
-        }
-    }
-    pr4_matmul_into(a, &bt, out, m, k, n);
-}
-
-/// Packed-panel kernels vs the PR 4 register-blocked ones on the shapes
-/// the reproduction actually runs: the dense-layer forward (training and
-/// evaluation batch), the classifier head (whose n = 10 hit PR 4's
-/// runtime-width tail), and the conv-as-GEMM shape of the full-scale
-/// models. Results are bit-identical; only the wall clock differs.
-fn bench_matmul_packed_vs_pr4(c: &mut Criterion) {
-    let mut group = c.benchmark_group("matmul_packed_vs_pr4");
-    group.sample_size(20);
-    let mut rng = StdRng::seed_from_u64(23);
-    let shapes: [(&str, usize, usize, usize); 4] = [
-        ("dense_fwd_train_32x256x64", 32, 256, 64),
-        ("dense_fwd_eval_256x256x64", 256, 256, 64),
-        ("classifier_head_256x64x10", 256, 64, 10),
-        ("conv_as_gemm_16x144x1024", 16, 144, 1024),
-    ];
-    for (name, m, k, n) in shapes {
-        let a = Tensor::randn(&[m, k], 1.0, &mut rng);
-        let b = Tensor::randn(&[k, n], 1.0, &mut rng);
-        let mut out = vec![0.0f32; m * n];
-        group.bench_function(&format!("{name}/pr4"), |bench| {
-            bench.iter(|| {
-                pr4_matmul_into(a.as_slice(), b.as_slice(), &mut out, m, k, n);
-                black_box(&mut out);
-            })
-        });
-        group.bench_function(&format!("{name}/packed"), |bench| {
-            bench.iter(|| {
-                tensor::matmul_into(a.as_slice(), b.as_slice(), &mut out, m, k, n);
-                black_box(&mut out);
-            })
-        });
-    }
-    // The nt entry (dx = dy · Wᵀ): packed panel-transpose vs PR 4's
-    // whole-matrix scratch.
-    let dy = Tensor::randn(&[32, 64], 1.0, &mut rng);
-    let w = Tensor::randn(&[256, 64], 1.0, &mut rng);
-    let mut dx = vec![0.0f32; 32 * 256];
-    group.bench_function("dense_bwd_dx_nt_32x64x256/pr4", |bench| {
-        bench.iter(|| {
-            pr4_matmul_nt_into(dy.as_slice(), w.as_slice(), &mut dx, 32, 64, 256);
-            black_box(&mut dx);
-        })
-    });
-    group.bench_function("dense_bwd_dx_nt_32x64x256/packed", |bench| {
-        bench.iter(|| {
-            tensor::matmul_nt_into(dy.as_slice(), w.as_slice(), &mut dx, 32, 64, 256);
-            black_box(&mut dx);
-        })
-    });
-    group.finish();
-}
-
 /// Snapshot-per-round averaging (the seed's path: clone every worker's
 /// tensors, average tensor-by-tensor) vs the flat-plane path (copy into
 /// preallocated planes, accumulate into a reused accumulator).
@@ -534,7 +308,6 @@ criterion_group!(
     benches,
     bench_tensor,
     bench_matmul_old_vs_new,
-    bench_matmul_packed_vs_pr4,
     bench_averaging_old_vs_new,
     bench_nn,
     bench_simulator,

@@ -9,6 +9,11 @@
 //!
 //! Failpoint state is process-global, so every test here serializes on
 //! one mutex and disarms on entry and exit.
+//!
+//! Without the `failpoints` feature every site is a no-op and nothing
+//! here can fire, so the whole file compiles out.
+
+#![cfg(feature = "failpoints")]
 
 use adacomm_bench::sweep::{LrSpec, ScenarioSpec, SchedulerSpec, SweepEngine, SweepSpec};
 use adacomm_bench::{failpoint, CancellableRun, LoadOutcome, ParkedOutcome, RunStore};

@@ -6,13 +6,14 @@
 //! scratch (matrix multiplication in all transpose combinations, elementwise
 //! arithmetic, reductions, and seeded random initialisation).
 //!
-//! Beside the packed GEMM sit the *windowed* GEMM kernels
+//! Beside the GEMM sit the *windowed* GEMM kernels
 //! ([`window_gemm_tn_into`], [`window_gemm_lanes_into`],
 //! [`window_gemm_tn_add`]): products whose im2col-style operand is an
 //! offset table into a flat buffer, so `nn`'s convolution never packs or
-//! materialises it. Every kernel keeps one contract: each output element
-//! is a single `f32::mul_add` accumulator reduced in ascending index, so
-//! results are bit-identical at any vector width and thread count.
+//! materialises it. Both run on one register tile (`tile.rs`), and every
+//! kernel keeps one contract: each output element is a single
+//! `f32::mul_add` accumulator reduced in ascending index, so results are
+//! bit-identical at any vector width and thread count.
 //!
 //! It is deliberately small — no broadcasting DSL, no autograd, no unsafe —
 //! because the paper under reproduction ([Wang & Joshi, SysML 2019]) does not
@@ -42,6 +43,7 @@ mod matmul;
 pub mod serde;
 mod shape;
 mod tensor;
+mod tile;
 mod window;
 
 pub use error::TensorError;

@@ -1,5 +1,5 @@
-//! Matrix-multiplication kernels: a packed-panel GEMM with pack-on-demand
-//! operands.
+//! Matrix-multiplication kernels: a panel-tiled GEMM over the crate's one
+//! register tile.
 //!
 //! All three transpose combinations needed for dense-layer backpropagation
 //! are provided so callers never have to materialise an explicit transpose:
@@ -8,335 +8,102 @@
 //! * weight gradient:    `dW = xᵀ · dy`        — [`Tensor::matmul_tn`]
 //! * input gradient:     `dx = dy · Wᵀ`        — [`Tensor::matmul_nt`]
 //!
-//! # Packed-panel design
+//! # Design
 //!
-//! One register-blocked core ([`accumulate_panel`]) computes an
-//! `R × NB` output tile from four ascending-`k` slices per pass, with the
-//! row count `R ∈ {4, 2, 1}` and panel width `NB ∈ {64, 32, 16}` selected
-//! by dispatch so every output shape runs through constant-width loops
-//! (the PR 4 kernels fell back to a slow runtime-width tail for
-//! `n % 64 != 0`, which is every classifier head in the workspace).
-//! Operands are *packed on demand* into reused thread-local scratch:
+//! One driver walks the output in column panels — 32 wide, then at most
+//! one of 16, then at most one zero-padded panel for the last `n % 16`
+//! columns — and runs every panel through `tile.rs`: register tiles of
+//! 4 rows × the panel width, then single rows, each tile's accumulators
+//! held in registers across the whole reduction. So every output shape,
+//! including `m < 4`, `n < 16` and the classifier heads that are no
+//! multiple of anything, takes the same constant-width loops. The entry
+//! points differ only in how a reduction step's operands are read:
 //!
-//! * **A micro-panels** — the `ᵀ·` entry packs the left operand into
-//!   `MR`-tall column-major micro-panels (`apack[bi·MR·k + kk·MR + r]`)
-//!   so the kernel's per-`k` reads are contiguous; the strided access
-//!   happens once, in the packer. Row-major left operands are read
-//!   directly — packing them would only relocate already-contiguous rows.
-//! * **B micro-panels** — the `·ᵀ` entry packs the right operand into
-//!   `NB`-wide row-major micro-panels (`bpack[kk·NB + jj]`), zero-padded
-//!   to width 16 on the final sub-16 column tail; this panel-sized
-//!   transpose replaces the PR 4 whole-matrix scratch. Row-major right
-//!   operands are again read directly (full-width panels are contiguous
-//!   in place), so the plain `a · b` hot path packs nothing but a
-//!   possible column tail.
+//! * **Left operand** — never packed. `a · …` gathers one scalar from each
+//!   of a tile's four row slices; `aᵀ · …` finds a step's four values
+//!   adjacent in the row-major `[k, m]` operand and reads them in place.
+//! * **Right operand** — a row-major `[k, n]` operand is read in place,
+//!   panel by panel; only its sub-16 column tail is copied, zero-padded to
+//!   width 16, into a reused thread-local panel buffer. `· bᵀ` transposes
+//!   each panel of its `[n, k]` operand into that same buffer right before
+//!   the panel is consumed, so the scratch footprint is one `k × 32` panel
+//!   and no whole matrix is ever materialised.
 //!
-//! Convolution does not come through here: its im2col operand is never
-//! packed or built; see the windowed kernels in `window.rs`.
+//! Convolution does not come through here: its im2col operand is an offset
+//! table over a flat buffer; see `window.rs`, which drives the same tile.
 //!
 //! # Bit-exactness contract
 //!
 //! Every output element is reduced with a **single accumulator in
 //! ascending-`k` order via fused multiply-add** (`f32::mul_add`, one
-//! rounding per term instead of two). Packing, panel dispatch and tiling
-//! change memory traffic — which elements are computed together, never
-//! the sequence of float operations per element — so results are
-//! bit-identical to the FMA-folded textbook three-loop kernel at any
-//! vector width, on any machine with hardware FMA, and (because each GEMM
-//! call is single-threaded with thread-local scratch) on any thread count
-//! or pool size. This is the same contract as the PR 4 register-blocked
-//! kernels: the packed rewrite preserves it exactly, so the golden-trace
-//! fixture in the simulator crate and every figure CSV are unchanged
-//! (verified by regenerating the fixture once — a byte-identical no-op).
-//! Inputs that have already diverged to inf/NaN carry no bit contract
-//! (zero-padded tail lanes can turn `0·inf` into `NaN` in *discarded*
-//! lanes only; valid elements never mix with padding).
+//! rounding per term instead of two). Panel widths and tile heights change
+//! which elements are computed together, never the sequence of float
+//! operations per element — so results are bit-identical to the FMA-folded
+//! textbook three-loop kernel at any vector width, on any machine with
+//! hardware FMA, and (because each GEMM call is single-threaded with
+//! thread-local scratch) on any thread count or pool size. The
+//! golden-trace fixtures in the simulator crate and every figure CSV pin
+//! this. Inputs that have already diverged to inf/NaN carry no bit
+//! contract (zero-padded tail lanes can turn `0·inf` into `NaN` in
+//! *discarded* lanes only; valid elements never mix with padding).
 //!
 //! The `*_into` free functions are the allocation-free entry points used
 //! by the `nn` layer workspaces; the `Tensor` methods wrap them with a
 //! fresh output buffer.
 
+use crate::tile::{matrix_rows, panel_rows, LeftCols, LeftRows, LeftSteps};
 use crate::{Result, Tensor, TensorError};
 use std::cell::RefCell;
 
-/// Output rows per A micro-panel (the tallest register-block height; row
-/// tails dispatch to 2- and 1-row instantiations of the same core).
-const MR: usize = 4;
-
 thread_local! {
-    /// Reused packing scratch `(apack, bpack)`; grows to the largest
-    /// operands seen on this thread, so steady-state GEMMs allocate
+    /// The reused right-operand panel buffer; grows to the longest
+    /// reduction seen on this thread, so steady-state GEMMs allocate
     /// nothing.
-    static PACK_SCRATCH: RefCell<(Vec<f32>, Vec<f32>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
+    static PANEL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A right-hand GEMM operand that can pack itself into `NB`-wide column
-/// panels.
-///
-/// Implementations describe a *logical* row-major `[k, n]` matrix; the
-/// driver asks for one panel at a time.
-trait PackRhs {
-    /// Reduction length (logical row count).
-    fn k(&self) -> usize;
-    /// Output columns (logical column count).
-    fn n(&self) -> usize;
-    /// Packs columns `j0..j0 + width` into `dst` in panel layout: logical
+/// How the driver reads the right operand, a logical `[k, n]` matrix.
+#[derive(Clone, Copy)]
+enum Rhs<'a> {
+    /// Stored row-major `[k, n]`: full-width panels are read in place.
+    Rows(&'a [f32]),
+    /// Stored row-major `[n, k]` (the `· bᵀ` case): every panel is
+    /// transposed into the panel buffer.
+    Transposed(&'a [f32]),
+}
+
+impl Rhs<'_> {
+    /// Packs logical columns `j0..j0 + width` into `dst` in panel layout:
     /// element `(kk, j0 + jj)` lands at `dst[kk * nr + jj]`.
     ///
-    /// `dst` has `k() * nr` slots; implementations must write **every**
-    /// slot (zero-filling the `width..nr` column pad) because the scratch
-    /// buffer is reused across calls.
-    fn pack_panel(&self, j0: usize, width: usize, nr: usize, dst: &mut [f32]);
-}
-
-/// A plain row-major `[k, n]` slice as a [`PackRhs`] (used for column
-/// tails of direct operands).
-struct RowMajorRhs<'a> {
-    data: &'a [f32],
-    k: usize,
-    n: usize,
-}
-
-impl PackRhs for RowMajorRhs<'_> {
-    fn k(&self) -> usize {
-        self.k
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn pack_panel(&self, j0: usize, width: usize, nr: usize, dst: &mut [f32]) {
+    /// `dst` has `k * nr` slots and every one is written (the `width..nr`
+    /// column pad with zeros), because the buffer is reused across calls.
+    fn pack_panel(self, k: usize, n: usize, j0: usize, width: usize, nr: usize, dst: &mut [f32]) {
         if width < nr {
             dst.fill(0.0);
         }
-        for kk in 0..self.k {
-            dst[kk * nr..kk * nr + width]
-                .copy_from_slice(&self.data[kk * self.n + j0..kk * self.n + j0 + width]);
-        }
-    }
-}
-
-/// A row-major `[n, k]` slice packed as its transpose (the `· bᵀ` case).
-struct TransposedRhs<'a> {
-    data: &'a [f32],
-    k: usize,
-    n: usize,
-}
-
-impl PackRhs for TransposedRhs<'_> {
-    fn k(&self) -> usize {
-        self.k
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn pack_panel(&self, j0: usize, width: usize, nr: usize, dst: &mut [f32]) {
-        if width < nr {
-            dst.fill(0.0);
-        }
-        // Read `b` rows contiguously, scatter into the panel at stride
-        // `nr`; this panel-sized transpose replaces the PR 4 whole-matrix
-        // scratch.
-        for (jj, row) in self.data[j0 * self.k..(j0 + width) * self.k]
-            .chunks_exact(self.k)
-            .enumerate()
-        {
-            for (kk, &v) in row.iter().enumerate() {
-                dst[kk * nr + jj] = v;
+        match self {
+            Rhs::Rows(b) => {
+                for (row, b_row) in dst.chunks_exact_mut(nr).zip(b.chunks_exact(n)) {
+                    row[..width].copy_from_slice(&b_row[j0..j0 + width]);
+                }
+            }
+            // Read `b` rows contiguously, scatter into the panel at
+            // stride `nr`.
+            Rhs::Transposed(b) => {
+                for (jj, b_row) in b[j0 * k..(j0 + width) * k].chunks_exact(k).enumerate() {
+                    for (kk, &v) in b_row.iter().enumerate() {
+                        dst[kk * nr + jj] = v;
+                    }
+                }
             }
         }
     }
 }
 
-/// The register-blocked core: accumulates an `R × NB` output tile over
-/// the full reduction, four ascending-`k` slices per pass.
-///
-/// Addressing is fully parameterised so one body serves every operand
-/// mode: logical A element `(r, kk)` lives at
-/// `a[a_off + r·a_row_step + kk·a_stride]` (direct rows: step `k`,
-/// stride 1; packed micro-panels: step 1, stride `MR`) and logical B row
-/// `kk` starts at `b[b_off + kk·b_stride]` (direct: stride `n`; packed
-/// panel: stride `NB`). The first `w ≤ NB` tile columns are written to
-/// `out` rows at `out_off`/`out_stride`.
-///
-/// Per output element this performs a single-accumulator ascending-`k`
-/// FMA reduction — the entire bit-exactness contract lives in this loop.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn accumulate_panel<const R: usize, const NB: usize>(
-    a: &[f32],
-    a_off: usize,
-    a_row_step: usize,
-    a_stride: usize,
-    b: &[f32],
-    b_off: usize,
-    b_stride: usize,
-    k: usize,
-    out: &mut [f32],
-    out_off: usize,
-    out_stride: usize,
-    w: usize,
-) {
-    let mut acc = [[0.0f32; NB]; R];
-    let mut kk = 0;
-    while kk + 4 <= k {
-        let b0 = &b[b_off + kk * b_stride..b_off + kk * b_stride + NB];
-        let b1 = &b[b_off + (kk + 1) * b_stride..b_off + (kk + 1) * b_stride + NB];
-        let b2 = &b[b_off + (kk + 2) * b_stride..b_off + (kk + 2) * b_stride + NB];
-        let b3 = &b[b_off + (kk + 3) * b_stride..b_off + (kk + 3) * b_stride + NB];
-        for (r, accr) in acc.iter_mut().enumerate() {
-            let base = a_off + r * a_row_step + kk * a_stride;
-            let a0 = a[base];
-            let a1 = a[base + a_stride];
-            let a2 = a[base + 2 * a_stride];
-            let a3 = a[base + 3 * a_stride];
-            for j in 0..NB {
-                let mut t = accr[j];
-                t = a0.mul_add(b0[j], t);
-                t = a1.mul_add(b1[j], t);
-                t = a2.mul_add(b2[j], t);
-                t = a3.mul_add(b3[j], t);
-                accr[j] = t;
-            }
-        }
-        kk += 4;
-    }
-    for kr in kk..k {
-        let b_row = &b[b_off + kr * b_stride..b_off + kr * b_stride + NB];
-        for (r, accr) in acc.iter_mut().enumerate() {
-            let av = a[a_off + r * a_row_step + kr * a_stride];
-            for (o, &bv) in accr.iter_mut().zip(b_row) {
-                *o = av.mul_add(bv, *o);
-            }
-        }
-    }
-    for (r, accr) in acc.iter().enumerate() {
-        out[out_off + r * out_stride..out_off + r * out_stride + w].copy_from_slice(&accr[..w]);
-    }
-}
-
-/// How the driver reads the left operand.
-#[derive(Clone, Copy)]
-enum AMode {
-    /// Row-major `[m, k]` rows read in place.
-    Direct,
-    /// `[k, m]` columns packed into `MR`-tall micro-panels first (`ᵀ·`).
-    Packed,
-}
-
-/// Runs the `R`-dispatch row loop over one column panel.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn run_panel<const NB: usize>(
-    a: &[f32],
-    m: usize,
-    k: usize,
-    a_mode: AMode,
-    b: &[f32],
-    b_off: usize,
-    b_stride: usize,
-    out: &mut [f32],
-    out_col: usize,
-    n: usize,
-    w: usize,
-) {
-    // Per-mode addressing of A row `i`: `a[off(i) + kk * stride]`.
-    let (row_step, stride) = match a_mode {
-        AMode::Direct => (k, 1),
-        AMode::Packed => (1, MR),
-    };
-    let block_off = |i: usize| match a_mode {
-        AMode::Direct => i * k,
-        // Packed panels are MR-tall even when fewer rows are valid; row
-        // `i` lives in panel `i / MR` at lane `i % MR`.
-        AMode::Packed => (i / MR) * MR * k + (i % MR),
-    };
-    let mut i = 0;
-    while i + 4 <= m {
-        accumulate_panel::<4, NB>(
-            a,
-            block_off(i),
-            row_step,
-            stride,
-            b,
-            b_off,
-            b_stride,
-            k,
-            out,
-            i * n + out_col,
-            n,
-            w,
-        );
-        i += 4;
-    }
-    if m - i >= 2 {
-        accumulate_panel::<2, NB>(
-            a,
-            block_off(i),
-            row_step,
-            stride,
-            b,
-            b_off,
-            b_stride,
-            k,
-            out,
-            i * n + out_col,
-            n,
-            w,
-        );
-        i += 2;
-    }
-    if m - i == 1 {
-        accumulate_panel::<1, NB>(
-            a,
-            block_off(i),
-            row_step,
-            stride,
-            b,
-            b_off,
-            b_stride,
-            k,
-            out,
-            i * n + out_col,
-            n,
-            w,
-        );
-    }
-}
-
-/// Width class for the next column panel of `rem` remaining columns.
-#[inline]
-fn panel_nb(rem: usize) -> usize {
-    if rem >= 64 {
-        64
-    } else if rem >= 32 {
-        32
-    } else {
-        16
-    }
-}
-
-/// The packed-panel driver shared by every entry point.
-///
-/// `direct_b` supplies the raw row-major slice when the right operand can
-/// be read in place (only its sub-16 column tail is packed); otherwise
-/// every panel is packed through `rhs`. The left operand is packed first
-/// when `a_mode` is [`AMode::Packed`].
-fn gemm_driver<P: PackRhs>(
-    a: &[f32],
-    m: usize,
-    a_mode: AMode,
-    rhs: &P,
-    direct_b: Option<&[f32]>,
-    out: &mut [f32],
-) {
-    let k = rhs.k();
-    let n = rhs.n();
-    debug_assert_eq!(out.len(), m * n);
+/// The panel driver shared by every entry point: `out = left · rhs` for
+/// `m` output rows, reduction length `k` and `n` output columns.
+fn gemm(left: impl LeftSteps, rhs: Rhs<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
     if m == 0 || n == 0 {
         return;
     }
@@ -344,59 +111,41 @@ fn gemm_driver<P: PackRhs>(
         out.fill(0.0);
         return;
     }
-    let n_full = n - n % 16;
-    let tail = n % 16;
-    PACK_SCRATCH.with(|scratch| {
-        let (apack, bpack) = &mut *scratch.borrow_mut();
-        let a = match a_mode {
-            AMode::Direct => a,
-            AMode::Packed => {
-                // `a` is `[k, m]`; panel `bi` holds its columns
-                // `bi·MR..bi·MR + h` (`h ≤ MR`) at `[kk·MR + r]`. Lanes
-                // beyond `h` are never read (the row dispatch stops at
-                // `m`), so they may hold stale scratch.
-                apack.resize(m.div_ceil(MR) * MR * k, 0.0);
-                for (bi, panel) in apack.chunks_exact_mut(MR * k).enumerate() {
-                    let i0 = bi * MR;
-                    let h = MR.min(m - i0);
-                    for kk in 0..k {
-                        panel[kk * MR..kk * MR + h]
-                            .copy_from_slice(&a[kk * m + i0..kk * m + i0 + h]);
-                    }
-                }
-                apack.as_slice()
-            }
-        };
-        // One reused panel buffer for everything the compute loop cannot
-        // read in place (logical-only rhs panels and the padded column
-        // tail): each panel is packed right before it is consumed, so the
-        // scratch footprint stays one k x NB panel — no full column
-        // matrix is ever materialised, for any rhs.
-        if direct_b.is_none() || tail > 0 {
-            bpack.resize(k * 64, 0.0);
-        }
+    PANEL_SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
         let mut j0 = 0;
         while j0 < n {
-            // Full-width panels over n_full, then one zero-padded sub-16
-            // tail panel covering the last `tail` columns.
-            let (nb, w) = if j0 < n_full {
-                let nb = panel_nb(n_full - j0);
-                (nb, nb)
-            } else {
-                (16, tail)
+            // `w` valid columns computed as an `nb`-wide panel; they
+            // differ only on the zero-padded sub-16 tail.
+            let w = match n - j0 {
+                32.. => 32,
+                16.. => 16,
+                tail => tail,
             };
-            let (b, b_off, b_stride) = match direct_b {
-                Some(raw) if w == nb => (raw, j0, n),
+            let nb = w.max(16);
+            let (b, stride, at) = match rhs {
+                Rhs::Rows(b) if w == nb => (b, n, j0),
                 _ => {
-                    let panel = &mut bpack[..k * nb];
-                    rhs.pack_panel(j0, w, nb, panel);
-                    (&*panel, 0, nb)
+                    if scratch.len() < k * nb {
+                        scratch.resize(k * nb, 0.0);
+                    }
+                    let panel = &mut scratch[..k * nb];
+                    rhs.pack_panel(k, n, j0, w, nb, panel);
+                    (&*panel, nb, 0)
                 }
             };
-            match nb {
-                64 => run_panel::<64>(a, m, k, a_mode, b, b_off, b_stride, out, j0, n, w),
-                32 => run_panel::<32>(a, m, k, a_mode, b, b_off, b_stride, out, j0, n, w),
-                _ => run_panel::<16>(a, m, k, a_mode, b, b_off, b_stride, out, j0, n, w),
+            // Full panels store at constant width; only the tail pays for
+            // a variable-width copy.
+            match (nb, w) {
+                (32, _) => panel_rows::<32>(left, m, matrix_rows(b, stride, at), |i, row| {
+                    out[i * n + j0..][..32].copy_from_slice(row)
+                }),
+                (_, 16) => panel_rows::<16>(left, m, matrix_rows(b, stride, at), |i, row| {
+                    out[i * n + j0..][..16].copy_from_slice(row)
+                }),
+                _ => panel_rows::<16>(left, m, matrix_rows(b, stride, at), |i, row| {
+                    out[i * n + j0..][..w].copy_from_slice(&row[..w])
+                }),
             }
             j0 += w;
         }
@@ -414,14 +163,7 @@ pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n:
     check_len("a", a.len(), m, k);
     check_len("b", b.len(), k, n);
     check_len("out", out.len(), m, n);
-    gemm_driver(
-        a,
-        m,
-        AMode::Direct,
-        &RowMajorRhs { data: b, k, n },
-        Some(b),
-        out,
-    );
+    gemm(LeftRows { a, k }, Rhs::Rows(b), out, m, k, n);
 }
 
 /// Writes `aᵀ · b` into `out` for row-major `a: [k, m]`, `b: [k, n]`,
@@ -435,14 +177,7 @@ pub fn matmul_tn_into(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize,
     check_len("a", a.len(), k, m);
     check_len("b", b.len(), k, n);
     check_len("out", out.len(), m, n);
-    gemm_driver(
-        a,
-        m,
-        AMode::Packed,
-        &RowMajorRhs { data: b, k, n },
-        Some(b),
-        out,
-    );
+    gemm(LeftCols { a, m }, Rhs::Rows(b), out, m, k, n);
 }
 
 /// Writes `a · bᵀ` into `out` for row-major `a: [m, k]`, `b: [n, k]`,
@@ -456,14 +191,7 @@ pub fn matmul_nt_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize,
     check_len("a", a.len(), m, k);
     check_len("b", b.len(), n, k);
     check_len("out", out.len(), m, n);
-    gemm_driver(
-        a,
-        m,
-        AMode::Direct,
-        &TransposedRhs { data: b, k, n },
-        None,
-        out,
-    );
+    gemm(LeftRows { a, k }, Rhs::Transposed(b), out, m, k, n);
 }
 
 pub(crate) fn check_len(name: &str, len: usize, rows: usize, cols: usize) {
@@ -689,11 +417,18 @@ mod tests {
         assert_eq!(out, vec![0.0; 15]);
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn packed_kernels_are_bit_identical_to_naive() {
-        // Awkward sizes exercise every dispatch path: row tails (m % 4),
-        // each panel width class (64/32/16) and the padded sub-16 column
-        // tail, single-row (matvec-shaped) outputs, and k remainders.
+        // Every hand-off in the driver: a row tail after a 4-row tile and
+        // rows that never fill one (m), the 32 → 16 → padded-tail panel
+        // sequence with each class present and absent (n), and reductions
+        // of nothing, one step, and lengths around a multiple of four (k).
+        // For `tn`, m = 4 and m = 8 read `a[kk][i..i + 4]` with `i + 4 == m`.
+        // Dense and ReLU-sparse (about half the entries exactly zero).
         let mut seed = 0x2545_F491_4F6C_DD1Du64;
         let mut next = move || {
             seed ^= seed << 13;
@@ -701,43 +436,63 @@ mod tests {
             seed ^= seed << 17;
             (seed >> 40) as f32 / 1e5 - 0.08
         };
-        for (m, k, n) in [
-            (1, 1, 1),
-            (1, 37, 100),
-            (3, 5, 7),
-            (4, 8, 4),
-            (7, 13, 9),
-            (32, 37, 10),
-            (8, 6, 32),
-            (9, 6, 33),
-            (8, 9, 64),
-            (13, 16, 21),
-            (33, 31, 64),
-            (6, 10, 96),
-            (5, 9, 112),
-            (16, 256, 40),
-            (2, 3, 130),
-        ] {
-            let a = Tensor::from_vec((0..m * k).map(|_| next()).collect(), &[m, k]).unwrap();
-            let b = Tensor::from_vec((0..k * n).map(|_| next()).collect(), &[k, n]).unwrap();
-            let packed = a.matmul(&b);
-            let naive = naive_matmul(&a, &b);
-            assert_eq!(packed.as_slice(), naive.as_slice(), "shape {m}x{k}x{n}");
-            // tn/nt agree with their transpose definitions bitwise too:
-            // per-element single-accumulator ascending-k order all around.
-            let at = a.transpose();
-            assert_eq!(
-                at.matmul_tn(&b).as_slice(),
-                naive.as_slice(),
-                "tn shape {m}x{k}x{n}"
-            );
-            let bt = b.transpose();
-            assert_eq!(
-                a.matmul_nt(&bt).as_slice(),
-                naive_matmul(&a, &b).as_slice(),
-                "nt shape {m}x{k}x{n}"
-            );
+        let edges = (1..=9).flat_map(|m| {
+            [0, 1, 3, 4, 5, 32, 257].into_iter().flat_map(move |k| {
+                [1, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 80, 100]
+                    .into_iter()
+                    .map(move |n| (m, k, n))
+            })
+        });
+        // Larger shapes: many row tiles per panel, many panels per row.
+        let large = [(33, 31, 64), (16, 256, 40), (2, 3, 130), (32, 37, 10)];
+        for (m, k, n) in edges.chain(large) {
+            for sparse in [false, true] {
+                let mut gen = |len: usize| -> Vec<f32> {
+                    (0..len)
+                        .map(|_| next())
+                        .map(|v| if sparse && v < 0.0 { 0.0 } else { v })
+                        .collect()
+                };
+                let a = Tensor::from_vec(gen(m * k), &[m, k]).unwrap();
+                let b = Tensor::from_vec(gen(k * n), &[k, n]).unwrap();
+                let naive = bits(naive_matmul(&a, &b).as_slice());
+                let case = format!("shape {m}x{k}x{n}, sparse {sparse}");
+                assert_eq!(bits(a.matmul(&b).as_slice()), naive, "nn {case}");
+                // tn/nt agree with their transpose definitions bitwise too:
+                // per-element single-accumulator ascending-k order all around.
+                let at = a.transpose();
+                assert_eq!(bits(at.matmul_tn(&b).as_slice()), naive, "tn {case}");
+                let bt = b.transpose();
+                assert_eq!(bits(a.matmul_nt(&bt).as_slice()), naive, "nt {case}");
+            }
         }
+    }
+
+    #[test]
+    fn stale_panel_scratch_never_reaches_a_valid_lane() {
+        // The panel buffer is reused across calls on a thread. Fill it with
+        // a long, wide `nt` product, then run small products whose panels
+        // are packed (a padded column tail; every `nt` panel) and compare
+        // them with the same products on a thread whose buffer is new.
+        fn small_products() -> Vec<u32> {
+            let a: Vec<f32> = (0..5 * 7).map(|i| i as f32 * 0.37 - 6.0).collect();
+            let b: Vec<f32> = (0..7 * 19).map(|i| 4.0 - i as f32 * 0.11).collect();
+            let mut tailed = vec![f32::NAN; 5 * 3];
+            matmul_into(&a, &b[..7 * 3], &mut tailed, 5, 7, 3);
+            let mut tn = vec![f32::NAN; 7 * 3];
+            matmul_tn_into(&a, &b[..5 * 3], &mut tn, 5, 7, 3);
+            let mut nt = vec![f32::NAN; 5 * 19];
+            matmul_nt_into(&a, &b, &mut nt, 5, 7, 19);
+            bits(&[tailed, tn, nt].concat())
+        }
+        let (m, k, n) = (8, 300, 40);
+        let a = vec![1.5f32; m * k];
+        let b = vec![-2.5f32; n * k];
+        let mut out = vec![0.0f32; m * n];
+        matmul_nt_into(&a, &b, &mut out, m, k, n);
+        let reused = small_products();
+        let fresh = std::thread::spawn(small_products).join().unwrap();
+        assert_eq!(reused, fresh);
     }
 
     #[test]

@@ -16,52 +16,30 @@
 //! * [`window_gemm_tn_add`] — `windows += aᵀ · b`, the product accumulated
 //!   *into* overlapping windows (input gradient with col2im fused in).
 //!
+//! The two row-by-window products run on the register tile and row loop
+//! of `tile.rs`, the same ones the GEMM in `matmul.rs` runs on: their left
+//! operand is a transposed row-major matrix read in place, and only the
+//! source of the right-operand rows (a window table, or a plain matrix)
+//! and the store (overwrite, or add into a window) are theirs. The lane
+//! kernel keeps its own block: its vector lanes run across the left
+//! operand, which that tile does not do.
+//!
 //! # Bit-exactness contract
 //!
-//! The same contract as the packed GEMM in `matmul.rs`, which these sit
-//! beside: every product element is reduced by a **single accumulator,
-//! from `+0.0`, in ascending reduction index, one `f32::mul_add` per
-//! term**. Tiling only chooses which elements are computed together. The
-//! accumulate-into kernel adds one more ordering rule, stated on
-//! [`window_gemm_tn_add`]. Inputs that already hold inf/NaN carry no bit
-//! contract.
+//! The same contract as the GEMM in `matmul.rs`: every product element is
+//! reduced by a **single accumulator, from `+0.0`, in ascending reduction
+//! index, one `f32::mul_add` per term**. Tiling only chooses which
+//! elements are computed together. The accumulate-into kernel adds one
+//! more ordering rule, stated on [`window_gemm_tn_add`]. Inputs that
+//! already hold inf/NaN carry no bit contract.
 
 use crate::matmul::check_len;
+use crate::tile::{array_at, matrix_rows, panel_rows, LeftCols};
 
 /// Column granularity of the tiled kernels: window widths are multiples of
 /// this, so every tile runs through constant-width loops. Callers round
 /// their logical width up and ignore the extra columns.
 pub const WINDOW_PANEL: usize = 16;
-
-/// The register tile shared by the two row-by-window products: folds
-/// `acc[r][j] = fma(a[r], b[j], acc[r][j])` over the reduction `steps` in
-/// the order they arrive, each step supplying `R` left-operand values and
-/// an `NB`-wide right-operand row.
-///
-/// Per element this is the single-accumulator FMA chain of the contract.
-/// Steps arrive as fixed-size arrays and the tile is returned by value, so
-/// the loop body has no bounds check and the tile stays in registers;
-/// each caller applies its own store.
-#[inline(always)]
-fn fma_tile<const R: usize, const NB: usize>(
-    steps: impl Iterator<Item = ([f32; R], [f32; NB])>,
-) -> [[f32; NB]; R] {
-    let mut acc = [[0.0f32; NB]; R];
-    for (a, b) in steps {
-        for (accr, &av) in acc.iter_mut().zip(&a) {
-            for (o, &bv) in accr.iter_mut().zip(&b) {
-                *o = av.mul_add(bv, *o);
-            }
-        }
-    }
-    acc
-}
-
-/// `v[at..at + N]` as an array.
-#[inline(always)]
-fn array_at<const N: usize>(v: &[f32], at: usize) -> [f32; N] {
-    v[at..at + N].try_into().expect("slice has N elements")
-}
 
 /// Walks `n` columns as panels of 32 and then at most one of 16, calling
 /// `f(j0, width)`; right to left when `reverse`.
@@ -75,47 +53,15 @@ fn for_each_panel(n: usize, reverse: bool, mut f: impl FnMut(usize, usize)) {
     }
 }
 
-/// One `NB`-wide column panel of `aᵀ · B` for row-major `a: [k, m]`, where
-/// logical B row `kk` is `b[starts[kk]..starts[kk] + NB]`: computes the
-/// rows in ascending order (register tiles of 4 rows, then single rows)
-/// and hands each finished row to `emit(i, row)`.
+/// Columns `j0..j0 + NB` of every window, in table order: the right-operand
+/// rows of one panel.
 #[inline(always)]
-fn panel_rows<const NB: usize>(
-    a: &[f32],
-    m: usize,
-    b: &[f32],
-    starts: impl Iterator<Item = usize> + Clone,
-    mut emit: impl FnMut(usize, &[f32; NB]),
-) {
-    let mut i = 0;
-    while i + 4 <= m {
-        let tile: [_; 4] = tile_rows(a, m, i, b, starts.clone());
-        for (r, row) in tile.iter().enumerate() {
-            emit(i + r, row);
-        }
-        i += 4;
-    }
-    while i < m {
-        let [row] = tile_rows(a, m, i, b, starts.clone());
-        emit(i, &row);
-        i += 1;
-    }
-}
-
-/// Rows `i..i + R` of one panel of `aᵀ · B` (see [`panel_rows`]).
-#[inline(always)]
-fn tile_rows<const R: usize, const NB: usize>(
-    a: &[f32],
-    m: usize,
-    i: usize,
-    b: &[f32],
-    starts: impl Iterator<Item = usize>,
-) -> [[f32; NB]; R] {
-    fma_tile(
-        a.chunks_exact(m)
-            .zip(starts)
-            .map(|(a_row, at)| (array_at(a_row, i), array_at(b, at))),
-    )
+fn window_rows<'a, const NB: usize>(
+    src: &'a [f32],
+    off: &'a [usize],
+    j0: usize,
+) -> impl Iterator<Item = [f32; NB]> + Clone + 'a {
+    off.iter().map(move |&o| array_at(src, o + j0))
 }
 
 /// Writes `aᵀ · windows` into `out`: for row-major `a: [off.len(), m]`,
@@ -149,16 +95,14 @@ pub fn window_gemm_tn_into(
         out.fill(0.0);
         return;
     }
-    for_each_panel(n, false, |j0, nb| {
-        let starts = off.iter().map(|&o| o + j0);
-        match nb {
-            32 => panel_rows::<32>(a, m, src, starts, |i, row| {
-                out[i * n + j0..i * n + j0 + 32].copy_from_slice(row)
-            }),
-            _ => panel_rows::<16>(a, m, src, starts, |i, row| {
-                out[i * n + j0..i * n + j0 + 16].copy_from_slice(row)
-            }),
-        }
+    let left = LeftCols { a, m };
+    for_each_panel(n, false, |j0, nb| match nb {
+        32 => panel_rows::<32>(left, m, window_rows(src, off, j0), |i, row| {
+            out[i * n + j0..i * n + j0 + 32].copy_from_slice(row)
+        }),
+        _ => panel_rows::<16>(left, m, window_rows(src, off, j0), |i, row| {
+            out[i * n + j0..i * n + j0 + 16].copy_from_slice(row)
+        }),
     });
 }
 
@@ -205,16 +149,14 @@ pub fn window_gemm_tn_add(
         return;
     }
     let m = off.len();
-    for_each_panel(n, true, |j0, nb| {
-        let starts = (0..k).map(|kk| kk * n + j0);
-        match nb {
-            32 => panel_rows::<32>(a, m, b, starts, |i, row| {
-                add_row(&mut dst[off[i] + j0..off[i] + j0 + 32], row)
-            }),
-            _ => panel_rows::<16>(a, m, b, starts, |i, row| {
-                add_row(&mut dst[off[i] + j0..off[i] + j0 + 16], row)
-            }),
-        }
+    let left = LeftCols { a, m };
+    for_each_panel(n, true, |j0, nb| match nb {
+        32 => panel_rows::<32>(left, m, matrix_rows(b, n, j0), |i, row| {
+            add_row(&mut dst[off[i] + j0..off[i] + j0 + 32], row)
+        }),
+        _ => panel_rows::<16>(left, m, matrix_rows(b, n, j0), |i, row| {
+            add_row(&mut dst[off[i] + j0..off[i] + j0 + 16], row)
+        }),
     });
 }
 

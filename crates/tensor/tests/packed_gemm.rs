@@ -1,11 +1,11 @@
 //! Property-based bit-identity tests for the packed GEMM kernels.
 //!
-//! The packed-panel kernels in `tensor::matmul` document a reduction
+//! The panel-tiled kernels in `tensor::matmul` document a reduction
 //! order — per output element, a single `f32::mul_add` accumulator in
 //! ascending-`k` order — and these properties pin all three entry points
 //! to a naive reference implementing exactly that order, bit for bit, on
-//! awkward shapes: m/k/n off the panel sizes, m = 1 matvec shapes, k = 0,
-//! and ReLU-sparse zero blocks.
+//! awkward shapes: m/k/n on and around every tile and panel boundary,
+//! m = 1 matvec shapes, k = 0, and ReLU-sparse zero blocks.
 
 use proptest::prelude::*;
 use tensor::{matmul_into, matmul_nt_into, matmul_tn_into};
@@ -40,6 +40,22 @@ fn sparse_vec_of(len: usize) -> impl Strategy<Value = Vec<f32>> {
     )
 }
 
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Either any size in `any` or one of `edges`, the sizes at which the
+/// driver hands over between tile or panel classes.
+fn size_with_edges(
+    any: std::ops::Range<usize>,
+    edges: &'static [usize],
+) -> impl Strategy<Value = usize> {
+    prop_oneof![
+        any.boxed(),
+        (0..edges.len()).prop_map(move |i| edges[i]).boxed()
+    ]
+}
+
 /// Shared body of the shape property: builds operands deterministically
 /// from `seed`, optionally zeroing ~a quarter of the entries, and pins
 /// all three entry points to the reference bit for bit.
@@ -72,7 +88,7 @@ fn check_all_entry_points(m: usize, k: usize, n: usize, seed: u64, sparse: bool)
     // Stale output values must be overwritten, so seed with garbage.
     let mut out = vec![f32::NAN; m * n];
     matmul_into(&a, &b, &mut out, m, k, n);
-    assert_eq!(&out, &expected, "matmul_into {m}x{k}x{n}");
+    assert_eq!(bits(&out), bits(&expected), "matmul_into {m}x{k}x{n}");
 
     // a^T stored as [k, m]: at[kk*m + i] = a[i*k + kk].
     let mut at = vec![0.0f32; k * m];
@@ -83,7 +99,7 @@ fn check_all_entry_points(m: usize, k: usize, n: usize, seed: u64, sparse: bool)
     }
     let mut out_tn = vec![f32::NAN; m * n];
     matmul_tn_into(&at, &b, &mut out_tn, k, m, n);
-    assert_eq!(&out_tn, &expected, "matmul_tn_into {m}x{k}x{n}");
+    assert_eq!(bits(&out_tn), bits(&expected), "matmul_tn_into {m}x{k}x{n}");
 
     // b^T stored as [n, k]: bt[j*k + kk] = b[kk*n + j].
     let mut bt = vec![0.0f32; n * k];
@@ -94,19 +110,26 @@ fn check_all_entry_points(m: usize, k: usize, n: usize, seed: u64, sparse: bool)
     }
     let mut out_nt = vec![f32::NAN; m * n];
     matmul_nt_into(&a, &bt, &mut out_nt, m, k, n);
-    assert_eq!(&out_nt, &expected, "matmul_nt_into {m}x{k}x{n}");
+    assert_eq!(bits(&out_nt), bits(&expected), "matmul_nt_into {m}x{k}x{n}");
 }
 
 proptest! {
-    // Packed-kernel bit-identity on awkward shapes: m/k/n deliberately
-    // straddle the MR/NR panel sizes (including m = 1 matvec shapes and
-    // k = 0), and all three entry points must agree with the documented
-    // ascending-k FMA reduction exactly — not approximately.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Bit-identity on awkward shapes: half the draws land m/k/n exactly on
+    // a hand-off of the driver — a row tail after a 4-row tile, the
+    // 32 → 16 → padded-tail panel sequence, `tn` reading its last four
+    // columns (including m = 1 matvec shapes and k = 0) — and all three
+    // entry points must agree with the documented ascending-k FMA
+    // reduction exactly, not approximately.
     #[test]
     fn packed_kernels_bit_match_reference(
         m in 1usize..20,
-        k in 0usize..70,
-        n in 1usize..70,
+        k in size_with_edges(0..70, &[0, 1, 3, 4, 5, 32, 257]),
+        n in size_with_edges(
+            1..70,
+            &[1, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 80, 100],
+        ),
         seed in 0u64..1 << 48,
         sparse_flag in 0usize..2,
     ) {
