@@ -8,9 +8,9 @@
 //! Without flags, prints a per-window report for every `*.jsonl` file in
 //! `DIR` (sorted by name): the per-phase wall-time attribution table
 //! (span self/total seconds and share of the window's measured wall
-//! clock), the byte-traffic counters, the sweep-service counters
-//! (`server.*`, when the window has any), and the enriched simulator
-//! trace point count.
+//! clock), the byte-traffic counters, the sweep-service counters and
+//! histograms (`server.*`, when the window has any), and the enriched
+//! simulator trace point count.
 //!
 //! `--check` validates instead of rendering: every line must parse
 //! against the schema (see `telemetry::schema`), every file must lead
@@ -19,9 +19,10 @@
 //! structural guarantee that the phase taxonomy actually covers the run.
 //! Windows whose meta line carries `"service":true` (the `sweepd`
 //! profile) are exempt from the coverage rule — a daemon idles between
-//! requests and its workers overlap — and their `server.*` counters are
-//! printed one per line (`service <file>: server.shed = N`) so CI can
-//! assert on them. Exits non-zero listing every violation. The checker
+//! requests and its workers overlap — and their `server.*` counters and
+//! histograms are printed one per line (`service <file>: server.shed = N`,
+//! `service <file>: server.queue_wait_us = N (mean M)`) so CI can assert
+//! on them. Exits non-zero listing every violation. The checker
 //! is feature-free: it works in a `--no-default-features` build and on
 //! traces recorded on another machine.
 
@@ -152,13 +153,25 @@ fn check_window(win: &Window) -> Vec<String> {
     violations
 }
 
-/// The sweep service's counters (`server.*`), for the dedicated table in
-/// the rendered report and the `service` lines under `--check`.
-fn server_counters(win: &Window) -> Vec<&(String, f64)> {
-    win.counters
+/// The sweep service's metrics (`server.*`) as `(name, value)` rows, for
+/// the dedicated table in the rendered report and the `service` lines
+/// under `--check`: each counter's value, then each histogram's
+/// observation count and mean.
+fn server_metrics(win: &Window) -> Vec<(&str, String)> {
+    let counters = win
+        .counters
         .iter()
         .filter(|(name, _)| name.starts_with("server."))
-        .collect()
+        .map(|(name, value)| (name.as_str(), format!("{value:.0}")));
+    let hists = win
+        .hists
+        .iter()
+        .filter(|(name, ..)| name.starts_with("server."))
+        .map(|(name, count, sum)| {
+            let mean = sum / count.max(1.0);
+            (name.as_str(), format!("{count:.0} (mean {mean:.1})"))
+        });
+    counters.chain(hists).collect()
 }
 
 fn render_window(win: &Window) {
@@ -208,11 +221,11 @@ fn render_window(win: &Window) {
         }
         table.print();
     }
-    let service = server_counters(win);
+    let service = server_metrics(win);
     if !service.is_empty() {
-        let mut table = Table::new(vec!["service counter".into(), "value".into()]);
+        let mut table = Table::new(vec!["service metric".into(), "value".into()]);
         for (name, value) in service {
-            table.row(vec![name.clone(), format!("{value:.0}")]);
+            table.row(vec![name.to_string(), value]);
         }
         table.print();
     }
@@ -270,10 +283,10 @@ fn main() {
             for (source, reason) in &win.warnings {
                 println!("warning {} [{source}]: {reason}", win.file);
             }
-            // Sweep-service counters, one per line so CI can assert on
+            // Sweep-service metrics, one per line so CI can assert on
             // them (e.g. nonzero shed/dedup after a load run).
-            for (name, value) in server_counters(win) {
-                println!("service {}: {name} = {value:.0}", win.file);
+            for (name, value) in server_metrics(win) {
+                println!("service {}: {name} = {value}", win.file);
             }
         }
         if violations.is_empty() {

@@ -28,7 +28,7 @@ pub use report::{ascii_series, write_csv, Table};
 pub use scale::Scale;
 pub use store::{CacheStats, GcStats, LoadOutcome, ParkedOutcome, RunStore, StoreLock};
 pub use sweep::{
-    standard_panel_specs, CancellableRun, LrSpec, ScenarioSpec, SchedulerSpec, SweepEngine,
+    standard_panel_specs, CancellableRun, Known, LrSpec, ScenarioSpec, SchedulerSpec, SweepEngine,
     SweepSpec, TraceSource,
 };
 

@@ -9,6 +9,14 @@
 //! `"ok": false` plus a structured error (`kind` + `message`). See
 //! [`protocol`] for the exact shapes.
 //!
+//! A `run` request whose outcome the engine already knows — the trace is
+//! in the memo map or valid in the run store, or the key failed
+//! terminally before ([`SweepEngine::lookup`]) — is **answered where it is
+//! read**, on the connection thread: there is no work to queue, bound,
+//! deduplicate or recover, so it takes no queue slot, no journal record
+//! and no worker, cannot be shed, and does not wait behind unrelated
+//! runs. Everything below is about requests that have to execute.
+//!
 //! Failure semantics are the point of this module:
 //!
 //! * **Deadlines** — a `run` request may carry `deadline_ms`; a run that
@@ -16,10 +24,13 @@
 //!   partial work parked resumably in the store
 //!   ([`RunStore::park`](crate::store::RunStore::park)), and the request
 //!   answered with a `deadline` error. A later request for the same spec
-//!   resumes the parked work bit-identically.
-//! * **Backpressure** — the request queue is bounded
-//!   ([`ServerConfig::queue_limit`]); a full queue sheds the request with
-//!   an explicit `overloaded` error instead of growing without bound.
+//!   resumes the parked work bit-identically. The deadline bounds queued
+//!   and executing work: an answer available on arrival meets any
+//!   deadline, `deadline_ms: 0` included.
+//! * **Backpressure** — the queue of computations waiting for a worker is
+//!   bounded ([`ServerConfig::queue_limit`]); when it is full a request
+//!   that needs a computation is shed with an explicit `overloaded` error
+//!   instead of growing the queue without bound.
 //! * **Single-flight dedup** — concurrent requests for the same
 //!   content-addressed spec key attach to one in-flight computation and
 //!   all receive its result; only the first occupies a queue slot.
@@ -33,28 +44,34 @@
 //!   SIGTERM and the `shutdown` command by `sweepd`) stops accepting,
 //!   answers queued requests with `draining`, checkpoints in-flight runs
 //!   into the store, then joins every thread so the process can flush
-//!   telemetry and exit 0.
-//!
+//!   telemetry and exit 0. A drain refuses every `run`, known or not.
 //! * **Crash consistency** — with a [`ServerConfig::journal_path`], every
-//!   accepted run/figure job is recorded in an append-only, CRC-framed,
-//!   fsync'd [`journal`] before it executes and discharged when its
-//!   flight completes. After a SIGKILL, [`recover`] replays the journal's
-//!   pending set — resuming parked checkpoints where the store has them,
-//!   recomputing deterministically otherwise — so no accepted request is
-//!   ever lost and the recovered results are bit-identical to the runs
-//!   the crash interrupted.
+//!   run/figure job admitted to the queue is recorded in an append-only,
+//!   CRC-framed, fsync'd [`journal`] before a worker can see it and
+//!   discharged when its flight completes: *journaled ⇔ admitted*. (A
+//!   request answered on arrival has nothing to recover and is not
+//!   recorded; panic drills are never recorded.) After a SIGKILL,
+//!   [`recover`] replays the journal's pending set — resuming parked
+//!   checkpoints where the store has them, recomputing deterministically
+//!   otherwise — so no accepted request is ever lost and the recovered
+//!   results are bit-identical to the runs the crash interrupted.
 //!
 //! Everything reports through the telemetry crate: `server.requests`,
-//! `server.shed`, `server.dedup_hits`, `server.deadline_misses`,
+//! `server.inline_hits` (requests answered on arrival), `server.shed`,
+//! `server.dedup_hits`, `server.deadline_misses`,
 //! `server.request_panics`, `server.recovered_runs`,
 //! `server.journal_replays`, `server.gc_orphans` counters, the
-//! `server.queue_depth` gauge and a `phase.server_request` span per
-//! executed request — all surfaced by `obs_report`.
+//! `server.queue_depth` gauge, and on the admitted path only the
+//! `server.queue_wait_us` (admission to worker pick-up) and
+//! `server.journal_append_us` (one accept or done record, fsync
+//! included) histograms plus a `phase.server_request` span per *executed
+//! job* — not per request: joiners and requests answered on arrival open
+//! none — all surfaced by `obs_report`.
 
 use crate::failpoint;
 use crate::figures;
 use crate::supervisor::{self, SupervisorPolicy};
-use crate::sweep::{CancellableRun, SweepEngine, TraceSource};
+use crate::sweep::{CancellableRun, Known, SweepEngine, TraceSource};
 use crate::Scale;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
@@ -83,8 +100,9 @@ pub struct ServerConfig {
     /// Worker threads executing requests.
     pub workers: usize,
     /// Bounded queue: at most this many *distinct* jobs may be waiting
-    /// (joiners of an in-flight job never occupy a slot). Requests
-    /// arriving beyond it are shed with an `overloaded` error.
+    /// (joiners of an in-flight job never occupy a slot, and a request
+    /// the engine can answer on arrival never queues). Requests that
+    /// need a computation beyond it are shed with an `overloaded` error.
     pub queue_limit: usize,
     /// Scale every served scenario is built at (must match the batch
     /// reproduction it is compared against).
@@ -171,15 +189,18 @@ struct Job {
 struct Flight {
     job: Job,
     waiters: Vec<Waiter>,
+    /// When the job entered the queue (`server.queue_wait_us`).
+    admitted: Instant,
 }
 
 /// Mutable server state behind one mutex: the bounded queue (keys into
-/// `flights`), the single-flight table, and the registered connections
-/// (for shutdown on drain).
+/// `flights`), the single-flight table, and the live connections (for
+/// shutdown on drain), each under the id its thread removes it by when
+/// the client goes away.
 struct State {
     queue: VecDeque<String>,
     flights: HashMap<String, Flight>,
-    conns: Vec<UnixStream>,
+    conns: HashMap<u64, UnixStream>,
 }
 
 struct Shared {
@@ -235,7 +256,7 @@ impl Server {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
                 flights: HashMap::new(),
-                conns: Vec::new(),
+                conns: HashMap::new(),
             }),
             job_ready: Condvar::new(),
             draining: AtomicBool::new(false),
@@ -302,7 +323,7 @@ impl ServerHandle {
         }
         {
             let state = self.shared.state.lock().expect("server state poisoned");
-            for conn in &state.conns {
+            for conn in state.conns.values() {
                 let _ = conn.shutdown(std::net::Shutdown::Both);
             }
         }
@@ -352,31 +373,50 @@ fn bind_socket(path: &Path) -> io::Result<UnixListener> {
 /// polled: SIGTERM must be able to stop the loop, and a blocking
 /// `accept` would sit in the kernel until the *next* client connects.
 fn accept_loop(shared: &Arc<Shared>, listener: &UnixListener) {
+    let mut next_conn_id = 0u64;
     loop {
         if shared.draining.load(Ordering::SeqCst) {
             return;
         }
         match listener.accept() {
             Ok((stream, _addr)) => {
-                let registered = stream.try_clone().ok();
-                if let Some(clone) = registered {
+                let conn_id = next_conn_id;
+                next_conn_id += 1;
+                if let Ok(clone) = stream.try_clone() {
                     shared
                         .state
                         .lock()
                         .expect("server state poisoned")
                         .conns
-                        .push(clone);
+                        .insert(conn_id, clone);
                 }
                 let conn_shared = Arc::clone(shared);
                 let handle = std::thread::Builder::new()
                     .name("sweepd-conn".into())
-                    .spawn(move || connection_loop(&conn_shared, stream))
+                    .spawn(move || {
+                        connection_loop(&conn_shared, stream);
+                        // The client is gone: drop the drain's handle on
+                        // its socket, or a long-lived daemon runs out of
+                        // descriptors one closed connection at a time.
+                        conn_shared
+                            .state
+                            .lock()
+                            .expect("server state poisoned")
+                            .conns
+                            .remove(&conn_id);
+                    })
                     .expect("spawn connection thread");
-                shared
+                // Reap the threads of connections that have closed since
+                // (joining a finished thread does not block); `join` on
+                // drain takes whatever is still live.
+                let mut handles = shared
                     .conn_handles
                     .lock()
-                    .expect("connection handles poisoned")
-                    .push(handle);
+                    .expect("connection handles poisoned");
+                for finished in handles.extract_if(.., |t| t.is_finished()) {
+                    let _ = finished.join();
+                }
+                handles.push(handle);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
@@ -432,7 +472,8 @@ fn read_line_capped<R: BufRead>(reader: &mut R, cap: usize) -> io::Result<Option
 }
 
 /// Serves one client connection: reads request lines, answers inline
-/// commands, enqueues run/figure jobs. Responses to in-flight jobs are
+/// commands and runs the engine already knows, enqueues the other
+/// run/figure jobs. Responses to in-flight jobs are
 /// written by worker threads through the shared write half; a client
 /// pipelining requests may therefore see responses in completion order —
 /// the echoed `id` is the correlation.
@@ -560,9 +601,31 @@ fn handle_line(shared: &Arc<Shared>, out: &Arc<Mutex<UnixStream>>, line: &str) {
                     return;
                 }
             };
+            if refuse_if_draining(shared, out, id) {
+                return;
+            }
+            let started = Instant::now();
             let deadline = run
                 .deadline_ms
-                .map(|ms| Instant::now() + Duration::from_millis(ms));
+                .map(|ms| started + Duration::from_millis(ms));
+            let key = spec.key();
+            // What the engine already knows is answered here, on the
+            // connection thread: there is no work to queue, to bound, to
+            // deduplicate or to recover after a crash, so the request
+            // takes no queue slot and no journal record — and an answer
+            // available on arrival meets any deadline. The drill is never
+            // answered from the engine (it must panic, not hit).
+            let known = if run.panic {
+                None
+            } else {
+                shared.engine.lookup(&key)
+            };
+            if let Some(known) = known {
+                telemetry::counter("server.inline_hits").inc();
+                let body = engine_body(shared, known, started);
+                respond(out, &Response { id, body });
+                return;
+            }
             // A forced-panic drill must never dedup against (or poison)
             // the real run for the same spec: distinct flight key. It is
             // also never journaled — replaying a drill after a crash
@@ -575,9 +638,9 @@ fn handle_line(shared: &Arc<Shared>, out: &Arc<Mutex<UnixStream>>, line: &str) {
                 }),
             });
             let flight_key = if run.panic {
-                format!("panic|{}", spec.key())
+                format!("panic|{key}")
             } else {
-                spec.key()
+                key
             };
             let job = Job {
                 kind: JobKind::Run {
@@ -600,10 +663,26 @@ fn handle_line(shared: &Arc<Shared>, out: &Arc<Mutex<UnixStream>>, line: &str) {
     }
 }
 
-/// Admission control: single-flight join, else bounded-queue insert,
-/// else shed. An admitted job with a `journal_as` request is journaled
-/// (fsync'd) *before* it becomes visible to workers, so the crash-time
-/// pending set always covers every job a worker might have started.
+/// Refuses a request that arrived during a drain; `true` when it did.
+fn refuse_if_draining(shared: &Shared, out: &Arc<Mutex<UnixStream>>, id: Option<u64>) -> bool {
+    let draining = shared.draining.load(Ordering::SeqCst);
+    if draining {
+        respond(
+            out,
+            &Response::error(id, ErrorKind::Draining, "server is draining"),
+        );
+    }
+    draining
+}
+
+/// Admission control for work that has to execute: single-flight join,
+/// else bounded-queue insert, else shed. An admitted job with a
+/// `journal_as` request is journaled (fsync'd) *before* it becomes
+/// visible to workers, so the crash-time pending set always covers every
+/// job a worker might have started — *journaled ⇔ admitted to the queue*.
+/// Requests the engine could answer on arrival never get here (see
+/// [`handle_line`]), so `queue_limit` bounds computations waiting for a
+/// worker, not requests.
 fn enqueue(
     shared: &Arc<Shared>,
     key: String,
@@ -611,11 +690,7 @@ fn enqueue(
     waiter: Waiter,
     journal_as: Option<Request>,
 ) {
-    if shared.draining.load(Ordering::SeqCst) {
-        respond(
-            &waiter.out,
-            &Response::error(waiter.id, ErrorKind::Draining, "server is draining"),
-        );
+    if refuse_if_draining(shared, &waiter.out, waiter.id) {
         return;
     }
     let mut state = shared.state.lock().expect("server state poisoned");
@@ -643,7 +718,10 @@ fn enqueue(
         return;
     }
     if let (Some(journal), Some(request)) = (&shared.journal, &journal_as) {
-        if let Err(e) = journal.append_accept(&key, request) {
+        let appending = Instant::now();
+        let appended = journal.append_accept(&key, request);
+        observe_micros("server.journal_append_us", appending);
+        if let Err(e) = appended {
             // Journaling is best-effort: the request still runs, only its
             // crash-recoverability is degraded. Surface it loudly.
             telemetry::counter("server.journal_errors").inc();
@@ -656,6 +734,7 @@ fn enqueue(
         Flight {
             job,
             waiters: vec![waiter],
+            admitted: Instant::now(),
         },
     );
     state.queue.push_back(key);
@@ -688,8 +767,9 @@ fn worker_loop(shared: &Arc<Shared>) {
             .expect("server state poisoned")
             .flights
             .get(&key)
-            .map(|flight| flight.job.clone());
-        let Some(job) = job else { continue };
+            .map(|flight| (flight.job.clone(), flight.admitted));
+        let Some((job, admitted)) = job else { continue };
+        observe_micros("server.queue_wait_us", admitted);
         let body = execute_job(shared, &job);
         let flight = shared
             .state
@@ -722,7 +802,10 @@ fn worker_loop(shared: &Arc<Shared>) {
         };
         if terminal {
             if let Some(journal) = &shared.journal {
-                if journal.append_done(&key).is_err() {
+                let appending = Instant::now();
+                let appended = journal.append_done(&key);
+                observe_micros("server.journal_append_us", appending);
+                if appended.is_err() {
                     telemetry::counter("server.journal_errors").inc();
                 }
             }
@@ -786,13 +869,9 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) -> ResponseBody {
                     || deadline.is_some_and(|d| Instant::now() >= d)
             };
             match shared.engine.try_trace_cancellable(spec, Some(&stop)) {
-                Ok(CancellableRun::Done { trace, source }) => ResponseBody::Run(RunStats {
-                    source: source.label().to_string(),
-                    rounds: trace.rounds,
-                    points: trace.points.len() as u64,
-                    final_loss: f64::from(trace.final_loss()),
-                    wall_ms: started.elapsed().as_secs_f64() * 1e3,
-                }),
+                Ok(CancellableRun::Done { trace, source }) => {
+                    engine_body(shared, Ok((trace, source)), started)
+                }
                 Ok(CancellableRun::Cancelled) => {
                     if shared.draining.load(Ordering::SeqCst) {
                         ResponseBody::Error {
@@ -814,22 +893,7 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) -> ResponseBody {
                         }
                     }
                 }
-                Err(reason) => {
-                    let kind = if reason.contains("panic") {
-                        shared
-                            .counters
-                            .request_panics
-                            .fetch_add(1, Ordering::SeqCst);
-                        telemetry::counter("server.request_panics").inc();
-                        ErrorKind::Panic
-                    } else {
-                        ErrorKind::Failed
-                    };
-                    ResponseBody::Error {
-                        kind,
-                        message: reason,
-                    }
-                }
+                Err(reason) => engine_body(shared, Err(reason), started),
             }
         }
         JobKind::Figure { name } => {
@@ -873,6 +937,44 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) -> ResponseBody {
             }
         }
     }
+}
+
+/// The response body for a run the engine resolved (a trace and where it
+/// came from) or gave up on (its terminal failure reason) — one mapping
+/// for the worker that executed the run and the connection thread that
+/// found the outcome already known. `started` is when this request began
+/// being served.
+fn engine_body(shared: &Shared, outcome: Known, started: Instant) -> ResponseBody {
+    match outcome {
+        Ok((trace, source)) => ResponseBody::Run(RunStats {
+            source: source.label().to_string(),
+            rounds: trace.rounds,
+            points: trace.points.len() as u64,
+            final_loss: f64::from(trace.final_loss()),
+            wall_ms: started.elapsed().as_secs_f64() * 1e3,
+        }),
+        Err(reason) => {
+            let kind = if reason.contains("panic") {
+                shared
+                    .counters
+                    .request_panics
+                    .fetch_add(1, Ordering::SeqCst);
+                telemetry::counter("server.request_panics").inc();
+                ErrorKind::Panic
+            } else {
+                ErrorKind::Failed
+            };
+            ResponseBody::Error {
+                kind,
+                message: reason,
+            }
+        }
+    }
+}
+
+/// Records the microseconds elapsed since `since` in histogram `name`.
+fn observe_micros(name: &'static str, since: Instant) {
+    telemetry::histogram(name).observe(since.elapsed().as_secs_f64() * 1e6);
 }
 
 /// Builds the `stats` response from live state.

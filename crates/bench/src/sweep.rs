@@ -625,6 +625,12 @@ pub enum CancellableRun {
     Cancelled,
 }
 
+/// What [`SweepEngine::lookup`] knows about a key without executing
+/// anything: the cached trace (under the scheduler's own name) and where
+/// it was found — [`TraceSource::Memory`] or [`TraceSource::Disk`] — or
+/// the reason the key failed terminally on this engine.
+pub type Known = Result<(RunTrace, TraceSource), String>;
+
 /// Aggregate statistics over an engine's distinct executed runs (see
 /// [`SweepEngine::run_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -851,12 +857,87 @@ impl SweepEngine {
         }
     }
 
+    /// What this engine already knows about `key` (a [`SweepSpec::key`]),
+    /// consulting the failure map, the memo map and the persistent store,
+    /// in that order, and never executing anything; `None` when producing
+    /// the trace means executing the run. This is the cache head of
+    /// [`SweepEngine::try_trace_for`] and
+    /// [`SweepEngine::try_trace_cancellable`]; the sweep service also calls
+    /// it where a request is read, so what is already known is answered
+    /// without queueing. Every outcome is counted here, once: a memo hit
+    /// is a memory hit, a validated store entry is promoted into the memo
+    /// and counted as its key's disk hit, and an entry that fails
+    /// validation is evicted, warned about and counted as a reject (the
+    /// next lookup finds it absent).
+    pub fn lookup(&self, key: &str) -> Option<Known> {
+        if let Some(reason) = self.failed.lock().expect("failure map poisoned").get(key) {
+            return Some(Err(reason.clone()));
+        }
+        let cached = self
+            .runs
+            .lock()
+            .expect("run cache poisoned")
+            .get(key)
+            .cloned();
+        if let Some(trace) = cached {
+            let mut t = self.traffic.lock().expect("traffic counters poisoned");
+            t.stats.mem_hits += 1;
+            telemetry::counter("sweep.cache.mem_hits").inc();
+            return Some(Ok((trace, TraceSource::Memory)));
+        }
+        // Cold in memory: consult the persistent store before simulating.
+        // A validated entry is bit-exact (the determinism tests prove the
+        // wire format and the runs themselves), so serving it is
+        // indistinguishable from recomputing — just thousands of times
+        // cheaper. Anything less than fully valid is evicted and
+        // recomputed; the store never gets to produce a wrong figure.
+        let store = self.store.as_ref()?;
+        let mut outcome = store.load(key);
+        // An *unreadable* entry is a transient I/O failure (EINTR, a
+        // racing writer, a briefly-unavailable filesystem), not a
+        // validation verdict — retry the read before giving up on the
+        // entry. Validation rejections are deterministic and never
+        // retried.
+        for _ in 0..2 {
+            match &outcome {
+                LoadOutcome::Rejected(reason) if reason.starts_with("unreadable entry") => {
+                    telemetry::counter("store.load_retries").inc();
+                    outcome = store.load(key);
+                }
+                _ => break,
+            }
+        }
+        match outcome {
+            LoadOutcome::Hit(trace) => {
+                let trace = {
+                    let mut runs = self.runs.lock().expect("run cache poisoned");
+                    runs.entry(key.to_string()).or_insert(trace).clone()
+                };
+                self.note_resolved(key, true);
+                Some(Ok((trace, TraceSource::Disk)))
+            }
+            LoadOutcome::Rejected(reason) => {
+                self.warn(format!(
+                    "run store: rejected entry for a sweep key ({reason}); recomputing"
+                ));
+                telemetry::emit(|| telemetry::schema::warning_line("run_store", &reason));
+                store.evict(key);
+                let mut t = self.traffic.lock().expect("traffic counters poisoned");
+                t.stats.rejects += 1;
+                telemetry::counter("sweep.cache.rejects").inc();
+                None
+            }
+            LoadOutcome::Absent => None,
+        }
+    }
+
     /// Executes one spec under supervision, returning a clone of its
     /// (possibly cached) trace — or the terminal failure reason when
     /// every supervised attempt panicked or the run overran its deadline.
     /// A failed key is remembered and fails fast on re-request.
     ///
-    /// The cache is check-compute-insert, never blocking: two threads
+    /// [`SweepEngine::lookup`] answers what is already known. Beyond it the
+    /// cache is check-compute-insert, never blocking: two threads
     /// racing on the *same* uncached key both compute it (runs are
     /// deterministic, so the values are identical and first-insert wins).
     /// Blocking the losers on a once-cell would be a deadlock hazard on
@@ -872,58 +953,8 @@ impl SweepEngine {
     /// report) when the run cannot be produced.
     pub fn try_trace_for(&self, spec: &SweepSpec) -> Result<RunTrace, String> {
         let key = spec.key();
-        if let Some(reason) = self.failed.lock().expect("failure map poisoned").get(&key) {
-            return Err(reason.clone());
-        }
-        if let Some(trace) = self.runs.lock().expect("run cache poisoned").get(&key) {
-            let mut t = self.traffic.lock().expect("traffic counters poisoned");
-            t.stats.mem_hits += 1;
-            telemetry::counter("sweep.cache.mem_hits").inc();
-            return Ok(trace.clone());
-        }
-        // Cold in memory: consult the persistent store before simulating.
-        // A validated entry is bit-exact (the determinism tests prove the
-        // wire format and the runs themselves), so serving it is
-        // indistinguishable from recomputing — just thousands of times
-        // cheaper. Anything less than fully valid is evicted and
-        // recomputed; the store never gets to produce a wrong figure.
-        if let Some(store) = &self.store {
-            let mut outcome = store.load(&key);
-            // An *unreadable* entry is a transient I/O failure (EINTR, a
-            // racing writer, a briefly-unavailable filesystem), not a
-            // validation verdict — retry the read before giving up on
-            // the entry. Validation rejections are deterministic and
-            // never retried.
-            for _ in 0..2 {
-                match &outcome {
-                    LoadOutcome::Rejected(reason) if reason.starts_with("unreadable entry") => {
-                        telemetry::counter("store.load_retries").inc();
-                        outcome = store.load(&key);
-                    }
-                    _ => break,
-                }
-            }
-            match outcome {
-                LoadOutcome::Hit(trace) => {
-                    let trace = {
-                        let mut runs = self.runs.lock().expect("run cache poisoned");
-                        runs.entry(key.clone()).or_insert(trace).clone()
-                    };
-                    self.note_resolved(&key, true);
-                    return Ok(trace);
-                }
-                LoadOutcome::Rejected(reason) => {
-                    self.warn(format!(
-                        "run store: rejected entry for a sweep key ({reason}); recomputing"
-                    ));
-                    telemetry::emit(|| telemetry::schema::warning_line("run_store", &reason));
-                    store.evict(&key);
-                    let mut t = self.traffic.lock().expect("traffic counters poisoned");
-                    t.stats.rejects += 1;
-                    telemetry::counter("sweep.cache.rejects").inc();
-                }
-                LoadOutcome::Absent => {}
-            }
+        if let Some(known) = self.lookup(&key) {
+            return known.map(|(trace, _)| trace);
         }
         let supervised = supervisor::run_supervised(&self.supervisor, &key, || {
             let built = self.scenario(&spec.scenario);
@@ -968,8 +999,8 @@ impl SweepEngine {
     /// park/resume through the attached store — the sweep service's
     /// execution primitive.
     ///
-    /// The cache layers are consulted exactly like `try_trace_for`
-    /// (failure map, memory, disk). A cold key then checks the store for
+    /// [`SweepEngine::lookup`] answers first, exactly as in
+    /// `try_trace_for`. A key it does not know then checks the store for
     /// a *parked* mid-run checkpoint — the remainder of a previous
     /// deadline- or drain-cancelled request — and resumes it
     /// bit-identically instead of starting over (a checkpoint that fails
@@ -990,53 +1021,8 @@ impl SweepEngine {
         stop: Option<&(dyn Fn() -> bool + Sync)>,
     ) -> Result<CancellableRun, String> {
         let key = spec.key();
-        if let Some(reason) = self.failed.lock().expect("failure map poisoned").get(&key) {
-            return Err(reason.clone());
-        }
-        if let Some(trace) = self.runs.lock().expect("run cache poisoned").get(&key) {
-            let mut t = self.traffic.lock().expect("traffic counters poisoned");
-            t.stats.mem_hits += 1;
-            telemetry::counter("sweep.cache.mem_hits").inc();
-            return Ok(CancellableRun::Done {
-                trace: trace.clone(),
-                source: TraceSource::Memory,
-            });
-        }
-        if let Some(store) = &self.store {
-            let mut outcome = store.load(&key);
-            for _ in 0..2 {
-                match &outcome {
-                    LoadOutcome::Rejected(reason) if reason.starts_with("unreadable entry") => {
-                        telemetry::counter("store.load_retries").inc();
-                        outcome = store.load(&key);
-                    }
-                    _ => break,
-                }
-            }
-            match outcome {
-                LoadOutcome::Hit(trace) => {
-                    let trace = {
-                        let mut runs = self.runs.lock().expect("run cache poisoned");
-                        runs.entry(key.clone()).or_insert(trace).clone()
-                    };
-                    self.note_resolved(&key, true);
-                    return Ok(CancellableRun::Done {
-                        trace,
-                        source: TraceSource::Disk,
-                    });
-                }
-                LoadOutcome::Rejected(reason) => {
-                    self.warn(format!(
-                        "run store: rejected entry for a sweep key ({reason}); recomputing"
-                    ));
-                    telemetry::emit(|| telemetry::schema::warning_line("run_store", &reason));
-                    store.evict(&key);
-                    let mut t = self.traffic.lock().expect("traffic counters poisoned");
-                    t.stats.rejects += 1;
-                    telemetry::counter("sweep.cache.rejects").inc();
-                }
-                LoadOutcome::Absent => {}
-            }
+        if let Some(known) = self.lookup(&key) {
+            return known.map(|(trace, source)| CancellableRun::Done { trace, source });
         }
         // Cold everywhere: is there parked work to continue?
         let resume_ck: Option<Box<RunCheckpoint>> = match &self.store {

@@ -6,7 +6,7 @@
 //! (BENCH_10) and the CI chaos drill; this file pins the library-level
 //! semantics deterministically.
 
-use adacomm_bench::server::journal::Journal;
+use adacomm_bench::server::journal::{self, Journal};
 use adacomm_bench::server::protocol::{self, Command, Request, Response, ResponseBody, RunRequest};
 use adacomm_bench::server::{self, Server, ServerConfig};
 use adacomm_bench::sweep::SweepEngine;
@@ -240,5 +240,102 @@ fn server_journals_accepts_and_discharges_completions() {
         "completed work must be discharged: {:?}",
         replay.pending.iter().map(|(k, _)| k).collect::<Vec<_>>()
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A journaled in-process server over the store at `dir`, plus one
+/// connected client.
+struct Service {
+    handle: server::ServerHandle,
+    stream: UnixStream,
+    reader: BufReader<UnixStream>,
+}
+
+impl Service {
+    fn start(dir: &Path, journal_path: &Path, tag: &str) -> Service {
+        let socket = std::env::temp_dir().join(format!(
+            "adacomm-recovery-{}-{tag}.sock",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&socket);
+        let config = ServerConfig {
+            socket_path: socket.clone(),
+            workers: 1,
+            queue_limit: 8,
+            scale: Scale::Quick,
+            journal_path: Some(journal_path.to_path_buf()),
+            ..ServerConfig::default()
+        };
+        let engine = SweepEngine::default().with_store(RunStore::new(dir));
+        let handle = Server::start(config, Arc::new(engine)).expect("start server");
+        let stream = UnixStream::connect(&socket).expect("connect");
+        let reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        Service {
+            handle,
+            stream,
+            reader,
+        }
+    }
+
+    /// Runs `run` and returns the reply's `source` label.
+    fn run(&mut self, run: RunRequest) -> String {
+        let mut line = protocol::encode_request(&Request {
+            id: Some(1),
+            cmd: Command::Run(run),
+        });
+        line.push('\n');
+        self.stream.write_all(line.as_bytes()).expect("send");
+        let mut reply = String::new();
+        self.reader.read_line(&mut reply).expect("recv");
+        match protocol::parse_response(reply.trim())
+            .expect("parse response")
+            .body
+        {
+            ResponseBody::Run(stats) => stats.source,
+            other => panic!("expected a run result, got {other:?}"),
+        }
+    }
+}
+
+/// Journaled ⇔ admitted to the queue: a cold request leaves exactly its
+/// accept and done records, hits leave the journal file byte-for-byte
+/// alone, and a fresh daemon serving the same store from disk journals
+/// nothing at all.
+#[test]
+fn only_admitted_requests_are_journaled() {
+    let dir = dir_for("read_path");
+    let journal_path = dir.join("journal.log");
+    let records = || Journal::replay(&journal_path).records;
+    let bytes = || {
+        std::fs::metadata(&journal_path)
+            .expect("journal file")
+            .len()
+    };
+
+    let mut service = Service::start(&dir, &journal_path, "read-path");
+    assert_eq!(records(), 0);
+    assert_eq!(service.run(run_request(2, 10.0)), "computed");
+    // The worker appends `done` after it has replied.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while records() < 2 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert_eq!(records(), 2, "one cold request: accept + done");
+
+    let settled = bytes();
+    for _ in 0..50 {
+        assert_eq!(service.run(run_request(2, 10.0)), "memory");
+    }
+    assert_eq!(bytes(), settled, "hits must not touch the journal");
+    service.handle.join();
+
+    // The next daemon on the same store (its journal starts a fresh epoch,
+    // as after `recover`).
+    journal::discard(&journal_path);
+    let mut service = Service::start(&dir, &journal_path, "read-path-2");
+    assert_eq!(service.run(run_request(2, 10.0)), "disk");
+    assert_eq!(service.run(run_request(2, 10.0)), "memory");
+    service.handle.join();
+    assert_eq!(records(), 0, "store and memo hits are never journaled");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,8 +5,9 @@
 //! and re-saved), proven by the engine's cache-traffic counters. The
 //! store may never panic and never serve a wrong figure.
 
+use adacomm_bench::supervisor::SupervisorPolicy;
 use adacomm_bench::sweep::{LrSpec, ScenarioSpec, SchedulerSpec, SweepEngine, SweepSpec};
-use adacomm_bench::{LoadOutcome, RunStore};
+use adacomm_bench::{CacheStats, CancellableRun, LoadOutcome, RunStore, TraceSource};
 use pasgd_sim::RunTrace;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -227,4 +228,124 @@ fn direct_store_load_reports_reasons() {
         }
         other => panic!("truncated entry must reject, got {other:?}"),
     }
+}
+
+fn counts(mem_hits: usize, disk_hits: usize, misses: usize, rejects: usize) -> CacheStats {
+    CacheStats {
+        mem_hits,
+        disk_hits,
+        misses,
+        rejects,
+    }
+}
+
+/// `lookup`, `try_trace_for` and `try_trace_cancellable` share one cache
+/// head, and whichever of them meets an outcome first counts it — once.
+/// The expected counters are what the two entry points alone produced for
+/// the same sequences before `lookup` existed.
+#[test]
+fn the_three_callers_of_the_cache_head_count_each_outcome_once() {
+    let dir = store_dir("lookup_counts");
+    let s = spec(2);
+    let key = s.key();
+    let source_of = |run: Result<CancellableRun, String>| match run {
+        Ok(CancellableRun::Done { source, .. }) => source,
+        other => panic!("expected a finished run, got {other:?}"),
+    };
+
+    // Cold engine: one miss, then every caller takes a memory hit.
+    let cold = engine_on(&dir);
+    assert!(cold.lookup(&key).is_none());
+    assert_eq!(cold.cache_stats(), counts(0, 0, 0, 0));
+    let golden = cold.try_trace_for(&s).expect("healthy run");
+    assert_eq!(cold.cache_stats(), counts(0, 0, 1, 0));
+    assert!(matches!(
+        cold.lookup(&key),
+        Some(Ok((_, TraceSource::Memory)))
+    ));
+    assert_eq!(
+        source_of(cold.try_trace_cancellable(&s, None)),
+        TraceSource::Memory
+    );
+    assert_eq!(cold.cache_stats(), counts(2, 0, 1, 0));
+
+    // Warm store, fresh engine: the lookup takes the key's one disk hit.
+    let warm = engine_on(&dir);
+    match warm.lookup(&key) {
+        Some(Ok((trace, TraceSource::Disk))) => assert_eq!(trace_bits(&trace), trace_bits(&golden)),
+        other => panic!("expected a disk hit, got {other:?}"),
+    }
+    assert_eq!(warm.cache_stats(), counts(0, 1, 0, 0));
+    warm.try_trace_for(&s).expect("memoized");
+    assert_eq!(
+        source_of(warm.try_trace_cancellable(&s, None)),
+        TraceSource::Memory
+    );
+    assert_eq!(warm.cache_stats(), counts(2, 1, 0, 0));
+
+    // Damaged entry: the lookup rejects and evicts it; the execution that
+    // follows finds it absent, so the reject is counted (and warned
+    // about) once.
+    let path = RunStore::new(&dir).entry_path(&key);
+    fs::write(&path, b"rot").unwrap();
+    let healing = engine_on(&dir);
+    assert!(healing.lookup(&key).is_none());
+    assert!(!path.exists(), "a rejected entry is evicted");
+    assert_eq!(healing.cache_stats(), counts(0, 0, 0, 1));
+    assert_eq!(
+        source_of(healing.try_trace_cancellable(&s, None)),
+        TraceSource::Computed
+    );
+    assert_eq!(healing.cache_stats(), counts(0, 0, 1, 1));
+    assert!(matches!(healing.lookup(&key), Some(Ok(_))));
+    assert_eq!(healing.cache_stats(), counts(1, 0, 1, 1));
+    assert_eq!(healing.take_warnings().len(), 1);
+}
+
+/// A key that failed terminally is known as failed, with the reason its
+/// execution reported; nothing is counted as cache traffic.
+#[test]
+fn lookup_reports_a_failed_key_with_its_reason() {
+    let doomed = SweepEngine::with_parallelism(false).with_supervisor(SupervisorPolicy {
+        deadline: Some(std::time::Duration::ZERO),
+        ..SupervisorPolicy::default()
+    });
+    let s = spec(2);
+    let reason = doomed
+        .try_trace_for(&s)
+        .expect_err("no run meets a zero deadline");
+    match doomed.lookup(&s.key()) {
+        Some(Err(known)) => assert_eq!(known, reason),
+        other => panic!("expected a known failure, got {other:?}"),
+    }
+    assert_eq!(doomed.cache_stats(), counts(0, 0, 0, 0));
+}
+
+/// An engine without a store has nothing to consult but its own maps: a
+/// key that sits valid in a store directory is unknown to it, and the
+/// directory is left exactly as it was.
+#[test]
+fn lookup_without_a_store_never_touches_the_filesystem() {
+    let dir = store_dir("lookup_storeless");
+    let s = spec(2);
+    populate(&dir, &s);
+    let listing = || {
+        let mut entries: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let meta = e.metadata().unwrap();
+                (e.file_name(), meta.len(), meta.modified().unwrap())
+            })
+            .collect();
+        entries.sort();
+        entries
+    };
+    let before = listing();
+
+    let storeless = SweepEngine::with_parallelism(false);
+    assert!(storeless.lookup(&s.key()).is_none());
+    assert_eq!(storeless.cache_stats(), counts(0, 0, 0, 0));
+    assert!(storeless.take_warnings().is_empty());
+    assert_eq!(listing(), before);
 }

@@ -3,20 +3,24 @@
 //! through ordinary `UnixStream` clients, and asserts the failure
 //! semantics the module promises — single-flight dedup, bounded-queue
 //! shedding, panic isolation, deadline park + resume, graceful drain,
-//! and malformed-input hardening.
+//! malformed-input hardening, and the read path: what the engine already
+//! knows is answered where the request is read, whatever the workers and
+//! the queue are doing.
 
 use adacomm_bench::server::protocol::{
-    encode_request, parse_response, Command, ErrorKind, Request, Response, ResponseBody, RunRequest,
+    encode_request, parse_response, Command, ErrorKind, Request, Response, ResponseBody,
+    RunRequest, StatsBody,
 };
 use adacomm_bench::server::{Server, ServerConfig, ServerHandle, MAX_LINE_BYTES};
 use adacomm_bench::store::RunStore;
+use adacomm_bench::supervisor::{self, SupervisorPolicy};
 use adacomm_bench::sweep::SweepEngine;
 use adacomm_bench::Scale;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A unique socket path per test so the suite can run in parallel.
 fn socket_path(tag: &str) -> PathBuf {
@@ -113,6 +117,48 @@ fn error_kind(response: &Response) -> Option<ErrorKind> {
         ResponseBody::Error { kind, .. } => Some(*kind),
         _ => None,
     }
+}
+
+fn stats_of(client: &mut Client) -> StatsBody {
+    match client.call(&stats(0)).body {
+        ResponseBody::Stats(s) => s,
+        other => panic!("expected stats, got {other:?}"),
+    }
+}
+
+/// Asserts a successful `run` reply and returns its `source` label.
+fn run_source(response: &Response) -> String {
+    match &response.body {
+        ResponseBody::Run(run) => run.source.clone(),
+        other => panic!("expected a run result, got {other:?}"),
+    }
+}
+
+/// Occupies the server's only worker with a run far longer than any test
+/// (only a drain ends it) and returns once the worker has taken it off
+/// the queue.
+fn pin_the_worker(path: &Path) -> Client {
+    let mut pin = Client::connect(path);
+    pin.send(&run_request(1, 100_000.0, None, false));
+    let mut admin = Client::connect(path);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while stats_of(&mut admin).queue_depth > 0 {
+        assert!(Instant::now() < deadline, "the worker never took the pin");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    pin
+}
+
+/// A client whose reads fail after one second: a reply that has to wait
+/// for the pinned worker never arrives in time.
+fn impatient_client(path: &Path) -> Client {
+    let client = Client::connect(path);
+    client
+        .reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("set read timeout");
+    client
 }
 
 #[test]
@@ -413,5 +459,132 @@ fn socket_binding_is_exclusive_but_reclaims_stale() {
         Server::start(config, Arc::new(SweepEngine::default())).expect("reclaim stale socket");
     let mut client = Client::connect(handle.socket_path());
     assert!(matches!(client.call(&ping(1)).body, ResponseBody::Pong));
+    handle.join();
+}
+
+/// A spec the engine already holds is answered on the connection thread:
+/// with the only worker pinned and the queue full — a cold request is
+/// shed — the warmed spec still gets `ok` from memory within a second,
+/// deadline or not.
+#[test]
+fn known_spec_is_answered_past_a_pinned_worker_and_a_full_queue() {
+    let handle = start("readpath", 1, 1, SweepEngine::default());
+    let path = handle.socket_path().to_path_buf();
+
+    let mut warm = Client::connect(&path);
+    assert_eq!(
+        run_source(&warm.call(&run_request(2, 6.0, None, false))),
+        "computed"
+    );
+
+    let _pin = pin_the_worker(&path);
+    let mut filler = Client::connect(&path);
+    filler.send(&run_request(3, 90_000.0, None, false));
+
+    let mut probe = impatient_client(&path);
+    // The queue really is full: cold work is refused.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while stats_of(&mut probe).queue_depth < 1 {
+        assert!(Instant::now() < deadline, "the filler never queued");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let shed = probe.call(&run_request(4, 7.0, None, false));
+    assert_eq!(error_kind(&shed), Some(ErrorKind::Overloaded));
+
+    let hit = probe.call(&run_request(5, 6.0, None, false));
+    assert_eq!(hit.id, Some(5));
+    assert_eq!(run_source(&hit), "memory");
+    // An answer available on arrival meets any deadline.
+    let hit = probe.call(&run_request(6, 6.0, Some(0), false));
+    assert_eq!(run_source(&hit), "memory");
+    let after = stats_of(&mut probe);
+    assert_eq!(after.deadline_misses, 0, "a hit is not a deadline miss");
+    assert_eq!(after.shed, 1, "only the cold request was shed");
+
+    handle.join();
+}
+
+/// A drain refuses hits too, and a panic drill for a warmed spec still
+/// panics — and leaves the real key answerable.
+#[test]
+fn drain_and_drill_are_not_answered_from_the_engine() {
+    let handle = start("readpath-drain", 1, 8, SweepEngine::default());
+    let mut client = Client::connect(handle.socket_path());
+    assert_eq!(
+        run_source(&client.call(&run_request(1, 6.0, None, false))),
+        "computed"
+    );
+
+    let drill = client.call(&run_request(2, 6.0, None, true));
+    assert_eq!(error_kind(&drill), Some(ErrorKind::Panic));
+    assert_eq!(
+        run_source(&client.call(&run_request(3, 6.0, None, false))),
+        "memory"
+    );
+
+    handle.initiate_drain();
+    let refused = client.call(&run_request(4, 6.0, None, false));
+    assert_eq!(error_kind(&refused), Some(ErrorKind::Draining));
+    handle.join();
+}
+
+/// A key in the engine's failure map gets the same error from the
+/// connection thread (the worker is pinned when the repeat arrives) as
+/// it got from the worker that ran it, and counts as a request panic
+/// both times.
+#[test]
+fn known_failed_key_is_answered_in_place_with_the_same_error() {
+    let engine = SweepEngine::default().with_supervisor(SupervisorPolicy {
+        max_attempts: 1,
+        backoff_base_millis: 0,
+        ..SupervisorPolicy::default()
+    });
+    // The injection hook is process-global: this budget appears in no
+    // other test's spec key.
+    supervisor::inject_panics("Some((7125, 7125))", 1);
+    let handle = start("readpath-failed", 1, 8, engine);
+    let path = handle.socket_path().to_path_buf();
+
+    let mut client = Client::connect(&path);
+    let from_worker = client.call(&run_request(1, 7.125, None, false));
+    assert_eq!(error_kind(&from_worker), Some(ErrorKind::Panic));
+
+    let _pin = pin_the_worker(&path);
+    let mut probe = impatient_client(&path);
+    let in_place = probe.call(&run_request(2, 7.125, None, false));
+    assert_eq!(in_place.body, from_worker.body, "same kind, same message");
+    assert_eq!(stats_of(&mut probe).request_panics, 2);
+
+    handle.join();
+}
+
+/// Closed connections give their descriptors back: 300 one-shot clients
+/// (what 300 `sweepctl` calls are to a long-lived daemon) leave the
+/// process about where it started. The allowance covers the sockets and
+/// store files of the tests running beside this one.
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_connections_release_their_descriptors() {
+    let handle = start("fds", 1, 8, SweepEngine::default());
+    let path = handle.socket_path().to_path_buf();
+    let open_fds = || std::fs::read_dir("/proc/self/fd").expect("procfs").count();
+    let allowance = 100;
+
+    let before = open_fds();
+    for i in 0..300 {
+        let mut client = Client::connect(&path);
+        assert!(matches!(client.call(&ping(i)).body, ResponseBody::Pong));
+    }
+    // Each connection thread sees its client's EOF on its own schedule.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while open_fds() >= before + allowance && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let after = open_fds();
+    assert!(
+        after < before + allowance,
+        "{before} descriptors before 300 closed connections, {after} after"
+    );
+
     handle.join();
 }
