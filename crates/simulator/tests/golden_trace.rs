@@ -25,7 +25,10 @@
 use data::GaussianMixture;
 use delay::{CommModel, DelayDistribution, RuntimeModel};
 use gradcomp::CodecSpec;
-use pasgd_sim::{AveragingStrategy, ClusterConfig, MomentumMode, PasgdCluster};
+use pasgd_sim::{
+    AggregationPolicy, AveragingStrategy, ClusterConfig, FaultConfig, FaultSpec, MomentumMode,
+    PasgdCluster,
+};
 use std::fmt::Write as _;
 
 const FIXTURE: &str = concat!(
@@ -42,6 +45,19 @@ const FIXTURE: &str = concat!(
 const CONV_FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/fixtures/golden_trace_conv.txt"
+);
+
+/// The fault-active fixture: every [`AggregationPolicy`] × averaging
+/// strategy × codec family under crash + rejoin + drop + corrupt +
+/// straggler injection, recording the clock and byte ledgers and every
+/// worker's parameters (through the model discrepancy) per round plus the
+/// final [`pasgd_sim::FaultStats`]. It was generated by the separate
+/// `run_round_faulty`/`average_subset` path (committed before that path
+/// was merged into `run_round`) and must stay byte-unchanged across any
+/// restructuring of the round.
+const FAULTY_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/golden_trace_faulty.txt"
 );
 
 /// Communication periods exercised per section: a mix of τ = 1 (sync),
@@ -233,6 +249,129 @@ fn golden_trace_conv() -> String {
     out
 }
 
+/// Generates the fault-active golden trace: 27 four-worker sections of ten
+/// rounds each; sections whose three indices sum to an odd number run with
+/// local momentum so the sync-point momentum reset is pinned on every
+/// averaging branch.
+fn golden_trace_faulty() -> String {
+    let spec = FaultSpec {
+        crash_prob: 0.15,
+        rejoin_after: 2,
+        drop_prob: 0.1,
+        corrupt_prob: 0.05,
+        straggler_prob: 0.2,
+        straggler_factor: 4.0,
+    };
+    let policies = [
+        ("barrier", AggregationPolicy::FullBarrier),
+        (
+            "quorum",
+            AggregationPolicy::Quorum {
+                quorum: 4,
+                deadline_secs: 3.0,
+            },
+        ),
+        (
+            "staleness",
+            AggregationPolicy::BoundedStaleness {
+                quorum: 3,
+                max_staleness: 1,
+            },
+        ),
+    ];
+    let strategies = [
+        ("full", AveragingStrategy::FullAverage),
+        ("ring", AveragingStrategy::Ring),
+        (
+            "partial",
+            AveragingStrategy::PartialParticipation { fraction: 0.5 },
+        ),
+    ];
+    let codecs = [
+        ("identity", CodecSpec::Identity),
+        ("topk", CodecSpec::TopK { ratio: 0.25 }),
+        ("qsgd", CodecSpec::Qsgd { bits: 4 }),
+    ];
+    let workers = 4;
+    let mut out = String::new();
+    out.push_str(
+        "# section,round,iterations,clock_f64_bits,train_loss_f32_bits,comm_bytes_f64_bits,\
+         comm_time_f64_bits,compute_time_f64_bits,discrepancy_f32_bits\n",
+    );
+    let mut seed = 100;
+    for (pi, (policy_name, policy)) in policies.into_iter().enumerate() {
+        for (si, (strategy_name, averaging)) in strategies.into_iter().enumerate() {
+            for (ci, (codec_name, codec)) in codecs.into_iter().enumerate() {
+                let momentum = if (pi + si + ci) % 2 == 1 {
+                    MomentumMode::Local {
+                        beta: 0.9,
+                        reset_at_sync: true,
+                    }
+                } else {
+                    MomentumMode::None
+                };
+                seed += 1;
+                let mut c = PasgdCluster::new(
+                    nn::models::mlp_classifier(8, &[16], 3, 42),
+                    GaussianMixture::small_test().generate(seed),
+                    RuntimeModel::new(
+                        DelayDistribution::exponential(0.5),
+                        // A bandwidth term, so payload bytes (codec- and
+                        // retransmit-dependent) reach the clock.
+                        CommModel::constant(0.3).with_bandwidth(1e-5),
+                        workers,
+                    ),
+                    ClusterConfig {
+                        workers,
+                        batch_size: 8,
+                        lr: 0.05,
+                        weight_decay: 5e-4,
+                        momentum,
+                        averaging,
+                        codec,
+                        seed,
+                        eval_subset: 64,
+                        fault: FaultConfig { spec, policy },
+                    },
+                );
+                let section = format!("{policy_name}-{strategy_name}-{codec_name}");
+                for (round, &tau) in TAUS.iter().enumerate() {
+                    let _ = c.run_round(tau);
+                    let loss = c.eval_train_loss();
+                    let _ = writeln!(
+                        out,
+                        "{section},{round},{iters},{clock:016x},{loss:08x},{bytes:016x},\
+                         {comm:016x},{compute:016x},{disc:08x}",
+                        iters = c.iterations(),
+                        clock = c.clock().to_bits(),
+                        loss = loss.to_bits(),
+                        bytes = c.comm_bytes().to_bits(),
+                        comm = c.comm_time().to_bits(),
+                        compute = c.compute_time().to_bits(),
+                        disc = c.model_discrepancy().to_bits(),
+                    );
+                }
+                let acc = c.eval_test_accuracy();
+                let _ = writeln!(out, "{section},accuracy,{:016x}", acc.to_bits());
+                let s = c.fault_stats();
+                let _ = writeln!(
+                    out,
+                    "{section},stats,crashes={},rejoins={},drops={},corruptions={},\
+                     stragglers={},retransmits={},degraded_rounds={}",
+                    s.crashes,
+                    s.rejoins,
+                    s.drops,
+                    s.corruptions,
+                    s.stragglers,
+                    s.retransmits,
+                    s.degraded_rounds,
+                );
+            }
+        }
+    }
+    out
+}
+
 /// Compares `trace` with the committed fixture, or rewrites the fixture
 /// when `ADACOMM_REGEN_GOLDEN` is set.
 fn check_against_fixture(trace: &str, fixture: &str) {
@@ -272,4 +411,9 @@ fn full_precision_trace_is_bit_identical_to_fixture() {
 #[test]
 fn conv_trace_is_bit_identical_to_fixture() {
     check_against_fixture(&golden_trace_conv(), CONV_FIXTURE);
+}
+
+#[test]
+fn faulty_trace_is_bit_identical_to_fixture() {
+    check_against_fixture(&golden_trace_faulty(), FAULTY_FIXTURE);
 }
