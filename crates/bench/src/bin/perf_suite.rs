@@ -236,7 +236,7 @@ fn adacomm_run(family: ModelFamily, smoke: bool) -> RunTrace {
         max_tau: 256.max(tau0),
         ..AdaCommConfig::default()
     });
-    suite.run_with_options(&mut ada, &lr, None, Some(true))
+    suite.run_configured(&mut ada, &lr, None, Some(true), None, None, None)
 }
 
 /// One frontier slice of the `ext_compression` experiment: τ = 16 with 1%
@@ -269,10 +269,14 @@ fn compression_slice(smoke: bool) -> RunTrace {
             gate_lr_on_tau: false,
         },
     );
-    suite.run_with_codec(
+    suite.run_configured(
         &mut FixedComm::new(16),
         &LrSchedule::constant(0.1),
-        CodecSpec::TopK { ratio: 0.01 },
+        None,
+        None,
+        Some(CodecSpec::TopK { ratio: 0.01 }),
+        None,
+        None,
     )
 }
 

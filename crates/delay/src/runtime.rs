@@ -140,14 +140,15 @@ impl RuntimeModel {
     }
 
     /// Samples every worker's compute time for one round of `tau` local
-    /// steps, in worker order.
+    /// steps into `times` (cleared first; worker order), so a caller that
+    /// samples every round reuses one buffer.
     ///
     /// This is the decomposed form of [`RuntimeModel::sample_round_bytes`]:
     /// drawing all `m` per-worker totals here and then taking the slowest
     /// (or a partial-aggregation cutoff over them) consumes exactly the
-    /// same RNG stream as the fused sampler, so callers that need
-    /// per-worker times — the fault-injection layer's straggler spikes and
-    /// quorum policies — stay draw-for-draw compatible with it.
+    /// same RNG stream as the fused sampler, so the cluster's round — which
+    /// needs per-worker times for straggler spikes and quorum policies —
+    /// stays draw-for-draw compatible with it.
     ///
     /// # Panics
     ///
@@ -155,12 +156,14 @@ impl RuntimeModel {
     pub fn sample_worker_compute_times<R: Rng + ?Sized>(
         &self,
         tau: usize,
+        times: &mut Vec<f64>,
         rng: &mut R,
-    ) -> Vec<f64> {
+    ) {
         assert!(tau > 0, "communication period must be positive");
-        (0..self.workers)
-            .map(|_| (0..tau).map(|_| self.compute.sample(rng)).sum())
-            .collect()
+        times.clear();
+        times.extend(
+            (0..self.workers).map(|_| (0..tau).map(|_| self.compute.sample(rng)).sum::<f64>()),
+        );
     }
 
     /// Samples the *per-iteration* runtime of PASGD with period `tau`
@@ -398,21 +401,31 @@ mod tests {
     #[test]
     fn worker_times_match_fused_round_stream() {
         // The decomposed sampler must consume the RNG exactly like the
-        // fused one: per-worker totals in worker order, then one comm draw.
+        // fused one: per-worker totals in worker order, then one comm draw
+        // — for every tau, with a random comm base, and over consecutive
+        // rounds on one stream and one reused buffer.
         let model = RuntimeModel::new(
             DelayDistribution::exponential(1.0),
-            CommModel::constant(0.5).with_bandwidth(1e-7),
+            CommModel::new(
+                DelayDistribution::exponential(0.5),
+                crate::CommScaling::Constant,
+            )
+            .with_bandwidth(1e-7),
             4,
         );
         let mut fused_rng = StdRng::seed_from_u64(10);
-        let round = model.sample_round_bytes(3, 2048.0, &mut fused_rng);
         let mut split_rng = StdRng::seed_from_u64(10);
-        let times = model.sample_worker_compute_times(3, &mut split_rng);
-        let comm = model.comm().sample_bytes(4, 2048.0, &mut split_rng);
-        assert_eq!(times.len(), 4);
-        let slowest = times.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(round.compute, slowest);
-        assert_eq!(round.comm, comm);
+        let mut times = Vec::new();
+        for tau in [1usize, 3, 8, 2] {
+            let round = model.sample_round_bytes(tau, 2048.0, &mut fused_rng);
+            model.sample_worker_compute_times(tau, &mut times, &mut split_rng);
+            let comm = model.comm().sample_bytes(4, 2048.0, &mut split_rng);
+            assert_eq!(times.len(), 4);
+            let slowest = times.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            assert_eq!(round.compute, slowest, "tau={tau}");
+            assert_eq!(round.comm, comm, "tau={tau}");
+        }
+        assert_eq!(fused_rng.state(), split_rng.state());
     }
 
     #[test]

@@ -8,8 +8,9 @@ use delay::RuntimeModel;
 use gradcomp::CodecSpec;
 use nn::{Network, Sgd};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rayon::prelude::*;
+use std::sync::Arc;
 use tensor::Tensor;
 
 /// Rows per evaluation chunk job. Evaluation sets larger than one chunk
@@ -35,6 +36,14 @@ impl EvalSet {
             start = end;
         }
         EvalSet { chunks, rows }
+    }
+}
+
+/// Adds `n` fault events to the telemetry counter `name`; a counter that
+/// never fired stays absent from the profile.
+fn count_faults(name: &'static str, n: u64) {
+    if n > 0 {
+        telemetry::counter(name).add(n);
     }
 }
 
@@ -70,8 +79,9 @@ pub struct ClusterConfig {
     /// (keeps evaluation cheap; 0 means the full training set).
     pub eval_subset: usize,
     /// Fault injection and degradation policy. The default
-    /// ([`FaultConfig::NONE`]) is provably a no-op: the cluster takes the
-    /// exact fault-free code path with zero extra RNG draws.
+    /// ([`FaultConfig::NONE`]) is provably a no-op: the cluster builds no
+    /// fault state, so every round covers the whole cluster with zero
+    /// extra RNG draws.
     pub fault: FaultConfig,
 }
 
@@ -133,11 +143,16 @@ pub struct PasgdCluster {
     averaging: AveragingStrategy,
     codec: CodecSpec,
     block: Option<BlockMomentum>,
-    /// Active fault-injection state, or `None` for the fault-free
-    /// fast path (the [`FaultConfig::NONE`] default): rounds then run the
-    /// exact pre-fault code with zero extra RNG draws.
+    /// Active fault-injection state, or `None` under the
+    /// [`FaultConfig::NONE`] default: [`PasgdCluster::run_round`] then runs
+    /// the same code over the `everyone` list, with no fault RNG to draw
+    /// from.
     fault: Option<FaultState>,
     fault_config: FaultConfig,
+    /// The full-cluster participant list `0..m`, built once.
+    everyone: Arc<[usize]>,
+    /// Reused buffer for a round's per-worker compute times.
+    worker_times: Vec<f64>,
     delay_rng: StdRng,
     clock: f64,
     iterations: u64,
@@ -294,6 +309,8 @@ impl PasgdCluster {
                 .is_active()
                 .then(|| FaultState::new(config.seed, config.workers)),
             fault_config: config.fault,
+            everyone: (0..config.workers).collect(),
+            worker_times: Vec::with_capacity(config.workers),
             delay_rng: StdRng::seed_from_u64(config.seed ^ 0xD15C_0C1C_D15C_0C1C),
             clock: 0.0,
             iterations: 0,
@@ -440,13 +457,13 @@ impl PasgdCluster {
         &self.runtime
     }
 
-    /// Cumulative fault-event counters (all zero on the fault-free path).
+    /// Cumulative fault-event counters (all zero without a fault state).
     pub fn fault_stats(&self) -> FaultStats {
         self.fault.as_ref().map(|f| f.stats).unwrap_or_default()
     }
 
     /// Fraction of completed rounds that were averaged over a strict
-    /// subset of the cluster (0 on the fault-free path). Schedulers
+    /// subset of the cluster (0 without a fault state). Schedulers
     /// consult this through
     /// [`ScheduleContext::degraded_frac`](adacomm::ScheduleContext) to
     /// hold the communication period steady while the cluster is degraded.
@@ -473,9 +490,39 @@ impl PasgdCluster {
         self.current_lr = lr;
     }
 
-    /// Runs one PASGD round: `tau` local steps on every worker (in
-    /// parallel), then an averaging step (eq. 3), block momentum if
-    /// configured, and the clock advance `max_i(Σ Y) + D`.
+    /// Runs one PASGD round: `tau` local steps on every up worker (in
+    /// parallel), then an averaging step (eq. 3) over the round's
+    /// participants, block momentum if configured, and the clock advance
+    /// `max_i(Σ Y) + D`.
+    ///
+    /// There is one round path. Without a fault state (the
+    /// [`FaultConfig::NONE`] default) every list below is the full cluster
+    /// and steps 1, 2, 5, 7 and the spikes of step 4 do not exist; with
+    /// one, each of them draws a deterministic number of values from the
+    /// dedicated fault RNG stream given the cluster state:
+    ///
+    /// 1. rejoin sweep — crashed workers whose downtime elapsed come back
+    ///    up with the stale parameters they last held;
+    /// 2. crash draws — one Bernoulli per up worker in worker order, with
+    ///    a deterministic survivor guarantee (never zero up workers);
+    /// 3. `tau` local steps on the up workers only (a down worker's batch
+    ///    stream does not advance until it rejoins);
+    /// 4. per-worker compute times from the delay model, plus straggler
+    ///    spikes;
+    /// 5. the [`AggregationPolicy`](crate::AggregationPolicy) picks the
+    ///    participant set from the up workers' times and staleness;
+    /// 6. the participants' models are averaged (codec included) and the
+    ///    result broadcast *to the participants*; everyone else keeps its
+    ///    local model;
+    /// 7. drop/corrupt draws per participant charge retransmit cost
+    ///    through the bytes-aware comm model;
+    /// 8. the clock advances by the slowest *participant* plus the round's
+    ///    communication delays, and the staleness table updates.
+    ///
+    /// The fault layer covers only this entry point: the mid-round probes
+    /// [`PasgdCluster::average_now`] and [`PasgdCluster::run_local_only`]
+    /// always act on the full cluster, and evaluation still reads worker 0
+    /// (whose model can be stale while worker 0 is down).
     ///
     /// Returns the mean local training loss observed during the round.
     /// This observational mean is folded inside the parallel map, so its
@@ -489,142 +536,67 @@ impl PasgdCluster {
     /// Panics if `tau == 0`.
     pub fn run_round(&mut self, tau: usize) -> f32 {
         assert!(tau >= 1, "communication period must be at least 1");
-        if self.fault.is_some() {
-            return self.run_round_faulty(tau);
-        }
-        let mean_loss = self.local_fanout(tau);
-        let bytes = self.average_models(tau);
-        telemetry::counter("sim.rounds").inc();
-        telemetry::histogram("sim.round_tau").observe(tau as f64);
-        telemetry::histogram("sim.round_payload_bytes").observe(bytes);
-        let round = self
-            .runtime
-            .sample_round_bytes(tau, bytes, &mut self.delay_rng);
-        self.clock += round.total();
-        self.compute_time += round.compute;
-        self.comm_time += round.comm;
-        self.comm_bytes += bytes;
-        self.peak_payload_bytes = self.peak_payload_bytes.max(bytes);
-        self.rounds += 1;
-        mean_loss
-    }
-
-    /// The fault-injected variant of [`PasgdCluster::run_round`], taken
-    /// whenever the cluster was configured with an active [`FaultConfig`].
-    ///
-    /// Round order (each step draws a deterministic number of values from
-    /// the dedicated fault RNG stream given the cluster state):
-    ///
-    /// 1. rejoin sweep — crashed workers whose downtime elapsed come back
-    ///    up with the stale parameters they last held;
-    /// 2. crash draws — one Bernoulli per up worker in worker order, with
-    ///    a deterministic survivor guarantee (never zero up workers);
-    /// 3. `tau` local steps on the up workers only (a down worker's batch
-    ///    stream does not advance until it rejoins);
-    /// 4. per-worker compute times from the delay model — the decomposed
-    ///    form of the fused fault-free sampler — plus straggler spikes;
-    /// 5. the [`AggregationPolicy`](crate::AggregationPolicy) picks the
-    ///    participant set from the up workers' times and staleness;
-    /// 6. the participants' models are averaged (codec included) and the
-    ///    result broadcast *to the participants*; everyone else keeps its
-    ///    local model;
-    /// 7. drop/corrupt draws per participant charge retransmit cost
-    ///    through the bytes-aware comm model;
-    /// 8. the clock advances by the slowest *participant* plus the round's
-    ///    communication delays, and the staleness table updates.
-    ///
-    /// The fault layer covers only this entry point: the mid-round probes
-    /// [`PasgdCluster::average_now`] and [`PasgdCluster::run_local_only`]
-    /// bypass it, and evaluation still reads worker 0 (whose model can be
-    /// stale while worker 0 is down).
-    fn run_round_faulty(&mut self, tau: usize) -> f32 {
-        let spec = self.fault_config.spec;
-        let policy = self.fault_config.policy;
+        let FaultConfig { spec, policy } = self.fault_config;
         let round_index = self.rounds;
-        // take/put-back: the fault state cannot stay borrowed while
-        // `&mut self` round methods run.
-        let mut fault = self
-            .fault
-            .take()
-            .expect("run_round_faulty requires active fault state");
+        let everyone = Arc::clone(&self.everyone);
+        // take/put-back: neither can stay borrowed while `&mut self` round
+        // methods run.
+        let mut fault = self.fault.take();
+        let mut times = std::mem::take(&mut self.worker_times);
 
-        let rejoined = fault.sweep_rejoins(round_index);
-        if rejoined > 0 {
-            telemetry::counter("sim.faults.rejoins").add(rejoined);
-        }
-        let crashed = fault.draw_crashes(round_index, &spec);
-        if crashed > 0 {
-            telemetry::counter("sim.faults.crashes").add(crashed);
-        }
-        let up = fault.up_workers(round_index);
+        let survivors = fault.as_mut().map(|f| {
+            count_faults("sim.faults.rejoins", f.sweep_rejoins(round_index));
+            count_faults("sim.faults.crashes", f.draw_crashes(round_index, &spec));
+            f.up_workers(round_index)
+        });
+        let up = survivors.as_deref().unwrap_or(&everyone);
         debug_assert!(!up.is_empty(), "survivor guarantee violated");
 
-        let mean_loss = self.local_fanout_subset(tau, &up);
+        let mean_loss = self.local_fanout(tau, up);
 
-        // Per-worker compute times, drawn for the whole cluster in worker
-        // order — the same delay-stream structure as the fused fault-free
-        // sampler, so the per-round draw count is constant.
-        let mut times = self
-            .runtime
-            .sample_worker_compute_times(tau, &mut self.delay_rng);
-        let mut stragglers = 0u64;
-        if spec.straggler_prob > 0.0 {
-            for &i in &up {
-                if fault.rng.gen_bool(spec.straggler_prob) {
-                    times[i] *= spec.straggler_factor;
-                    stragglers += 1;
-                }
-            }
-        }
-        fault.stats.stragglers += stragglers;
-        if stragglers > 0 {
-            telemetry::counter("sim.faults.stragglers").add(stragglers);
-        }
-
-        let participants = policy.select(&up, &times, &fault.missed);
+        // Delay-stream order. Every round draws m·τ compute times (whole
+        // cluster, worker order), one comm delay, and whatever the mix
+        // draws (partial participation shuffles with this same stream). A
+        // fault state has to see the times *before* the average, because
+        // its participant set depends on them; without one they are drawn
+        // after it, where the fused sampler always drew them. Each case
+        // keeps its order: swapping either changes every seeded trace.
+        let selected = fault.as_mut().map(|f| {
+            self.runtime
+                .sample_worker_compute_times(tau, &mut times, &mut self.delay_rng);
+            count_faults(
+                "sim.faults.stragglers",
+                f.spike_stragglers(&spec, up, &mut times),
+            );
+            policy.select(up, &times, &f.missed)
+        });
+        let participants = selected.as_deref().unwrap_or(&everyone);
         let degraded = participants.len() < self.workers.len();
 
-        let bytes = if degraded {
-            let _degraded_phase = telemetry::span("phase.degraded");
-            telemetry::counter("sim.degraded_rounds").inc();
-            fault.stats.degraded_rounds += 1;
-            self.average_subset(tau, &participants)
-        } else {
-            self.average_models(tau)
+        let bytes = {
+            let _degraded_phase = degraded.then(|| telemetry::span("phase.degraded"));
+            self.average(tau, participants)
         };
+        if fault.is_none() {
+            self.runtime
+                .sample_worker_compute_times(tau, &mut times, &mut self.delay_rng);
+        }
         telemetry::counter("sim.rounds").inc();
         telemetry::histogram("sim.round_tau").observe(tau as f64);
         telemetry::histogram("sim.round_payload_bytes").observe(bytes);
 
-        // Transport faults: each participant's upload may be dropped or
-        // corrupted in flight. The transport detects the loss and
-        // retransmits, so the average above is unaffected — but every
-        // loss costs one extra bytes-aware communication delay below.
-        let mut drops = 0u64;
-        let mut corruptions = 0u64;
-        if spec.drop_prob > 0.0 || spec.corrupt_prob > 0.0 {
-            for _ in &participants {
-                if fault.rng.gen_bool(spec.drop_prob) {
-                    drops += 1;
-                }
-                if fault.rng.gen_bool(spec.corrupt_prob) {
-                    corruptions += 1;
-                }
+        let retransmits = fault.as_mut().map_or(0, |f| {
+            if degraded {
+                telemetry::counter("sim.degraded_rounds").inc();
+                f.stats.degraded_rounds += 1;
             }
-        }
-        let retransmits = drops + corruptions;
-        fault.stats.drops += drops;
-        fault.stats.corruptions += corruptions;
-        fault.stats.retransmits += retransmits;
-        if drops > 0 {
-            telemetry::counter("sim.faults.drops").add(drops);
-        }
-        if corruptions > 0 {
-            telemetry::counter("sim.faults.corruptions").add(corruptions);
-        }
-        if retransmits > 0 {
-            telemetry::counter("sim.faults.retransmits").add(retransmits);
-        }
+            let (drops, corruptions) = f.draw_upload_losses(&spec, participants.len());
+            count_faults("sim.faults.drops", drops);
+            count_faults("sim.faults.corruptions", corruptions);
+            count_faults("sim.faults.retransmits", drops + corruptions);
+            f.note_participants(participants);
+            drops + corruptions
+        });
 
         // Clock advance: the round waits for its slowest participant, then
         // pays one communication delay over the participant group plus one
@@ -633,16 +605,11 @@ impl PasgdCluster {
             .iter()
             .map(|&i| times[i])
             .fold(f64::NEG_INFINITY, f64::max);
-        let mut comm =
-            self.runtime
-                .comm()
-                .sample_bytes(participants.len(), bytes, &mut self.delay_rng);
+        let comm_model = self.runtime.comm();
+        let mut comm = comm_model.sample_bytes(participants.len(), bytes, &mut self.delay_rng);
         let mut round_bytes = bytes;
         for _ in 0..retransmits {
-            comm +=
-                self.runtime
-                    .comm()
-                    .sample_bytes(participants.len(), bytes, &mut self.delay_rng);
+            comm += comm_model.sample_bytes(participants.len(), bytes, &mut self.delay_rng);
             round_bytes += bytes;
         }
         self.clock += elapsed_compute + comm;
@@ -652,8 +619,8 @@ impl PasgdCluster {
         self.peak_payload_bytes = self.peak_payload_bytes.max(bytes);
         self.rounds += 1;
 
-        fault.note_participants(&participants);
-        self.fault = Some(fault);
+        self.fault = fault;
+        self.worker_times = times;
         mean_loss
     }
 
@@ -668,47 +635,32 @@ impl PasgdCluster {
     /// Panics if `steps == 0`.
     pub fn run_local_only(&mut self, steps: usize) -> f32 {
         assert!(steps >= 1, "must take at least one step");
-        let mean_loss = self.local_fanout(steps);
+        let everyone = Arc::clone(&self.everyone);
+        let mean_loss = self.local_fanout(steps, &everyone);
         let round = self.runtime.sample_round(steps, &mut self.delay_rng);
         self.clock += round.compute; // no communication happened
         self.compute_time += round.compute;
         mean_loss
     }
 
-    /// The shared local-update fan-out of [`PasgdCluster::run_round`] and
-    /// [`PasgdCluster::run_local_only`]: every worker takes `steps` local
-    /// SGD steps in parallel on the persistent pool, and the per-worker
-    /// losses are folded inside the parallel map (no per-round `Vec`).
-    /// Returns the mean local training loss.
-    fn local_fanout(&mut self, steps: usize) -> f32 {
+    /// The local-update fan-out: the `up` workers (ascending indices) take
+    /// `steps` local SGD steps in parallel on the persistent pool, and
+    /// their losses are folded inside the parallel map (no per-round
+    /// `Vec`). A worker not in `up` does nothing — its batch stream does
+    /// not advance — but the iteration counter still moves by the nominal
+    /// `steps`, keeping the paper's iteration axis meaningful. Returns the
+    /// mean local training loss over the workers that stepped.
+    fn local_fanout(&mut self, steps: usize, up: &[usize]) -> f32 {
         let _phase = telemetry::span("phase.compute");
-        telemetry::counter("sim.local_steps").add((steps * self.workers.len()) as u64);
+        telemetry::counter("sim.local_steps").add((steps * up.len()) as u64);
         let total: f32 = self
             .workers
             .par_iter_mut()
-            .map(|w| w.local_steps(steps))
+            .map(|w| match up.binary_search(&w.id()) {
+                Ok(_) => w.local_steps(steps),
+                Err(_) => 0.0,
+            })
             .sum();
-        self.iterations += steps as u64;
-        total / self.workers.len() as f32
-    }
-
-    /// The fault-path local-update fan-out: only the `up` workers
-    /// (ascending indices) take `steps` local SGD steps; a down worker's
-    /// batch stream does not advance. The iteration counter still moves by
-    /// the nominal `steps`, keeping the paper's iteration axis meaningful,
-    /// and the returned loss is the mean over the workers that actually
-    /// stepped.
-    fn local_fanout_subset(&mut self, steps: usize, up: &[usize]) -> f32 {
-        let _phase = telemetry::span("phase.compute");
-        telemetry::counter("sim.local_steps").add((steps * up.len()) as u64);
-        let mut active: Vec<&mut Worker> = self
-            .workers
-            .iter_mut()
-            .enumerate()
-            .filter(|(i, _)| up.binary_search(i).is_ok())
-            .map(|(_, w)| w)
-            .collect();
-        let total: f32 = active.par_iter_mut().map(|w| w.local_steps(steps)).sum();
         self.iterations += steps as u64;
         total / up.len() as f32
     }
@@ -717,10 +669,11 @@ impl PasgdCluster {
     /// including block momentum and local-momentum resets, and pays one
     /// communication delay.
     pub fn average_now(&mut self) {
+        let everyone = Arc::clone(&self.everyone);
         // A direct averaging call closes whatever local stretch preceded
         // it; treat it as a genuine local-update period for momentum
         // purposes.
-        let bytes = self.average_models(2);
+        let bytes = self.average(2, &everyone);
         let d =
             self.runtime
                 .comm()
@@ -732,10 +685,13 @@ impl PasgdCluster {
         self.rounds += 1;
     }
 
-    /// Collects each worker's averaging message (compressing it when a
-    /// codec is configured), applies the averaging strategy, and
-    /// broadcasts. Returns the round's per-worker payload in bytes — the
-    /// size the communication model charges for.
+    /// The averaging step over the `participants` (ascending worker
+    /// indices, non-empty; the whole cluster except in a degraded round):
+    /// collects each participant's averaging message (compressing it when
+    /// a codec is configured), applies the averaging strategy among them,
+    /// and broadcasts the result to them. Every other worker keeps its
+    /// local — possibly stale — parameters. Returns the round's per-worker
+    /// payload in bytes, the size the communication model charges for.
     ///
     /// The entire path runs over reused flat parameter planes: in steady
     /// state a full-precision round performs no heap allocation. All
@@ -744,36 +700,38 @@ impl PasgdCluster {
     /// per-element float sequence matches the old snapshot-based path
     /// exactly, so full-precision results are bit-identical (golden-trace
     /// test).
-    fn average_models(&mut self, tau: usize) -> f64 {
+    fn average(&mut self, tau: usize, participants: &[usize]) -> f64 {
+        debug_assert!(!participants.is_empty(), "no participants to average");
         let _phase = telemetry::span("phase.average");
         let identity = matches!(self.codec, CodecSpec::Identity);
         let full_average = matches!(self.averaging, AveragingStrategy::FullAverage);
+        let count = participants.len();
         let mut payload_bytes = self.full_payload_bytes as f64;
 
         // Fast path: full-precision full averaging accumulates straight
-        // from the worker models into the reused accumulator — same
+        // from the participants' models into the reused accumulator — same
         // per-element float sequence as staging each worker's plane first
-        // (worker order, then one 1/m scale), minus two plane passes per
-        // worker per round.
+        // (participant order, then one 1/count scale), minus two plane
+        // passes per worker per round.
         if identity && full_average {
-            self.workers[0].copy_params_into(&mut self.accum);
-            for w in &self.workers[1..] {
-                w.add_params_to(&mut self.accum);
+            self.workers[participants[0]].copy_params_into(&mut self.accum);
+            for &i in &participants[1..] {
+                self.workers[i].add_params_to(&mut self.accum);
             }
-            let inv = 1.0 / self.workers.len() as f32;
+            let inv = 1.0 / count as f32;
             for a in self.accum.iter_mut() {
                 *a *= inv;
             }
-            self.broadcast_accum(tau);
+            self.broadcast_accum(tau, participants);
             return payload_bytes;
         }
 
-        // Fill one message plane per worker. Under the identity codec the
-        // parameters are the messages; under a codec each worker encodes
-        // its delta (error feedback included) into its plane.
+        // Fill one message plane per participant. Under the identity codec
+        // the parameters are the messages; under a codec each worker
+        // encodes its delta (error feedback included) into its plane.
         if identity {
-            for (w, plane) in self.workers.iter().zip(self.msg_planes.iter_mut()) {
-                w.copy_params_into(plane);
+            for &i in participants {
+                self.workers[i].copy_params_into(&mut self.msg_planes[i]);
             }
         } else {
             // Codec encode/decode is its own phase nested inside averaging:
@@ -781,9 +739,13 @@ impl PasgdCluster {
             let _codec_phase = telemetry::span("phase.codec");
             let codec = self.codec;
             let mut max_bytes = 0usize;
-            for (w, plane) in self.workers.iter_mut().zip(self.msg_planes.iter_mut()) {
-                let bytes =
-                    w.encode_update_into(&codec, &self.param_sizes, &mut self.scratch, plane);
+            for &i in participants {
+                let bytes = self.workers[i].encode_update_into(
+                    &codec,
+                    &self.param_sizes,
+                    &mut self.scratch,
+                    &mut self.msg_planes[i],
+                );
                 max_bytes = max_bytes.max(bytes);
             }
             payload_bytes = max_bytes as f64;
@@ -792,6 +754,11 @@ impl PasgdCluster {
         if !full_average {
             // Extension strategies (ring gossip, partial participation,
             // elastic averaging) mix in place and are momentum-agnostic.
+            // They run on a compacted view: the participants' planes are
+            // swapped into the leading slots, mixed as a `count`-worker
+            // cluster, and swapped back (reverse order restores the layout
+            // exactly because `slot ≤ participants[slot]` for ascending
+            // indices; with the whole cluster every swap is a no-op).
             //
             // Under a codec, a worker the mix left untouched (e.g. a
             // partial-participation non-participant) must keep its exact
@@ -803,103 +770,6 @@ impl PasgdCluster {
             // still wholly contained in its next delta, and carrying the
             // residual too would double-count it.
             let compressed = !identity;
-            let touched = self
-                .averaging
-                .mix_tracked(&mut self.msg_planes, &mut self.delay_rng);
-            for ((w, plane), touched) in self
-                .workers
-                .iter_mut()
-                .zip(self.msg_planes.iter())
-                .zip(touched)
-            {
-                if touched {
-                    w.load_params_from(plane);
-                } else if compressed {
-                    w.reset_feedback();
-                }
-                if self.momentum.resets_local_at_sync(tau) {
-                    w.reset_momentum();
-                }
-            }
-            return payload_bytes;
-        }
-
-        // Full average of the (reconstructed) messages into the reused
-        // accumulator, in worker order — the shared reduction that keeps
-        // results bit-identical to snapshot averaging.
-        crate::topology::mean_plane_into(
-            &mut self.accum,
-            &self.msg_planes[0],
-            self.msg_planes[1..].iter().map(|p| p.as_slice()),
-            self.workers.len(),
-        );
-        self.broadcast_accum(tau);
-        payload_bytes
-    }
-
-    /// Degraded-round averaging over a strict subset of the cluster: only
-    /// the `participants` (ascending worker indices, non-empty) exchange
-    /// messages and receive the result; every other worker keeps its local
-    /// — possibly stale — parameters. Returns the round's per-worker
-    /// payload bytes.
-    ///
-    /// Mix-based strategies run on a compacted view: the participants'
-    /// message planes are swapped into the leading slots, mixed as a
-    /// `p`-worker cluster, and swapped back (reverse order restores the
-    /// layout exactly because `slot ≤ participants[slot]` for ascending
-    /// indices). Block momentum is rejected for fault-active clusters, so
-    /// there is no global-buffer step here.
-    fn average_subset(&mut self, tau: usize, participants: &[usize]) -> f64 {
-        debug_assert!(!participants.is_empty(), "no participants to average");
-        debug_assert!(participants.len() < self.workers.len());
-        let _phase = telemetry::span("phase.average");
-        let identity = matches!(self.codec, CodecSpec::Identity);
-        let full_average = matches!(self.averaging, AveragingStrategy::FullAverage);
-        let count = participants.len();
-        let mut payload_bytes = self.full_payload_bytes as f64;
-
-        // Fast-path mirror of `average_models`: full-precision full
-        // averaging accumulates the participants straight into the reused
-        // accumulator in participant order.
-        if identity && full_average {
-            self.workers[participants[0]].copy_params_into(&mut self.accum);
-            for &i in &participants[1..] {
-                self.workers[i].add_params_to(&mut self.accum);
-            }
-            let inv = 1.0 / count as f32;
-            for a in self.accum.iter_mut() {
-                *a *= inv;
-            }
-            self.broadcast_accum_to(tau, participants);
-            return payload_bytes;
-        }
-
-        // Fill the participants' message planes (identity copies, codecs
-        // encode the error-feedback-compensated delta).
-        if identity {
-            for &i in participants {
-                let (workers, planes) = (&self.workers, &mut self.msg_planes);
-                workers[i].copy_params_into(&mut planes[i]);
-            }
-        } else {
-            let _codec_phase = telemetry::span("phase.codec");
-            let codec = self.codec;
-            let mut max_bytes = 0usize;
-            let workers = &mut self.workers;
-            let planes = &mut self.msg_planes;
-            let scratch = &mut self.scratch;
-            let param_sizes = &self.param_sizes;
-            for &i in participants {
-                let bytes =
-                    workers[i].encode_update_into(&codec, param_sizes, scratch, &mut planes[i]);
-                max_bytes = max_bytes.max(bytes);
-            }
-            payload_bytes = max_bytes as f64;
-        }
-
-        if !full_average {
-            // Swap-compact, mix as a `count`-worker cluster, swap back.
-            let compressed = !identity;
             for (slot, &i) in participants.iter().enumerate() {
                 self.msg_planes.swap(slot, i);
             }
@@ -909,11 +779,10 @@ impl PasgdCluster {
             for (slot, &i) in participants.iter().enumerate().rev() {
                 self.msg_planes.swap(slot, i);
             }
-            for (slot, &i) in participants.iter().enumerate() {
-                let plane = &self.msg_planes[i];
+            for (&i, touched) in participants.iter().zip(touched) {
                 let w = &mut self.workers[i];
-                if touched[slot] {
-                    w.load_params_from(plane);
+                if touched {
+                    w.load_params_from(&self.msg_planes[i]);
                 } else if compressed {
                     w.reset_feedback();
                 }
@@ -924,8 +793,9 @@ impl PasgdCluster {
             return payload_bytes;
         }
 
-        // Full average of the participants' (reconstructed) messages, in
-        // participant order, through the shared mean reduction.
+        // Full average of the participants' (reconstructed) messages into
+        // the reused accumulator, in participant order — the shared
+        // reduction that keeps results bit-identical to snapshot averaging.
         let planes = &self.msg_planes;
         crate::topology::mean_plane_into(
             &mut self.accum,
@@ -933,25 +803,15 @@ impl PasgdCluster {
             participants[1..].iter().map(|&i| planes[i].as_slice()),
             count,
         );
-        self.broadcast_accum_to(tau, participants);
+        self.broadcast_accum(tau, participants);
         payload_bytes
     }
 
-    /// Broadcasts the accumulator to the `participants` only — the
-    /// degraded-round counterpart of [`PasgdCluster::broadcast_accum`].
-    fn broadcast_accum_to(&mut self, tau: usize, participants: &[usize]) {
-        for &i in participants {
-            let w = &mut self.workers[i];
-            w.load_params_from(&self.accum);
-            if self.momentum.resets_local_at_sync(tau) {
-                w.reset_momentum();
-            }
-        }
-    }
-
     /// Applies block momentum to the averaged plane in `self.accum` (if
-    /// configured) and broadcasts the result to every worker.
-    fn broadcast_accum(&mut self, tau: usize) {
+    /// configured — the constructor rejects it for fault-active clusters,
+    /// so it only ever sees the all-node average of eq. 24) and broadcasts
+    /// the result to the `participants`.
+    fn broadcast_accum(&mut self, tau: usize, participants: &[usize]) {
         let broadcast: &[f32] = match &mut self.block {
             // The global buffer only accumulates over genuine local-update
             // periods; with tau = 1 the scheme degenerates to plain
@@ -966,7 +826,8 @@ impl PasgdCluster {
             }
             None => &self.accum,
         };
-        for w in &mut self.workers {
+        for &i in participants {
+            let w = &mut self.workers[i];
             w.load_params_from(broadcast);
             if self.momentum.resets_local_at_sync(tau) {
                 w.reset_momentum();
@@ -1127,7 +988,9 @@ impl PasgdCluster {
     /// training continues bit-identically to the uninterrupted run.
     ///
     /// Structural mismatches (worker count, plane lengths, block-momentum
-    /// presence, invalid learning rate or codec parameters) return `Err` —
+    /// or fault-state presence, invalid learning rate or codec parameters,
+    /// a codec that disagrees with the workers' sync-reference tracking)
+    /// return `Err` —
     /// callers must treat the cluster as unusable on failure and recompute
     /// from scratch. Evaluation memoization is dropped so no stale cached
     /// figure can survive a restore.
@@ -1154,6 +1017,18 @@ impl PasgdCluster {
         };
         if !codec_ok {
             return Err(format!("invalid checkpointed codec {:?}", ck.codec));
+        }
+        // A lossy codec encodes deltas against each worker's sync
+        // reference and the identity codec keeps none: a frame that
+        // disagrees with the checkpointed codec would panic in the next
+        // round's encode.
+        let lossy = !matches!(ck.codec, CodecSpec::Identity);
+        if let Some(i) = ck.workers.iter().position(|w| w.track_reference != lossy) {
+            return Err(format!(
+                "worker {i} has sync-reference tracking {} under checkpointed codec {:?}",
+                if lossy { "off" } else { "on" },
+                ck.codec
+            ));
         }
         match (&self.block, &ck.block) {
             (Some(_), Some(_)) | (None, None) => {}
@@ -1856,6 +1731,96 @@ mod tests {
         let ck_faulty = faulty.checkpoint();
         assert!(faulty.restore(&ck_plain).is_err());
         assert!(plain.restore(&ck_faulty).is_err());
+    }
+
+    #[test]
+    fn inert_fault_state_matches_fault_free_round() {
+        // An active config that can never change a round — nothing
+        // injected, a quorum of everyone, an unreachable deadline — builds
+        // a fault state and takes every fault-guarded step, yet must land
+        // on the fault-free bits: same models, same clock. (Partial
+        // participation is excluded on purpose: its shuffle shares the
+        // delay stream, whose draw order differs between the two cases —
+        // see `run_round`.)
+        let m = 4;
+        let inert = FaultConfig {
+            spec: FaultSpec::NONE,
+            policy: AggregationPolicy::Quorum {
+                quorum: m,
+                deadline_secs: 1e300,
+            },
+        };
+        assert!(inert.is_active());
+        for averaging in [
+            crate::AveragingStrategy::FullAverage,
+            crate::AveragingStrategy::Ring,
+            crate::AveragingStrategy::Elastic { alpha: 0.5 },
+        ] {
+            let build = |fault| {
+                PasgdCluster::new(
+                    models::mlp_classifier(8, &[16], 3, 11),
+                    GaussianMixture::small_test().generate(3),
+                    RuntimeModel::new(
+                        DelayDistribution::exponential(0.5),
+                        CommModel::constant(0.3),
+                        m,
+                    ),
+                    ClusterConfig {
+                        workers: m,
+                        batch_size: 8,
+                        averaging,
+                        seed: 31,
+                        eval_subset: 64,
+                        fault,
+                        ..ClusterConfig::default()
+                    },
+                )
+            };
+            let mut plain = build(FaultConfig::NONE);
+            let mut guarded = build(inert);
+            for tau in [1, 4, 2, 3] {
+                plain.run_round(tau);
+                guarded.run_round(tau);
+                assert_eq!(
+                    plain.eval_train_loss().to_bits(),
+                    guarded.eval_train_loss().to_bits(),
+                    "{averaging:?}"
+                );
+                assert_eq!(plain.clock().to_bits(), guarded.clock().to_bits());
+            }
+            assert_eq!(guarded.fault_stats(), FaultStats::default());
+            assert_eq!(plain.fault_stats().degraded_rounds, 0);
+            assert!(guarded.checkpoint().fault.is_some());
+            assert!(plain.checkpoint().fault.is_none());
+        }
+    }
+
+    #[test]
+    fn restore_rejects_codec_tracking_mismatch() {
+        // A CRC-valid frame whose codec was rewritten: lossy codec over
+        // workers that hold no sync reference (and the reverse). Both used
+        // to pass restore; the first then panicked in the next encode.
+        let lossy_cluster = || {
+            let mut c = toy_cluster(MomentumMode::None, 1);
+            c.set_codec(CodecSpec::Sign);
+            c
+        };
+        let mut hostile = toy_cluster(MomentumMode::None, 1).checkpoint();
+        hostile.codec = CodecSpec::Sign;
+        let err = lossy_cluster().restore(&hostile).unwrap_err();
+        assert!(err.contains("sync-reference tracking off"), "{err}");
+
+        let mut hostile = lossy_cluster().checkpoint();
+        hostile.codec = CodecSpec::Identity;
+        let err = toy_cluster(MomentumMode::None, 1)
+            .restore(&hostile)
+            .unwrap_err();
+        assert!(err.contains("sync-reference tracking on"), "{err}");
+
+        // The honest frames still restore and run.
+        let mut c = lossy_cluster();
+        c.restore(&lossy_cluster().checkpoint()).expect("restore");
+        c.run_round(2);
     }
 
     #[test]

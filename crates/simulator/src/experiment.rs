@@ -172,7 +172,7 @@ pub fn run_experiment(
     lr_schedule: &LrSchedule,
     config: &ExperimentConfig,
 ) -> RunTrace {
-    match run_experiment_resumable(
+    run_experiment_cancellable(
         model,
         split,
         runtime,
@@ -182,12 +182,10 @@ pub fn run_experiment(
         config,
         None,
         None,
+        None,
     )
     .expect("a fresh run has no checkpoint to reject")
-    {
-        RunOutcome::Completed(trace) => trace,
-        RunOutcome::Checkpointed(_) => unreachable!("no round limit was requested"),
-    }
+    .into_completed()
 }
 
 /// Emits one enriched `"point"` JSONL event to the telemetry sink (if one
@@ -221,11 +219,23 @@ pub enum RunOutcome {
     Completed(RunTrace),
     /// The requested round limit was reached mid-run; the snapshot resumes
     /// the run bit-identically via the `resume` argument of
-    /// [`run_experiment_resumable`].
+    /// [`run_experiment_cancellable`].
     Checkpointed(Box<RunCheckpoint>),
 }
 
-/// [`run_experiment`] with mid-run checkpoint/resume.
+impl RunOutcome {
+    /// The trace of a run that was given neither a round limit nor a stop
+    /// predicate, and therefore cannot have parked.
+    fn into_completed(self) -> RunTrace {
+        match self {
+            RunOutcome::Completed(trace) => trace,
+            RunOutcome::Checkpointed(_) => unreachable!("no round limit was requested"),
+        }
+    }
+}
+
+/// [`run_experiment`] with mid-run checkpoint/resume and a cooperative
+/// stop predicate.
 ///
 /// * `resume` — continue from a [`RunCheckpoint`] instead of starting at
 ///   `t = 0`. The scheduler is `reset()` and fed the checkpoint's exported
@@ -237,45 +247,17 @@ pub enum RunOutcome {
 /// * `stop_after_rounds` — return [`RunOutcome::Checkpointed`] once the
 ///   cluster has completed this many averaging rounds **in total** (resumed
 ///   rounds included), unless the time budget is exhausted first.
+/// * `stop` — polled at every averaging-round boundary (the only points
+///   where the cluster state is checkpointable); once it returns `true`
+///   while simulated time remains, the run returns
+///   [`RunOutcome::Checkpointed`] exactly as if a round limit had been
+///   hit. The checkpoint resumes bit-identically, so a deadline-cancelled
+///   or drain-preempted run loses no work — the predicate only decides
+///   *when* the run parks, never *what* it computes. A run whose final
+///   round exhausts the budget completes normally even if `stop` fires on
+///   the same round.
 ///
 /// Fresh runs (`resume = None`) never return `Err`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_experiment_resumable(
-    model: Network,
-    split: TrainTestSplit,
-    runtime: RuntimeModel,
-    cluster_config: ClusterConfig,
-    scheduler: &mut dyn CommSchedule,
-    lr_schedule: &LrSchedule,
-    config: &ExperimentConfig,
-    resume: Option<&RunCheckpoint>,
-    stop_after_rounds: Option<u64>,
-) -> Result<RunOutcome, String> {
-    run_experiment_cancellable(
-        model,
-        split,
-        runtime,
-        cluster_config,
-        scheduler,
-        lr_schedule,
-        config,
-        resume,
-        stop_after_rounds,
-        None,
-    )
-}
-
-/// [`run_experiment_resumable`] with a cooperative stop predicate.
-///
-/// `stop` is polled at every averaging-round boundary (the only points
-/// where the cluster state is checkpointable); once it returns `true`
-/// while simulated time remains, the run returns
-/// [`RunOutcome::Checkpointed`] exactly as if a round limit had been hit.
-/// The checkpoint resumes bit-identically, so a deadline-cancelled or
-/// drain-preempted run loses no work — the predicate only decides *when*
-/// the run parks, never *what* it computes. A run whose final round
-/// exhausts the budget completes normally even if `stop` fires on the
-/// same round.
 #[allow(clippy::too_many_arguments)]
 pub fn run_experiment_cancellable(
     model: Network,
@@ -497,71 +479,21 @@ impl ExperimentSuite {
         }
     }
 
-    /// Runs one method and returns its trace.
+    /// Runs one method with the suite's configuration and returns its
+    /// trace.
     pub fn run(&self, scheduler: &mut dyn CommSchedule, lr_schedule: &LrSchedule) -> RunTrace {
-        self.run_with_options(scheduler, lr_schedule, None, None)
+        self.run_configured(scheduler, lr_schedule, None, None, None, None, None)
     }
 
-    /// Runs one method with an overridden momentum mode (the momentum
-    /// figures give τ = 1 plain momentum but PASGD block momentum).
-    pub fn run_with_momentum(
-        &self,
-        scheduler: &mut dyn CommSchedule,
-        lr_schedule: &LrSchedule,
-        momentum: MomentumMode,
-    ) -> RunTrace {
-        self.run_with_options(scheduler, lr_schedule, Some(momentum), None)
-    }
-
-    /// Runs one method with a fixed gradient-compression codec applied to
-    /// every averaging message (the compression-sweep harness).
-    pub fn run_with_codec(
-        &self,
-        scheduler: &mut dyn CommSchedule,
-        lr_schedule: &LrSchedule,
-        codec: CodecSpec,
-    ) -> RunTrace {
-        let mut cluster_config = self.cluster_config.clone();
-        cluster_config.codec = codec;
-        run_experiment(
-            self.model.clone(),
-            self.split.clone(),
-            self.runtime,
-            cluster_config,
-            scheduler,
-            lr_schedule,
-            &self.experiment_config,
-        )
-    }
-
-    /// Runs one method with optional per-run overrides.
-    ///
-    /// `gate_lr_on_tau` matters because the paper's "decay τ to 1 before
-    /// decaying η" policy (Section 4.3.2) applies to the *adaptive* method;
-    /// fixed-τ baselines decay the learning rate at the scheduled epochs
-    /// unconditionally.
-    pub fn run_with_options(
-        &self,
-        scheduler: &mut dyn CommSchedule,
-        lr_schedule: &LrSchedule,
-        momentum: Option<MomentumMode>,
-        gate_lr_on_tau: Option<bool>,
-    ) -> RunTrace {
-        self.run_configured(
-            scheduler,
-            lr_schedule,
-            momentum,
-            gate_lr_on_tau,
-            None,
-            None,
-            None,
-        )
-    }
-
-    /// The fully-general run entry point: every per-run override in one
-    /// place. `None` keeps the suite's configured value. This is what the
-    /// bench crate's sweep engine calls to execute a declarative
-    /// `SweepSpec`; the narrower `run_*` helpers all delegate here.
+    /// Runs one method with per-run overrides; `None` keeps the suite's
+    /// configured value. `momentum` exists because the momentum figures
+    /// give τ = 1 plain momentum but PASGD block momentum; `gate_lr_on_tau`
+    /// because the paper's "decay τ to 1 before decaying η" policy
+    /// (Section 4.3.2) applies to the *adaptive* method, while fixed-τ
+    /// baselines decay the learning rate at the scheduled epochs
+    /// unconditionally; `codec` applies one gradient-compression codec to
+    /// every averaging message; `budget` is `(total_secs,
+    /// record_every_secs)`.
     #[allow(clippy::too_many_arguments)]
     pub fn run_configured(
         &self,
@@ -573,42 +505,6 @@ impl ExperimentSuite {
         budget: Option<(f64, f64)>,
         fault: Option<FaultConfig>,
     ) -> RunTrace {
-        match self
-            .run_configured_resumable(
-                scheduler,
-                lr_schedule,
-                momentum,
-                gate_lr_on_tau,
-                codec,
-                budget,
-                fault,
-                None,
-                None,
-            )
-            .expect("a fresh run has no checkpoint to reject")
-        {
-            RunOutcome::Completed(trace) => trace,
-            RunOutcome::Checkpointed(_) => unreachable!("no round limit was requested"),
-        }
-    }
-
-    /// [`ExperimentSuite::run_configured`] with mid-run checkpoint/resume —
-    /// see [`run_experiment_resumable`] for the `resume` /
-    /// `stop_after_rounds` semantics. A resumed run must pass the same
-    /// overrides as the run that produced the checkpoint.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_configured_resumable(
-        &self,
-        scheduler: &mut dyn CommSchedule,
-        lr_schedule: &LrSchedule,
-        momentum: Option<MomentumMode>,
-        gate_lr_on_tau: Option<bool>,
-        codec: Option<CodecSpec>,
-        budget: Option<(f64, f64)>,
-        fault: Option<FaultConfig>,
-        resume: Option<&RunCheckpoint>,
-        stop_after_rounds: Option<u64>,
-    ) -> Result<RunOutcome, String> {
         self.run_configured_cancellable(
             scheduler,
             lr_schedule,
@@ -617,16 +513,22 @@ impl ExperimentSuite {
             codec,
             budget,
             fault,
-            resume,
-            stop_after_rounds,
+            None,
+            None,
             None,
         )
+        .expect("a fresh run has no checkpoint to reject")
+        .into_completed()
     }
 
-    /// [`ExperimentSuite::run_configured_resumable`] with a cooperative
-    /// stop predicate — see [`run_experiment_cancellable`]. This is the
-    /// entry point the sweep service uses for deadline- and
-    /// drain-preemptible runs.
+    /// [`ExperimentSuite::run_configured`] with mid-run checkpoint/resume
+    /// and a cooperative stop predicate — see
+    /// [`run_experiment_cancellable`] for the `resume` /
+    /// `stop_after_rounds` / `stop` semantics. A resumed run must pass the
+    /// same overrides as the run that produced the checkpoint. This is the
+    /// entry point the sweep engine executes a declarative `SweepSpec`
+    /// through, and the one the sweep service's deadline- and
+    /// drain-preemptible runs use.
     #[allow(clippy::too_many_arguments)]
     pub fn run_configured_cancellable(
         &self,
@@ -828,10 +730,14 @@ mod tests {
     fn momentum_override_applies() {
         let suite = quick_suite(6);
         let plain = suite.run(&mut FixedComm::new(4), &adacomm::LrSchedule::constant(0.05));
-        let block = suite.run_with_momentum(
+        let block = suite.run_configured(
             &mut FixedComm::new(4),
             &adacomm::LrSchedule::constant(0.05),
-            MomentumMode::paper_block(),
+            Some(MomentumMode::paper_block()),
+            None,
+            None,
+            None,
+            None,
         );
         assert_ne!(plain, block, "momentum must change the trajectory");
     }

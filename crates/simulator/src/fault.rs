@@ -27,8 +27,15 @@
 //! captured in [`FaultCheckpoint`] so a resumed run replays bit-identically
 //! even when a fault fires in the round straddling the checkpoint. A
 //! [`FaultConfig`] that [`FaultConfig::is_active`] returns `false` for is
-//! **provably a no-op**: the cluster never constructs the fault state and
-//! takes the exact pre-fault code path with zero extra RNG draws.
+//! **provably a no-op**: the cluster never constructs the fault state, so
+//! the one round path ([`PasgdCluster::run_round`](crate::PasgdCluster::run_round))
+//! runs over the everyone-list with zero fault-RNG draws and the delay
+//! stream in its fault-free order (mix, compute times, comm delay; a
+//! fault state draws the compute times first, because its participant set
+//! depends on them). The three golden-trace fixtures in
+//! `tests/golden_trace.rs` prove both halves: the fault-free quick fixture
+//! predates the fault layer, and the fault-active one was recorded from
+//! the separate faulty round path this module once had.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -248,8 +255,8 @@ impl FaultConfig {
     };
 
     /// Whether this configuration changes cluster behaviour at all. When
-    /// `false` the cluster takes the exact fault-free code path with zero
-    /// extra RNG draws.
+    /// `false` the cluster builds no fault state: every round covers the
+    /// whole cluster, with zero extra RNG draws.
     pub fn is_active(&self) -> bool {
         !self.spec.is_noop() || self.policy != AggregationPolicy::FullBarrier
     }
@@ -372,6 +379,57 @@ impl FaultState {
         }
         self.stats.crashes += crashed;
         crashed
+    }
+
+    /// Straggler spikes for one round: one Bernoulli draw per up worker in
+    /// worker order (none at all when the probability is zero); a hit
+    /// multiplies that worker's compute time by the spike factor. Returns
+    /// the number of spikes applied.
+    pub(crate) fn spike_stragglers(
+        &mut self,
+        spec: &FaultSpec,
+        up: &[usize],
+        times: &mut [f64],
+    ) -> u64 {
+        let mut stragglers = 0;
+        if spec.straggler_prob > 0.0 {
+            for &i in up {
+                if self.rng.gen_bool(spec.straggler_prob) {
+                    times[i] *= spec.straggler_factor;
+                    stragglers += 1;
+                }
+            }
+        }
+        self.stats.stragglers += stragglers;
+        stragglers
+    }
+
+    /// Transport faults for one round: each of the `participants` uploads
+    /// may be dropped or corrupted in flight (one draw of each kind per
+    /// participant; none at all when both probabilities are zero). The
+    /// transport detects every loss and retransmits, so the round's average
+    /// is unaffected and the caller charges one extra communication delay
+    /// per loss. Returns `(drops, corruptions)`.
+    pub(crate) fn draw_upload_losses(
+        &mut self,
+        spec: &FaultSpec,
+        participants: usize,
+    ) -> (u64, u64) {
+        let (mut drops, mut corruptions) = (0, 0);
+        if spec.drop_prob > 0.0 || spec.corrupt_prob > 0.0 {
+            for _ in 0..participants {
+                if self.rng.gen_bool(spec.drop_prob) {
+                    drops += 1;
+                }
+                if self.rng.gen_bool(spec.corrupt_prob) {
+                    corruptions += 1;
+                }
+            }
+        }
+        self.stats.drops += drops;
+        self.stats.corruptions += corruptions;
+        self.stats.retransmits += drops + corruptions;
+        (drops, corruptions)
     }
 
     /// Updates the staleness table after a round: participants reset to

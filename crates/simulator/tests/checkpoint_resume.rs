@@ -60,7 +60,7 @@ fn assert_resume_is_bit_identical<S, F>(
     let lr = LrSchedule::constant(0.05);
     let mut golden_sched = make_scheduler();
     let golden = match suite
-        .run_configured_resumable(
+        .run_configured_cancellable(
             &mut golden_sched,
             &lr,
             momentum,
@@ -68,6 +68,7 @@ fn assert_resume_is_bit_identical<S, F>(
             codec,
             None,
             fault,
+            None,
             None,
             None,
         )
@@ -79,7 +80,7 @@ fn assert_resume_is_bit_identical<S, F>(
 
     let mut interrupted_sched = make_scheduler();
     let ck = match suite
-        .run_configured_resumable(
+        .run_configured_cancellable(
             &mut interrupted_sched,
             &lr,
             momentum,
@@ -89,6 +90,7 @@ fn assert_resume_is_bit_identical<S, F>(
             fault,
             None,
             Some(stop_rounds),
+            None,
         )
         .unwrap()
     {
@@ -112,7 +114,7 @@ fn assert_resume_is_bit_identical<S, F>(
     // A *fresh* scheduler instance: resume imports the exported state.
     let mut resumed_sched = make_scheduler();
     let resumed = match suite
-        .run_configured_resumable(
+        .run_configured_cancellable(
             &mut resumed_sched,
             &lr,
             momentum,
@@ -121,6 +123,7 @@ fn assert_resume_is_bit_identical<S, F>(
             None,
             fault,
             Some(&decoded),
+            None,
             None,
         )
         .unwrap()
@@ -229,11 +232,22 @@ fn resume_at_different_rounds_always_matches() {
 fn corrupted_checkpoint_is_rejected_by_the_driver() {
     let s = suite(6, MomentumMode::None);
     let lr = LrSchedule::constant(0.05);
-    let mut sched = FixedComm::new(4);
-    let ck = match s
-        .run_configured_resumable(&mut sched, &lr, None, None, None, None, None, None, Some(3))
-        .unwrap()
-    {
+    // A fresh scheduler per attempt, no overrides.
+    let attempt = |resume: Option<&RunCheckpoint>, stop_after_rounds| {
+        s.run_configured_cancellable(
+            &mut FixedComm::new(4),
+            &lr,
+            None,
+            None,
+            None,
+            None,
+            None,
+            resume,
+            stop_after_rounds,
+            None,
+        )
+    };
+    let ck = match attempt(None, Some(3)).unwrap() {
         RunOutcome::Checkpointed(ck) => ck,
         RunOutcome::Completed(_) => panic!("run finished before round 3"),
     };
@@ -242,54 +256,15 @@ fn corrupted_checkpoint_is_rejected_by_the_driver() {
     // onto a different cluster shape.
     let mut wrong = (*ck).clone();
     wrong.cluster.workers.pop();
-    let mut sched2 = FixedComm::new(4);
-    assert!(s
-        .run_configured_resumable(
-            &mut sched2,
-            &lr,
-            None,
-            None,
-            None,
-            None,
-            None,
-            Some(&wrong),
-            None
-        )
-        .is_err());
+    assert!(attempt(Some(&wrong), None).is_err());
 
     // Mismatched parameter plane inside one worker.
     let mut bad_params = (*ck).clone();
     bad_params.cluster.workers[0].params.pop();
-    let mut sched3 = FixedComm::new(4);
-    assert!(s
-        .run_configured_resumable(
-            &mut sched3,
-            &lr,
-            None,
-            None,
-            None,
-            None,
-            None,
-            Some(&bad_params),
-            None
-        )
-        .is_err());
+    assert!(attempt(Some(&bad_params), None).is_err());
 
     // The original checkpoint still resumes fine afterwards.
-    let mut sched4 = FixedComm::new(4);
-    assert!(s
-        .run_configured_resumable(
-            &mut sched4,
-            &lr,
-            None,
-            None,
-            None,
-            None,
-            None,
-            Some(&ck),
-            None
-        )
-        .is_ok());
+    assert!(attempt(Some(&ck), None).is_ok());
 }
 
 // ---------------------------------------------------------------------------
