@@ -1,8 +1,9 @@
 //! Criterion benchmarks over the figure-regeneration computations — each
 //! group times the core computation behind one analytic figure, so
 //! `cargo bench` both exercises and times the reproduction paths.
-//! (The training figures 9–13 are regenerated by the standalone binaries;
-//! benchmarking multi-minute training runs under Criterion is not useful.)
+//! (The training figures 9–13 are regenerated by `reproduce_all --only
+//! <name>`; benchmarking multi-minute training runs under Criterion is not
+//! useful.)
 //!
 //! ```sh
 //! cargo bench -p adacomm-bench --bench figures

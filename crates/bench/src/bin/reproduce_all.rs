@@ -7,18 +7,23 @@
 //!     [--trace DIR] [--json] [--inject-panic SUBSTR]
 //! ```
 //!
-//! Unlike the old driver (which shelled out to the 21 standalone binaries
-//! one after another), this collects every figure's declared sweep specs
-//! into one table, executes the deduplicated union as a single
-//! run-parallel wave on the in-process sweep engine, then renders all
-//! figures concurrently — each figure's assertions still run, each
-//! figure's output prints un-interleaved in registry order, and identical
-//! runs shared between figures (all 16 of Table 1's, for instance)
-//! simulate exactly once.
+//! This is the only figure command line — there is no per-figure binary;
+//! one figure is `--only <its registry name>`. It collects every selected
+//! figure's declared sweep specs into one table, executes the
+//! deduplicated union as a single run-parallel wave on the in-process
+//! sweep engine, then renders all figures concurrently — each figure's
+//! assertions still run, each figure's output prints un-interleaved in
+//! registry order, and identical runs shared between figures (all 16 of
+//! Table 1's, for instance) simulate exactly once.
 //!
 //! * `--only SUBSTR` reproduces just the figures whose name contains
-//!   `SUBSTR` (e.g. `--only fig09`, `--only ablation`), so partial
-//!   reproductions don't pay for the full sweep.
+//!   `SUBSTR` (e.g. `--only fig09_vgg_adacomm` for one figure — no
+//!   registry name contains another — or `--only ablation` for a family),
+//!   so partial reproductions don't pay for the full sweep. Matching
+//!   nothing is a usage error (exit 2).
+//! * Anything that is not a flag listed here or the value of one, and a
+//!   value flag without its value, is a usage error (exit 2): a typo must
+//!   never fall through to the full reproduction.
 //! * `--sequential` / `--parallel` force the engine mode (the default is
 //!   parallel exactly when the machine has more than one executor);
 //!   `results/*.csv` are bit-identical across modes (the determinism
@@ -43,9 +48,11 @@
 //!   every cached run from disk — byte-identical CSVs in seconds instead
 //!   of minutes. `--no-cache` runs fully cold without reading or writing
 //!   the store; deleting the cache directory is always safe. The store's
-//!   lockfile makes cache writers mutually exclusive: a reproduction
-//!   against a cache a `sweepd` daemon is serving out of fails fast
-//!   (exit 1, naming the holder) instead of interleaving writes.
+//!   lock makes cache writers mutually exclusive: a reproduction against
+//!   a cache a `sweepd` daemon is serving out of fails fast (exit 1,
+//!   naming the holder) instead of interleaving writes. A run a daemon
+//!   left parked mid-way in that cache is continued from its checkpoint
+//!   (bit-identically), not recomputed beside it.
 //! * Every sweep run executes under the supervisor (panic isolation,
 //!   bounded seeded retry, optional per-run deadline). A run that fails
 //!   terminally degrades the reproduction to a **partial-results
@@ -61,7 +68,7 @@
 //! written to stdout in one call, so nothing a figure, the engine, or the
 //! telemetry layer prints can interleave mid-line with the report.
 
-use adacomm_bench::figures::reproduce_with_trace;
+use adacomm_bench::figures::{registry, reproduce_with_trace};
 use adacomm_bench::{sayln, RunStore, Scale, SweepEngine, Table};
 use std::io::Write;
 
@@ -71,6 +78,7 @@ usage: reproduce_all [--full|--smoke] [--only SUBSTR] [--sequential|--parallel]
 
   --full / --smoke      scale selection (default: quick)
   --only SUBSTR         reproduce only figures whose name contains SUBSTR
+                        (a full registry name selects exactly that figure)
   --sequential          force the sequential engine
   --parallel            force the parallel engine
   --no-cache            ignore the persistent run store entirely
@@ -83,23 +91,51 @@ usage: reproduce_all [--full|--smoke] [--only SUBSTR] [--sequential|--parallel]
                         a partial-results report and exits non-zero)
   --help                print this help";
 
+/// Flags that take a value, with what the value is (for the error).
+const VALUE_FLAGS: [(&str, &str); 3] = [
+    ("--only", "a figure name or substring"),
+    ("--trace", "a directory argument"),
+    ("--inject-panic", "a substring argument"),
+];
+
+const SWITCHES: [&str; 6] = [
+    "--full",
+    "--smoke",
+    "--sequential",
+    "--parallel",
+    "--no-cache",
+    "--json",
+];
+
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!("{USAGE}");
         return;
     }
-    let scale = Scale::from_env_and_args();
-    let trace_dir = args
-        .iter()
-        .position(|a| a == "--trace")
-        .map(|i| match args.get(i + 1) {
-            Some(dir) if !dir.starts_with("--") => std::path::PathBuf::from(dir),
-            _ => {
-                eprintln!("--trace requires a directory argument");
-                std::process::exit(2);
+    // Every argument must be a known flag or the value of one: this is the
+    // only figure CLI, so `--ony fig09` must not run all 22 figures.
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if let Some((flag, what)) = VALUE_FLAGS.iter().find(|(flag, _)| flag == arg) {
+            if rest.next().is_none_or(|value| value.starts_with("--")) {
+                usage_error(&format!("{flag} requires {what}"));
             }
-        });
+        } else if !SWITCHES.contains(&arg.as_str()) {
+            usage_error(&format!("unknown argument {arg:?}"));
+        }
+    }
+    let value_of = |flag: &str| {
+        let at = args.iter().position(|a| a == flag)?;
+        Some(args[at + 1].as_str())
+    };
+    let scale = Scale::from_env_and_args();
+    let trace_dir = value_of("--trace").map(std::path::PathBuf::from);
     if trace_dir.is_some() && !telemetry::is_enabled() {
         eprintln!(
             "--trace requires the `trace` feature (this binary was built with \
@@ -137,20 +173,13 @@ fn main() {
     } else {
         adacomm_bench::sweep::hardware_parallelism()
     };
-    let only = args
-        .iter()
-        .position(|a| a == "--only")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    if let Some(substr) = args
-        .iter()
-        .position(|a| a == "--inject-panic")
-        .and_then(|i| args.get(i + 1))
-    {
-        if substr.starts_with("--") {
-            eprintln!("--inject-panic requires a substring argument");
-            std::process::exit(2);
+    let only = value_of("--only");
+    if let Some(needle) = only {
+        if !registry().iter().any(|f| f.name.contains(needle)) {
+            usage_error(&format!("no figure matches --only {needle:?}"));
         }
+    }
+    if let Some(substr) = value_of("--inject-panic") {
         adacomm_bench::supervisor::inject_panics(substr, u32::MAX);
         eprintln!("fault drill: every supervised run matching {substr:?} will panic");
     }
@@ -163,9 +192,7 @@ fn main() {
         out,
         "reproduce_all (scale {scale}, {} engine{}{})",
         if parallel { "parallel" } else { "sequential" },
-        only.as_deref()
-            .map(|o| format!(", only *{o}*"))
-            .unwrap_or_default(),
+        only.map(|o| format!(", only *{o}*")).unwrap_or_default(),
         trace_dir
             .as_deref()
             .map(|d| format!(", tracing to {}", d.display()))
@@ -174,10 +201,10 @@ fn main() {
 
     // Persistent memoization unless --no-cache: the store must be set up
     // after the --smoke results redirect so a smoke cache never mixes
-    // with the quick-scale one. The store's lockfile excludes concurrent
+    // with the quick-scale one. The store's lock excludes concurrent
     // writers — most importantly a running `sweepd` serving out of the
-    // same cache — instead of interleaving their writes; a lock left by
-    // a crashed process is reclaimed automatically.
+    // same cache — instead of interleaving their writes; the kernel
+    // releases it however the holder ends.
     let mut engine = SweepEngine::with_parallelism(parallel);
     let mut _store_lock = None;
     if !args.iter().any(|a| a == "--no-cache") {
@@ -196,8 +223,7 @@ fn main() {
         engine = engine.with_store(store);
     }
     let before = telemetry::snapshot();
-    let outcome = match reproduce_with_trace(scale, &engine, only.as_deref(), trace_dir.as_deref())
-    {
+    let outcome = match reproduce_with_trace(scale, &engine, only, trace_dir.as_deref()) {
         Ok(outcome) => outcome,
         Err(e) => {
             eprintln!("failed to write telemetry trace: {e}");
@@ -207,11 +233,6 @@ fn main() {
     let phase_delta = telemetry::snapshot().delta_since(&before);
     let warnings = engine.take_warnings();
     let run_failures = engine.run_failures();
-
-    if outcome.figures.is_empty() {
-        eprintln!("no figure matches --only {:?}", only.as_deref());
-        std::process::exit(2);
-    }
 
     let cache = engine.cache_stats();
     if json_mode {

@@ -16,12 +16,12 @@
 //! Lifecycle and failure semantics live in `adacomm_bench::server`; this
 //! binary adds the process glue:
 //!
-//! * **Store lock** — the daemon holds the run store's lockfile for its
+//! * **Store lock** — the daemon holds the run store's lock for its
 //!   whole lifetime, so a concurrent batch `reproduce_all` against the
-//!   same cache fails fast instead of interleaving writes. A lock left
-//!   by a crashed daemon is reclaimed automatically (pid liveness), and
-//!   the reclaim itself is race-free: two restarting daemons contending
-//!   for one dead lock produce exactly one winner.
+//!   same cache fails fast instead of interleaving writes. It is the
+//!   kernel's advisory lock on the store's `.lock` file: a crashed
+//!   daemon cannot leave it held, and two restarting daemons contending
+//!   for it produce exactly one winner.
 //! * **Crash recovery** — before serving, the daemon garbage-collects
 //!   orphaned temp files and aged parked frames from the store, then
 //!   replays the crash-consistency journal: every request a killed
@@ -32,9 +32,10 @@
 //!   queued requests with `draining`, park in-flight runs resumably,
 //!   flush telemetry, remove the socket, exit 0. The `shutdown` protocol
 //!   command takes the identical path.
-//! * **`--park-every-rounds N`** — long runs park a resumable checkpoint
-//!   every N simulated rounds (default 256), bounding how much progress
-//!   a `SIGKILL` can destroy to one slice.
+//! * **`--park-every-rounds N`** — long runs, whether requested by
+//!   `run` or by a `figure` body, park a resumable checkpoint every N
+//!   simulated rounds (default 256), bounding how much progress a
+//!   `SIGKILL` can destroy to one slice.
 //! * **`ADACOMM_FAILPOINTS`** — seeded fault-injection sites for chaos
 //!   drills (see `adacomm_bench::failpoint`); unknown names are a usage
 //!   error at startup, not a silent no-op.
@@ -154,8 +155,8 @@ fn main() {
     // The engine owns the store; the daemon holds the store's lockfile
     // for its whole lifetime so batch writers against the same cache
     // fail fast instead of interleaving. Dropped (= released) on every
-    // exit path below; a SIGKILL leaves a stale lock the next locker
-    // reclaims via pid liveness.
+    // exit path below; after a SIGKILL the kernel releases it, so the
+    // restarted daemon locks at once.
     let mut engine = SweepEngine::default();
     let mut _store_lock = None;
     let mut journal_path = None;

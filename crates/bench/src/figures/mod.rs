@@ -1,5 +1,6 @@
 //! The figure registry: every paper figure/table/ablation/extension as a
-//! library entry.
+//! library entry. A figure is a module here plus one [`registry`] entry —
+//! there is no per-figure binary; `reproduce_all --only <name>` runs one.
 //!
 //! Each figure is a pair of hooks:
 //!
@@ -14,6 +15,10 @@
 //! Figures write *all* of their stdout into the `out` buffer so that
 //! concurrently-executing figures never interleave; `reproduce_all`
 //! prints the buffers in registry order.
+//!
+//! [`run_figure`] is the one way a figure body executes — for
+//! [`reproduce`], for a `figure` request served by `sweepd`, and for the
+//! daemon's journal recovery alike.
 
 use crate::sweep::{SweepEngine, SweepSpec};
 use crate::Scale;
@@ -68,8 +73,9 @@ pub(crate) fn append_tau_trace(out: &mut String, trace: &pasgd_sim::RunTrace) {
 
 /// One reproduction target.
 pub struct Figure {
-    /// Stable name, matching the standalone binary (`--only` filters on
-    /// substrings of this).
+    /// Stable name: what `reproduce_all --only` filters on (by substring;
+    /// no name contains another, so a full name selects one figure), what
+    /// a `sweepd` `figure` request names, and the stem of the CSVs.
     pub name: &'static str,
     /// The sweep specs this figure contributes to the central table.
     pub specs: fn(Scale) -> Vec<SweepSpec>,
@@ -334,94 +340,139 @@ pub fn reproduce_with_trace(
     let sweep_secs = start.elapsed().as_secs_f64();
     write_window(trace_dir, "sweep_wave", sweep_secs)?;
 
-    // Phase 2: figure bodies (rendering + the non-declarable runs).
-    struct Job {
-        name: &'static str,
-        run: fn(Scale, &SweepEngine, &mut String) -> std::io::Result<()>,
-        outcome: Option<FigureOutcome>,
-    }
-    let mut jobs: Vec<Job> = figures
+    // Phase 2: figure bodies (rendering + the non-declarable runs), each
+    // filling in its own outcome.
+    let mut outcomes: Vec<FigureOutcome> = figures
         .iter()
-        .map(|f| Job {
+        .map(|f| FigureOutcome {
             name: f.name,
-            run: f.run,
-            outcome: None,
+            output: String::new(),
+            wall_secs: 0.0,
+            failure: None,
         })
         .collect();
-    let exec = |job: &mut Job| {
+    let exec = |outcome: &mut FigureOutcome| {
         let t0 = Instant::now();
-        let mut output = String::new();
-        let failure = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _phase = telemetry::span("phase.figure_render");
-            (job.run)(scale, engine, &mut output)
-        })) {
-            Ok(Ok(())) => None,
-            Ok(Err(e)) => Some(format!("I/O error: {e}")),
-            Err(panic) => Some(
-                panic
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "panicked".to_string()),
-            ),
-        };
-        job.outcome = Some(FigureOutcome {
-            name: job.name,
-            output,
-            wall_secs: t0.elapsed().as_secs_f64(),
-            failure,
-        });
+        let _phase = telemetry::span("phase.figure_render");
+        outcome.failure = run_figure(outcome.name, scale, engine, &mut outcome.output)
+            .err()
+            .map(|e| e.to_string());
+        outcome.wall_secs = t0.elapsed().as_secs_f64();
     };
     if trace_dir.is_some() {
-        for job in jobs.iter_mut() {
-            exec(job);
-            let wall = job
-                .outcome
-                .as_ref()
-                .map(|o| o.wall_secs)
-                .unwrap_or_default();
-            write_window(trace_dir, job.name, wall)?;
+        for outcome in outcomes.iter_mut() {
+            exec(outcome);
+            write_window(trace_dir, outcome.name, outcome.wall_secs)?;
         }
     } else if engine.is_parallel() {
-        jobs.par_iter_mut().with_max_len(1).for_each(exec);
+        outcomes.par_iter_mut().with_max_len(1).for_each(exec);
     } else {
-        jobs.iter_mut().for_each(exec);
+        outcomes.iter_mut().for_each(exec);
     }
 
     Ok(ReproOutcome {
-        figures: jobs
-            .into_iter()
-            .map(|j| j.outcome.expect("figure job executed"))
-            .collect(),
+        figures: outcomes,
         sweep_secs,
         total_secs: start.elapsed().as_secs_f64(),
         unique_runs: engine.unique_runs(),
     })
 }
 
-/// Entry point for the standalone figure binaries: resolves the scale from
-/// env/args, runs the named figure on a fresh parallel engine, and prints
-/// its report.
-///
-/// # Panics
-///
-/// Panics if `name` is not in the registry.
+/// Why [`run_figure`] did not produce a figure.
+#[derive(Debug)]
+pub enum FigureError {
+    /// No registry entry has this name.
+    Unknown(String),
+    /// The figure's CSV writing failed.
+    Io(io::Error),
+    /// The figure body panicked — a failed reproduction assertion, or a
+    /// run that failed terminally under the engine's supervisor — with
+    /// the panic message.
+    Panicked(String),
+}
+
+impl std::fmt::Display for FigureError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FigureError::Unknown(name) => write!(f, "unknown figure \"{name}\""),
+            FigureError::Io(e) => write!(f, "I/O error: {e}"),
+            FigureError::Panicked(message) => f.write_str(message),
+        }
+    }
+}
+
+/// Runs the registry figure `name` against `engine`, panic-isolated:
+/// its report lands in `out` (whatever it wrote before a failure
+/// included) and its CSVs in the active results directory. Every caller
+/// that executes a figure body goes through here.
 ///
 /// # Errors
 ///
-/// Propagates the figure's I/O errors (CSV writing).
-pub fn run_standalone(name: &str) -> io::Result<()> {
+/// [`FigureError`]: the name is not in the registry, a CSV could not be
+/// written, or the body panicked.
+pub fn run_figure(
+    name: &str,
+    scale: Scale,
+    engine: &SweepEngine,
+    out: &mut String,
+) -> Result<(), FigureError> {
     let figure = registry()
         .into_iter()
         .find(|f| f.name == name)
-        .unwrap_or_else(|| panic!("unknown figure {name}"));
-    let scale = Scale::from_env_and_args();
-    if scale.is_smoke() {
-        crate::report::set_results_subdir("smoke");
+        .ok_or_else(|| FigureError::Unknown(name.to_string()))?;
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        (figure.run)(scale, engine, out)
+    }))
+    .map_err(|panic| FigureError::Panicked(crate::supervisor::panic_message(panic)))?
+    .map_err(FigureError::Io)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::supervisor::SupervisorPolicy;
+
+    /// `reproduce_all --only <full name>` is the single-figure command
+    /// line, and `--only` matches by substring.
+    #[test]
+    fn no_registry_name_contains_another() {
+        let names: Vec<&str> = registry().iter().map(|f| f.name).collect();
+        for a in &names {
+            let matched: Vec<&&str> = names.iter().filter(|b| b.contains(a)).collect();
+            assert_eq!(matched, [a], "--only {a} must select exactly {a}");
+        }
     }
-    let engine = SweepEngine::new();
-    let mut out = String::new();
-    (figure.run)(scale, &engine, &mut out)?;
-    print!("{out}");
-    Ok(())
+
+    #[test]
+    fn run_figure_reports_unknown_healthy_and_panicked() {
+        crate::report::set_results_subdir("tests");
+        // No run meets a zero deadline, so every engine request fails
+        // terminally and the requesting figure body panics with the reason.
+        let doomed = SweepEngine::with_parallelism(false).with_supervisor(SupervisorPolicy {
+            deadline: Some(std::time::Duration::ZERO),
+            ..SupervisorPolicy::default()
+        });
+        let mut out = String::new();
+
+        let err = run_figure("fig04", Scale::Smoke, &doomed, &mut out).unwrap_err();
+        assert!(matches!(&err, FigureError::Unknown(name) if name == "fig04"));
+        assert_eq!(err.to_string(), "unknown figure \"fig04\"");
+        assert!(out.is_empty(), "an unknown figure renders nothing");
+
+        // Analytic: asks the engine for nothing, so it is healthy here.
+        run_figure("fig04_speedup", Scale::Smoke, &doomed, &mut out).expect("healthy figure");
+        assert!(out.contains("Figure 4") && out.contains("[saved "), "{out}");
+
+        out.clear();
+        match run_figure("fig01_concept", Scale::Smoke, &doomed, &mut out) {
+            Err(FigureError::Panicked(message)) => {
+                assert!(message.contains("deadline exceeded"), "{message}")
+            }
+            other => panic!("expected a panicked figure, got {other:?}"),
+        }
+        assert!(
+            out.starts_with("Figure 1"),
+            "what the body wrote before it failed is kept: {out:?}"
+        );
+    }
 }

@@ -1,13 +1,19 @@
-//! Shared harness utilities for the figure/table reproduction binaries.
+//! The reproduction harness: every figure and table of the paper as a
+//! library entry, and the machinery that runs them.
 //!
-//! Every binary in `src/bin/` regenerates one figure or table of the paper
-//! and prints the same series/rows the paper reports, plus a CSV dump under
-//! `results/`. This library holds the common pieces: the smoke/quick/full
-//! scale switch, canonical experiment scenarios, the declarative sweep
-//! engine that executes runs concurrently in-process ([`sweep`]), the
-//! persistent content-addressed run store that memoizes traces across
-//! processes ([`store`]), the figure registry ([`figures`]), and
-//! plain-text reporting.
+//! Each entry of the figure registry ([`figures`]) regenerates one figure
+//! or table: it prints the same series/rows the paper reports and writes a
+//! CSV under `results/`. There is one way to execute a figure
+//! ([`figures::run_figure`]) and one way to execute a run
+//! ([`SweepEngine::try_trace_cancellable`]; a batch run is its
+//! never-cancelled case), whoever asks: `src/bin/` holds exactly six
+//! binaries — `reproduce_all` (the figure command line; one figure is
+//! `--only <name>`), the `sweepd`/`sweepctl` service pair, and the
+//! `perf_suite`/`load_suite`/`obs_report` tools — and none per figure.
+//! Around them: the smoke/quick/full scale switch, canonical experiment
+//! scenarios, the declarative sweep engine that executes runs concurrently
+//! in-process ([`sweep`]), the persistent content-addressed run store that
+//! memoizes traces across processes ([`store`]), and plain-text reporting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,5 +1,4 @@
-//! Plain-text tables, ASCII series plots and CSV output for the figure
-//! binaries.
+//! Plain-text tables, ASCII series plots and CSV output for the figures.
 
 use std::fmt::Write as _;
 use std::fs;

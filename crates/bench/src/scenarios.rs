@@ -1,4 +1,4 @@
-//! Canonical experiment scenarios shared by the figure binaries.
+//! Canonical experiment scenarios shared by the figures.
 //!
 //! Each paper figure compares the same model/dataset/delay profile across
 //! schedulers; these builders centralise that configuration so Figures

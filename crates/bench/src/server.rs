@@ -34,9 +34,10 @@
 //! * **Single-flight dedup** — concurrent requests for the same
 //!   content-addressed spec key attach to one in-flight computation and
 //!   all receive its result; only the first occupies a queue slot.
-//! * **Panic isolation** — each request executes under the
-//!   [`supervisor`] — a panicking run degrades exactly
-//!   one response (`panic` error), never the process.
+//! * **Panic isolation** — each run executes under the [`supervisor`]
+//!   and each figure body under [`figures::run_figure`] — a panicking
+//!   run or figure degrades exactly one response (`panic` error), never
+//!   the process.
 //! * **Malformed input** — a garbage line (invalid JSON, oversized,
 //!   wrong field types) yields a structured `bad_request` error on the
 //!   same connection; the reader never panics and never desyncs framing.
@@ -69,7 +70,7 @@
 //! none — all surfaced by `obs_report`.
 
 use crate::failpoint;
-use crate::figures;
+use crate::figures::{self, FigureError};
 use crate::supervisor::{self, SupervisorPolicy};
 use crate::sweep::{CancellableRun, Known, SweepEngine, TraceSource};
 use crate::Scale;
@@ -172,7 +173,8 @@ enum JobKind {
     },
     /// A whole registry figure rendered against the shared engine (CSV
     /// outputs land in the active results directory, byte-identical to
-    /// batch mode).
+    /// batch mode). Its runs are ordinary engine runs: memoized, stored
+    /// and periodically parked like those of `Run` jobs.
     Figure { name: String },
 }
 
@@ -898,40 +900,30 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) -> ResponseBody {
         }
         JobKind::Figure { name } => {
             let started = Instant::now();
-            let engine = Arc::clone(&shared.engine);
-            let scale = shared.config.scale;
-            let name_owned = name.clone();
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                let figure = figures::registry()
-                    .into_iter()
-                    .find(|f| f.name == name_owned)
-                    .expect("name validated at admission");
-                let mut out = String::new();
-                (figure.run)(scale, &engine, &mut out)
-            }));
-            match result {
-                Ok(Ok(())) => ResponseBody::Figure {
+            let (scale, engine) = (shared.config.scale, &shared.engine);
+            match figures::run_figure(name, scale, engine, &mut String::new()) {
+                Ok(()) => ResponseBody::Figure {
                     name: name.clone(),
                     wall_ms: started.elapsed().as_secs_f64() * 1e3,
                 },
-                Ok(Err(e)) => ResponseBody::Error {
-                    kind: ErrorKind::Failed,
-                    message: format!("figure I/O failed: {e}"),
-                },
-                Err(panic) => {
-                    shared
-                        .counters
-                        .request_panics
-                        .fetch_add(1, Ordering::SeqCst);
-                    telemetry::counter("server.request_panics").inc();
-                    let message = panic
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-                        .unwrap_or_else(|| "figure body panicked".to_string());
+                Err(e) => {
+                    let kind = match e {
+                        // `handle_line` refuses these where the request is
+                        // read, before a queue slot and a journal record.
+                        FigureError::Unknown(_) => ErrorKind::BadRequest,
+                        FigureError::Io(_) => ErrorKind::Failed,
+                        FigureError::Panicked(_) => {
+                            shared
+                                .counters
+                                .request_panics
+                                .fetch_add(1, Ordering::SeqCst);
+                            telemetry::counter("server.request_panics").inc();
+                            ErrorKind::Panic
+                        }
+                    };
                     ResponseBody::Error {
-                        kind: ErrorKind::Panic,
-                        message,
+                        kind,
+                        message: e.to_string(),
                     }
                 }
             }
@@ -1072,18 +1064,9 @@ pub fn recover(journal_path: &Path, engine: &SweepEngine, scale: Scale) -> Recov
                 Err(reason) => report.failed.push((key, reason)),
             },
             Command::Figure { name } => {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let figure = figures::registry().into_iter().find(|f| f.name == name)?;
-                    let mut out = String::new();
-                    Some((figure.run)(scale, engine, &mut out))
-                }));
-                match outcome {
-                    Ok(Some(Ok(()))) => report.recovered_figures += 1,
-                    Ok(Some(Err(e))) => report.failed.push((key, format!("figure I/O: {e}"))),
-                    Ok(None) => report
-                        .failed
-                        .push((key, format!("unknown figure \"{name}\""))),
-                    Err(_) => report.failed.push((key, "figure panicked".into())),
+                match figures::run_figure(&name, scale, engine, &mut String::new()) {
+                    Ok(()) => report.recovered_figures += 1,
+                    Err(e) => report.failed.push((key, e.to_string())),
                 }
             }
             // Non-job commands never carry accept records; a foreign one

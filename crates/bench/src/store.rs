@@ -19,10 +19,18 @@
 //! bad entry and recomputes. Nothing in this module panics on foreign
 //! bytes.
 //!
-//! Writes go through a temporary file in the same directory (fsync'd
-//! before the rename) followed by an atomic rename, so a
-//! concurrently-read entry is always either the old complete frame or
-//! the new complete frame, never a torn prefix.
+//! Writes go through a temporary file of their own in the same directory
+//! (fsync'd; the name carries a process-wide sequence number) followed by
+//! an atomic rename, so a concurrently-read entry is always either the
+//! old complete frame or the new complete frame, never a torn prefix —
+//! between processes, and between two threads of one process saving the
+//! same key, which the engine's check-compute-insert cache allows.
+//!
+//! Trace entries (`ACRS`) and parked checkpoints (`ACPK`) share one keyed
+//! frame layout, one encoder, one paranoid decoder and one install path;
+//! they differ in the magic and in what the payload decodes to. Cache
+//! writers exclude each other with the kernel's advisory lock on `.lock`
+//! ([`RunStore::lock`]), which a crashed holder cannot leave behind.
 //!
 //! Every filesystem touch is also a [`crate::failpoint`] site —
 //! `store.save.*`, `store.load.unreadable`, `store.park.*` — so drills
@@ -37,7 +45,7 @@ use pasgd_sim::checkpoint::{read_run_trace, write_run_trace};
 use pasgd_sim::{RunCheckpoint, RunTrace};
 use std::fs;
 use std::io;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::Duration;
@@ -60,9 +68,9 @@ fn take_injected_save_failure() -> bool {
         .is_ok()
 }
 
-/// Per-process sequence for lock-claim scratch files, so two threads of
-/// one process racing for the same lock never share a claim file.
-static CLAIM_SEQ: AtomicU64 = AtomicU64::new(0);
+/// Process-wide sequence for temp-file names, so no two writes — in
+/// particular two threads saving the same key — ever share a temp file.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Writes `bytes` to `path` and fsyncs before returning, so a frame
 /// reported as saved survives a power-cut-style crash (the directory
@@ -71,6 +79,26 @@ fn write_sync(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let mut f = fs::File::create(path)?;
     f.write_all(bytes)?;
     f.sync_all()
+}
+
+/// A fresh temp-file path beside `path`: `<stem>.tmp.<pid>.<seq>` (the
+/// `.tmp.` infix is what [`RunStore::gc`] and the crash drills sweep for).
+fn temp_beside(path: &Path) -> PathBuf {
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    path.with_extension(format!("tmp.{}.{seq}", std::process::id()))
+}
+
+/// Installs `frame` at `path` atomically: a temp file of this write's own
+/// in the same directory, fsync'd, then renamed into place — readers see
+/// the old complete frame or the new one, never a prefix. The temp file
+/// is removed if either step fails.
+fn install(path: &Path, frame: &[u8]) -> io::Result<()> {
+    let tmp = temp_beside(path);
+    write_sync(&tmp, frame)
+        .and_then(|()| fs::rename(&tmp, path))
+        .inspect_err(|_| {
+            let _ = fs::remove_file(&tmp);
+        })
 }
 
 /// Layout version of the entry frame itself. Bump when the framing
@@ -197,11 +225,6 @@ impl RunStore {
         }
         let path = self.entry_path(key);
         fs::create_dir_all(&self.dir)?;
-        let tmp = self.dir.join(format!(
-            "{:016x}.tmp.{}",
-            fnv1a64(key.as_bytes()),
-            std::process::id()
-        ));
         let mut frame = encode_entry(key, trace);
         if failpoint::fire("store.save.corrupt") {
             let mid = frame.len() / 2;
@@ -217,25 +240,19 @@ impl RunStore {
         }
         telemetry::counter("store.saves").inc();
         telemetry::counter("store.save_bytes").add(frame.len() as u64);
-        write_sync(&tmp, &frame)?;
         if failpoint::fire("store.save.orphan_tmp") {
             // A crash between the temp write and the rename: the entry
             // never appears, the orphan waits for GC.
+            write_sync(&temp_beside(&path), &frame)?;
             return Err(io::Error::other(
                 "injected crash before rename (orphan tmp left behind)",
             ));
         }
         if failpoint::fire("store.save.rename_fail") {
-            let _ = fs::remove_file(&tmp);
             return Err(io::Error::other("injected rename failure"));
         }
-        match fs::rename(&tmp, &path) {
-            Ok(()) => Ok(path),
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
+        install(&path, &frame)?;
+        Ok(path)
     }
 
     /// [`RunStore::save`] with bounded retry for transient I/O failures
@@ -282,101 +299,57 @@ impl RunStore {
     }
 
     /// Acquires the store's single-writer lock, identifying the holder as
-    /// `owner` (a short label like `sweepd` or `reproduce_all`). The lock
-    /// is a `create_new` lockfile containing `<pid> <owner>`; it prevents
-    /// a running daemon and a concurrent batch reproduction from
+    /// `owner` (a short label like `sweepd` or `reproduce_all`). It
+    /// prevents a running daemon and a concurrent batch reproduction from
     /// interleaving writes to the same cache directory.
     ///
-    /// A lockfile left behind by a crashed process (the recorded pid no
-    /// longer exists, or the contents are unreadable) is detected and
-    /// reclaimed automatically — crash recovery needs no manual cleanup.
-    /// Dropping the returned [`StoreLock`] releases the lock.
-    ///
-    /// Acquisition is race-free against concurrent reclaimers: the lock
-    /// appears via `hard_link` from a pre-written claim file (atomic
-    /// create-with-contents — the lockfile is never observable empty),
-    /// and a stale lock is reclaimed by `rename`-ing it aside, which
-    /// exactly one racer can win. The loser re-probes, finds the
-    /// winner's fresh *live* lock, and fails fast — never two holders,
-    /// and never a racer deleting the lock another racer just acquired.
+    /// The lock is the kernel's advisory lock on the `.lock` file
+    /// ([`fs::File::try_lock`]), taken on a descriptor the returned
+    /// [`StoreLock`] owns: exactly one open descriptor — in this process
+    /// or any other — can hold it, and it is released when that
+    /// descriptor closes, by drop or by the kernel when the process dies.
+    /// A crashed holder therefore leaves nothing to detect or reclaim.
+    /// The file's contents (`<pid> <owner>`) only name the holder in the
+    /// refusal below, and the file is never unlinked: removing it would
+    /// let a waiter lock the orphaned inode while a newcomer locks a fresh
+    /// file at the same path.
     ///
     /// # Errors
     ///
-    /// Fails with [`io::ErrorKind::WouldBlock`] when another *live*
-    /// process holds the lock (the error message names its pid and
-    /// owner label), or with the underlying error when the lockfile
-    /// cannot be created at all.
+    /// Fails with [`io::ErrorKind::WouldBlock`] when the lock is held
+    /// (the error message names the holder's pid and owner label), or
+    /// with the underlying error when the lockfile cannot be opened,
+    /// locked or written at all.
     pub fn lock(&self, owner: &str) -> io::Result<StoreLock> {
         fs::create_dir_all(&self.dir)?;
         let path = self.lock_path();
-        let seq = CLAIM_SEQ.fetch_add(1, Ordering::SeqCst);
-        let claim = self
-            .dir
-            .join(format!(".lock.claim.{}.{seq}", std::process::id()));
-        fs::write(&claim, format!("{} {owner}", std::process::id()))?;
-        let acquired = self.lock_from_claim(&path, &claim);
-        let _ = fs::remove_file(&claim);
-        acquired
-    }
-
-    /// The `hard_link`/probe/reclaim loop behind [`RunStore::lock`];
-    /// `claim` already holds this caller's `<pid> <owner>` line.
-    fn lock_from_claim(&self, path: &Path, claim: &Path) -> io::Result<StoreLock> {
-        // Two reclaim rounds: a stale lock is renamed aside and the link
-        // retried; losing the race twice to live holders is a genuine
-        // conflict.
-        for attempt in 0..3u32 {
-            match fs::hard_link(claim, path) {
-                Ok(()) => {
-                    telemetry::counter("store.lock_acquisitions").inc();
-                    return Ok(StoreLock {
-                        path: path.to_path_buf(),
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    let contents = fs::read_to_string(path).unwrap_or_default();
-                    let mut parts = contents.split_whitespace();
-                    let pid = parts.next().and_then(|p| p.parse::<u32>().ok());
-                    let holder = parts.next().unwrap_or("unknown");
-                    match pid {
-                        Some(pid) if pid_alive(pid) => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::WouldBlock,
-                                format!(
-                                    "store {} is locked by live process {pid} ({holder}); \
-                                     wait for it to finish or remove {} if that pid is wrong",
-                                    self.dir.display(),
-                                    path.display()
-                                ),
-                            ));
-                        }
-                        _ => {
-                            // Dead pid or garbage contents: a crashed
-                            // writer never released it. Rename it aside —
-                            // only one racer's rename succeeds, so a
-                            // freshly re-acquired lock can never be
-                            // deleted by a slow racer. Either way, retry
-                            // the link.
-                            let grave = self
-                                .dir
-                                .join(format!(".lock.stale.{}.{attempt}", std::process::id()));
-                            if fs::rename(path, &grave).is_ok() {
-                                telemetry::counter("store.lock_reclaims").inc();
-                                let _ = fs::remove_file(&grave);
-                            }
-                        }
-                    }
-                }
-                Err(e) => return Err(e),
+        let mut file = fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&path)?;
+        match file.try_lock() {
+            Ok(()) => {}
+            Err(fs::TryLockError::WouldBlock) => {
+                let mut holder = String::new();
+                let _ = file.read_to_string(&mut holder);
+                let (pid, label) = holder.split_once(' ').unwrap_or(("?", "unknown"));
+                return Err(io::Error::new(
+                    io::ErrorKind::WouldBlock,
+                    format!(
+                        "store {} is locked by live process {pid} ({label}); \
+                         wait for it to finish",
+                        self.dir.display()
+                    ),
+                ));
             }
+            Err(fs::TryLockError::Error(e)) => return Err(e),
         }
-        Err(io::Error::new(
-            io::ErrorKind::WouldBlock,
-            format!(
-                "store {} lock contended: another process kept re-acquiring it mid-reclaim",
-                self.dir.display()
-            ),
-        ))
+        file.set_len(0)?;
+        file.write_all(format!("{} {owner}", std::process::id()).as_bytes())?;
+        telemetry::counter("store.lock_acquisitions").inc();
+        Ok(StoreLock { path, _file: file })
     }
 
     /// The file a parked checkpoint for `key` lives at, under the
@@ -403,23 +376,8 @@ impl RunStore {
             return Err(io::Error::other("injected park failure (fault drill)"));
         }
         let path = self.parked_path(key);
-        let parked_dir = path.parent().expect("parked path has a parent");
-        fs::create_dir_all(parked_dir)?;
-        let tmp = parked_dir.join(format!(
-            "{:016x}.tmp.{}",
-            fnv1a64(key.as_bytes()),
-            std::process::id()
-        ));
-        let payload = checkpoint.to_bytes();
-        let mut w = ByteWriter::with_capacity(payload.len() + key.len() + 32);
-        w.put_bytes(&PARK_MAGIC);
-        w.put_u32(STORE_FORMAT_VERSION);
-        w.put_u32(CODE_SEMANTICS_VERSION);
-        w.put_str(key);
-        w.put_u64(payload.len() as u64);
-        w.put_u32(crc32(&payload));
-        w.put_bytes(&payload);
-        let frame = w.into_vec();
+        fs::create_dir_all(path.parent().expect("parked path has a parent"))?;
+        let frame = encode_frame(PARK_MAGIC, key, &checkpoint.to_bytes());
         if failpoint::fire("store.park.torn") {
             let cut = frame.len() / 2;
             write_sync(&path, &frame[..cut])?;
@@ -427,14 +385,8 @@ impl RunStore {
         }
         telemetry::counter("store.parks").inc();
         telemetry::counter("store.park_bytes").add(frame.len() as u64);
-        write_sync(&tmp, &frame)?;
-        match fs::rename(&tmp, &path) {
-            Ok(()) => Ok(path),
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
+        install(&path, &frame)?;
+        Ok(path)
     }
 
     /// Loads and validates the parked checkpoint for `key`. Like
@@ -446,7 +398,10 @@ impl RunStore {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return ParkedOutcome::Absent,
             Err(e) => return ParkedOutcome::Rejected(format!("unreadable parked entry: {e}")),
         };
-        match decode_parked(&bytes, key) {
+        let decoded = decode_frame(PARK_MAGIC, &bytes, key).and_then(|payload| {
+            RunCheckpoint::from_bytes(payload).map_err(|e| format!("undecodable checkpoint: {e}"))
+        });
+        match decoded {
             Ok(ck) => ParkedOutcome::Hit(Box::new(ck)),
             Err(reason) => ParkedOutcome::Rejected(reason),
         }
@@ -463,9 +418,6 @@ impl RunStore {
     /// * orphaned `*.tmp.*` files (a writer died between its temp write
     ///   and the rename) — always removed, in both the entry directory
     ///   and `parked/`;
-    /// * leftover `.lock.claim.*` / `.lock.stale.*` scratch files older
-    ///   than a minute (younger ones may belong to a lock acquisition in
-    ///   flight right now);
     /// * parked checkpoint frames older than `parked_max_age` — a run
     ///   nobody re-requested for that long is abandoned, not paused.
     ///
@@ -476,22 +428,10 @@ impl RunStore {
     /// what was actually reclaimed.
     pub fn gc(&self, parked_max_age: Duration) -> GcStats {
         let mut stats = GcStats::default();
-        let stale_scratch = Duration::from_secs(60);
         for entry in fs::read_dir(&self.dir).into_iter().flatten().flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            let aged = |limit: Duration| {
-                entry
-                    .metadata()
-                    .and_then(|m| m.modified())
-                    .ok()
-                    .and_then(|t| t.elapsed().ok())
-                    .is_some_and(|age| age >= limit)
-            };
-            let reclaim = name.contains(".tmp.")
-                || ((name.starts_with(".lock.claim.") || name.starts_with(".lock.stale."))
-                    && aged(stale_scratch));
-            if reclaim && fs::remove_file(entry.path()).is_ok() {
+            if entry.file_name().to_string_lossy().contains(".tmp.")
+                && fs::remove_file(entry.path()).is_ok()
+            {
                 stats.tmp_removed += 1;
             }
         }
@@ -529,7 +469,7 @@ impl RunStore {
 /// What one [`RunStore::gc`] sweep reclaimed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcStats {
-    /// Orphaned temp files and stale lock-scratch files removed.
+    /// Orphaned temp files removed.
     pub tmp_removed: u64,
     /// Parked checkpoint frames older than the age limit removed.
     pub parked_removed: u64,
@@ -557,109 +497,51 @@ pub enum ParkedOutcome {
 }
 
 /// Exclusive writer lease on a [`RunStore`] directory; see
-/// [`RunStore::lock`]. Dropping it deletes the lockfile. A process that
-/// exits without dropping (crash, `std::process::exit`) leaves a stale
-/// file that the next `lock()` reclaims by pid liveness.
+/// [`RunStore::lock`]. It owns the locked descriptor: dropping it — or
+/// the process ending in any way — releases the lock. The lockfile
+/// itself stays.
 #[derive(Debug)]
 pub struct StoreLock {
     path: PathBuf,
+    _file: fs::File,
 }
 
 impl StoreLock {
-    /// The lockfile this lease owns (tests and diagnostics).
+    /// The lockfile this lease holds the lock on (tests and diagnostics).
     pub fn path(&self) -> &Path {
         &self.path
     }
 }
 
-impl Drop for StoreLock {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
-    }
-}
-
-/// Whether `pid` names a live process. Reads `/proc`; on systems without
-/// procfs the holder is conservatively assumed alive (a stale lock then
-/// needs manual removal, but a live writer is never stomped).
-fn pid_alive(pid: u32) -> bool {
-    let proc_root = Path::new("/proc");
-    if !proc_root.exists() {
-        return true;
-    }
-    proc_root.join(pid.to_string()).exists()
-}
-
-/// Validates and decodes one parked-checkpoint frame for `key`. The
-/// outer frame mirrors [`decode_entry`]; the payload decode is the
-/// fallible [`RunCheckpoint::from_bytes`].
-fn decode_parked(bytes: &[u8], key: &str) -> Result<RunCheckpoint, String> {
-    let mut r = ByteReader::new(bytes);
-    let magic = r.bytes(4).map_err(|e| format!("truncated magic: {e:?}"))?;
-    if magic != PARK_MAGIC {
-        return Err(format!("bad parked magic {magic:02x?}"));
-    }
-    let format = r.u32().map_err(|e| format!("truncated header: {e:?}"))?;
-    if format != STORE_FORMAT_VERSION {
-        return Err(format!(
-            "store format v{format}, this build reads v{STORE_FORMAT_VERSION}"
-        ));
-    }
-    let semantics = r.u32().map_err(|e| format!("truncated header: {e:?}"))?;
-    if semantics != CODE_SEMANTICS_VERSION {
-        return Err(format!(
-            "code semantics v{semantics}, this build is v{CODE_SEMANTICS_VERSION}"
-        ));
-    }
-    let stored_key = r.str().map_err(|e| format!("unreadable key: {e:?}"))?;
-    if stored_key != key {
-        return Err("key mismatch (hash collision or stale rewrite)".into());
-    }
-    let payload_len = r.u64().map_err(|e| format!("truncated header: {e:?}"))? as usize;
-    if payload_len != r.remaining().saturating_sub(4) {
-        return Err(format!(
-            "payload length {payload_len} disagrees with file size"
-        ));
-    }
-    let stored_crc = r.u32().map_err(|e| format!("truncated header: {e:?}"))?;
-    let payload = r
-        .bytes(payload_len)
-        .map_err(|e| format!("truncated payload: {e:?}"))?;
-    if crc32(payload) != stored_crc {
-        return Err("payload checksum mismatch".into());
-    }
-    RunCheckpoint::from_bytes(payload).map_err(|e| format!("undecodable checkpoint: {e}"))
-}
-
-/// Builds the full entry frame:
+/// Builds a keyed frame — the layout trace entries (`magic` = `ACRS`,
+/// payload = `write_run_trace`) and parked checkpoints (`ACPK`,
+/// [`RunCheckpoint::to_bytes`]) share:
 ///
 /// ```text
-/// magic "ACRS" | store version u32 | code-semantics version u32
+/// magic | store version u32 | code-semantics version u32
 /// | key (len-prefixed UTF-8) | payload len u64 | crc32(payload) u32
-/// | payload (write_run_trace)
+/// | payload
 /// ```
-fn encode_entry(key: &str, trace: &RunTrace) -> Vec<u8> {
-    let mut payload = ByteWriter::new();
-    write_run_trace(&mut payload, trace);
-    let payload = payload.into_vec();
-
+fn encode_frame(magic: [u8; 4], key: &str, payload: &[u8]) -> Vec<u8> {
     let mut w = ByteWriter::with_capacity(payload.len() + key.len() + 32);
-    w.put_bytes(&MAGIC);
+    w.put_bytes(&magic);
     w.put_u32(STORE_FORMAT_VERSION);
     w.put_u32(CODE_SEMANTICS_VERSION);
     w.put_str(key);
     w.put_u64(payload.len() as u64);
-    w.put_u32(crc32(&payload));
-    w.put_bytes(&payload);
+    w.put_u32(crc32(payload));
+    w.put_bytes(payload);
     w.into_vec()
 }
 
-/// Validates and decodes one entry frame against the requested `key`.
-/// Every check returns a reason instead of panicking.
-fn decode_entry(bytes: &[u8], key: &str) -> Result<RunTrace, String> {
+/// Validates one keyed frame against the expected `magic` and the
+/// requested `key` and returns its payload. Every check returns a reason
+/// instead of panicking.
+fn decode_frame<'a>(magic: [u8; 4], bytes: &'a [u8], key: &str) -> Result<&'a [u8], String> {
     let mut r = ByteReader::new(bytes);
-    let magic = r.bytes(4).map_err(|e| format!("truncated magic: {e:?}"))?;
-    if magic != MAGIC {
-        return Err(format!("bad magic {magic:02x?}"));
+    let found = r.bytes(4).map_err(|e| format!("truncated magic: {e:?}"))?;
+    if found != magic {
+        return Err(format!("bad magic {found:02x?}"));
     }
     let format = r.u32().map_err(|e| format!("truncated header: {e:?}"))?;
     if format != STORE_FORMAT_VERSION {
@@ -675,7 +557,7 @@ fn decode_entry(bytes: &[u8], key: &str) -> Result<RunTrace, String> {
     }
     let stored_key = r.str().map_err(|e| format!("unreadable key: {e:?}"))?;
     if stored_key != key {
-        // A hash collision or an entry rewritten under a different spec.
+        // A hash collision or a frame rewritten under a different spec.
         return Err("key mismatch (hash collision or stale rewrite)".into());
     }
     let payload_len = r.u64().map_err(|e| format!("truncated header: {e:?}"))? as usize;
@@ -691,7 +573,19 @@ fn decode_entry(bytes: &[u8], key: &str) -> Result<RunTrace, String> {
     if crc32(payload) != stored_crc {
         return Err("payload checksum mismatch".into());
     }
-    let mut pr = ByteReader::new(payload);
+    Ok(payload)
+}
+
+/// Builds the trace-entry frame for `key`.
+fn encode_entry(key: &str, trace: &RunTrace) -> Vec<u8> {
+    let mut payload = ByteWriter::new();
+    write_run_trace(&mut payload, trace);
+    encode_frame(MAGIC, key, &payload.into_vec())
+}
+
+/// Validates and decodes one trace-entry frame for `key`.
+fn decode_entry(bytes: &[u8], key: &str) -> Result<RunTrace, String> {
+    let mut pr = ByteReader::new(decode_frame(MAGIC, bytes, key)?);
     let trace = read_run_trace(&mut pr).map_err(|e| format!("undecodable payload: {e:?}"))?;
     if !pr.is_empty() {
         return Err(format!("{} trailing payload bytes", pr.remaining()));
@@ -799,6 +693,19 @@ mod tests {
     }
 
     #[test]
+    fn entry_and_parked_frames_are_not_interchangeable() {
+        // One decoder serves both magics; it must still tell them apart.
+        let entry = encode_entry("k", &sample_trace());
+        let err = decode_frame(PARK_MAGIC, &entry, "k").unwrap_err();
+        assert!(err.contains("bad magic"), "{err}");
+        let parked = encode_frame(PARK_MAGIC, "k", b"payload");
+        assert_eq!(decode_frame(PARK_MAGIC, &parked, "k"), Ok(&b"payload"[..]));
+        assert!(decode_entry(&parked, "k")
+            .unwrap_err()
+            .contains("bad magic"));
+    }
+
+    #[test]
     fn zero_length_is_rejected() {
         assert!(decode_entry(&[], "k").is_err());
     }
@@ -837,8 +744,8 @@ mod tests {
 
         let lock = store.lock("first-writer").unwrap();
         assert!(lock.path().exists());
-        // Our own pid is alive, so a second writer must be refused with a
-        // message naming the holder.
+        // A second descriptor — even in this very process — must be
+        // refused with a message naming the holder.
         let err = store.lock("second-writer").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
         let msg = err.to_string();
@@ -860,12 +767,12 @@ mod tests {
         let store = RunStore::new(&dir);
         fs::create_dir_all(&dir).unwrap();
 
-        // A pid far above any real pid_max: the "crashed writer" cannot
-        // exist, so its lock is stale by construction.
+        // What a crashed writer leaves: its lockfile, with nobody holding
+        // the kernel lock on it. The contents decide nothing.
         fs::write(store.lock_path(), "4000000000 crashed-daemon").unwrap();
         let lock = store
             .lock("survivor")
-            .expect("stale lock must be reclaimed");
+            .expect("an unheld lockfile must be acquirable");
         let contents = fs::read_to_string(lock.path()).unwrap();
         assert!(
             contents.starts_with(&std::process::id().to_string()),
@@ -873,25 +780,25 @@ mod tests {
         );
         drop(lock);
 
-        // Garbage contents (no pid at all) are also treated as stale.
+        // Garbage contents (no pid at all) are no obstacle either.
         fs::write(store.lock_path(), "not-a-pid at all").unwrap();
-        let lock = store.lock("survivor2").expect("garbage lock is stale");
+        let lock = store.lock("survivor2").expect("contents never block");
         drop(lock);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn stale_lock_reclaim_race_has_exactly_one_winner() {
-        // Two threads race to reclaim the same dead-pid lock. The rename
-        // reclaim admits exactly one winner per round; the loser fails
-        // fast with WouldBlock and the winner's lockfile survives intact.
+        // Two threads race for the lockfile a dead writer left. The kernel
+        // lock admits exactly one winner per round; the loser fails fast
+        // with WouldBlock, and the next round can lock again.
         let dir =
             std::env::temp_dir().join(format!("adacomm_store_lock_race_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         let store = RunStore::new(&dir);
 
-        for round in 0..25 {
+        for round in 0..500 {
             fs::write(store.lock_path(), "4000000000 crashed-daemon").unwrap();
             let start = std::sync::Barrier::new(2);
             let settled = std::sync::Barrier::new(2);
@@ -921,9 +828,10 @@ mod tests {
                 io::ErrorKind::WouldBlock,
                 "round {round}: loser must fail fast with WouldBlock"
             );
-            assert!(
-                !store.lock_path().exists(),
-                "round {round}: winner's drop must have released the lock"
+            drop(
+                store
+                    .lock("next-round")
+                    .unwrap_or_else(|e| panic!("round {round}: winner's drop must release: {e}")),
             );
         }
         let _ = fs::remove_dir_all(&dir);

@@ -112,8 +112,9 @@ fn jitter_millis(policy: &SupervisorPolicy, label: &str, next_attempt: u32) -> u
     jitter.min(policy.backoff_base_millis)
 }
 
-/// Extracts a printable message from a `catch_unwind` payload.
-fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
+/// Extracts a printable message from a `catch_unwind` payload — the one
+/// place a panic payload becomes text.
+pub(crate) fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
     panic
         .downcast_ref::<String>()
         .cloned()

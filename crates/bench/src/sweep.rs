@@ -536,27 +536,10 @@ impl SweepSpec {
         key
     }
 
-    /// Executes this spec against its built scenario (no caching).
-    fn execute(&self, built: &BuiltScenario) -> RunTrace {
-        let mut scheduler = self.scheduler.build();
-        let lr = self.lr.resolve(built);
-        let budget = self
-            .budget_millis
-            .map(|(t, r)| (t as f64 / 1000.0, r as f64 / 1000.0));
-        built.suite.run_configured(
-            scheduler.as_mut(),
-            &lr,
-            Some(self.momentum),
-            Some(self.gate_lr_on_tau),
-            Some(self.codec),
-            budget,
-            self.fault.is_active().then_some(self.fault),
-        )
-    }
-
-    /// [`SweepSpec::execute`] with resume and a cooperative stop
-    /// predicate (no caching) — the primitive behind the engine's
-    /// deadline- and drain-preemptible runs.
+    /// Executes this spec against its built scenario (no caching),
+    /// optionally continuing `resume`, stopping after a round count or
+    /// when the cooperative `stop` predicate fires — the one primitive
+    /// behind every engine run, batch or preemptible.
     fn execute_cancellable(
         &self,
         built: &BuiltScenario,
@@ -668,7 +651,7 @@ pub struct SweepEngine {
     /// with the recorded reason.
     failed: Mutex<HashMap<String, String>>,
     /// Crash-consistency knob: when set (and a store is attached),
-    /// cancellable runs execute in slices of this many rounds, parking a
+    /// runs execute in slices of this many rounds, parking a
     /// resumable checkpoint after each slice — a SIGKILL at any moment
     /// loses at most one slice of progress.
     park_every_rounds: Option<u64>,
@@ -696,9 +679,16 @@ pub fn hardware_parallelism() -> bool {
     rayon::current_num_threads() > 1
 }
 
+/// Counts one batch handed to an engine ([`SweepEngine::run`] or
+/// [`SweepEngine::warm`]) and records the pool size it runs on.
+fn note_batch() {
+    telemetry::counter("sweep.batches").inc();
+    telemetry::gauge("sweep.pool_threads").set(rayon::current_num_threads() as i64);
+}
+
 impl SweepEngine {
     /// An engine with the hardware-appropriate parallelism (see
-    /// [`hardware_parallelism`]) — the default for every figure binary.
+    /// [`hardware_parallelism`]) — the default for the daemon and tools.
     pub fn new() -> Self {
         SweepEngine::with_parallelism(hardware_parallelism())
     }
@@ -742,9 +732,9 @@ impl SweepEngine {
         self.store.as_ref()
     }
 
-    /// Enables periodic parking for cancellable runs: every `rounds`
-    /// averaging rounds, the in-flight run checkpoints into the attached
-    /// store (no-op without a store). Trades a little write traffic for
+    /// Enables periodic parking: every `rounds` averaging rounds, an
+    /// in-flight run checkpoints into the attached store (no-op without a
+    /// store). Trades a little write traffic for
     /// crash-consistency — after a SIGKILL, recovery resumes from the
     /// last slice boundary instead of round zero, bit-identically.
     pub fn with_periodic_park(mut self, rounds: u64) -> Self {
@@ -807,30 +797,14 @@ impl SweepEngine {
     /// this engine) execute once; every caller gets a clone of the cached
     /// trace, renamed per its own spec.
     pub fn run(&self, specs: &[SweepSpec]) -> Vec<RunTrace> {
-        telemetry::counter("sweep.batches").inc();
-        telemetry::gauge("sweep.pool_threads").set(rayon::current_num_threads() as i64);
         if self.parallel {
-            // Warm the cache over the batch's *unique* uncached specs (in
-            // first-occurrence order, one pool job each, so heterogeneous
-            // run lengths load-balance); duplicates then assemble from the
-            // cache below instead of blocking a pool thread.
-            let mut seen = std::collections::HashSet::new();
-            let mut unique: Vec<&SweepSpec> = specs
-                .iter()
-                .filter(|spec| seen.insert(spec.key()))
-                .collect();
-            let queue_depth = telemetry::gauge("sweep.queue_depth");
-            queue_depth.add(unique.len() as i64);
-            let _: Vec<()> = unique
-                .par_iter_mut()
-                .with_max_len(1)
-                .map(|spec| {
-                    // Failures are swallowed here and surface when the
-                    // assembly loop below re-requests the failed key.
-                    let _ = self.try_trace_for(spec);
-                    queue_depth.add(-1);
-                })
-                .collect();
+            // Warm the cache over the batch first, so duplicates assemble
+            // from the cache below instead of blocking a pool thread;
+            // failures swallowed there surface when the assembly loop
+            // re-requests the failed key.
+            self.warm(specs);
+        } else {
+            note_batch();
         }
         let mut traces: Vec<RunTrace> = specs.iter().map(|spec| self.trace_for(spec)).collect();
         for (trace, spec) in traces.iter_mut().zip(specs) {
@@ -936,85 +910,56 @@ impl SweepEngine {
     /// every supervised attempt panicked or the run overran its deadline.
     /// A failed key is remembered and fails fast on re-request.
     ///
-    /// [`SweepEngine::lookup`] answers what is already known. Beyond it the
-    /// cache is check-compute-insert, never blocking: two threads
-    /// racing on the *same* uncached key both compute it (runs are
-    /// deterministic, so the values are identical and first-insert wins).
-    /// Blocking the losers on a once-cell would be a deadlock hazard on
-    /// the help-stealing pool — a thread mid-computation can steal a job
-    /// that re-requests the very key its own stack is initializing. The
-    /// redundant compute is also rare by construction: `run` pre-dedups
-    /// each batch, and `reproduce_all`'s sweep wave warms the cross-figure
-    /// keys before figure bodies run concurrently.
+    /// This is [`SweepEngine::try_trace_cancellable`] without a stop
+    /// predicate: a batch run is the never-cancelled case of the
+    /// cancellable run. So with a store attached a batch engine also
+    /// continues (and then removes) a parked checkpoint a cancelled
+    /// request left for the key, and parks periodically when
+    /// [`SweepEngine::with_periodic_park`] is set — both bit-identical to
+    /// an uninterrupted run by the resume contract.
     ///
     /// # Errors
     ///
     /// Returns the supervisor's failure reason (panic message or deadline
     /// report) when the run cannot be produced.
     pub fn try_trace_for(&self, spec: &SweepSpec) -> Result<RunTrace, String> {
-        let key = spec.key();
-        if let Some(known) = self.lookup(&key) {
-            return known.map(|(trace, _)| trace);
+        match self.try_trace_cancellable(spec, None)? {
+            CancellableRun::Done { trace, .. } => Ok(trace),
+            CancellableRun::Cancelled => unreachable!("no stop predicate, so nothing cancels"),
         }
-        let supervised = supervisor::run_supervised(&self.supervisor, &key, || {
-            let built = self.scenario(&spec.scenario);
-            let inflight = telemetry::gauge("sweep.inflight_runs");
-            inflight.add(1);
-            let run_started = std::time::Instant::now();
-            let trace = spec.execute(&built);
-            telemetry::histogram("sweep.run_secs").observe(run_started.elapsed().as_secs_f64());
-            inflight.add(-1);
-            trace
-        });
-        let trace = match supervised {
-            Ok(trace) => trace,
-            Err(reason) => {
-                // A panicked attempt bails out before its `inflight.add(-1)`;
-                // rebalance so the gauge stays truthful for live dashboards.
-                telemetry::gauge("sweep.inflight_runs").set(0);
-                self.warn(format!("run failed under supervision ({reason}): {key}"));
-                self.failed
-                    .lock()
-                    .expect("failure map poisoned")
-                    .insert(key, reason.clone());
-                return Err(reason);
-            }
-        };
-        if let Some(store) = &self.store {
-            if let Err(e) = store.save_with_retry(&key, &trace, 3) {
-                self.warn(format!(
-                    "run store: save failed after retries ({e}); cache stays cold for this key"
-                ));
-            }
-        }
-        let trace = {
-            let mut runs = self.runs.lock().expect("run cache poisoned");
-            runs.entry(key.clone()).or_insert(trace).clone()
-        };
-        self.note_resolved(&key, false);
-        Ok(trace)
     }
 
-    /// [`SweepEngine::try_trace_for`] with cooperative cancellation and
-    /// park/resume through the attached store — the sweep service's
-    /// execution primitive.
+    /// Produces the trace for `spec` with cooperative cancellation and
+    /// park/resume through the attached store — the one way this engine
+    /// executes a run ([`SweepEngine::try_trace_for`] is the `stop = None`
+    /// case; the sweep service passes its deadline/drain predicate).
     ///
-    /// [`SweepEngine::lookup`] answers first, exactly as in
-    /// `try_trace_for`. A key it does not know then checks the store for
-    /// a *parked* mid-run checkpoint — the remainder of a previous
-    /// deadline- or drain-cancelled request — and resumes it
-    /// bit-identically instead of starting over (a checkpoint that fails
-    /// structural validation is discarded with a warning and the run
-    /// starts fresh). The `stop` predicate is polled at round boundaries;
-    /// when it fires, the partial run is parked back to the store and
-    /// [`CancellableRun::Cancelled`] is returned — the request lost, the
-    /// work kept.
+    /// [`SweepEngine::lookup`] answers what is already known. A key it
+    /// does not know then checks the store for a *parked* mid-run
+    /// checkpoint — the remainder of a previous deadline- or
+    /// drain-cancelled request — and resumes it bit-identically instead of
+    /// starting over (a checkpoint that fails structural validation is
+    /// discarded with a warning and the run starts fresh). The `stop`
+    /// predicate is polled at round boundaries; when it fires, the partial
+    /// run is parked back to the store and [`CancellableRun::Cancelled`]
+    /// is returned — the request lost, the work kept.
+    ///
+    /// Beyond the lookup the cache is check-compute-insert, never
+    /// blocking: two threads racing on the *same* uncached key both
+    /// compute it (runs are deterministic, so the values are identical and
+    /// first-insert wins). Blocking the losers on a once-cell would be a
+    /// deadlock hazard on the help-stealing pool — a thread
+    /// mid-computation can steal a job that re-requests the very key its
+    /// own stack is initializing. The redundant compute is also rare by
+    /// construction: `run` pre-dedups each batch, and `reproduce_all`'s
+    /// sweep wave warms the cross-figure keys before figure bodies run
+    /// concurrently.
     ///
     /// # Errors
     ///
     /// Returns the supervisor's failure reason (panic message or deadline
-    /// report) when the run cannot be produced; the key then fails fast
-    /// on re-request, as in `try_trace_for`.
+    /// report) when the run cannot be produced; the key is remembered and
+    /// fails fast on re-request.
     pub fn try_trace_cancellable(
         &self,
         spec: &SweepSpec,
@@ -1118,6 +1063,8 @@ impl SweepEngine {
         let (outcome, resumed) = match supervised {
             Ok(pair) => pair,
             Err(reason) => {
+                // A panicked attempt bails out before its `inflight.add(-1)`;
+                // rebalance so the gauge stays truthful for live dashboards.
                 telemetry::gauge("sweep.inflight_runs").set(0);
                 self.warn(format!("run failed under supervision ({reason}): {key}"));
                 self.failed
@@ -1182,25 +1129,24 @@ impl SweepEngine {
     /// keys are recorded (see [`SweepEngine::run_failures`]) and fail
     /// fast when a figure body later requests them.
     pub fn warm(&self, specs: &[SweepSpec]) {
-        telemetry::counter("sweep.batches").inc();
-        telemetry::gauge("sweep.pool_threads").set(rayon::current_num_threads() as i64);
-        let mut seen = std::collections::HashSet::new();
+        note_batch();
+        // Unique specs in first-occurrence order; on a parallel engine one
+        // pool job each, so heterogeneous run lengths load-balance.
+        let mut seen = HashSet::new();
         let mut unique: Vec<&SweepSpec> = specs
             .iter()
             .filter(|spec| seen.insert(spec.key()))
             .collect();
         let queue_depth = telemetry::gauge("sweep.queue_depth");
         queue_depth.add(unique.len() as i64);
+        let resolve = |spec: &mut &SweepSpec| {
+            let _ = self.try_trace_for(spec);
+            queue_depth.add(-1);
+        };
         if self.parallel {
-            unique.par_iter_mut().with_max_len(1).for_each(|spec| {
-                let _ = self.try_trace_for(spec);
-                queue_depth.add(-1);
-            });
+            unique.par_iter_mut().with_max_len(1).for_each(resolve);
         } else {
-            unique.iter().for_each(|spec| {
-                let _ = self.try_trace_for(spec);
-                queue_depth.add(-1);
-            });
+            unique.iter_mut().for_each(resolve);
         }
     }
 

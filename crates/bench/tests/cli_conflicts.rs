@@ -47,3 +47,38 @@ fn reproduce_all_rejects_trace_without_dir() {
     assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains("requires a directory"), "stderr: {stderr}");
 }
+
+/// `reproduce_all` is the only figure CLI, so it must not guess: a
+/// misspelt flag, a value flag without its value, and a `--only` that
+/// selects nothing each exit 2 with the usage text — none of them may
+/// fall through to reproducing figures (which, at the default quick
+/// scale these invocations would get, takes minutes).
+#[test]
+fn reproduce_all_rejects_unknown_arguments_and_empty_selections() {
+    let cases: [(&[&str], &str); 4] = [
+        (&["--ony", "fig09"], "unknown argument \"--ony\""),
+        (&["fig09"], "unknown argument \"fig09\""),
+        (&["--no-cache", "--only"], "--only requires"),
+        (
+            &["--no-cache", "--only", "nosuchfigure"],
+            "no figure matches --only \"nosuchfigure\"",
+        ),
+    ];
+    for (args, complaint) in cases {
+        let output = Command::new(env!("CARGO_BIN_EXE_reproduce_all"))
+            .args(args)
+            .output()
+            .expect("run reproduce_all");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(complaint), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("usage: reproduce_all"),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            output.stdout.is_empty(),
+            "{args:?}: a usage error must not reproduce (or report) anything"
+        );
+    }
+}

@@ -9,6 +9,7 @@
 use adacomm_bench::server::journal::{self, Journal};
 use adacomm_bench::server::protocol::{self, Command, Request, Response, ResponseBody, RunRequest};
 use adacomm_bench::server::{self, Server, ServerConfig};
+use adacomm_bench::supervisor::SupervisorPolicy;
 use adacomm_bench::sweep::SweepEngine;
 use adacomm_bench::{CancellableRun, LoadOutcome, RunStore, Scale};
 use pasgd_sim::RunTrace;
@@ -150,6 +151,48 @@ fn recover_resumes_parked_progress_bit_identically() {
         other => panic!("recovered run must be stored, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&golden_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Pending `figure` accepts replay through `figures::run_figure`: a healthy
+/// figure is recovered, and one that is unknown to this build's registry
+/// or whose body panics is reported as failed with the reason — never a
+/// crashed recovery pass.
+#[test]
+fn recover_reports_each_figure_outcome() {
+    adacomm_bench::report::set_results_subdir("tests");
+    let dir = dir_for("figures");
+    let journal_path = dir.join("journal.log");
+    {
+        let journal = Journal::open(&journal_path).expect("open journal");
+        for name in ["fig04_speedup", "fig99_removed", "fig01_concept"] {
+            let accept = Request {
+                id: None,
+                cmd: Command::Figure { name: name.into() },
+            };
+            journal
+                .append_accept(&format!("figure|{name}"), &accept)
+                .unwrap();
+        }
+    }
+    // No run meets a zero deadline, so the one figure that asks the engine
+    // for a run panics with the supervisor's reason.
+    let doomed = SweepEngine::with_parallelism(false).with_supervisor(SupervisorPolicy {
+        deadline: Some(std::time::Duration::ZERO),
+        ..SupervisorPolicy::default()
+    });
+    let mut report = server::recover(&journal_path, &doomed, Scale::Smoke);
+    assert_eq!(report.replayed, 3);
+    assert_eq!(report.recovered_figures, 1, "fig04 is analytic: healthy");
+    report.failed.sort();
+    let [(panicked_key, panicked), (unknown_key, unknown)] = &report.failed[..] else {
+        panic!("expected two failed figures, got {:?}", report.failed);
+    };
+    assert_eq!(panicked_key, "figure|fig01_concept");
+    assert!(panicked.contains("deadline exceeded"), "{panicked}");
+    assert_eq!(unknown_key, "figure|fig99_removed");
+    assert!(unknown.contains("unknown figure"), "{unknown}");
+    assert!(!journal_path.exists(), "recovery must discard the journal");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -7,7 +7,9 @@
 
 use adacomm_bench::supervisor::SupervisorPolicy;
 use adacomm_bench::sweep::{LrSpec, ScenarioSpec, SchedulerSpec, SweepEngine, SweepSpec};
-use adacomm_bench::{CacheStats, CancellableRun, LoadOutcome, RunStore, TraceSource};
+use adacomm_bench::{
+    CacheStats, CancellableRun, LoadOutcome, ParkedOutcome, RunStore, TraceSource,
+};
 use pasgd_sim::RunTrace;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -348,4 +350,194 @@ fn lookup_without_a_store_never_touches_the_filesystem() {
     assert_eq!(storeless.cache_stats(), counts(0, 0, 0, 0));
     assert!(storeless.take_warnings().is_empty());
     assert_eq!(listing(), before);
+}
+
+/// A batch run is the never-cancelled case of the cancellable run, so a
+/// batch engine continues the checkpoint a cancelled request parked for
+/// the key — bit-identically to an uninterrupted run — and then removes
+/// it, instead of recomputing beside a parked frame nobody clears.
+#[test]
+fn batch_run_resumes_and_clears_parked_work() {
+    let s = spec(3).with_budget(40.0, 10.0);
+    let key = s.key();
+    let golden = SweepEngine::with_parallelism(false)
+        .run(std::slice::from_ref(&s))
+        .remove(0);
+
+    let dir = store_dir("batch_resume");
+    let interrupted = engine_on(&dir);
+    match interrupted.try_trace_cancellable(&s, Some(&|| true)) {
+        Ok(CancellableRun::Cancelled) => {}
+        other => panic!("expected a cancelled run, got {other:?}"),
+    }
+    let store = RunStore::new(&dir);
+    let parked = store.parked_path(&key);
+    assert!(parked.exists(), "the cancelled run must park its progress");
+    assert!(!store.entry_path(&key).exists());
+
+    let batch = engine_on(&dir);
+    let got = batch.run(std::slice::from_ref(&s)).remove(0);
+    assert_eq!(trace_bits(&got), trace_bits(&golden));
+    assert_eq!(batch.cache_stats(), counts(0, 0, 1, 0));
+    assert!(batch.take_warnings().is_empty());
+    assert!(!parked.exists(), "the finished run must unpark");
+    match store.load(&key) {
+        LoadOutcome::Hit(trace) => assert_eq!(trace_bits(&trace), trace_bits(&golden)),
+        other => panic!("the resumed run must be saved, got {other:?}"),
+    }
+}
+
+/// Two threads each call `write` `per_writer` times, released together,
+/// while a third polls `read` (which returns what is wrong with a load,
+/// if anything) until both are done. Returns the failed writes and the
+/// bad reads.
+fn race_two_writers_against_a_reader(
+    per_writer: usize,
+    write: impl Fn() -> bool + Sync,
+    read: impl Fn() -> Option<String> + Sync,
+) -> (usize, Vec<String>) {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let start = std::sync::Barrier::new(3);
+    let writing = AtomicUsize::new(2);
+    std::thread::scope(|scope| {
+        let writers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    let failed = (0..per_writer).filter(|_| !write()).count();
+                    writing.fetch_sub(1, Ordering::SeqCst);
+                    failed
+                })
+            })
+            .collect();
+        let reader = scope.spawn(|| {
+            start.wait();
+            let mut bad = Vec::new();
+            while writing.load(Ordering::SeqCst) > 0 {
+                bad.extend(read());
+            }
+            bad
+        });
+        let failed = writers.into_iter().map(|w| w.join().unwrap()).sum();
+        (failed, reader.join().unwrap())
+    })
+}
+
+/// The engine's check-compute-insert cache lets two threads of one
+/// process compute and save the same key at once. Every such save must
+/// succeed and a concurrent reader must only ever see a complete frame
+/// (or none yet) — each write goes through a temp file of its own. With
+/// a temp name shared per (key, pid), the second `File::create` truncated
+/// the first writer's temp under it: hundreds of failed saves and a few
+/// `truncated magic` loads in a run of this size.
+#[test]
+fn two_threads_saving_one_key_never_tear_the_entry() {
+    let dir = store_dir("same_key");
+    let store = RunStore::new(&dir);
+    let key = spec(2).key();
+    let trace = SweepEngine::with_parallelism(false)
+        .run(&[spec(2)])
+        .remove(0);
+
+    let (failed_saves, bad_loads) = race_two_writers_against_a_reader(
+        400,
+        || store.save(&key, &trace).is_ok(),
+        || match store.load(&key) {
+            LoadOutcome::Hit(got) => {
+                (trace_bits(&got) != trace_bits(&trace)).then(|| "wrong trace".to_string())
+            }
+            LoadOutcome::Absent => None,
+            LoadOutcome::Rejected(reason) => Some(reason),
+        },
+    );
+    assert_eq!(failed_saves, 0, "of 800 saves");
+    assert!(bad_loads.is_empty(), "torn reads: {bad_loads:?}");
+    assert!(matches!(store.load(&key), LoadOutcome::Hit(_)));
+    assert_eq!(debris(&dir), Vec::<String>::new());
+}
+
+/// The parked-checkpoint twin of the test above: `park` installs through
+/// the same path as `save`.
+#[test]
+fn two_threads_parking_one_key_never_tear_the_frame() {
+    let dir = store_dir("same_key_park");
+    let s = spec(2);
+    let key = s.key();
+    // A real checkpoint: cancel a run at its first round boundary and
+    // read back what the engine parked.
+    match engine_on(&dir).try_trace_cancellable(&s, Some(&|| true)) {
+        Ok(CancellableRun::Cancelled) => {}
+        other => panic!("expected a cancelled run, got {other:?}"),
+    }
+    let store = RunStore::new(&dir);
+    let checkpoint = match store.load_parked(&key) {
+        ParkedOutcome::Hit(ck) => ck,
+        other => panic!("expected the parked checkpoint, got {other:?}"),
+    };
+    let golden = checkpoint.to_bytes();
+
+    let (failed_parks, bad_loads) = race_two_writers_against_a_reader(
+        200,
+        || store.park(&key, &checkpoint).is_ok(),
+        || match store.load_parked(&key) {
+            ParkedOutcome::Hit(got) => {
+                (got.to_bytes() != golden).then(|| "wrong checkpoint".to_string())
+            }
+            ParkedOutcome::Absent => Some("absent".to_string()),
+            ParkedOutcome::Rejected(reason) => Some(reason),
+        },
+    );
+    assert_eq!(failed_parks, 0, "of 400 parks");
+    assert!(bad_loads.is_empty(), "torn reads: {bad_loads:?}");
+    assert_eq!(debris(&dir), Vec::<String>::new());
+}
+
+/// Set (to the store directory) in the child that
+/// `a_crashed_holders_lock_is_free_at_once` re-executes this binary as.
+const LOCK_HOLDER_ENV: &str = "STORE_FAULTS_LOCK_HOLDER_DIR";
+
+/// The store lock is the kernel's: a holder that dies without unwinding —
+/// `abort()` here, SIGKILL in the chaos drill — cannot leave it held, and
+/// there is no liveness probe or reclaim step to get wrong. The next
+/// `lock()` succeeds immediately and names the new holder in the file.
+#[test]
+fn a_crashed_holders_lock_is_free_at_once() {
+    if let Some(dir) = std::env::var_os(LOCK_HOLDER_ENV) {
+        let _held = RunStore::new(dir)
+            .lock("doomed-holder")
+            .expect("the child takes the lock");
+        std::process::abort();
+    }
+    let dir = store_dir("crashed_holder");
+    let child = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+        .args(["a_crashed_holders_lock_is_free_at_once", "--exact"])
+        .env(LOCK_HOLDER_ENV, &dir)
+        .output()
+        .expect("spawn the lock holder");
+    assert!(
+        !child.status.success(),
+        "the holder must die holding the lock"
+    );
+
+    let store = RunStore::new(&dir);
+    let left_behind = fs::read_to_string(store.lock_path()).expect("the child locked the store");
+    assert!(left_behind.ends_with(" doomed-holder"), "{left_behind}");
+
+    let lock = store
+        .lock("survivor")
+        .expect("a dead holder's lock is free");
+    assert_eq!(
+        fs::read_to_string(lock.path()).unwrap(),
+        format!("{} survivor", std::process::id())
+    );
+}
+
+/// Every `*.tmp.*` file left under `dir` (entry directory and `parked/`).
+fn debris(dir: &Path) -> Vec<String> {
+    [dir.to_path_buf(), dir.join("parked")]
+        .iter()
+        .flat_map(|d| fs::read_dir(d).into_iter().flatten().flatten())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|name| name.contains(".tmp."))
+        .collect()
 }

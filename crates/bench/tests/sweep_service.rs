@@ -161,9 +161,21 @@ fn impatient_client(path: &Path) -> Client {
     client
 }
 
+/// Inline commands, and a `figure` request's three outcomes as the
+/// service surfaces `figures::run_figure`'s: an unknown name is refused
+/// where it is read, a healthy figure renders, and a figure whose body
+/// panics degrades that one response.
 #[test]
 fn ping_stats_and_unknown_figure() {
-    let handle = start("basic", 1, 8, SweepEngine::default());
+    adacomm_bench::report::set_results_subdir("tests");
+    // No run meets a zero deadline: a figure that asks this engine for a
+    // run panics with the supervisor's reason; an analytic one is healthy.
+    // (Sequential, so the body fails at its first run, not after a wave.)
+    let doomed = SweepEngine::with_parallelism(false).with_supervisor(SupervisorPolicy {
+        deadline: Some(Duration::ZERO),
+        ..SupervisorPolicy::default()
+    });
+    let handle = start("basic", 1, 8, doomed);
     let mut client = Client::connect(handle.socket_path());
 
     let pong = client.call(&ping(1));
@@ -179,13 +191,28 @@ fn ping_stats_and_unknown_figure() {
         other => panic!("expected stats, got {other:?}"),
     }
 
-    let response = client.call(&Request {
-        id: Some(3),
-        cmd: Command::Figure {
-            name: "no-such-figure".into(),
-        },
-    });
+    let mut figure = |id: u64, name: &str| {
+        client.call(&Request {
+            id: Some(id),
+            cmd: Command::Figure { name: name.into() },
+        })
+    };
+    let response = figure(3, "no-such-figure");
     assert_eq!(error_kind(&response), Some(ErrorKind::BadRequest));
+
+    match figure(4, "fig04_speedup").body {
+        ResponseBody::Figure { name, .. } => assert_eq!(name, "fig04_speedup"),
+        other => panic!("expected a rendered figure, got {other:?}"),
+    }
+
+    match figure(5, "fig01_concept").body {
+        ResponseBody::Error { kind, message } => {
+            assert_eq!(kind, ErrorKind::Panic);
+            assert!(message.contains("deadline exceeded"), "{message}");
+        }
+        other => panic!("expected a panic error, got {other:?}"),
+    }
+    assert_eq!(stats_of(&mut client).request_panics, 1);
 
     handle.join();
 }
