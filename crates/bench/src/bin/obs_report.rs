@@ -246,16 +246,22 @@ fn render_window(win: &Window) {
     println!();
 }
 
+fn usage_error(complaint: &str) -> ! {
+    eprintln!("{complaint}\nusage: obs_report [--check] TRACE_DIR");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let check = args.iter().any(|a| a == "--check");
+    // `--chekc DIR` must not render and exit 0 where CI meant to validate.
+    if let Err(complaint) = adacomm_bench::cli::check_args(&args, &[], &["--check"], 1) {
+        usage_error(&complaint);
+    }
     let dir = match args.iter().find(|a| !a.starts_with("--")) {
         Some(dir) => std::path::PathBuf::from(dir),
-        None => {
-            eprintln!("usage: obs_report [--check] TRACE_DIR");
-            std::process::exit(2);
-        }
+        None => usage_error("a trace directory is required"),
     };
+    let check = args.iter().any(|a| a == "--check");
     let mut paths: Vec<std::path::PathBuf> = match std::fs::read_dir(&dir) {
         Ok(entries) => entries
             .filter_map(|e| e.ok())

@@ -120,20 +120,10 @@ fn main() {
     }
     // Every argument must be a known flag or the value of one: this is the
     // only figure CLI, so `--ony fig09` must not run all 22 figures.
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        if let Some((flag, what)) = VALUE_FLAGS.iter().find(|(flag, _)| flag == arg) {
-            if rest.next().is_none_or(|value| value.starts_with("--")) {
-                usage_error(&format!("{flag} requires {what}"));
-            }
-        } else if !SWITCHES.contains(&arg.as_str()) {
-            usage_error(&format!("unknown argument {arg:?}"));
-        }
+    if let Err(complaint) = adacomm_bench::cli::check_args(&args, &VALUE_FLAGS, &SWITCHES, 0) {
+        usage_error(&complaint);
     }
-    let value_of = |flag: &str| {
-        let at = args.iter().position(|a| a == flag)?;
-        Some(args[at + 1].as_str())
-    };
+    let value_of = |flag: &str| adacomm_bench::cli::value_of(&args, flag);
     let scale = Scale::from_env_and_args();
     let trace_dir = value_of("--trace").map(std::path::PathBuf::from);
     if trace_dir.is_some() && !telemetry::is_enabled() {

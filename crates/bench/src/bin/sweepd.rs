@@ -46,7 +46,7 @@
 //!   workers overlap, so span self-times never tile the wall clock).
 
 use adacomm_bench::server::{self, Server, ServerConfig};
-use adacomm_bench::{failpoint, RunStore, Scale, SweepEngine};
+use adacomm_bench::{cli, failpoint, RunStore, Scale, SweepEngine};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -102,16 +102,20 @@ extern "C" {
 const SIGTERM: i32 = 15;
 const SIGINT: i32 = 2;
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .filter(|v| !v.starts_with("--"))
-        .cloned()
-}
+/// Flags that take a value, with what the value is (for the error).
+const VALUE_FLAGS: [(&str, &str); 6] = [
+    ("--socket", "a socket path"),
+    ("--workers", "a non-negative integer"),
+    ("--queue-limit", "a non-negative integer"),
+    ("--trace", "a directory argument"),
+    ("--park-every-rounds", "a non-negative integer"),
+    ("--gc-age-secs", "a non-negative integer"),
+];
+
+const SWITCHES: [&str; 3] = ["--smoke", "--full", "--no-cache"];
 
 fn numeric_flag(args: &[String], flag: &str, default: u64) -> u64 {
-    match flag_value(args, flag) {
+    match cli::value_of(args, flag) {
         None => default,
         Some(raw) => raw.parse().unwrap_or_else(|_| {
             eprintln!("{flag} requires a non-negative integer, got {raw:?}");
@@ -125,6 +129,12 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!("{USAGE}");
         return;
+    }
+    // Before the store lock, journal recovery and the bind: a misspelt
+    // `--socket` must not serve on the default path.
+    if let Err(complaint) = cli::check_args(&args, &VALUE_FLAGS, &SWITCHES, 0) {
+        eprintln!("sweepd: {complaint}\n{USAGE}");
+        std::process::exit(2);
     }
     match failpoint::init_from_env() {
         Ok(0) => {}
@@ -141,7 +151,7 @@ fn main() {
     if scale.is_smoke() {
         adacomm_bench::report::set_results_subdir("smoke");
     }
-    let trace_dir = flag_value(&args, "--trace").map(PathBuf::from);
+    let trace_dir = cli::value_of(&args, "--trace").map(PathBuf::from);
     if trace_dir.is_some() && !telemetry::is_enabled() {
         eprintln!(
             "--trace requires the `trace` feature (this binary was built with \
@@ -151,6 +161,8 @@ fn main() {
     }
     let park_every = numeric_flag(&args, "--park-every-rounds", 256);
     let gc_age = Duration::from_secs(numeric_flag(&args, "--gc-age-secs", 24 * 60 * 60));
+    let workers = numeric_flag(&args, "--workers", 2) as usize;
+    let queue_limit = numeric_flag(&args, "--queue-limit", 64) as usize;
 
     // The engine owns the store; the daemon holds the store's lockfile
     // for its whole lifetime so batch writers against the same cache
@@ -204,11 +216,11 @@ fn main() {
         engine = engine.with_periodic_park(park_every);
     }
     let config = ServerConfig {
-        socket_path: flag_value(&args, "--socket")
+        socket_path: cli::value_of(&args, "--socket")
             .map(PathBuf::from)
             .unwrap_or_else(|| PathBuf::from("/tmp/adacomm-sweepd.sock")),
-        workers: numeric_flag(&args, "--workers", 2) as usize,
-        queue_limit: numeric_flag(&args, "--queue-limit", 64) as usize,
+        workers,
+        queue_limit,
         scale,
         journal_path,
         gc_max_parked_age: gc_age,

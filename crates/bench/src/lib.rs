@@ -6,10 +6,10 @@
 //! CSV under `results/`. There is one way to execute a figure
 //! ([`figures::run_figure`]) and one way to execute a run
 //! ([`SweepEngine::try_trace_cancellable`]; a batch run is its
-//! never-cancelled case), whoever asks: `src/bin/` holds exactly six
+//! never-cancelled case), whoever asks: `src/bin/` holds exactly four
 //! binaries — `reproduce_all` (the figure command line; one figure is
 //! `--only <name>`), the `sweepd`/`sweepctl` service pair, and the
-//! `perf_suite`/`load_suite`/`obs_report` tools — and none per figure.
+//! `obs_report` trace reader — and none per figure.
 //! Around them: the smoke/quick/full scale switch, canonical experiment
 //! scenarios, the declarative sweep engine that executes runs concurrently
 //! in-process ([`sweep`]), the persistent content-addressed run store that
@@ -18,6 +18,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod failpoint;
 pub mod figures;
 pub mod panel;

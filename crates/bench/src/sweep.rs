@@ -614,24 +614,6 @@ pub enum CancellableRun {
 /// the reason the key failed terminally on this engine.
 pub type Known = Result<(RunTrace, TraceSource), String>;
 
-/// Aggregate statistics over an engine's distinct executed runs (see
-/// [`SweepEngine::run_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RunStats {
-    /// Distinct simulation runs executed (cache size).
-    pub unique_runs: usize,
-    /// Total averaging rounds, summed across runs.
-    pub rounds: u64,
-    /// Total per-worker local steps, summed across runs (each run's final
-    /// iteration count).
-    pub local_steps: u64,
-    /// Total simulated seconds, summed across runs (each run's final
-    /// clock).
-    pub sim_clock_secs: f64,
-    /// Largest per-worker encoded message transmitted in any run.
-    pub peak_payload_bytes: f64,
-}
-
 /// Executes [`SweepSpec`] batches with run-level parallelism, global
 /// memoization and deterministic output ordering (see the module docs).
 /// With [`SweepEngine::with_store`], the memoization extends to disk:
@@ -1192,29 +1174,6 @@ impl SweepEngine {
     /// Number of distinct runs executed so far (cache size).
     pub fn unique_runs(&self) -> usize {
         self.runs.lock().expect("run cache poisoned").len()
-    }
-
-    /// Aggregate statistics over every distinct run executed so far —
-    /// what `perf_suite` reports for the in-process reproduction instead
-    /// of placeholder zeros. Covers the engine's memoized runs (the sweep
-    /// wave plus every figure-body request); free-form simulations that
-    /// bypass the engine (e.g. the τ0 grid-search trials) are not
-    /// included.
-    pub fn run_stats(&self) -> RunStats {
-        let runs = self.runs.lock().expect("run cache poisoned");
-        let mut stats = RunStats {
-            unique_runs: runs.len(),
-            ..RunStats::default()
-        };
-        for trace in runs.values() {
-            stats.rounds += trace.rounds;
-            if let Some(last) = trace.points.last() {
-                stats.local_steps += last.iterations;
-                stats.sim_clock_secs += last.clock;
-            }
-            stats.peak_payload_bytes = stats.peak_payload_bytes.max(trace.peak_payload_bytes);
-        }
-        stats
     }
 
     /// Whether this engine executes batches with run-level parallelism.

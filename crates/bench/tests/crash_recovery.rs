@@ -2,9 +2,9 @@
 //! killed daemon are replayed by `server::recover`, the interrupted runs
 //! complete — resuming parked checkpoints bit-identically where they
 //! exist — and the journal is discarded so the next epoch starts clean.
-//! The real-SIGKILL version of this contract runs in `load_suite`
-//! (BENCH_10) and the CI chaos drill; this file pins the library-level
-//! semantics deterministically.
+//! The real-process versions of this contract run in `sweepd_process.rs`
+//! (abort after the journal append) and the CI chaos drill (`kill -9`);
+//! this file pins the library-level semantics deterministically.
 
 use adacomm_bench::server::journal::{self, Journal};
 use adacomm_bench::server::protocol::{self, Command, Request, Response, ResponseBody, RunRequest};

@@ -4,8 +4,8 @@
 //! temp files, failed renames, transient unreadable loads — must degrade
 //! to a structured outcome (`Rejected`/`Absent`/`Err`), never a panic
 //! and never a silently wrong trace. This is the store half of the
-//! crash-consistency contract: BENCH_10's drill asserts the same
-//! property end-to-end through the daemon.
+//! crash-consistency contract; `sweepd_process.rs` and the CI chaos
+//! drill assert the daemon half end to end.
 //!
 //! Failpoint state is process-global, so every test here serializes on
 //! one mutex and disarms on entry and exit.
