@@ -9,6 +9,10 @@
 //! register blocking, direct full averaging, chunked parallel trace-point
 //! evaluation, reused batch buffers, evaluation-result memoization —
 //! provably left full-precision results bit-identical, on any pool size.
+//! Its trailing codec sections (every codec family under full, ring and
+//! partial averaging, with comm bytes and residual norms per round) were
+//! generated by the serial per-worker encode loop, committed before the
+//! encode moved into the worker fan-out.
 //!
 //! Only parameter-derived quantities are recorded (evaluation loss, test
 //! accuracy, simulated clock). The *mean local loss* returned by
@@ -208,7 +212,93 @@ fn golden_trace() -> String {
     let acc = c.eval_test_accuracy();
     let _ = writeln!(out, "local-only,accuracy,{:016x}", acc.to_bits());
 
+    // Compressed fault-free rounds: every codec family under each mixing
+    // shape, on the same bytes-aware cluster as the fault-active fixture.
+    // `partial` pins the non-participant `reset_feedback` path.
+    out.push_str(
+        "# section,round,iterations,clock_f64_bits,train_loss_f32_bits,comm_bytes_f64_bits,\
+         residual_norm_f32_bits,discrepancy_f32_bits\n",
+    );
+    let strategies = [
+        ("full", AveragingStrategy::FullAverage),
+        ("ring", AveragingStrategy::Ring),
+        (
+            "partial",
+            AveragingStrategy::PartialParticipation { fraction: 0.5 },
+        ),
+    ];
+    let codecs = [
+        ("topk1", CodecSpec::TopK { ratio: 0.01 }),
+        ("qsgd4", CodecSpec::Qsgd { bits: 4 }),
+        ("sign", CodecSpec::Sign),
+        ("randk", CodecSpec::RandomK { ratio: 0.25 }),
+    ];
+    let mut seed = 20;
+    for (strategy_name, averaging) in strategies {
+        for (codec_name, codec) in codecs {
+            seed += 1;
+            let mut c = ledger_cluster(
+                MomentumMode::None,
+                averaging,
+                codec,
+                FaultConfig::NONE,
+                seed,
+            );
+            let section = format!("{codec_name}-{strategy_name}");
+            for (round, &tau) in TAUS.iter().enumerate() {
+                let _ = c.run_round(tau);
+                let loss = c.eval_train_loss();
+                let _ = writeln!(
+                    out,
+                    "{section},{round},{iters},{clock:016x},{loss:08x},{bytes:016x},\
+                     {residual:08x},{disc:08x}",
+                    iters = c.iterations(),
+                    clock = c.clock().to_bits(),
+                    loss = loss.to_bits(),
+                    bytes = c.comm_bytes().to_bits(),
+                    residual = c.mean_residual_norm().to_bits(),
+                    disc = c.model_discrepancy().to_bits(),
+                );
+            }
+            let acc = c.eval_test_accuracy();
+            let _ = writeln!(out, "{section},accuracy,{:016x}", acc.to_bits());
+        }
+    }
+
     out
+}
+
+/// A four-worker MLP cluster whose comm model has a bandwidth term, so
+/// payload bytes (codec- and retransmit-dependent) reach the clock.
+fn ledger_cluster(
+    momentum: MomentumMode,
+    averaging: AveragingStrategy,
+    codec: CodecSpec,
+    fault: FaultConfig,
+    seed: u64,
+) -> PasgdCluster {
+    let workers = 4;
+    PasgdCluster::new(
+        nn::models::mlp_classifier(8, &[16], 3, 42),
+        GaussianMixture::small_test().generate(seed),
+        RuntimeModel::new(
+            DelayDistribution::exponential(0.5),
+            CommModel::constant(0.3).with_bandwidth(1e-5),
+            workers,
+        ),
+        ClusterConfig {
+            workers,
+            batch_size: 8,
+            lr: 0.05,
+            weight_decay: 5e-4,
+            momentum,
+            averaging,
+            codec,
+            seed,
+            eval_subset: 64,
+            fault,
+        },
+    )
 }
 
 /// Generates the convolution golden trace: five rounds of each conv model
@@ -292,7 +382,6 @@ fn golden_trace_faulty() -> String {
         ("topk", CodecSpec::TopK { ratio: 0.25 }),
         ("qsgd", CodecSpec::Qsgd { bits: 4 }),
     ];
-    let workers = 4;
     let mut out = String::new();
     out.push_str(
         "# section,round,iterations,clock_f64_bits,train_loss_f32_bits,comm_bytes_f64_bits,\
@@ -311,28 +400,12 @@ fn golden_trace_faulty() -> String {
                     MomentumMode::None
                 };
                 seed += 1;
-                let mut c = PasgdCluster::new(
-                    nn::models::mlp_classifier(8, &[16], 3, 42),
-                    GaussianMixture::small_test().generate(seed),
-                    RuntimeModel::new(
-                        DelayDistribution::exponential(0.5),
-                        // A bandwidth term, so payload bytes (codec- and
-                        // retransmit-dependent) reach the clock.
-                        CommModel::constant(0.3).with_bandwidth(1e-5),
-                        workers,
-                    ),
-                    ClusterConfig {
-                        workers,
-                        batch_size: 8,
-                        lr: 0.05,
-                        weight_decay: 5e-4,
-                        momentum,
-                        averaging,
-                        codec,
-                        seed,
-                        eval_subset: 64,
-                        fault: FaultConfig { spec, policy },
-                    },
+                let mut c = ledger_cluster(
+                    momentum,
+                    averaging,
+                    codec,
+                    FaultConfig { spec, policy },
+                    seed,
                 );
                 let section = format!("{policy_name}-{strategy_name}-{codec_name}");
                 for (round, &tau) in TAUS.iter().enumerate() {
