@@ -5,7 +5,8 @@
 //! codec, budget — instead of an imperative loop. A [`SweepEngine`]
 //! executes batches of specs **concurrently in-process** on the shared
 //! worker pool (each run's inner worker fan-out nests inside the outer
-//! run-level parallelism; the pool is re-entrant), with:
+//! run-level parallelism; a blocked join runs only its own chunks, so a
+//! run never stacks another queued run on its stack), with:
 //!
 //! * **deterministic output ordering** — results come back in spec order
 //!   regardless of execution interleaving;
@@ -38,7 +39,8 @@ use pasgd_sim::{
     RunCheckpoint, RunOutcome, RunTrace,
 };
 use rayon::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 /// A shared experiment suite a sweep run executes in. Each variant is one
@@ -622,9 +624,16 @@ pub type Known = Result<(RunTrace, TraceSource), String>;
 pub struct SweepEngine {
     parallel: bool,
     scenarios: Mutex<HashMap<String, Arc<BuiltScenario>>>,
-    runs: Mutex<HashMap<String, RunTrace>>,
+    /// The memo. Ordered rather than hashed: it only grows, and a hash
+    /// table's doubling briefly holds the old and the new table at once,
+    /// so a daemon's peak RSS would jump by 2× its table each time it
+    /// crosses a power of two.
+    runs: Mutex<BTreeMap<String, RunTrace>>,
     store: Option<RunStore>,
-    traffic: Mutex<CacheTraffic>,
+    /// Disk hits and misses count a key's first insertion into `runs`;
+    /// every other resolution — including the racing duplicates the
+    /// check-compute-insert cache tolerates — is a memory hit.
+    traffic: Mutex<CacheStats>,
     warnings: Mutex<Vec<String>>,
     supervisor: SupervisorPolicy,
     /// Keys whose supervised execution failed terminally (all attempts
@@ -639,19 +648,8 @@ pub struct SweepEngine {
     park_every_rounds: Option<u64>,
 }
 
-/// Origin bookkeeping behind [`SweepEngine::cache_stats`]: `counted`
-/// holds the keys whose *first* resolution has already been attributed
-/// (to a disk hit or a miss), so repeat requests — including the racing
-/// duplicates the check-compute-insert cache tolerates — count as memory
-/// hits instead of inflating the per-key counters.
-#[derive(Default)]
-struct CacheTraffic {
-    counted: HashSet<String>,
-    stats: CacheStats,
-}
-
 /// Whether run-level parallelism pays on this machine: it needs more than
-/// one executor. On a single core the pool worker and the helping
+/// one executor. On a single core the pool worker and the joining
 /// submitter would merely timeslice, thrashing the shared cache between
 /// different runs' working sets (measured ≈9% slower end-to-end), so the
 /// engine goes sequential there — results are bit-identical either way.
@@ -683,9 +681,9 @@ impl SweepEngine {
         SweepEngine {
             parallel,
             scenarios: Mutex::new(HashMap::new()),
-            runs: Mutex::new(HashMap::new()),
+            runs: Mutex::new(BTreeMap::new()),
             store: None,
-            traffic: Mutex::new(CacheTraffic::default()),
+            traffic: Mutex::new(CacheStats::default()),
             warnings: Mutex::new(Vec::new()),
             supervisor: SupervisorPolicy::default(),
             failed: Mutex::new(HashMap::new()),
@@ -729,31 +727,37 @@ impl SweepEngine {
     /// once per distinct key; every further request for a resolved key is
     /// a memory hit.
     pub fn cache_stats(&self) -> CacheStats {
-        self.traffic
-            .lock()
-            .expect("traffic counters poisoned")
-            .stats
+        *self.traffic.lock().expect("traffic counters poisoned")
     }
 
-    /// Attributes the first resolution of `key` to a disk hit or a miss;
-    /// a key already attributed (a racing duplicate compute) counts as a
-    /// memory hit like any other repeat request. The same outcomes feed
-    /// the telemetry registry (`sweep.cache.*`), so trace files and
-    /// `--json` reports carry the cache traffic as real metrics.
-    fn note_resolved(&self, key: &str, from_disk: bool) {
+    /// Memoizes a resolved trace and returns the memo's copy. The key's
+    /// first insertion is its disk hit or miss; a key already present (a
+    /// racing duplicate compute) counts as a memory hit like any other
+    /// repeat request. The same outcomes feed the telemetry registry
+    /// (`sweep.cache.*`), so trace files and `--json` reports carry the
+    /// cache traffic as real metrics.
+    fn memoize(&self, key: &str, trace: RunTrace, from_disk: bool) -> RunTrace {
+        let (trace, first) = match self
+            .runs
+            .lock()
+            .expect("run cache poisoned")
+            .entry(key.to_string())
+        {
+            Entry::Vacant(slot) => (slot.insert(trace).clone(), true),
+            Entry::Occupied(memo) => (memo.get().clone(), false),
+        };
         let mut t = self.traffic.lock().expect("traffic counters poisoned");
-        if t.counted.insert(key.to_string()) {
-            if from_disk {
-                t.stats.disk_hits += 1;
-                telemetry::counter("sweep.cache.disk_hits").inc();
-            } else {
-                t.stats.misses += 1;
-                telemetry::counter("sweep.cache.misses").inc();
-            }
-        } else {
-            t.stats.mem_hits += 1;
+        if !first {
+            t.mem_hits += 1;
             telemetry::counter("sweep.cache.mem_hits").inc();
+        } else if from_disk {
+            t.disk_hits += 1;
+            telemetry::counter("sweep.cache.disk_hits").inc();
+        } else {
+            t.misses += 1;
+            telemetry::counter("sweep.cache.misses").inc();
         }
+        trace
     }
 
     /// Records an out-of-band diagnostic (e.g. a rejected store entry).
@@ -837,7 +841,7 @@ impl SweepEngine {
             .cloned();
         if let Some(trace) = cached {
             let mut t = self.traffic.lock().expect("traffic counters poisoned");
-            t.stats.mem_hits += 1;
+            t.mem_hits += 1;
             telemetry::counter("sweep.cache.mem_hits").inc();
             return Some(Ok((trace, TraceSource::Memory)));
         }
@@ -865,12 +869,7 @@ impl SweepEngine {
         }
         match outcome {
             LoadOutcome::Hit(trace) => {
-                let trace = {
-                    let mut runs = self.runs.lock().expect("run cache poisoned");
-                    runs.entry(key.to_string()).or_insert(trace).clone()
-                };
-                self.note_resolved(key, true);
-                Some(Ok((trace, TraceSource::Disk)))
+                Some(Ok((self.memoize(key, trace, true), TraceSource::Disk)))
             }
             LoadOutcome::Rejected(reason) => {
                 self.warn(format!(
@@ -879,7 +878,7 @@ impl SweepEngine {
                 telemetry::emit(|| telemetry::schema::warning_line("run_store", &reason));
                 store.evict(key);
                 let mut t = self.traffic.lock().expect("traffic counters poisoned");
-                t.stats.rejects += 1;
+                t.rejects += 1;
                 telemetry::counter("sweep.cache.rejects").inc();
                 None
             }
@@ -1071,13 +1070,8 @@ impl SweepEngine {
                     // The run is complete; any parked remainder is obsolete.
                     store.unpark(&key);
                 }
-                let trace = {
-                    let mut runs = self.runs.lock().expect("run cache poisoned");
-                    runs.entry(key.clone()).or_insert(trace).clone()
-                };
-                self.note_resolved(&key, false);
                 Ok(CancellableRun::Done {
-                    trace,
+                    trace: self.memoize(&key, trace, false),
                     source: if resumed {
                         TraceSource::Resumed
                     } else {

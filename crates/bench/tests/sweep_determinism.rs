@@ -12,8 +12,8 @@
 //!    sweep_determinism`.
 //!
 //! The pool is pinned to four workers so run-level parallelism is real
-//! even on single-core CI machines (nested joins execute on the
-//! re-entrant pool).
+//! even on single-core CI machines (each run's nested join runs its own
+//! chunks while idle pool threads take the rest).
 
 use adacomm_bench::{LrSpec, ScenarioSpec, SchedulerSpec, SweepEngine, SweepSpec};
 use pasgd_sim::RunTrace;

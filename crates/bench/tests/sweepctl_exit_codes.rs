@@ -135,8 +135,14 @@ fn draining_exits_four() {
     // The client (distinct budget => distinct key) queues behind it.
     let client =
         std::thread::spawn(move || sweepctl(&path, &["run", "concept", "--budget", "7", "2"]));
+    // Both request lines must have been read: a queue depth of one alone
+    // can still be the pin, not yet picked up by the worker, and a drain
+    // then can reach the server before the client's request does.
     let deadline = Instant::now() + Duration::from_secs(30);
-    while handle.stats().queue_depth == 0 {
+    while {
+        let stats = handle.stats();
+        stats.requests < 2 || stats.queue_depth == 0
+    } {
         assert!(Instant::now() < deadline, "client request never queued");
         std::thread::sleep(Duration::from_millis(10));
     }

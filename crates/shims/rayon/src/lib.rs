@@ -13,23 +13,31 @@
 //! concatenated in slice order, so `map(..).collect()` preserves element
 //! order exactly like rayon does.
 //!
-//! # Re-entrancy
+//! # Nesting
 //!
-//! The pool is **re-entrant**: a job running on a pool thread may itself
-//! call `par_iter_mut` without deadlocking the (finite) pool. Like rayon's
-//! work-stealing join, a thread that is blocked waiting for its chunk jobs
-//! to finish **helps execute queued jobs** instead of sleeping — including
-//! jobs submitted by other parallel calls. An outer sweep over runs can
-//! therefore nest an inner `par_iter_mut` over workers (which may itself
-//! nest chunked evaluation jobs) and every level makes progress: each
-//! parallel call's submitter can always execute its own queued chunks, so
-//! the dependency graph of joins (a DAG — calls only wait on their own
-//! chunks) drains bottom-up even when every pool thread is inside some
-//! join. Panics in a chunk job are caught, the worker survives, and the
-//! panic is re-raised on the thread that submitted that chunk's parallel
-//! call — an inner panic therefore unwinds the outer job that caused it,
-//! reaching that outer call's submitter in turn, never aborting the
-//! process.
+//! A job running on a pool thread may itself call `par_iter_mut` without
+//! deadlocking the (finite) pool. Every queued job is tagged with the
+//! parallel call that submitted it, and a thread blocked waiting for its
+//! call's chunks **runs only its own call's queued chunks**, then parks
+//! until the chunks other threads took have finished. It never starts an
+//! unrelated job: a blocked round of one run cannot pick up the next
+//! queued run and finish it first, so the number of live outer jobs is
+//! bounded by the executors (pool workers plus submitters), not by how
+//! many are queued. Idle pool workers take any job, oldest first, so while
+//! an outer sweep has runs queued each executor holds one run and runs
+//! that run's fan-out itself; only otherwise-idle threads take another
+//! call's chunks.
+//!
+//! An outer sweep over runs can therefore nest an inner `par_iter_mut`
+//! over workers (which may itself nest chunked evaluation jobs) and every
+//! level makes progress: a joiner parks only when none of its chunks is
+//! queued, i.e. when every outstanding chunk is already running on some
+//! other thread, and calls only wait on their own chunks, so the joins
+//! form a DAG that drains bottom-up. Panics in a chunk job are caught, the
+//! executing thread survives, and the panic is re-raised on the thread
+//! that submitted that chunk's parallel call — an inner panic therefore
+//! unwinds the outer job that caused it, reaching that outer call's
+//! submitter in turn, never aborting the process.
 //!
 //! # Safety
 //!
@@ -37,10 +45,12 @@
 //! job's lifetime (the same obligation real rayon discharges in its scoped
 //! machinery). Soundness rests on one invariant, enforced in the private
 //! `run_jobs` dispatcher: the submitting call **does not return until every
-//! chunk job has finished running** (it helps execute jobs, then blocks on
-//! a completion latch; panicking jobs are caught and still counted), so no
-//! borrow escapes the caller's stack frame. This is the only unsafe code in
-//! the workspace.
+//! chunk job has finished running** (it runs its own queued chunks, then
+//! parks until a completion latch reaches zero; panicking jobs are caught
+//! and still counted), so no borrow escapes the caller's stack frame. The
+//! latch itself lives in that frame, so the job that releases it touches
+//! nothing of the frame after the releasing decrement. This is the only
+//! unsafe code in the workspace.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,6 +58,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
+use std::thread::Thread;
 
 /// The traits and adaptors, mirroring `rayon::prelude`.
 pub mod prelude {
@@ -177,8 +188,14 @@ where
 /// [`run_jobs`], which does not return until the job has run.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// Identifies the parallel call that queued a job: the address of that
+/// call's [`Latch`], unique while the call is live (and no job of a call
+/// outlives it in the queue).
+type CallId = usize;
+
 struct Pool {
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<VecDeque<(CallId, Job)>>,
+    /// Wakes idle workers only; a blocked joiner parks on its own thread.
     job_ready: Condvar,
     workers: usize,
 }
@@ -211,22 +228,30 @@ impl Pool {
         })
     }
 
-    fn submit(&self, job: Job) {
+    fn submit(&self, call: CallId, job: Job) {
         self.queue
             .lock()
             .expect("pool queue poisoned")
-            .push_back(job);
+            .push_back((call, job));
         self.job_ready.notify_one();
+    }
+
+    /// Dequeues the oldest queued job of `call`, if any is still queued.
+    fn take_own(&self, call: CallId) -> Option<Job> {
+        let mut queue = self.queue.lock().expect("pool queue poisoned");
+        let at = queue.iter().position(|&(owner, _)| owner == call)?;
+        queue.remove(at).map(|(_, job)| job)
     }
 }
 
+/// An idle pool worker: runs any queued job, oldest first.
 fn worker_loop() {
     let pool = Pool::global();
     loop {
         let job = {
             let mut queue = pool.queue.lock().expect("pool queue poisoned");
             loop {
-                if let Some(job) = queue.pop_front() {
+                if let Some((_, job)) = queue.pop_front() {
                     break job;
                 }
                 queue = pool.job_ready.wait(queue).expect("pool queue poisoned");
@@ -236,13 +261,15 @@ fn worker_loop() {
     }
 }
 
-/// Counts outstanding chunk jobs of one parallel call; the submitting
-/// thread helps run queued jobs until it reaches zero. A panicking job is
-/// caught inside the job (keeping its thread alive), flagged here, and
-/// re-raised on the submitter.
+/// Counts outstanding chunk jobs of one parallel call and names the thread
+/// that joins them. The joiner runs its own queued chunks, then parks
+/// until the count reaches zero; the last completion unparks it and no
+/// other thread. A panicking job is caught inside the job (keeping its
+/// thread alive), flagged here, and re-raised on the joiner.
 struct Latch {
     remaining: AtomicUsize,
     panicked: AtomicBool,
+    joiner: Thread,
 }
 
 impl Latch {
@@ -250,54 +277,46 @@ impl Latch {
         Latch {
             remaining: AtomicUsize::new(count),
             panicked: AtomicBool::new(false),
+            joiner: std::thread::current(),
         }
+    }
+
+    /// The tag of every job this latch counts.
+    fn call_id(&self) -> CallId {
+        self as *const Latch as CallId
     }
 
     fn is_done(&self) -> bool {
         self.remaining.load(Ordering::SeqCst) == 0
     }
 
-    /// Marks one job complete. On the last completion, wakes every thread
-    /// sleeping on the pool's condvar so blocked helpers re-check their
-    /// latch. The empty lock/unlock of the queue mutex before `notify_all`
-    /// closes the missed-wakeup race: a helper observes `is_done() ==
-    /// false` only while holding the queue lock, so this completion's
-    /// notification cannot fire until that helper has entered `wait` (which
-    /// releases the lock atomically).
+    /// Marks one job complete; the last completion unparks the joiner. The
+    /// latch lives on the joiner's stack, and the decrement to zero lets
+    /// the joiner return and free it, so the handle is cloned *before* the
+    /// decrement and nothing of the latch is touched after it. A lost race
+    /// is impossible: an `unpark` that lands before the joiner's `park`
+    /// makes that `park` return at once.
     fn complete_one(&self) {
+        let joiner = self.joiner.clone();
         if self.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let pool = Pool::global();
-            drop(pool.queue.lock().expect("pool queue poisoned"));
-            pool.job_ready.notify_all();
+            joiner.unpark();
         }
     }
 }
 
-/// Runs queued jobs until `latch` reports completion — the work-stealing
-/// half of a join. Any queued job may be executed here (not just this
-/// call's chunks); a popped job runs to completion on this stack, possibly
-/// nesting further parallel calls, so join depth is bounded by the
-/// nesting depth of parallelism, and every blocked join keeps the queue
-/// draining instead of idling a thread.
+/// The join half of a parallel call: runs this call's still-queued chunks
+/// on the joining thread, then parks until the chunks other threads took
+/// have completed. It never starts another call's job, so a join adds
+/// only its own chunks to this stack. A taken chunk is never re-queued,
+/// so once none is left to take only the latch can release the joiner
+/// (`park` may return spuriously, hence the loop).
 fn help_until(latch: &Latch) {
     let pool = Pool::global();
-    loop {
-        if latch.is_done() {
-            return;
-        }
-        let job = {
-            let mut queue = pool.queue.lock().expect("pool queue poisoned");
-            loop {
-                if latch.is_done() {
-                    return;
-                }
-                if let Some(job) = queue.pop_front() {
-                    break job;
-                }
-                queue = pool.job_ready.wait(queue).expect("pool queue poisoned");
-            }
-        };
+    while let Some(job) = pool.take_own(latch.call_id()) {
         job();
+    }
+    while !latch.is_done() {
+        std::thread::park();
     }
 }
 
@@ -332,8 +351,9 @@ where
         .collect()
 }
 
-/// Dispatches one job per chunk onto the pool, helps execute queued jobs
-/// until all chunks have completed, and panics afterwards if any chunk
+/// Dispatches one job per chunk onto the pool, tagged with this call's
+/// latch, joins them through [`help_until`] (running only this call's
+/// chunks on the calling thread), and panics afterwards if any chunk
 /// panicked (matching the scoped-thread behaviour the pool replaced).
 #[allow(unsafe_code)]
 fn run_jobs<T, R, F, P, V>(
@@ -352,7 +372,7 @@ fn run_jobs<T, R, F, P, V>(
     let latch = Latch::new(slots.len());
     // Once the first job is submitted, unwinding out of this frame before
     // the latch reaches zero would free stack data that lifetime-erased
-    // jobs still reference. Jobs catch their own panics (so helping cannot
+    // jobs still reference. Jobs catch their own panics (so joining cannot
     // unwind here and the pool mutexes cannot be poisoned by them), but if
     // anything between submit and completion ever does panic, abort instead
     // of handing workers dangling pointers — the same escalation std's
@@ -360,11 +380,12 @@ fn run_jobs<T, R, F, P, V>(
     let abort_guard = AbortOnUnwind;
     {
         let pool = Pool::global();
+        let call = latch.call_id();
         for (chunk, slot) in slice.chunks_mut(chunk_len).zip(slots.iter_mut()) {
             let latch_ref = &latch;
             let job = move || {
                 // Catch panics inside the job so the executing thread
-                // (worker or helper) survives and the submitter is always
+                // (worker or joiner) survives and the joiner is always
                 // released.
                 let result =
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| process(chunk, op)));
@@ -376,12 +397,16 @@ fn run_jobs<T, R, F, P, V>(
             };
             let boxed: Box<dyn FnOnce() + Send + '_> = Box::new(job);
             // SAFETY: `help_until` below does not return until every job
-            // has signalled the latch, so the borrows captured by `job`
-            // (chunk, slot, op, process, latch) outlive its execution; the
-            // 'static lifetime is never observable. `abort_guard` upholds
-            // this even if this frame unwinds early.
+            // has decremented the latch, so the borrows captured by `job`
+            // (chunk, slot, op, process, latch) outlive their use; the
+            // 'static lifetime is never observable. The decrement is the
+            // job's last touch of this frame: `complete_one` clones the
+            // joiner's handle before it and reads nothing of the latch
+            // after it, because the decrement to zero may release this
+            // frame. `abort_guard` upholds all this even if this frame
+            // unwinds early.
             let boxed: Job = unsafe { std::mem::transmute(boxed) };
-            pool.submit(boxed);
+            pool.submit(call, boxed);
         }
         help_until(&latch);
     }
@@ -485,8 +510,9 @@ mod tests {
         four_worker_pool();
         // Outer parallelism over "runs", inner par_iter_mut over each
         // run's "workers" — the sweep-engine shape. With four pool threads
-        // and eight outer jobs, inner joins *must* help execute queued
-        // jobs or the pool deadlocks on itself.
+        // and eight outer jobs, every pool thread can be blocked in an
+        // inner join while outer jobs are still queued: each join must
+        // run its own queued chunks, or the pool deadlocks on itself.
         let mut runs: Vec<Vec<u64>> = (0..8)
             .map(|r| (0..64).map(|w| r * 100 + w).collect())
             .collect();
@@ -504,6 +530,44 @@ mod tests {
             .map(|r| (0..64).map(|w| (r * 100 + w) * 2).sum())
             .collect();
         assert_eq!(sums, expected);
+    }
+
+    #[test]
+    fn blocked_join_never_starts_unrelated_work() {
+        use std::cell::Cell;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        four_worker_pool();
+        thread_local!(static DEPTH: Cell<usize> = const { Cell::new(0) });
+        static LIVE: AtomicUsize = AtomicUsize::new(0);
+        static MAX_LIVE: AtomicUsize = AtomicUsize::new(0);
+        // Sixteen queued "runs", each blocking on its own fan-out: a join
+        // that started another queued run would nest it on its stack.
+        let mut runs: Vec<u64> = (0..16).collect();
+        let depths: Vec<usize> = runs
+            .par_iter_mut()
+            .with_max_len(1)
+            .map(|_| {
+                let depth = DEPTH.with(|d| {
+                    d.set(d.get() + 1);
+                    d.get()
+                });
+                let live = LIVE.fetch_add(1, Ordering::SeqCst) + 1;
+                MAX_LIVE.fetch_max(live, Ordering::SeqCst);
+                let mut inner = [0u64; 8];
+                inner.par_iter_mut().for_each(|_| {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                });
+                LIVE.fetch_sub(1, Ordering::SeqCst);
+                DEPTH.with(|d| d.set(d.get() - 1));
+                depth
+            })
+            .collect();
+        assert!(depths.iter().all(|&d| d == 1), "nested runs: {depths:?}");
+        let max_live = MAX_LIVE.load(Ordering::SeqCst);
+        assert!(
+            max_live <= 5,
+            "{max_live} runs live on 4 workers + submitter"
+        );
     }
 
     #[test]

@@ -188,8 +188,8 @@ pub struct PasgdCluster {
     msg_planes: Vec<Vec<f32>>,
     /// Reused averaging accumulator, which doubles as the broadcast plane.
     accum: Vec<f32>,
-    /// Reused general scratch plane (error-feedback targets, block
-    /// momentum output, partial sums).
+    /// Reused general scratch plane (block momentum output, evaluation
+    /// replica sync).
     scratch: Vec<f32>,
 }
 
@@ -511,7 +511,9 @@ impl PasgdCluster {
     ///    spikes;
     /// 5. the [`AggregationPolicy`](crate::AggregationPolicy) picks the
     ///    participant set from the up workers' times and staleness;
-    /// 6. the participants' models are averaged (codec included) and the
+    /// 6. under a codec the participants encode their updates in parallel
+    ///    on the pool (each into its own message plane, from its own
+    ///    state only); the participants' messages are averaged and the
     ///    result broadcast *to the participants*; everyone else keeps its
     ///    local model;
     /// 7. drop/corrupt draws per participant charge retransmit cost
@@ -735,20 +737,24 @@ impl PasgdCluster {
             }
         } else {
             // Codec encode/decode is its own phase nested inside averaging:
-            // `phase.average` self time excludes it.
+            // `phase.average` self time excludes it. Each participant
+            // encodes into its own plane on the pool, like the local
+            // fan-out; the payload is an integer max, so no bit depends on
+            // the thread count.
             let _codec_phase = telemetry::span("phase.codec");
             let codec = self.codec;
-            let mut max_bytes = 0usize;
-            for &i in participants {
-                let bytes = self.workers[i].encode_update_into(
-                    &codec,
-                    &self.param_sizes,
-                    &mut self.scratch,
-                    &mut self.msg_planes[i],
-                );
-                max_bytes = max_bytes.max(bytes);
-            }
-            payload_bytes = max_bytes as f64;
+            let segments = &self.param_sizes;
+            let mut senders: Vec<(&mut Worker, &mut Vec<f32>)> = self
+                .workers
+                .iter_mut()
+                .zip(&mut self.msg_planes)
+                .filter(|(w, _)| participants.binary_search(&w.id()).is_ok())
+                .collect();
+            let sizes: Vec<usize> = senders
+                .par_iter_mut()
+                .map(|(w, plane)| w.encode_update_into(&codec, segments, plane))
+                .collect();
+            payload_bytes = sizes.into_iter().max().unwrap_or(0) as f64;
         }
 
         if !full_average {

@@ -40,6 +40,8 @@ pub struct Worker {
     sync_reference: Vec<f32>,
     /// Reused buffer holding the model delta during encoding.
     delta_scratch: Vec<f32>,
+    /// Reused buffer holding the error-compensated target during encoding.
+    feedback_scratch: Vec<f32>,
     /// Reused mini-batch buffers for the per-step hot loop.
     batch_x: Tensor,
     batch_y: Vec<usize>,
@@ -78,6 +80,7 @@ impl Worker {
             feedback: ErrorFeedback::new(),
             sync_reference: Vec::new(),
             delta_scratch: Vec::new(),
+            feedback_scratch: Vec::new(),
             track_reference: false,
             steps_taken: 0,
         }
@@ -228,12 +231,18 @@ impl Worker {
     /// transmitted`. Returns the encoded payload size in bytes.
     ///
     /// Biased codecs (Top-K, sign) go through the worker's error-feedback
-    /// memory (whose compensated target is formed in `scratch`), which
-    /// assumes the codec is norm-contractive; whatever is dropped is
-    /// compensated on the next round. Unbiased codecs (Random-K, QSGD) are
-    /// applied directly — their compensation is in expectation, and
-    /// feeding their (non-contractive) error into the residual memory
-    /// would make it oscillate.
+    /// memory (whose compensated target is formed in a worker-owned
+    /// scratch plane), which assumes the codec is norm-contractive;
+    /// whatever is dropped is compensated on the next round. Unbiased
+    /// codecs (Random-K, QSGD) are applied directly — their compensation
+    /// is in expectation, and feeding their (non-contractive) error into
+    /// the residual memory would make it oscillate.
+    ///
+    /// The encode reads and writes only this worker's state — model, sync
+    /// reference, error-feedback residual, `comm_rng` and its own scratch
+    /// planes — plus `out`, so the cluster encodes its participants in
+    /// parallel and every bit is the same on any number of threads and in
+    /// any completion order.
     ///
     /// The caller (the cluster) mixes the reconstructions and broadcasts
     /// the result back via [`Worker::load_params_from`], which re-anchors
@@ -247,7 +256,6 @@ impl Worker {
         &mut self,
         codec: &dyn Compressor,
         segments: &[usize],
-        scratch: &mut [f32],
         out: &mut [f32],
     ) -> usize {
         assert!(
@@ -276,11 +284,12 @@ impl Worker {
             assert_eq!(offset, n, "segments must cover the parameter plane");
             bytes
         } else {
+            self.feedback_scratch.resize(n, 0.0);
             self.feedback.compress_flat(
                 codec,
                 &self.delta_scratch,
                 segments,
-                scratch,
+                &mut self.feedback_scratch,
                 out,
                 &mut self.comm_rng,
             )
@@ -303,9 +312,8 @@ impl Worker {
     pub fn encode_update(&mut self, codec: &dyn Compressor) -> (Vec<Tensor>, usize) {
         let segments = self.model.param_sizes();
         let n: usize = segments.iter().sum();
-        let mut scratch = vec![0.0f32; n];
         let mut out = vec![0.0f32; n];
-        let bytes = self.encode_update_into(codec, &segments, &mut scratch, &mut out);
+        let bytes = self.encode_update_into(codec, &segments, &mut out);
         let shapes: Vec<Vec<usize>> = self
             .model
             .params_snapshot()
