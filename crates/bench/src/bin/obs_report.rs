@@ -254,10 +254,9 @@ fn usage_error(complaint: &str) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // `--chekc DIR` must not render and exit 0 where CI meant to validate.
-    if let Err(complaint) = adacomm_bench::cli::check_args(&args, &[], &["--check"], 1) {
-        usage_error(&complaint);
-    }
-    let dir = match args.iter().find(|a| !a.starts_with("--")) {
+    let free = adacomm_bench::cli::check_args(&args, &[], &["--check"], 1)
+        .unwrap_or_else(|complaint| usage_error(&complaint));
+    let dir = match free.first() {
         Some(dir) => std::path::PathBuf::from(dir),
         None => usage_error("a trace directory is required"),
     };

@@ -91,11 +91,12 @@ usage: reproduce_all [--full|--smoke] [--only SUBSTR] [--sequential|--parallel]
                         a partial-results report and exits non-zero)
   --help                print this help";
 
-/// Flags that take a value, with what the value is (for the error).
-const VALUE_FLAGS: [(&str, &str); 3] = [
-    ("--only", "a figure name or substring"),
-    ("--trace", "a directory argument"),
-    ("--inject-panic", "a substring argument"),
+/// Flags that take a value, with their value count and what the value is
+/// (for the error).
+const VALUE_FLAGS: [(&str, usize, &str); 3] = [
+    ("--only", 1, "a figure name or substring"),
+    ("--trace", 1, "a directory argument"),
+    ("--inject-panic", 1, "a substring argument"),
 ];
 
 const SWITCHES: [&str; 6] = [

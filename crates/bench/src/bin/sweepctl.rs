@@ -13,8 +13,9 @@
 //! Sends one request over the daemon's Unix-domain socket and prints the
 //! response. With `--retries N`, *retryable* outcomes — a refused or
 //! dropped connection (daemon restarting), `overloaded` (queue full),
-//! `draining` (daemon shutting down) — are retried up to N times with
-//! jittered exponential backoff. This is safe to do blindly: requests
+//! `draining` (daemon shutting down) — are retried up to N times with the
+//! workspace's one seeded [`backoff`], keyed by the request line. This is
+//! safe to do blindly: requests
 //! are idempotent on the server (content-addressed single-flight keys),
 //! so a retry either attaches to the surviving flight or recomputes the
 //! identical bytes.
@@ -31,14 +32,15 @@
 //! | 4    | `draining` — daemon shutting down (retries exhausted)      |
 //! | 5    | `deadline` — run parked resumably; re-request to resume    |
 
+use adacomm_bench::cli;
 use adacomm_bench::server::protocol::{
     self, Command, ErrorKind, Request, Response, ResponseBody, RunRequest,
 };
-use binio::fnv1a64;
+use adacomm_bench::supervisor::backoff;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::path::Path;
+use std::str::FromStr;
 
 const USAGE: &str = "\
 usage: sweepctl [--socket PATH] [--retries N] [--retry-base-ms N] COMMAND
@@ -63,9 +65,9 @@ commands:
 
   --socket PATH         daemon socket (default /tmp/adacomm-sweepd.sock)
   --retries N           retry retryable outcomes (connection refused/lost,
-                        overloaded, draining) up to N times with jittered
-                        exponential backoff (default 0); safe because
-                        requests are idempotent on the server
+                        overloaded, draining) up to N times with seeded
+                        exponential backoff, at most 2 s each (default 0);
+                        safe because requests are idempotent on the server
   --retry-base-ms N     backoff base delay in milliseconds (default 50)
 
 exit status:
@@ -81,68 +83,70 @@ fn usage_error(message: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_run(args: &[String]) -> RunRequest {
-    let scenario = match args.first() {
-        Some(s) if !s.starts_with("--") => s.clone(),
-        _ => usage_error("run requires a scenario name"),
-    };
-    let rest = &args[1..];
-    let flag_value = |flag: &str| {
-        rest.iter()
-            .position(|a| a == flag)
-            .map(|i| match rest.get(i + 1) {
-                Some(v) if !v.starts_with("--") => v.clone(),
-                _ => usage_error(&format!("{flag} requires a value")),
-            })
-    };
-    let scheduler = flag_value("--scheduler").unwrap_or_else(|| "fixed".into());
-    let tau = flag_value("--tau")
-        .map(|raw| {
-            raw.parse()
-                .unwrap_or_else(|_| usage_error(&format!("--tau must be an integer, got {raw:?}")))
-        })
-        .unwrap_or(4);
-    let budget = rest.iter().position(|a| a == "--budget").map(|i| {
-        let parse = |v: Option<&String>| -> f64 {
-            match v {
-                Some(raw) => raw.parse().unwrap_or_else(|_| {
-                    usage_error(&format!("--budget values must be numbers, got {raw:?}"))
-                }),
-                None => usage_error("--budget requires TOTAL and RECORD seconds"),
-            }
-        };
-        (parse(rest.get(i + 1)), parse(rest.get(i + 2)))
-    });
-    let deadline_ms = flag_value("--deadline-ms").map(|raw| {
-        raw.parse().unwrap_or_else(|_| {
-            usage_error(&format!("--deadline-ms must be an integer, got {raw:?}"))
-        })
-    });
-    RunRequest {
-        scenario,
-        scheduler,
-        tau,
-        budget,
-        deadline_ms,
-        panic: rest.iter().any(|a| a == "--panic"),
-    }
+/// Flags every command takes, with their value count and what the values
+/// are (for the complaint).
+const GLOBAL_FLAGS: [(&str, usize, &str); 3] = [
+    ("--socket", 1, "a path"),
+    ("--retries", 1, "a non-negative integer"),
+    ("--retry-base-ms", 1, "a non-negative integer"),
+];
+
+/// The flags only `run` takes (besides its `--panic` switch).
+const RUN_FLAGS: [(&str, usize, &str); 4] = [
+    ("--scheduler", 1, "fixed or adacomm"),
+    ("--tau", 1, "an integer"),
+    ("--budget", 2, "TOTAL and RECORD seconds"),
+    ("--deadline-ms", 1, "an integer"),
+];
+
+/// `raw`, the value of `flag`, parsed as `what`.
+fn parse<T: FromStr>(flag: &str, raw: &str, what: &str) -> T {
+    raw.parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag} must be {what}, got {raw:?}")))
 }
 
-/// Pops `--flag VALUE` from `args`, parsed as a number.
-fn take_numeric_flag(args: &mut Vec<String>, flag: &str, default: u64) -> u64 {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return default;
+/// The value of `flag` parsed as `what`, or `default` without the flag.
+fn flag_or<T: FromStr>(args: &[String], flag: &str, what: &str, default: T) -> T {
+    cli::value_of(args, flag).map_or(default, |raw| parse(flag, raw, what))
+}
+
+/// Validates the whole command line and returns the command it asks for.
+fn parse_command(args: &[String]) -> Command {
+    let check = |flags: &[(&str, usize, &str)], switches: &[&str], positionals| {
+        cli::check_args(args, flags, switches, positionals)
+            .unwrap_or_else(|complaint| usage_error(&complaint))
     };
-    if i + 1 >= args.len() {
-        usage_error(&format!("{flag} requires a value"));
+    // Find the command over every flag, then admit only the ones it takes.
+    let all_flags = [&GLOBAL_FLAGS[..], &RUN_FLAGS].concat();
+    let free = match check(&all_flags, &["--panic"], 2).first().copied() {
+        Some("run") => check(&all_flags, &["--panic"], 2),
+        Some("figure") => check(&GLOBAL_FLAGS, &[], 2),
+        Some("ping" | "stats" | "gc" | "shutdown") => check(&GLOBAL_FLAGS, &[], 1),
+        Some(other) => usage_error(&format!("unknown command {other:?}")),
+        None => usage_error("a command is required"),
+    };
+    match free[..] {
+        ["ping"] => Command::Ping,
+        ["stats"] => Command::Stats,
+        ["gc"] => Command::Gc,
+        ["shutdown"] => Command::Shutdown,
+        ["figure", name] => Command::Figure { name: name.into() },
+        ["figure"] => usage_error("figure requires a registry name"),
+        ["run", scenario] => Command::Run(RunRequest {
+            scenario: scenario.into(),
+            scheduler: cli::value_of(args, "--scheduler").unwrap_or("fixed").into(),
+            tau: flag_or(args, "--tau", "an integer", 4),
+            budget: cli::values_of(args, "--budget", 2).map(|v| {
+                let number = |raw: &String| parse("--budget", raw, "a number of seconds");
+                (number(&v[0]), number(&v[1]))
+            }),
+            deadline_ms: cli::value_of(args, "--deadline-ms")
+                .map(|raw| parse("--deadline-ms", raw, "an integer")),
+            panic: args.iter().any(|a| a == "--panic"),
+        }),
+        ["run"] => usage_error("run requires a scenario name"),
+        _ => unreachable!("check_args admits one command and at most its argument"),
     }
-    let raw = args.remove(i + 1);
-    args.remove(i);
-    raw.parse().unwrap_or_else(|_| {
-        usage_error(&format!(
-            "{flag} must be a non-negative integer, got {raw:?}"
-        ))
-    })
 }
 
 /// One attempt's outcome, classified for the retry loop.
@@ -207,59 +211,24 @@ fn exit_code(kind: ErrorKind) -> i32 {
     }
 }
 
-/// Deterministic jittered exponential backoff: base × 2^attempt, scaled
-/// by a pseudo-random factor in [0.5, 1.0) seeded from the request line
-/// and attempt index (stable across reruns, decorrelated across a burst
-/// of distinct requests), capped at 2 s.
-fn backoff(base_ms: u64, request_line: &str, attempt_index: u32) -> Duration {
-    let exp = base_ms.saturating_mul(1 << attempt_index.min(10));
-    let seed = fnv1a64(request_line.as_bytes()) ^ u64::from(attempt_index).wrapping_mul(0x9e37);
-    let jittered = exp / 2 + seed % (exp / 2).max(1);
-    Duration::from_millis(jittered.min(2_000))
-}
-
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!("{USAGE}");
         return;
     }
-    let socket = args
-        .iter()
-        .position(|a| a == "--socket")
-        .map(|i| {
-            if i + 1 >= args.len() {
-                usage_error("--socket requires a path");
-            }
-            let path = PathBuf::from(args.remove(i + 1));
-            args.remove(i);
-            path
-        })
-        .unwrap_or_else(|| PathBuf::from("/tmp/adacomm-sweepd.sock"));
-    let retries = take_numeric_flag(&mut args, "--retries", 0);
-    let retry_base_ms = take_numeric_flag(&mut args, "--retry-base-ms", 50).max(1);
-    let cmd = match args.first().map(String::as_str) {
-        Some("ping") => Command::Ping,
-        Some("stats") => Command::Stats,
-        Some("gc") => Command::Gc,
-        Some("shutdown") => Command::Shutdown,
-        Some("figure") => Command::Figure {
-            name: match args.get(1) {
-                Some(name) if !name.starts_with("--") => name.clone(),
-                _ => usage_error("figure requires a registry name"),
-            },
-        },
-        Some("run") => Command::Run(parse_run(&args[1..])),
-        Some(other) => usage_error(&format!("unknown command {other:?}")),
-        None => usage_error("a command is required"),
-    };
+    let cmd = parse_command(&args);
+    let socket = Path::new(cli::value_of(&args, "--socket").unwrap_or("/tmp/adacomm-sweepd.sock"));
+    let non_negative = "a non-negative integer";
+    let retries: u64 = flag_or(&args, "--retries", non_negative, 0);
+    let retry_base_ms = flag_or(&args, "--retry-base-ms", non_negative, 50u64).max(1);
 
     let request = Request { id: Some(1), cmd };
     let request_line = protocol::encode_request(&request);
     let mut tries = 0u32;
     loop {
         let out_of_retries = u64::from(tries) >= retries;
-        let failure = match attempt(&socket, &request) {
+        let failure = match attempt(socket, &request) {
             Attempt::Answered(response) => match response.body {
                 ResponseBody::Error { kind, ref message } if retryable(kind) && !out_of_retries => {
                     format!("{}: {message}", kind.as_str())

@@ -102,14 +102,15 @@ extern "C" {
 const SIGTERM: i32 = 15;
 const SIGINT: i32 = 2;
 
-/// Flags that take a value, with what the value is (for the error).
-const VALUE_FLAGS: [(&str, &str); 6] = [
-    ("--socket", "a socket path"),
-    ("--workers", "a non-negative integer"),
-    ("--queue-limit", "a non-negative integer"),
-    ("--trace", "a directory argument"),
-    ("--park-every-rounds", "a non-negative integer"),
-    ("--gc-age-secs", "a non-negative integer"),
+/// Flags that take a value, with their value count and what the value is
+/// (for the error).
+const VALUE_FLAGS: [(&str, usize, &str); 6] = [
+    ("--socket", 1, "a socket path"),
+    ("--workers", 1, "a non-negative integer"),
+    ("--queue-limit", 1, "a non-negative integer"),
+    ("--trace", 1, "a directory argument"),
+    ("--park-every-rounds", 1, "a non-negative integer"),
+    ("--gc-age-secs", 1, "a non-negative integer"),
 ];
 
 const SWITCHES: [&str; 3] = ["--smoke", "--full", "--no-cache"];
@@ -233,10 +234,7 @@ fn main() {
         signal(SIGINT, on_term as extern "C" fn(i32) as usize);
     }
 
-    let sink = trace_dir.as_deref().map(|dir| {
-        std::fs::create_dir_all(dir).ok();
-        telemetry::EventSink::new()
-    });
+    let sink = trace_dir.as_ref().map(|_| telemetry::EventSink::new());
     let previous_sink = sink
         .as_ref()
         .map(|s| telemetry::install_sink(Some(s.clone())));
@@ -265,10 +263,7 @@ fn main() {
     };
     eprintln!("sweepd: draining ({why})");
     handle.initiate_drain();
-    let stats = {
-        let stats_after_drain = &handle;
-        stats_after_drain.stats()
-    };
+    let stats = handle.stats();
     handle.join();
 
     let wall_secs = started.elapsed().as_secs_f64();

@@ -285,10 +285,7 @@ pub fn reproduce_with_trace(
         .collect();
 
     let scale_label = format!("{scale}");
-    let sink = trace_dir.map(|dir| {
-        std::fs::create_dir_all(dir).ok();
-        telemetry::EventSink::new()
-    });
+    let sink = trace_dir.map(|_| telemetry::EventSink::new());
     let previous_sink = sink
         .as_ref()
         .map(|s| telemetry::install_sink(Some(s.clone())));

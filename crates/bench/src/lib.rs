@@ -9,7 +9,8 @@
 //! never-cancelled case), whoever asks: `src/bin/` holds exactly four
 //! binaries — `reproduce_all` (the figure command line; one figure is
 //! `--only <name>`), the `sweepd`/`sweepctl` service pair, and the
-//! `obs_report` trace reader — and none per figure.
+//! `obs_report` trace reader — and none per figure. All four validate
+//! their command line through the one [`cli::check_args`].
 //! Around them: the smoke/quick/full scale switch, canonical experiment
 //! scenarios, the declarative sweep engine that executes runs concurrently
 //! in-process ([`sweep`]), the persistent content-addressed run store that

@@ -117,11 +117,11 @@ fn results_subdir() -> &'static OnceLock<String> {
     &SUBDIR
 }
 
-/// Writes `content` to `results/<name>.csv`, creating the directory if
-/// needed, and returns the written path. The path is relative to the
+/// Writes `content` to `results/<name>.csv` with [`binio::install`],
+/// creating the directory if needed, and returns the written path — a
+/// reader (or a crash) never sees half a CSV. The path is relative to the
 /// workspace root when run via cargo, or to the current directory
-/// otherwise. Figures run concurrently in-process write distinct names,
-/// so there is no cross-figure contention on these files.
+/// otherwise.
 ///
 /// # Errors
 ///
@@ -131,7 +131,7 @@ pub fn write_csv(name: &str, content: &str) -> io::Result<PathBuf> {
     let dir = results_dir();
     fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.csv"));
-    fs::write(&path, content)?;
+    binio::install(&path, content.as_bytes())?;
     Ok(path)
 }
 

@@ -12,37 +12,36 @@
 //! recomputing deterministically otherwise. Either way the result is
 //! bit-identical to the run the crash interrupted.
 //!
-//! Frame layout per record, same paranoid-load discipline as the run
-//! store (validated field by field, rejects instead of panics):
-//!
-//! ```text
-//! magic "ACJL" | format version u32 | payload len u32
-//! | crc32(payload) u32 | payload
-//! ```
-//!
-//! The payload is one JSON object: `{"op":"accept","key":K,"request":R}`
+//! Each record is one [`binio::frame`] (`ACJL`, no header fields, `u32`
+//! payload length of at most 1 MiB); the first frame that does not
+//! validate ends the trusted prefix. The payload is one JSON object: `{"op":"accept","key":K,"request":R}`
 //! (`R` is the encoded protocol request, stored as a string so replay
 //! reuses the strict [`protocol`] parser end-to-end) or
 //! `{"op":"done","key":K}`.
 
 use super::protocol::{self, Request};
 use crate::failpoint;
-use binio::{crc32, ByteReader, ByteWriter};
+use binio::frame::{Format, LenWidth};
+use binio::ByteReader;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use telemetry::json::{self, ObjectBuilder};
 
-/// Journal record magic: **A**da**C**omm **J**ourna**L**.
-const JOURNAL_MAGIC: [u8; 4] = *b"ACJL";
-
 /// Layout version of the record framing.
 pub const JOURNAL_FORMAT_VERSION: u32 = 1;
 
-/// Upper bound on one record payload — far above any real request line,
-/// and a cheap sanity check against reading a corrupt length as gigabytes.
-const MAX_RECORD_BYTES: u32 = 1 << 20;
+/// One journal record: **A**da**C**omm **J**ourna**L**, no header fields.
+/// The payload bound is far above any real request line, and a cheap check
+/// against reading a corrupt length as gigabytes.
+const RECORD: Format = Format {
+    name: "journal record",
+    magic: *b"ACJL",
+    version: JOURNAL_FORMAT_VERSION,
+    len: LenWidth::U32,
+    max_payload: 1 << 20,
+};
 
 /// The live, appendable journal a running daemon holds.
 #[derive(Debug)]
@@ -115,13 +114,7 @@ impl Journal {
         if failpoint::fire("server.journal.io_error") {
             return Err(io::Error::other("injected journal append failure"));
         }
-        let mut w = ByteWriter::with_capacity(payload.len() + 16);
-        w.put_bytes(&JOURNAL_MAGIC);
-        w.put_u32(JOURNAL_FORMAT_VERSION);
-        w.put_u32(payload.len() as u32);
-        w.put_u32(crc32(payload));
-        w.put_bytes(payload);
-        let frame = w.into_vec();
+        let frame = RECORD.encode(|_| {}, payload);
         let mut file = self.file.lock().expect("journal file poisoned");
         file.write_all(&frame)?;
         file.sync_all()?;
@@ -162,12 +155,12 @@ impl Journal {
         let mut pending: Vec<(String, Request)> = Vec::new();
         let mut r = ByteReader::new(&bytes);
         while !r.is_empty() {
-            let Some(payload) = next_frame(&mut r) else {
+            let Ok(payload) = RECORD.read(&mut r, |_| Ok(())) else {
                 replay.torn_tail = true;
                 break;
             };
             replay.records += 1;
-            match decode_payload(&payload) {
+            match decode_payload(payload) {
                 Some(RecordOp::Accept { key, request }) => {
                     // Re-accepting a key already pending dedups (the
                     // daemon single-flights, so this only happens when a
@@ -189,29 +182,6 @@ impl Journal {
 enum RecordOp {
     Accept { key: String, request: Request },
     Done { key: String },
-}
-
-/// Pulls the next complete, CRC-valid frame; `None` on a torn or corrupt
-/// remainder.
-fn next_frame(r: &mut ByteReader<'_>) -> Option<Vec<u8>> {
-    let magic = r.bytes(4).ok()?;
-    if magic != JOURNAL_MAGIC {
-        return None;
-    }
-    let version = r.u32().ok()?;
-    if version != JOURNAL_FORMAT_VERSION {
-        return None;
-    }
-    let len = r.u32().ok()?;
-    if len > MAX_RECORD_BYTES {
-        return None;
-    }
-    let stored_crc = r.u32().ok()?;
-    let payload = r.bytes(len as usize).ok()?;
-    if crc32(payload) != stored_crc {
-        return None;
-    }
-    Some(payload.to_vec())
 }
 
 /// Decodes one payload into its operation; `None` rejects it.

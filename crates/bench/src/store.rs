@@ -9,28 +9,24 @@
 //! Traces are bit-exact through the format, so a warm `reproduce_all`
 //! writes byte-identical CSVs without re-simulating anything.
 //!
-//! The store is paranoid by construction: a load re-validates the magic,
-//! the store format version, the code-semantics version, the full key
-//! echo (so a hash collision or a stale entry for a different spec can
-//! never be served), the payload length, and a CRC-32 of the payload
-//! before it decodes a single trace point — and the decode itself is the
-//! fully fallible checkpoint reader. Every failure mode degrades to
-//! [`LoadOutcome::Rejected`] with a reason; the engine then evicts the
-//! bad entry and recomputes. Nothing in this module panics on foreign
-//! bytes.
+//! Trace entries (`ACRS`) and parked checkpoints (`ACPK`) are one
+//! [`binio::frame`] layout whose header fields are the code-semantics
+//! version and the full key echo (so a hash collision or a stale entry for
+//! a different spec can never be served); they differ in the magic and in
+//! what the payload decodes to. A load validates the whole frame, checksum
+//! included, before it decodes a single trace point — and the decode
+//! itself is the fully fallible checkpoint reader. Every failure mode
+//! degrades to [`LoadOutcome::Rejected`] with a reason; the engine then
+//! evicts the bad entry and recomputes. Nothing in this module panics on
+//! foreign bytes.
 //!
-//! Writes go through a temporary file of their own in the same directory
-//! (fsync'd; the name carries a process-wide sequence number) followed by
-//! an atomic rename, so a concurrently-read entry is always either the
-//! old complete frame or the new complete frame, never a torn prefix —
-//! between processes, and between two threads of one process saving the
-//! same key, which the engine's check-compute-insert cache allows.
-//!
-//! Trace entries (`ACRS`) and parked checkpoints (`ACPK`) share one keyed
-//! frame layout, one encoder, one paranoid decoder and one install path;
-//! they differ in the magic and in what the payload decodes to. Cache
-//! writers exclude each other with the kernel's advisory lock on `.lock`
-//! ([`RunStore::lock`]), which a crashed holder cannot leave behind.
+//! Every write is a [`binio::install`] (a temp file of its own, fsync,
+//! rename), so a concurrently-read entry is always either the old complete
+//! frame or the new one, never a torn prefix — between processes, and
+//! between two threads of one process saving the same key, which the
+//! engine's check-compute-insert cache allows. Cache writers exclude each
+//! other with the kernel's advisory lock on `.lock` ([`RunStore::lock`]),
+//! which a crashed holder cannot leave behind.
 //!
 //! Every filesystem touch is also a [`crate::failpoint`] site —
 //! `store.save.*`, `store.load.unreadable`, `store.park.*` — so drills
@@ -40,14 +36,15 @@
 //! leave behind (orphaned `*.tmp.*` files, aged parked frames).
 
 use crate::failpoint;
-use binio::{crc32, fnv1a64, ByteReader, ByteWriter};
+use binio::frame::{Format, LenWidth};
+use binio::{fnv1a64, install, ByteReader, ByteWriter};
 use pasgd_sim::checkpoint::{read_run_trace, write_run_trace};
 use pasgd_sim::{RunCheckpoint, RunTrace};
 use std::fs;
 use std::io;
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
 /// Remaining injected save failures (tests and fault drills): while
@@ -68,39 +65,6 @@ fn take_injected_save_failure() -> bool {
         .is_ok()
 }
 
-/// Process-wide sequence for temp-file names, so no two writes — in
-/// particular two threads saving the same key — ever share a temp file.
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Writes `bytes` to `path` and fsyncs before returning, so a frame
-/// reported as saved survives a power-cut-style crash (the directory
-/// entry itself still rides on the later rename).
-fn write_sync(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut f = fs::File::create(path)?;
-    f.write_all(bytes)?;
-    f.sync_all()
-}
-
-/// A fresh temp-file path beside `path`: `<stem>.tmp.<pid>.<seq>` (the
-/// `.tmp.` infix is what [`RunStore::gc`] and the crash drills sweep for).
-fn temp_beside(path: &Path) -> PathBuf {
-    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    path.with_extension(format!("tmp.{}.{seq}", std::process::id()))
-}
-
-/// Installs `frame` at `path` atomically: a temp file of this write's own
-/// in the same directory, fsync'd, then renamed into place — readers see
-/// the old complete frame or the new one, never a prefix. The temp file
-/// is removed if either step fails.
-fn install(path: &Path, frame: &[u8]) -> io::Result<()> {
-    let tmp = temp_beside(path);
-    write_sync(&tmp, frame)
-        .and_then(|()| fs::rename(&tmp, path))
-        .inspect_err(|_| {
-            let _ = fs::remove_file(&tmp);
-        })
-}
-
 /// Layout version of the entry frame itself. Bump when the framing
 /// (header fields, checksum, payload encoding) changes shape.
 pub const STORE_FORMAT_VERSION: u32 = 1;
@@ -112,11 +76,22 @@ pub const STORE_FORMAT_VERSION: u32 = 1;
 /// time (they reject cleanly and recompute).
 pub const CODE_SEMANTICS_VERSION: u32 = 1;
 
-/// Entry frame magic: **A**da**C**omm **R**un **S**tore.
-const MAGIC: [u8; 4] = *b"ACRS";
+/// Trace entries: **A**da**C**omm **R**un **S**tore. Header fields: the
+/// code-semantics version (`u32`), then the key (length-prefixed UTF-8).
+const ENTRY: Format = Format {
+    name: "store",
+    magic: *b"ACRS",
+    version: STORE_FORMAT_VERSION,
+    len: LenWidth::U64,
+    max_payload: u64::MAX,
+};
 
-/// Parked-checkpoint frame magic: **A**da**C**omm **P**ar**K**ed.
-const PARK_MAGIC: [u8; 4] = *b"ACPK";
+/// Parked checkpoints (**A**da**C**omm **P**ar**K**ed): the [`ENTRY`]
+/// layout around a whole [`RunCheckpoint::to_bytes`] frame.
+const PARKED: Format = Format {
+    magic: *b"ACPK",
+    ..ENTRY
+};
 
 /// Outcome of [`RunStore::load`].
 #[derive(Debug)]
@@ -231,11 +206,10 @@ impl RunStore {
             frame[mid] ^= 0x01;
         }
         if failpoint::fire("store.save.torn") {
-            // A crash mid-write that bypassed the temp-file discipline:
-            // half a frame at the final path, reported as success. The
-            // CRC armor turns it into a structured reject at load time.
-            let cut = frame.len() / 2;
-            write_sync(&path, &frame[..cut])?;
+            // What a crash mid-write leaves without the temp-file
+            // discipline: half a frame at the final path, reported as
+            // success. The frame check turns it into a structured reject.
+            install(&path, &frame[..frame.len() / 2])?;
             return Ok(path);
         }
         telemetry::counter("store.saves").inc();
@@ -243,7 +217,7 @@ impl RunStore {
         if failpoint::fire("store.save.orphan_tmp") {
             // A crash between the temp write and the rename: the entry
             // never appears, the orphan waits for GC.
-            write_sync(&temp_beside(&path), &frame)?;
+            fs::write(binio::temp_beside(&path), &frame)?;
             return Err(io::Error::other(
                 "injected crash before rename (orphan tmp left behind)",
             ));
@@ -256,8 +230,9 @@ impl RunStore {
     }
 
     /// [`RunStore::save`] with bounded retry for transient I/O failures
-    /// (`max_attempts` total attempts, a short fixed pause between them —
-    /// deterministic, no wall-clock randomness). The run already
+    /// (`max_attempts` total attempts, the one seeded
+    /// [`backoff`](crate::supervisor::backoff) from a 5 ms base between
+    /// them — deterministic, no wall-clock randomness). The run already
     /// happened, so a save that still fails after the budget is reported
     /// to the caller, who treats the cache as cold rather than evicting
     /// or failing the run.
@@ -276,7 +251,7 @@ impl RunStore {
         for attempt in 1..=max_attempts {
             if attempt > 1 {
                 telemetry::counter("store.save_retries").inc();
-                std::thread::sleep(std::time::Duration::from_millis(5 * u64::from(attempt)));
+                std::thread::sleep(crate::supervisor::backoff(5, key, attempt - 2));
             }
             match self.save(key, trace) {
                 Ok(path) => return Ok(path),
@@ -361,11 +336,9 @@ impl RunStore {
     }
 
     /// Parks a mid-run checkpoint for `key` — the resumable remainder of
-    /// a run that was cancelled by a deadline or a drain. The frame
-    /// carries the same magic/version/key-echo/CRC armor as a trace
-    /// entry, and the payload itself is the self-validating
-    /// [`RunCheckpoint::to_bytes`] frame. Written atomically
-    /// (temp + rename).
+    /// a run that was cancelled by a deadline or a drain, in the same
+    /// keyed frame as a trace entry around the self-validating
+    /// [`RunCheckpoint::to_bytes`] frame. Written by [`binio::install`].
     ///
     /// # Errors
     ///
@@ -377,10 +350,9 @@ impl RunStore {
         }
         let path = self.parked_path(key);
         fs::create_dir_all(path.parent().expect("parked path has a parent"))?;
-        let frame = encode_frame(PARK_MAGIC, key, &checkpoint.to_bytes());
+        let frame = encode_frame(&PARKED, key, &checkpoint.to_bytes());
         if failpoint::fire("store.park.torn") {
-            let cut = frame.len() / 2;
-            write_sync(&path, &frame[..cut])?;
+            install(&path, &frame[..frame.len() / 2])?;
             return Ok(path);
         }
         telemetry::counter("store.parks").inc();
@@ -398,7 +370,7 @@ impl RunStore {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return ParkedOutcome::Absent,
             Err(e) => return ParkedOutcome::Rejected(format!("unreadable parked entry: {e}")),
         };
-        let decoded = decode_frame(PARK_MAGIC, &bytes, key).and_then(|payload| {
+        let decoded = decode_frame(&PARKED, &bytes, key).and_then(|payload| {
             RunCheckpoint::from_bytes(payload).map_err(|e| format!("undecodable checkpoint: {e}"))
         });
         match decoded {
@@ -429,9 +401,7 @@ impl RunStore {
     pub fn gc(&self, parked_max_age: Duration) -> GcStats {
         let mut stats = GcStats::default();
         for entry in fs::read_dir(&self.dir).into_iter().flatten().flatten() {
-            if entry.file_name().to_string_lossy().contains(".tmp.")
-                && fs::remove_file(entry.path()).is_ok()
-            {
+            if binio::is_temp(&entry.file_name()) && fs::remove_file(entry.path()).is_ok() {
                 stats.tmp_removed += 1;
             }
         }
@@ -441,12 +411,11 @@ impl RunStore {
             .flatten()
         {
             let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.contains(".tmp.") {
+            if binio::is_temp(&name) {
                 if fs::remove_file(entry.path()).is_ok() {
                     stats.tmp_removed += 1;
                 }
-            } else if name.ends_with(".park") {
+            } else if name.to_string_lossy().ends_with(".park") {
                 let expired = entry
                     .metadata()
                     .and_then(|m| m.modified())
@@ -513,79 +482,43 @@ impl StoreLock {
     }
 }
 
-/// Builds a keyed frame — the layout trace entries (`magic` = `ACRS`,
-/// payload = `write_run_trace`) and parked checkpoints (`ACPK`,
-/// [`RunCheckpoint::to_bytes`]) share:
-///
-/// ```text
-/// magic | store version u32 | code-semantics version u32
-/// | key (len-prefixed UTF-8) | payload len u64 | crc32(payload) u32
-/// | payload
-/// ```
-fn encode_frame(magic: [u8; 4], key: &str, payload: &[u8]) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(payload.len() + key.len() + 32);
-    w.put_bytes(&magic);
-    w.put_u32(STORE_FORMAT_VERSION);
-    w.put_u32(CODE_SEMANTICS_VERSION);
-    w.put_str(key);
-    w.put_u64(payload.len() as u64);
-    w.put_u32(crc32(payload));
-    w.put_bytes(payload);
-    w.into_vec()
+/// Frames `payload` for `key` in `format` ([`ENTRY`] or [`PARKED`]).
+fn encode_frame(format: &Format, key: &str, payload: &[u8]) -> Vec<u8> {
+    let header = |w: &mut ByteWriter| {
+        w.put_u32(CODE_SEMANTICS_VERSION);
+        w.put_str(key);
+    };
+    format.encode(header, payload)
 }
 
-/// Validates one keyed frame against the expected `magic` and the
-/// requested `key` and returns its payload. Every check returns a reason
-/// instead of panicking.
-fn decode_frame<'a>(magic: [u8; 4], bytes: &'a [u8], key: &str) -> Result<&'a [u8], String> {
-    let mut r = ByteReader::new(bytes);
-    let found = r.bytes(4).map_err(|e| format!("truncated magic: {e:?}"))?;
-    if found != magic {
-        return Err(format!("bad magic {found:02x?}"));
-    }
-    let format = r.u32().map_err(|e| format!("truncated header: {e:?}"))?;
-    if format != STORE_FORMAT_VERSION {
-        return Err(format!(
-            "store format v{format}, this build reads v{STORE_FORMAT_VERSION}"
-        ));
-    }
-    let semantics = r.u32().map_err(|e| format!("truncated header: {e:?}"))?;
-    if semantics != CODE_SEMANTICS_VERSION {
-        return Err(format!(
-            "code semantics v{semantics}, this build is v{CODE_SEMANTICS_VERSION}"
-        ));
-    }
-    let stored_key = r.str().map_err(|e| format!("unreadable key: {e:?}"))?;
-    if stored_key != key {
-        // A hash collision or a frame rewritten under a different spec.
-        return Err("key mismatch (hash collision or stale rewrite)".into());
-    }
-    let payload_len = r.u64().map_err(|e| format!("truncated header: {e:?}"))? as usize;
-    if payload_len != r.remaining().saturating_sub(4) {
-        return Err(format!(
-            "payload length {payload_len} disagrees with file size"
-        ));
-    }
-    let stored_crc = r.u32().map_err(|e| format!("truncated header: {e:?}"))?;
-    let payload = r
-        .bytes(payload_len)
-        .map_err(|e| format!("truncated payload: {e:?}"))?;
-    if crc32(payload) != stored_crc {
-        return Err("payload checksum mismatch".into());
-    }
-    Ok(payload)
+/// Validates one keyed frame in `format` for the requested `key` and
+/// returns its payload.
+fn decode_frame<'a>(format: &Format, bytes: &'a [u8], key: &str) -> Result<&'a [u8], String> {
+    format.decode(bytes, |r| {
+        let semantics = r.u32().map_err(|e| format!("truncated header: {e}"))?;
+        if semantics != CODE_SEMANTICS_VERSION {
+            return Err(format!(
+                "code semantics v{semantics}, this build is v{CODE_SEMANTICS_VERSION}"
+            ));
+        }
+        if r.str().map_err(|e| format!("unreadable key: {e}"))? != key {
+            // A hash collision or a frame rewritten under a different spec.
+            return Err("key mismatch (hash collision or stale rewrite)".into());
+        }
+        Ok(())
+    })
 }
 
 /// Builds the trace-entry frame for `key`.
 fn encode_entry(key: &str, trace: &RunTrace) -> Vec<u8> {
     let mut payload = ByteWriter::new();
     write_run_trace(&mut payload, trace);
-    encode_frame(MAGIC, key, &payload.into_vec())
+    encode_frame(&ENTRY, key, payload.as_slice())
 }
 
 /// Validates and decodes one trace-entry frame for `key`.
 fn decode_entry(bytes: &[u8], key: &str) -> Result<RunTrace, String> {
-    let mut pr = ByteReader::new(decode_frame(MAGIC, bytes, key)?);
+    let mut pr = ByteReader::new(decode_frame(&ENTRY, bytes, key)?);
     let trace = read_run_trace(&mut pr).map_err(|e| format!("undecodable payload: {e:?}"))?;
     if !pr.is_empty() {
         return Err(format!("{} trailing payload bytes", pr.remaining()));
@@ -696,10 +629,10 @@ mod tests {
     fn entry_and_parked_frames_are_not_interchangeable() {
         // One decoder serves both magics; it must still tell them apart.
         let entry = encode_entry("k", &sample_trace());
-        let err = decode_frame(PARK_MAGIC, &entry, "k").unwrap_err();
+        let err = decode_frame(&PARKED, &entry, "k").unwrap_err();
         assert!(err.contains("bad magic"), "{err}");
-        let parked = encode_frame(PARK_MAGIC, "k", b"payload");
-        assert_eq!(decode_frame(PARK_MAGIC, &parked, "k"), Ok(&b"payload"[..]));
+        let parked = encode_frame(&PARKED, "k", b"payload");
+        assert_eq!(decode_frame(&PARKED, &parked, "k"), Ok(&b"payload"[..]));
         assert!(decode_entry(&parked, "k")
             .unwrap_err()
             .contains("bad magic"));
@@ -733,6 +666,24 @@ mod tests {
         let err = store.save_with_retry("rk2", &trace, 3).unwrap_err();
         assert!(err.to_string().contains("injected save failure"), "{err}");
         assert!(matches!(store.load("rk2"), LoadOutcome::Absent));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_save_leaves_no_temp_file() {
+        let _serial = SAVE_LOCK.lock().unwrap();
+        let dir = std::env::temp_dir().join(format!("adacomm_store_no_tmp_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = RunStore::new(&dir);
+        // A directory sits at the entry's path, so the rename fails.
+        let path = store.entry_path("k");
+        fs::create_dir_all(&path).unwrap();
+        assert!(store.save("k", &sample_trace()).is_err());
+        let left: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, [path.file_name().unwrap()]);
         let _ = fs::remove_dir_all(&dir);
     }
 

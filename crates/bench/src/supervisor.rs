@@ -1,12 +1,13 @@
-//! Supervised run execution: panic isolation, per-run deadlines, and
-//! bounded retry with seeded backoff.
+//! Supervised run execution: panic isolation, per-run deadlines, bounded
+//! retry, and the one retry [`backoff`] of the workspace.
 //!
 //! Every sweep run the engine executes goes through [`run_supervised`]:
 //! the closure runs under `catch_unwind`, a panic is converted into a
 //! retryable failure, and retries back off by a deterministic,
-//! label-seeded delay (no wall-clock randomness — the same label and
-//! policy seed always produce the same backoff sequence, so a supervised
-//! reproduction is as replayable as an unsupervised one). A run whose
+//! label-seeded delay (no wall-clock randomness — the same label always
+//! produces the same backoff sequence, so a supervised reproduction is as
+//! replayable as an unsupervised one). Store save retries and `sweepctl`'s
+//! reconnects sleep by the same function. A run whose
 //! *successful* attempt overruns the per-run deadline fails terminally:
 //! the runs are deterministic, so re-executing an overrun run would
 //! overrun again.
@@ -22,7 +23,6 @@
 //! end without planting failure code in the simulator.
 
 use binio::fnv1a64;
-use rand::{Rng as _, SeedableRng as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -32,19 +32,14 @@ use std::time::{Duration, Instant};
 pub struct SupervisorPolicy {
     /// Total attempts per run, counting the first (`>= 1`).
     pub max_attempts: u32,
-    /// Base for the exponential backoff between attempts: attempt `n`
-    /// (1-indexed) sleeps `base * 2^(n-1)` plus a seeded jitter in
-    /// `[0, base)` milliseconds before retrying. `0` disables sleeping
-    /// (tests).
+    /// Base of the [`backoff`] between attempts, in milliseconds. `0`
+    /// disables sleeping (tests).
     pub backoff_base_millis: u64,
     /// Wall-clock budget for a single attempt, checked after it returns
     /// (the runs are compute loops with no await points to interrupt). A
     /// successful attempt that overran fails terminally; `None` disables
     /// the check.
     pub deadline: Option<Duration>,
-    /// Seed for the backoff jitter, mixed with the run label so distinct
-    /// runs don't retry in lockstep.
-    pub seed: u64,
 }
 
 impl Default for SupervisorPolicy {
@@ -53,7 +48,6 @@ impl Default for SupervisorPolicy {
             max_attempts: 3,
             backoff_base_millis: 20,
             deadline: None,
-            seed: 0x05EE_D0FF_A117,
         }
     }
 }
@@ -92,24 +86,19 @@ fn consume_injected_panic(label: &str) -> bool {
     false
 }
 
-/// The deterministic backoff before retry attempt `next_attempt`
-/// (2-indexed: the sleep happens after attempt `next_attempt - 1`
-/// failed), in milliseconds.
-fn backoff_millis(policy: &SupervisorPolicy, label: &str, next_attempt: u32) -> u64 {
-    if policy.backoff_base_millis == 0 {
-        return 0;
-    }
-    (policy.backoff_base_millis << (next_attempt - 2).min(8))
-        + jitter_millis(policy, label, next_attempt)
-}
+/// Ceiling on one backoff sleep.
+const MAX_BACKOFF: Duration = Duration::from_secs(2);
 
-/// The seeded jitter term of [`backoff_millis`], in `[0, base]`.
-fn jitter_millis(policy: &SupervisorPolicy, label: &str, next_attempt: u32) -> u64 {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(
-        policy.seed ^ fnv1a64(label.as_bytes()) ^ u64::from(next_attempt),
-    );
-    let jitter = (rng.gen::<f64>() * policy.backoff_base_millis as f64) as u64;
-    jitter.min(policy.backoff_base_millis)
+/// The one retry backoff: before retry `retry` (0 for the first), sleep
+/// `base_ms · 2^retry` plus a jitter in `[0, base_ms]` seeded by `label`
+/// and `retry`, at most 2 s. Deterministic, so a retried run replays
+/// exactly; seeded by the label, so distinct runs or requests do not
+/// retry in lockstep.
+pub fn backoff(base_ms: u64, label: &str, retry: u32) -> Duration {
+    let seed = [label.as_bytes(), &retry.to_le_bytes()].concat();
+    let jitter = fnv1a64(&seed) % base_ms.saturating_add(1);
+    let exp = base_ms.saturating_mul(1u64.checked_shl(retry).unwrap_or(u64::MAX));
+    Duration::from_millis(exp.saturating_add(jitter)).min(MAX_BACKOFF)
 }
 
 /// Extracts a printable message from a `catch_unwind` payload — the one
@@ -140,9 +129,9 @@ pub fn run_supervised<T>(
     for attempt in 1..=policy.max_attempts {
         if attempt > 1 {
             telemetry::counter("sweep.run_retries").inc();
-            let millis = backoff_millis(policy, label, attempt);
-            if millis > 0 {
-                std::thread::sleep(Duration::from_millis(millis));
+            let wait = backoff(policy.backoff_base_millis, label, attempt - 2);
+            if !wait.is_zero() {
+                std::thread::sleep(wait);
             }
         }
         let started = Instant::now();
@@ -194,7 +183,6 @@ mod tests {
             max_attempts: 3,
             backoff_base_millis: 0,
             deadline: None,
-            seed: 7,
         }
     }
 
@@ -262,21 +250,17 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_and_label_dependent() {
-        let policy = SupervisorPolicy {
-            backoff_base_millis: 16,
-            ..SupervisorPolicy::default()
-        };
-        let a1 = backoff_millis(&policy, "run-a", 2);
-        let a2 = backoff_millis(&policy, "run-a", 2);
-        assert_eq!(a1, a2, "same label + attempt must back off identically");
-        // Growth across attempts: the exponential part dominates jitter.
-        assert!(backoff_millis(&policy, "run-a", 4) > backoff_millis(&policy, "run-a", 2));
-        // Seed participates.
-        let reseeded = SupervisorPolicy { seed: 99, ..policy };
-        assert!(
-            backoff_millis(&reseeded, "run-a", 2) != a1
-                || backoff_millis(&reseeded, "run-a", 3) != backoff_millis(&policy, "run-a", 3)
-        );
+        for label in ["run-a", "run-b", "{\"cmd\":\"ping\"}"] {
+            assert_eq!(backoff(16, label, 2), backoff(16, label, 2));
+            // Growth across retries: the exponential part dominates jitter.
+            assert!(backoff(16, label, 3) > backoff(16, label, 1));
+        }
+        assert_eq!(backoff(0, "run-a", 5), Duration::ZERO);
+        // A burst of distinct runs or requests retrying together spreads out.
+        let waits: std::collections::BTreeSet<Duration> = (0..32)
+            .map(|i| backoff(1000, &format!("request {i}"), 0))
+            .collect();
+        assert!(waits.len() >= 28, "only {} distinct waits", waits.len());
     }
 
     #[test]
@@ -285,25 +269,26 @@ mod tests {
         // first retries the shifted base still has low bits set, so an OR
         // would swallow the jitter bits that overlap them.
         let mut disagreements = 0;
-        for seed in 0..64 {
-            let policy = SupervisorPolicy {
-                backoff_base_millis: 20,
-                seed,
-                ..SupervisorPolicy::default()
-            };
-            for attempt in 2..6 {
-                let base = 20u64 << (attempt - 2);
-                let got = backoff_millis(&policy, "run-a", attempt);
+        for label in (0..64).map(|i| format!("run-{i}")) {
+            for retry in 0..4 {
+                let base = 20u64 << retry;
+                let got = backoff(20, &label, retry).as_millis() as u64;
                 assert!(
                     (base..=base + 20).contains(&got),
-                    "seed {seed} attempt {attempt}: {got} outside [{base}, {}]",
+                    "{label} retry {retry}: {got} outside [{base}, {}]",
                     base + 20
                 );
-                let ored = base | jitter_millis(&policy, "run-a", attempt);
-                disagreements += usize::from(got != ored);
+                disagreements += usize::from(got != (base | (got - base)));
             }
         }
-        assert!(disagreements > 0, "no seed separates + from |");
+        assert!(disagreements > 0, "no label separates + from |");
+    }
+
+    #[test]
+    fn backoff_is_capped() {
+        assert_eq!(backoff(50, "run-a", 12), MAX_BACKOFF);
+        assert_eq!(backoff(u64::MAX, "run-a", 70), MAX_BACKOFF);
+        assert!(backoff(50, "run-a", 5) < MAX_BACKOFF);
     }
 
     #[test]

@@ -122,3 +122,35 @@ fn sweepd_and_obs_report_reject_unknown_arguments_before_acting() {
         assert_usage_error("obs_report", bin, args, complaint);
     }
 }
+
+/// `sweepctl` goes through the same validator before it connects, with
+/// `--budget` as the one two-valued flag: a misspelt or misplaced flag
+/// must not send a request with a default in its place (`--tua 8` would
+/// run at τ = 4, `--deadline 1` with no deadline at all). The socket does
+/// not exist, so a case that got past validation would fail with
+/// `cannot connect` instead.
+#[test]
+fn sweepctl_rejects_unknown_arguments_before_connecting() {
+    let socket = ["--socket", "/nonexistent/adacomm-sweepd.sock"];
+    let cases: [(&[&str], &str); 5] = [
+        (
+            &["run", "concept", "--tua", "8", "--budget", "6", "2"],
+            "unknown argument \"--tua\"",
+        ),
+        (
+            &["run", "concept", "--deadline", "1"],
+            "unknown argument \"--deadline\"",
+        ),
+        (&["ping", "--bogus"], "unknown argument \"--bogus\""),
+        (&["ping", "--tau", "3"], "unknown argument \"--tau\""),
+        (
+            &["run", "concept", "--budget", "6"],
+            "--budget requires TOTAL and RECORD seconds",
+        ),
+    ];
+    for (args, complaint) in cases {
+        let args = [&socket[..], args].concat();
+        let bin = env!("CARGO_BIN_EXE_sweepctl");
+        assert_usage_error("sweepctl", bin, &args, complaint);
+    }
+}

@@ -186,7 +186,10 @@ fn encode_samples(dir: &Path) -> Vec<(&'static str, Vec<u8>)> {
     });
     vec![
         ("acrs entry", fs::read(entry).expect("read entry")),
-        ("acpk parked (wraps ackp)", fs::read(parked).expect("read park")),
+        (
+            "acpk parked (wraps ackp)",
+            fs::read(parked).expect("read park"),
+        ),
         ("acjl accept", accept.clone()),
         ("acjl done", both[accept.len()..].to_vec()),
     ]
@@ -293,7 +296,10 @@ fn pinned_parked_frame_decodes_and_reencodes_byte_equal() {
     assert!(checkpoint.cluster.fault.is_some());
     // The parked payload is the checkpoint's own self-validating frame.
     let ackp = checkpoint.to_bytes();
-    assert!(bytes.ends_with(&ackp), "ACPK must wrap the whole ACKP frame");
+    assert!(
+        bytes.ends_with(&ackp),
+        "ACPK must wrap the whole ACKP frame"
+    );
     assert_eq!(&ackp[..4], b"ACKP");
     let to = RunStore::new(dir.join("to"));
     let path = to.park(KEY, &checkpoint).expect("park");

@@ -1,10 +1,14 @@
-//! Tiny dependency-free binary I/O primitives for the persistent run store.
+//! Tiny dependency-free binary I/O: every byte the workspace persists goes
+//! through this crate.
 //!
-//! This crate plays the role `byteorder`/`crc32fast` would play in an online
-//! build (the build environment has no registry access; see
+//! It plays the role `byteorder`/`crc32fast`/`tempfile` would play in an
+//! online build (the build environment has no registry access; see
 //! `crates/shims/README.md`): an append-only little-endian [`ByteWriter`], a
 //! fully checked [`ByteReader`] that never panics on malformed input, a
-//! CRC-32 (IEEE) checksum and an FNV-1a 64-bit hash for content addressing.
+//! CRC-32 (IEEE) checksum, an FNV-1a 64-bit hash for content addressing,
+//! the one frame codec behind every on-disk format ([`frame`]: checkpoints,
+//! run-store entries, parked checkpoints and journal records), and the one
+//! atomic file writer ([`install`]: temp file, fsync, rename).
 //!
 //! Every multi-byte value is encoded little-endian with an explicit width;
 //! `usize` quantities are always written as `u64` so the on-disk format is
@@ -31,6 +35,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+mod file;
+pub mod frame;
+
+pub use file::{install, is_temp, temp_beside};
 
 use std::fmt;
 
@@ -261,38 +270,36 @@ impl<'a> ByteReader<'a> {
         std::str::from_utf8(self.take(n)?).map_err(|_| ReadError::BadUtf8)
     }
 
-    /// Reads a `u64`-count-prefixed vector of raw-bit `f32` values.
-    pub fn f32_vec(&mut self) -> ReadResult<Vec<f32>> {
+    /// Reads a `u64` element count, then that many elements with `read`.
+    /// A count the remaining bytes cannot hold at `min_bytes` (`>= 1`) per
+    /// element is rejected before anything is allocated.
+    pub fn vec<T>(
+        &mut self,
+        min_bytes: usize,
+        mut read: impl FnMut(&mut Self) -> ReadResult<T>,
+    ) -> ReadResult<Vec<T>> {
         let n = self.len()?;
-        // Each element needs four bytes; reject counts the buffer cannot
-        // possibly hold before allocating.
-        if n > self.remaining() / 4 {
+        if n > self.remaining() / min_bytes {
             return Err(ReadError::UnexpectedEof {
-                needed: n.saturating_mul(4),
+                needed: n.saturating_mul(min_bytes),
                 available: self.remaining(),
             });
         }
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            out.push(self.f32()?);
+            out.push(read(self)?);
         }
         Ok(out)
     }
 
+    /// Reads a `u64`-count-prefixed vector of raw-bit `f32` values.
+    pub fn f32_vec(&mut self) -> ReadResult<Vec<f32>> {
+        self.vec(4, Self::f32)
+    }
+
     /// Reads a `u64`-count-prefixed vector of `usize` values.
     pub fn len_vec(&mut self) -> ReadResult<Vec<usize>> {
-        let n = self.len()?;
-        if n > self.remaining() / 8 {
-            return Err(ReadError::UnexpectedEof {
-                needed: n.saturating_mul(8),
-                available: self.remaining(),
-            });
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.len()?);
-        }
-        Ok(out)
+        self.vec(8, Self::len)
     }
 }
 

@@ -11,27 +11,35 @@
 //! the trace of the uninterrupted run float-for-float (see the
 //! `checkpoint_resume` integration tests).
 //!
-//! The byte format is explicit little-endian (via `binio`), framed with a
-//! magic tag, a format version, a payload length and a CRC-32 — every
-//! decode path is fallible and validated, so a truncated or bit-flipped
-//! checkpoint surfaces as a recoverable [`Err`], never a panic and never a
-//! silently wrong resume. Floats travel as raw bits, which is what makes
-//! resumed traces (and the cached [`RunTrace`]s the bench run store
-//! persists with [`write_run_trace`]) byte-identical across processes.
+//! The byte format is explicit little-endian (via `binio`) inside one
+//! [`binio::frame`] (`ACKP`, no header fields, `u64` payload length) —
+//! every decode path is fallible and validated, so a truncated or
+//! bit-flipped checkpoint surfaces as a recoverable [`Err`], never a panic
+//! and never a silently wrong resume. Floats travel as raw bits, which is
+//! what makes resumed traces (and the cached [`RunTrace`]s the bench run
+//! store persists with [`write_run_trace`]) byte-identical across
+//! processes.
 
 use crate::{FaultCheckpoint, RunTrace, TracePoint};
 use adacomm::SchedulerState;
+use binio::frame::{Format, LenWidth};
 use binio::{ByteReader, ByteWriter, ReadError, ReadResult};
 use gradcomp::{CodecSpec, ErrorFeedback};
 use tensor::Tensor;
-
-/// Magic tag opening every serialized checkpoint ("AdaComm ChecKPoint").
-const MAGIC: &[u8; 4] = b"ACKP";
 
 /// Version of the checkpoint byte format. Bump on any layout change:
 /// readers reject other versions and the caller recomputes from scratch.
 /// Version 2 added the optional fault-injection frame.
 pub const CHECKPOINT_FORMAT_VERSION: u32 = 2;
+
+/// The checkpoint frame: **A**da**C**omm Chec**KP**oint, no header fields.
+const FRAME: Format = Format {
+    name: "checkpoint",
+    magic: *b"ACKP",
+    version: CHECKPOINT_FORMAT_VERSION,
+    len: LenWidth::U64,
+    max_payload: u64::MAX,
+};
 
 /// Full training state of one worker at a round boundary.
 #[derive(Debug, Clone)]
@@ -165,15 +173,7 @@ fn write_points(w: &mut ByteWriter, points: &[TracePoint]) {
 
 /// Reads a point list, rejecting counts the remaining bytes cannot hold.
 fn read_points(r: &mut ByteReader<'_>) -> ReadResult<Vec<TracePoint>> {
-    let count = r.len()?;
-    if count > r.remaining() / MIN_POINT_BYTES {
-        return Err(ReadError::BadLength(count as u64));
-    }
-    let mut points = Vec::with_capacity(count);
-    for _ in 0..count {
-        points.push(read_trace_point(r)?);
-    }
-    Ok(points)
+    r.vec(MIN_POINT_BYTES, read_trace_point)
 }
 
 /// Appends a complete [`RunTrace`] — the frame the content-addressed run
@@ -228,15 +228,8 @@ fn write_worker(w: &mut ByteWriter, ck: &WorkerCheckpoint) {
 
 fn read_worker(r: &mut ByteReader<'_>) -> ReadResult<WorkerCheckpoint> {
     let params = r.f32_vec()?;
-    let buffer_count = r.len()?;
     // A tensor frame is at least 16 bytes (rank + element count).
-    if buffer_count > r.remaining() / 16 {
-        return Err(ReadError::BadLength(buffer_count as u64));
-    }
-    let mut momentum_buffers = Vec::with_capacity(buffer_count);
-    for _ in 0..buffer_count {
-        momentum_buffers.push(tensor::serde::read_tensor(r)?);
-    }
+    let momentum_buffers = r.vec(16, tensor::serde::read_tensor)?;
     let rng = read_rng_state(r)?;
     let comm_rng = read_rng_state(r)?;
     let steps_taken = r.u64()?;
@@ -284,22 +277,10 @@ fn write_fault(w: &mut ByteWriter, ck: &FaultCheckpoint) {
     w.put_u64(ck.stats.degraded_rounds);
 }
 
-fn read_u64_table(r: &mut ByteReader<'_>) -> ReadResult<Vec<u64>> {
-    let count = r.len()?;
-    if count > r.remaining() / 8 {
-        return Err(ReadError::BadLength(count as u64));
-    }
-    let mut table = Vec::with_capacity(count);
-    for _ in 0..count {
-        table.push(r.u64()?);
-    }
-    Ok(table)
-}
-
 fn read_fault(r: &mut ByteReader<'_>) -> ReadResult<FaultCheckpoint> {
     let rng = read_rng_state(r)?;
-    let down_until = read_u64_table(r)?;
-    let missed = read_u64_table(r)?;
+    let down_until = r.vec(8, ByteReader::u64)?;
+    let missed = r.vec(8, ByteReader::u64)?;
     let stats = crate::FaultStats {
         crashes: r.u64()?,
         rejoins: r.u64()?,
@@ -374,15 +355,8 @@ fn read_cluster(r: &mut ByteReader<'_>) -> ReadResult<ClusterCheckpoint> {
         1 => Some(read_fault(r)?),
         flag => return Err(ReadError::BadLength(u64::from(flag))),
     };
-    let worker_count = r.len()?;
     // A worker frame is at least ~100 bytes; 64 is a safe floor.
-    if worker_count > r.remaining() / 64 {
-        return Err(ReadError::BadLength(worker_count as u64));
-    }
-    let mut workers = Vec::with_capacity(worker_count);
-    for _ in 0..worker_count {
-        workers.push(read_worker(r)?);
-    }
+    let workers = r.vec(64, read_worker)?;
     Ok(ClusterCheckpoint {
         clock,
         iterations,
@@ -401,8 +375,7 @@ fn read_cluster(r: &mut ByteReader<'_>) -> ReadResult<ClusterCheckpoint> {
 }
 
 impl RunCheckpoint {
-    /// Serializes the checkpoint into a self-validating frame:
-    /// `magic | version | payload_len | crc32(payload) | payload`.
+    /// Serializes the checkpoint into one self-validating frame.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut payload = ByteWriter::new();
         write_points(&mut payload, &self.points);
@@ -414,15 +387,7 @@ impl RunCheckpoint {
         payload.put_f32(self.initial_lr);
         self.scheduler.write_into(&mut payload);
         write_cluster(&mut payload, &self.cluster);
-        let payload = payload.into_vec();
-
-        let mut w = ByteWriter::with_capacity(payload.len() + 16);
-        w.put_bytes(MAGIC);
-        w.put_u32(CHECKPOINT_FORMAT_VERSION);
-        w.put_u64(payload.len() as u64);
-        w.put_u32(binio::crc32(&payload));
-        w.put_bytes(&payload);
-        w.into_vec()
+        FRAME.encode(|_| {}, payload.as_slice())
     }
 
     /// Decodes a frame produced by [`RunCheckpoint::to_bytes`].
@@ -431,34 +396,7 @@ impl RunCheckpoint {
     /// trailing garbage, checksum mismatch, malformed payload — returns a
     /// descriptive `Err`; this function never panics on any input.
     pub fn from_bytes(bytes: &[u8]) -> Result<RunCheckpoint, String> {
-        let mut r = ByteReader::new(bytes);
-        let magic = r
-            .bytes(4)
-            .map_err(|e| format!("checkpoint header truncated: {e}"))?;
-        if magic != MAGIC {
-            return Err("not a checkpoint frame (bad magic)".to_string());
-        }
-        let version = r.u32().map_err(|e| format!("checkpoint header: {e}"))?;
-        if version != CHECKPOINT_FORMAT_VERSION {
-            return Err(format!(
-                "checkpoint format version {version} (expected {CHECKPOINT_FORMAT_VERSION})"
-            ));
-        }
-        let payload_len = r.u64().map_err(|e| format!("checkpoint header: {e}"))? as usize;
-        let crc = r.u32().map_err(|e| format!("checkpoint header: {e}"))?;
-        if r.remaining() != payload_len {
-            return Err(format!(
-                "checkpoint payload is {} bytes but the header promises {payload_len}",
-                r.remaining()
-            ));
-        }
-        let payload = r
-            .bytes(payload_len)
-            .map_err(|e| format!("checkpoint payload truncated: {e}"))?;
-        if binio::crc32(payload) != crc {
-            return Err("checkpoint checksum mismatch".to_string());
-        }
-
+        let payload = FRAME.decode(bytes, |_| Ok(()))?;
         let mut p = ByteReader::new(payload);
         let ck = (|| -> ReadResult<RunCheckpoint> {
             Ok(RunCheckpoint {

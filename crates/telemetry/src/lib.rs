@@ -34,7 +34,8 @@
 //!   counting.
 //! * **Event sink** ([`install_sink`], [`emit`]): an in-memory JSON-lines
 //!   buffer for structured per-point events, drained by the caller and
-//!   written with [`write_jsonl_atomic`] (temp file + rename).
+//!   written with [`write_jsonl_atomic`] ([`binio::install`]: temp file,
+//!   fsync, rename).
 //!
 //! # Example
 //!
@@ -756,28 +757,20 @@ pub fn sink_active() -> bool {
 // Atomic JSONL file output
 // ---------------------------------------------------------------------------
 
-/// Write `lines` to `path` as newline-terminated JSONL via a temp file in
-/// the same directory plus an atomic rename, so readers never observe a
-/// partially written profile. Available in every build (the report tooling
-/// works on traces recorded by an instrumented binary).
+/// Write `lines` to `path` as newline-terminated JSONL with
+/// [`binio::install`], creating the directory if needed, so readers never
+/// observe a partially written profile and a failed write leaves nothing
+/// behind. Available in every build (the report tooling works on traces
+/// recorded by an instrumented binary).
 pub fn write_jsonl_atomic(path: &Path, lines: &[String]) -> io::Result<()> {
-    use std::io::Write;
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    if let Some(dir) = dir {
+    if let Some(dir) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir)?;
     }
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        for line in lines {
-            file.write_all(line.as_bytes())?;
-            file.write_all(b"\n")?;
-        }
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    let text: String = lines
+        .iter()
+        .flat_map(|line| [line.as_str(), "\n"])
+        .collect();
+    binio::install(path, text.as_bytes())
 }
 
 #[cfg(test)]
@@ -941,6 +934,23 @@ mod tests {
         write_jsonl_atomic(&path, &lines).unwrap();
         let read = std::fs::read_to_string(&path).unwrap();
         assert_eq!(read, format!("{}\n", lines[0]));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_jsonl_write_leaves_no_temp_file() {
+        let dir =
+            std::env::temp_dir().join(format!("telemetry_failed_write_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // The target is an existing directory, so the rename fails.
+        let path = dir.join("sweepd.jsonl");
+        std::fs::create_dir_all(&path).unwrap();
+        assert!(write_jsonl_atomic(&path, &["{}".to_string()]).is_err());
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["sweepd.jsonl"], "only the directory itself stays");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
