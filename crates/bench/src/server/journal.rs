@@ -14,7 +14,8 @@
 //!
 //! Each record is one [`binio::frame`] (`ACJL`, no header fields, `u32`
 //! payload length of at most 1 MiB); the first frame that does not
-//! validate ends the trusted prefix. The payload is one JSON object: `{"op":"accept","key":K,"request":R}`
+//! validate ends the trusted prefix. The payload is one JSON object:
+//! `{"op":"accept","key":K,"request":R}`
 //! (`R` is the encoded protocol request, stored as a string so replay
 //! reuses the strict [`protocol`] parser end-to-end) or
 //! `{"op":"done","key":K}`.

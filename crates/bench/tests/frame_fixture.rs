@@ -8,14 +8,9 @@
 //! checkpoint and journal already on disk. This test compares against
 //! bytes committed before any framing code was refactored: the sample
 //! values must encode to exactly the fixture, and the fixture must decode
-//! and re-encode to itself. A deliberate layout change is a format
-//! version bump, never a regeneration of this file.
-//!
-//! The fixture was generated once with:
-//!
-//! ```sh
-//! ADACOMM_REGEN_GOLDEN=1 cargo test -p adacomm-bench --test frame_fixture
-//! ```
+//! and re-encode to itself. The fixture has no regeneration switch: a
+//! deliberate layout change is a format version bump, never an edit of
+//! the pinned bytes.
 
 use adacomm::SchedulerState;
 use adacomm_bench::server::journal::Journal;
@@ -242,9 +237,6 @@ fn frame<'a>(frames: &'a [(String, Vec<u8>)], name: &str) -> &'a [u8] {
 fn sample_frames_encode_to_the_pinned_bytes() {
     let dir = scratch("encode");
     let frames = encode_samples(&dir);
-    if std::env::var_os("ADACOMM_REGEN_GOLDEN").is_some() {
-        fs::write(FIXTURE, render(&frames)).expect("write the frame fixture");
-    }
     let expected = fs::read_to_string(FIXTURE).expect("read the frame fixture");
     assert!(
         render(&frames) == expected,

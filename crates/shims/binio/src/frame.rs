@@ -20,7 +20,7 @@
 use crate::{crc32, ByteReader, ByteWriter, ReadError};
 
 /// Width of a frame's payload-length field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub enum LenWidth {
     /// A little-endian `u32`.
     U32,
@@ -29,7 +29,7 @@ pub enum LenWidth {
 }
 
 /// One frame layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct Format {
     /// What the frame holds, as reject reasons name it.
     pub name: &'static str,

@@ -4,11 +4,11 @@
 //! It plays the role `byteorder`/`crc32fast`/`tempfile` would play in an
 //! online build (the build environment has no registry access; see
 //! `crates/shims/README.md`): an append-only little-endian [`ByteWriter`], a
-//! fully checked [`ByteReader`] that never panics on malformed input, a
-//! CRC-32 (IEEE) checksum, an FNV-1a 64-bit hash for content addressing,
-//! the one frame codec behind every on-disk format ([`frame`]: checkpoints,
-//! run-store entries, parked checkpoints and journal records), and the one
-//! atomic file writer ([`install`]: temp file, fsync, rename).
+//! fully checked [`ByteReader`] that never panics on malformed input, an
+//! FNV-1a 64-bit hash for content addressing, the one CRC-32-checked frame
+//! codec behind every on-disk format ([`frame`]: checkpoints, run-store
+//! entries, parked checkpoints and journal records), and the one atomic
+//! file writer ([`install`]: temp file, fsync, rename).
 //!
 //! Every multi-byte value is encoded little-endian with an explicit width;
 //! `usize` quantities are always written as `u64` so the on-disk format is
@@ -305,9 +305,10 @@ impl<'a> ByteReader<'a> {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) over `bytes`.
 ///
-/// Matches the checksum produced by zlib/`crc32fast` so store entries could
-/// be validated by external tooling.
-pub fn crc32(bytes: &[u8]) -> u32 {
+/// Matches the checksum produced by zlib/`crc32fast` so frames could be
+/// validated by external tooling. Crate-private: [`frame`] is its only
+/// caller.
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     const TABLE: [u32; 256] = crc32_table();
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
