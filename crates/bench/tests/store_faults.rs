@@ -387,6 +387,99 @@ fn batch_run_resumes_and_clears_parked_work() {
     }
 }
 
+/// Periodic parking keeps a resumable frame at most `EVERY` rounds behind
+/// the run: the stop predicate is polled once per round boundary, so it
+/// doubles as a probe that reads the store at boundary `r` (its `r`-th
+/// call). Past the first `EVERY` rounds a frame exists, parked at a
+/// multiple of `EVERY` within `EVERY` rounds of `r`; every such frame
+/// resumes on a fresh engine to the uninterrupted trace, and the finished
+/// run leaves none behind.
+#[test]
+fn periodic_parking_trails_the_run_and_every_frame_resumes() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
+    const EVERY: u64 = 8;
+    // Concept at τ = 1: one round per simulated second.
+    let s = spec(1).with_budget(40.0, 5.0);
+    let key = s.key();
+    let golden = SweepEngine::with_parallelism(false)
+        .run(std::slice::from_ref(&s))
+        .remove(0);
+    assert!(golden.rounds > 4 * EVERY, "{} rounds", golden.rounds);
+
+    let dir = store_dir("periodic_park");
+    let store = RunStore::new(&dir);
+    let boundary = AtomicU64::new(0);
+    let seen = Mutex::new(Vec::new());
+    let probe = || {
+        let r = boundary.fetch_add(1, Ordering::SeqCst) + 1;
+        seen.lock().unwrap().push((r, store.load_parked(&key)));
+        false
+    };
+    let engine = engine_on(&dir).with_periodic_park(EVERY);
+    match engine.try_trace_cancellable(&s, Some(&probe)) {
+        Ok(CancellableRun::Done { trace, source }) => {
+            assert_eq!(source, TraceSource::Computed);
+            assert_eq!(trace_bits(&trace), trace_bits(&golden));
+        }
+        other => panic!("expected a finished run, got {other:?}"),
+    }
+    assert!(
+        !store.parked_path(&key).exists(),
+        "the finished run unparks"
+    );
+    assert!(engine.take_warnings().is_empty());
+
+    let seen = seen.into_inner().unwrap();
+    assert_eq!(
+        seen.len() as u64,
+        golden.rounds - 1,
+        "one poll per boundary"
+    );
+    let mut resumed = Vec::new();
+    for (r, parked) in seen {
+        let ck = match parked {
+            ParkedOutcome::Absent => {
+                assert!(r <= EVERY, "no parked frame at boundary {r}");
+                continue;
+            }
+            ParkedOutcome::Hit(ck) => ck,
+            ParkedOutcome::Rejected(reason) => panic!("boundary {r}: rejected frame ({reason})"),
+        };
+        let p = ck.cluster.rounds;
+        assert!(
+            r > EVERY,
+            "a frame before the first park: {p} at boundary {r}"
+        );
+        assert!(
+            p.is_multiple_of(EVERY) && p < r && r - p <= EVERY,
+            "frame at round {p} for boundary {r}"
+        );
+        if resumed.last() == Some(&p) {
+            continue;
+        }
+        let fresh_dir = store_dir(&format!("periodic_park_{p}"));
+        RunStore::new(&fresh_dir).park(&key, &ck).unwrap();
+        match engine_on(&fresh_dir).try_trace_cancellable(&s, None) {
+            Ok(CancellableRun::Done { trace, source }) => {
+                assert_eq!(source, TraceSource::Resumed, "frame at round {p}");
+                assert_eq!(
+                    trace_bits(&trace),
+                    trace_bits(&golden),
+                    "frame at round {p}"
+                );
+            }
+            other => panic!("frame at round {p}: expected a finished run, got {other:?}"),
+        }
+        resumed.push(p);
+    }
+    let expected: Vec<u64> = (1..)
+        .map(|j| j * EVERY)
+        .take_while(|&p| p < golden.rounds - 1)
+        .collect();
+    assert_eq!(resumed, expected);
+}
+
 /// Two threads each call `write` `per_writer` times, released together,
 /// while a third polls `read` (which returns what is wrong with a load,
 /// if anything) until both are done. Returns the failed writes and the
