@@ -53,14 +53,14 @@
 //!   naming the holder) instead of interleaving writes. A run a daemon
 //!   left parked mid-way in that cache is continued from its checkpoint
 //!   (bit-identically), not recomputed beside it.
-//! * Every sweep run executes under the supervisor (panic isolation,
-//!   bounded seeded retry, optional per-run deadline). A run that fails
+//! * Every sweep run executes once under the supervisor (panic
+//!   isolation, optional per-run deadline). A run that fails
 //!   terminally degrades the reproduction to a **partial-results
 //!   report**: its figure fails with the supervisor's reason, every
 //!   other figure still completes and writes its CSVs, a per-run failure
 //!   table prints at the end, and the process exits non-zero.
 //! * `--inject-panic SUBSTR` is the fault drill: every supervised run
-//!   whose spec key contains `SUBSTR` panics on every attempt, proving
+//!   whose spec key contains `SUBSTR` panics, proving
 //!   the partial-results degradation end to end (CI runs this against
 //!   one scenario and checks the other figures' CSVs are untouched).
 //!

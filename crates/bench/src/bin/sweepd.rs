@@ -35,7 +35,8 @@
 //! * **`--park-every-rounds N`** — long runs, whether requested by
 //!   `run` or by a `figure` body, park a resumable checkpoint every N
 //!   simulated rounds (default 256), bounding how much progress a
-//!   `SIGKILL` can destroy to one slice.
+//!   `SIGKILL` can destroy to N rounds — crash recovery's re-executed
+//!   runs included.
 //! * **`ADACOMM_FAILPOINTS`** — seeded fault-injection sites for chaos
 //!   drills (see `adacomm_bench::failpoint`); unknown names are a usage
 //!   error at startup, not a silent no-op.
@@ -68,8 +69,8 @@ usage: sweepd [--socket PATH] [--workers N] [--queue-limit N]
                      no parking, no journal, no crash recovery)
   --park-every-rounds N
                      park a resumable checkpoint every N simulated rounds
-                     during long runs so a SIGKILL loses at most one
-                     slice (default 256; 0 disables)
+                     during long runs so a SIGKILL loses at most N
+                     rounds (default 256; 0 disables)
   --gc-age-secs N    startup GC removes parked checkpoint frames older
                      than N seconds (default 86400)
   --trace DIR        write DIR/sweepd.jsonl (telemetry profile of the
@@ -171,6 +172,11 @@ fn main() {
     // exit path below; after a SIGKILL the kernel releases it, so the
     // restarted daemon locks at once.
     let mut engine = SweepEngine::default();
+    // Before recovery: the runs it re-executes are the long ones a
+    // SIGKILL interrupted, and they park like any other.
+    if park_every > 0 {
+        engine = engine.with_periodic_park(park_every);
+    }
     let mut _store_lock = None;
     let mut journal_path = None;
     let mut recovery = server::RecoveryCounters::default();
@@ -212,9 +218,6 @@ fn main() {
         }
 
         journal_path = Some(path);
-    }
-    if park_every > 0 {
-        engine = engine.with_periodic_park(park_every);
     }
     let config = ServerConfig {
         socket_path: cli::value_of(&args, "--socket")

@@ -31,7 +31,6 @@
 //! | `server.journal.io_error` | a journal append fails (the daemon warns and keeps serving) |
 //! | `server.request.abort` | the process aborts as a worker starts executing a run (SIGKILL-equivalent) |
 //! | `server.journal.post_append_abort` | the process aborts right after an accepted request is journaled |
-//! | `supervisor.attempt.panic` | a supervised attempt panics at entry (retried under the policy) |
 //!
 //! The table is the contract: [`init_from_env`] rejects names not listed
 //! here, so a typo in a CI job fails fast instead of silently arming
@@ -51,7 +50,6 @@ pub const KNOWN_SITES: &[&str] = &[
     "server.journal.io_error",
     "server.request.abort",
     "server.journal.post_append_abort",
-    "supervisor.attempt.panic",
 ];
 
 /// Environment variable [`init_from_env`] reads:
@@ -83,9 +81,9 @@ mod live {
     fn with_state<T>(f: impl FnOnce(&mut State) -> T) -> T {
         let mut guard = match STATE.lock() {
             Ok(guard) => guard,
-            // A panic *inside a failpoint-armed site* (that is the point
-            // of `supervisor.attempt.panic`) can poison this lock; the
-            // state itself is still coherent.
+            // Nothing panics while this lock is held; were it ever
+            // poisoned, the state would still be usable, and a drill must
+            // not wedge on it.
             Err(poisoned) => poisoned.into_inner(),
         };
         let state = guard.get_or_insert_with(|| State {

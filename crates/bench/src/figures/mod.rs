@@ -427,7 +427,6 @@ pub fn run_figure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::supervisor::SupervisorPolicy;
 
     /// `reproduce_all --only <full name>` is the single-figure command
     /// line, and `--only` matches by substring.
@@ -445,10 +444,8 @@ mod tests {
         crate::report::set_results_subdir("tests");
         // No run meets a zero deadline, so every engine request fails
         // terminally and the requesting figure body panics with the reason.
-        let doomed = SweepEngine::with_parallelism(false).with_supervisor(SupervisorPolicy {
-            deadline: Some(std::time::Duration::ZERO),
-            ..SupervisorPolicy::default()
-        });
+        let doomed =
+            SweepEngine::with_parallelism(false).with_run_deadline(std::time::Duration::ZERO);
         let mut out = String::new();
 
         let err = run_figure("fig04", Scale::Smoke, &doomed, &mut out).unwrap_err();

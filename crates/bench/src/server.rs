@@ -71,7 +71,7 @@
 
 use crate::failpoint;
 use crate::figures::{self, FigureError};
-use crate::supervisor::{self, SupervisorPolicy};
+use crate::supervisor;
 use crate::sweep::{CancellableRun, Known, SweepEngine, TraceSource};
 use crate::Scale;
 use std::collections::{HashMap, VecDeque};
@@ -844,13 +844,8 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) -> ResponseBody {
                 // The drill deliberately bypasses the engine: routing it
                 // through `try_trace_for` would poison the engine's
                 // failed-key map for a spec other clients legitimately
-                // want. One supervised attempt, zero backoff.
-                let policy = SupervisorPolicy {
-                    max_attempts: 1,
-                    backoff_base_millis: 0,
-                    ..SupervisorPolicy::default()
-                };
-                let result = supervisor::run_supervised(&policy, "server.request_drill", || {
+                // want.
+                let result = supervisor::run_supervised(None, "server.request_drill", || {
                     panic!("forced panic (request drill)")
                 });
                 let reason = result.expect_err("the drill always panics");

@@ -1,21 +1,17 @@
-//! Supervised run execution: panic isolation, per-run deadlines, bounded
-//! retry, and the one retry [`backoff`] of the workspace.
+//! Supervised run execution: panic isolation, per-run deadlines, and the
+//! one retry [`backoff`] of the workspace.
 //!
 //! Every sweep run the engine executes goes through [`run_supervised`]:
-//! the closure runs under `catch_unwind`, a panic is converted into a
-//! retryable failure, and retries back off by a deterministic,
-//! label-seeded delay (no wall-clock randomness — the same label always
-//! produces the same backoff sequence, so a supervised reproduction is as
-//! replayable as an unsupervised one). Store save retries and `sweepctl`'s
-//! reconnects sleep by the same function. A run whose
-//! *successful* attempt overruns the per-run deadline fails terminally:
-//! the runs are deterministic, so re-executing an overrun run would
-//! overrun again.
+//! the closure runs once under `catch_unwind`, and a panic becomes an
+//! `Err` carrying its message. There is no retry: the runs are
+//! bit-deterministic, so a run that panicked once panics again. A run
+//! that returns after its per-run deadline fails terminally for the same
+//! reason — re-executing it would overrun again.
 //!
-//! Failures are reported as `Err(reason)` after the attempt budget is
-//! spent; the engine records them and degrades the reproduction to a
-//! partial-results report instead of aborting (see
-//! `SweepEngine::run_failures`).
+//! Failures are reported as `Err(reason)`; the engine records them and
+//! degrades the reproduction to a partial-results report instead of
+//! aborting (see `SweepEngine::run_failures`). Store save retries and
+//! `sweepctl`'s reconnects, which retry real I/O, sleep by [`backoff`].
 //!
 //! For tests and CI drills, [`inject_panics`] arms a process-global hook
 //! that panics at the start of any supervised execution whose label
@@ -27,38 +23,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Retry/deadline policy for one supervised execution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SupervisorPolicy {
-    /// Total attempts per run, counting the first (`>= 1`).
-    pub max_attempts: u32,
-    /// Base of the [`backoff`] between attempts, in milliseconds. `0`
-    /// disables sleeping (tests).
-    pub backoff_base_millis: u64,
-    /// Wall-clock budget for a single attempt, checked after it returns
-    /// (the runs are compute loops with no await points to interrupt). A
-    /// successful attempt that overran fails terminally; `None` disables
-    /// the check.
-    pub deadline: Option<Duration>,
-}
-
-impl Default for SupervisorPolicy {
-    fn default() -> Self {
-        SupervisorPolicy {
-            max_attempts: 3,
-            backoff_base_millis: 20,
-            deadline: None,
-        }
-    }
-}
-
 /// Remaining injected panics: `(label substring, remaining count)`.
 /// Process-global so binaries can arm it before the engine (and its pool
 /// threads) exist.
 static INJECTED: Mutex<Vec<(String, u32)>> = Mutex::new(Vec::new());
 
 /// Arms the fault drill: the next `count` supervised executions whose
-/// label contains `substr` panic at the start of the attempt. Counts
+/// label contains `substr` panic at the start of the run. Counts
 /// accumulate per substring; `u32::MAX` effectively means "always".
 pub fn inject_panics(substr: &str, count: u32) {
     let mut hooks = INJECTED.lock().expect("injection hook poisoned");
@@ -67,11 +38,6 @@ pub fn inject_panics(substr: &str, count: u32) {
     } else {
         hooks.push((substr.to_string(), count));
     }
-}
-
-/// Disarms every injected panic (test isolation).
-pub fn clear_injected_panics() {
-    INJECTED.lock().expect("injection hook poisoned").clear();
 }
 
 /// Consumes one injected panic for `label`, if armed.
@@ -91,8 +57,8 @@ const MAX_BACKOFF: Duration = Duration::from_secs(2);
 
 /// The one retry backoff: before retry `retry` (0 for the first), sleep
 /// `base_ms · 2^retry` plus a jitter in `[0, base_ms]` seeded by `label`
-/// and `retry`, at most 2 s. Deterministic, so a retried run replays
-/// exactly; seeded by the label, so distinct runs or requests do not
+/// and `retry`, at most 2 s. Deterministic, so a retry sequence replays
+/// exactly; seeded by the label, so distinct saves or requests do not
 /// retry in lockstep.
 pub fn backoff(base_ms: u64, label: &str, retry: u32) -> Duration {
     let seed = [label.as_bytes(), &retry.to_le_bytes()].concat();
@@ -111,66 +77,38 @@ pub(crate) fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "panicked (non-string payload)".to_string())
 }
 
-/// Executes `f` under the policy: panic-isolated, deadline-checked, and
-/// retried with seeded backoff up to `max_attempts` total attempts.
+/// Executes `f` once, panic-isolated and checked against `deadline`.
 ///
 /// # Errors
 ///
-/// Returns the last failure reason when every attempt panicked, or a
-/// terminal deadline report when the successful attempt overran
-/// `policy.deadline`.
+/// Returns the panic message when `f` panicked, or a terminal deadline
+/// report when it returned after `deadline`.
 pub fn run_supervised<T>(
-    policy: &SupervisorPolicy,
+    deadline: Option<Duration>,
     label: &str,
-    f: impl Fn() -> T,
+    f: impl FnOnce() -> T,
 ) -> Result<T, String> {
-    assert!(policy.max_attempts >= 1, "at least one attempt required");
-    let mut last_failure = String::new();
-    for attempt in 1..=policy.max_attempts {
-        if attempt > 1 {
-            telemetry::counter("sweep.run_retries").inc();
-            let wait = backoff(policy.backoff_base_millis, label, attempt - 2);
-            if !wait.is_zero() {
-                std::thread::sleep(wait);
-            }
+    let started = Instant::now();
+    let value = catch_unwind(AssertUnwindSafe(|| {
+        if consume_injected_panic(label) {
+            panic!("injected panic (fault drill) in {label}");
         }
-        let started = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if consume_injected_panic(label) {
-                panic!("injected panic (fault drill) in {label}");
-            }
-            if crate::failpoint::fire("supervisor.attempt.panic") {
-                panic!("injected panic (failpoint) in {label}");
-            }
-            f()
-        }));
-        match result {
-            Ok(value) => {
-                if let Some(deadline) = policy.deadline {
-                    let elapsed = started.elapsed();
-                    if elapsed > deadline {
-                        // Deterministic runs overrun deterministically;
-                        // retrying would only pay the cost again.
-                        telemetry::counter("sweep.run_deadline_misses").inc();
-                        return Err(format!(
-                            "deadline exceeded: attempt took {:.2} s against a {:.2} s budget",
-                            elapsed.as_secs_f64(),
-                            deadline.as_secs_f64()
-                        ));
-                    }
-                }
-                return Ok(value);
-            }
-            Err(panic) => {
-                telemetry::counter("sweep.run_panics").inc();
-                last_failure = panic_message(panic);
-            }
-        }
+        f()
+    }))
+    .map_err(|panic| {
+        telemetry::counter("sweep.run_panics").inc();
+        panic_message(panic)
+    })?;
+    let elapsed = started.elapsed();
+    if let Some(deadline) = deadline.filter(|&d| elapsed > d) {
+        telemetry::counter("sweep.run_deadline_misses").inc();
+        return Err(format!(
+            "deadline exceeded: run took {:.2} s against a {:.2} s budget",
+            elapsed.as_secs_f64(),
+            deadline.as_secs_f64()
+        ));
     }
-    Err(format!(
-        "panicked on all {} attempts; last: {last_failure}",
-        policy.max_attempts
-    ))
+    Ok(value)
 }
 
 #[cfg(test)]
@@ -178,73 +116,59 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
 
-    fn fast_policy() -> SupervisorPolicy {
-        SupervisorPolicy {
-            max_attempts: 3,
-            backoff_base_millis: 0,
-            deadline: None,
-        }
-    }
-
     #[test]
     fn success_passes_through() {
-        assert_eq!(run_supervised(&fast_policy(), "ok-run", || 42), Ok(42));
+        assert_eq!(run_supervised(None, "ok-run", || 42), Ok(42));
     }
 
     // The injection table is process-global and tests run concurrently,
-    // so each test uses a label no other test's substring matches and
-    // never calls `clear_injected_panics` (which would race).
+    // so each test uses a label no other test's substring matches.
 
     #[test]
-    fn injected_panic_is_recovered_by_retry() {
-        inject_panics("flaky-run-a", 2);
+    fn a_panicking_run_executes_exactly_once() {
         let calls = AtomicU32::new(0);
-        let result = run_supervised(&fast_policy(), "flaky-run-a", || {
-            calls.fetch_add(1, Ordering::SeqCst) + 1
+        let result: Result<(), String> = run_supervised(None, "diverging-run", || {
+            calls.fetch_add(1, Ordering::SeqCst);
+            panic!("loss diverged at round {}", 7)
         });
-        // Injected panics fire before the closure body, so the successful
-        // third attempt is the only one that actually runs it.
-        assert_eq!(result, Ok(1));
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
-        let hooks = INJECTED.lock().expect("injection hook poisoned");
-        let remaining = hooks
-            .iter()
-            .find(|(s, _)| s == "flaky-run-a")
-            .expect("hook stays registered")
-            .1;
-        assert_eq!(remaining, 0, "both injected panics were consumed");
-    }
-
-    #[test]
-    fn exhausted_attempts_fail_terminally() {
-        inject_panics("doomed-run-b", u32::MAX);
-        let result: Result<(), String> = run_supervised(&fast_policy(), "doomed-run-b", || ());
-        let err = result.unwrap_err();
-        assert!(err.contains("all 3 attempts"), "{err}");
-        assert!(err.contains("injected panic"), "{err}");
+        assert!(result.unwrap_err().contains("loss diverged at round 7"));
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            1,
+            "deterministic runs are not retried"
+        );
     }
 
     #[test]
     fn real_panic_message_is_preserved() {
-        let result: Result<(), String> = run_supervised(&fast_policy(), "assert-run", || {
+        let result: Result<(), String> = run_supervised(None, "assert-run", || {
             panic!("loss diverged: {}", f64::INFINITY)
         });
         assert!(result.unwrap_err().contains("loss diverged: inf"));
     }
 
     #[test]
-    fn deadline_overrun_fails_without_retry() {
-        let policy = SupervisorPolicy {
-            deadline: Some(Duration::from_millis(1)),
-            ..fast_policy()
-        };
+    fn injected_panic_fails_before_the_run() {
+        inject_panics("doomed-run-b", 1);
         let calls = AtomicU32::new(0);
-        let result = run_supervised(&policy, "slow-run", || {
+        let result = run_supervised(None, "doomed-run-b", || {
+            calls.fetch_add(1, Ordering::SeqCst);
+        });
+        let err = result.unwrap_err();
+        assert!(err.contains("injected panic"), "{err}");
+        assert_eq!(calls.load(Ordering::SeqCst), 0);
+        // The one injected panic is spent: the next execution runs.
+        assert_eq!(run_supervised(None, "doomed-run-b", || 7), Ok(7));
+    }
+
+    #[test]
+    fn deadline_overrun_fails_without_retry() {
+        let calls = AtomicU32::new(0);
+        let result = run_supervised(Some(Duration::from_millis(1)), "slow-run", || {
             calls.fetch_add(1, Ordering::SeqCst);
             std::thread::sleep(Duration::from_millis(30));
         });
         assert!(result.unwrap_err().contains("deadline exceeded"));
-        // Terminal: deterministic overruns are not retried.
         assert_eq!(calls.load(Ordering::SeqCst), 1);
     }
 
@@ -294,18 +218,8 @@ mod tests {
     #[test]
     fn injection_matches_on_substring_only() {
         inject_panics("VggLike-drill", 1);
-        assert_eq!(
-            run_supervised(&fast_policy(), "scenario ResnetLike-x", || 1),
-            Ok(1)
-        );
-        let r = run_supervised(
-            &SupervisorPolicy {
-                max_attempts: 1,
-                ..fast_policy()
-            },
-            "scenario VggLike-drill tau=4",
-            || 1,
-        );
+        assert_eq!(run_supervised(None, "scenario ResnetLike-x", || 1), Ok(1));
+        let r = run_supervised(None, "scenario VggLike-drill tau=4", || 1);
         assert!(r.is_err());
     }
 }

@@ -25,7 +25,7 @@
 
 use crate::scenarios::{scenario, ModelFamily};
 use crate::store::{CacheStats, LoadOutcome, ParkedOutcome, RunStore};
-use crate::supervisor::{self, SupervisorPolicy};
+use crate::supervisor;
 use crate::Scale;
 use adacomm::{
     AdaComm, AdaCommCompress, AdaCommConfig, CommSchedule, FixedComm, LrCoupling, LrSchedule,
@@ -36,12 +36,14 @@ use gradcomp::CodecSpec;
 use nn::models;
 use pasgd_sim::{
     AveragingStrategy, ClusterConfig, ExperimentConfig, ExperimentSuite, FaultConfig, MomentumMode,
-    RunCheckpoint, RunOutcome, RunTrace,
+    RoundHook, RunCheckpoint, RunOutcome, RunTrace,
 };
 use rayon::prelude::*;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// A shared experiment suite a sweep run executes in. Each variant is one
 /// model/data/delay configuration; the engine builds it once and shares it
@@ -539,15 +541,14 @@ impl SweepSpec {
     }
 
     /// Executes this spec against its built scenario (no caching),
-    /// optionally continuing `resume`, stopping after a round count or
-    /// when the cooperative `stop` predicate fires — the one primitive
-    /// behind every engine run, batch or preemptible.
+    /// optionally continuing `resume`, with `on_round` called at every
+    /// round boundary — the one primitive behind every engine run, batch
+    /// or preemptible.
     fn execute_cancellable(
         &self,
         built: &BuiltScenario,
         resume: Option<&RunCheckpoint>,
-        stop_after_rounds: Option<u64>,
-        stop: Option<&(dyn Fn() -> bool + Sync)>,
+        on_round: &mut RoundHook<'_>,
     ) -> Result<RunOutcome, String> {
         let mut scheduler = self.scheduler.build();
         let lr = self.lr.resolve(built);
@@ -563,8 +564,7 @@ impl SweepSpec {
             budget,
             self.fault.is_active().then_some(self.fault),
             resume,
-            stop_after_rounds,
-            stop,
+            Some(on_round),
         )
     }
 }
@@ -635,16 +635,17 @@ pub struct SweepEngine {
     /// check-compute-insert cache tolerates — is a memory hit.
     traffic: Mutex<CacheStats>,
     warnings: Mutex<Vec<String>>,
-    supervisor: SupervisorPolicy,
-    /// Keys whose supervised execution failed terminally (all attempts
+    /// Wall-clock budget of one run; a run that returns later fails
+    /// terminally (see [`supervisor::run_supervised`]).
+    run_deadline: Option<Duration>,
+    /// Keys whose supervised execution failed terminally (the run
     /// panicked, or the deadline was exceeded), with the reason. A failed
     /// key never re-executes on this engine: repeat requests fail fast
     /// with the recorded reason.
     failed: Mutex<HashMap<String, String>>,
-    /// Crash-consistency knob: when set (and a store is attached),
-    /// runs execute in slices of this many rounds, parking a
-    /// resumable checkpoint after each slice — a SIGKILL at any moment
-    /// loses at most one slice of progress.
+    /// Crash-consistency knob: when set (and a store is attached), a
+    /// running run parks a resumable checkpoint every this many rounds —
+    /// a SIGKILL at any moment loses at most this many rounds of progress.
     park_every_rounds: Option<u64>,
 }
 
@@ -657,6 +658,25 @@ pub struct SweepEngine {
 /// pool's own sizing rules (including its `RAYON_NUM_THREADS` override).
 pub fn hardware_parallelism() -> bool {
     rayon::current_num_threads() > 1
+}
+
+/// One executing run on the `sweep.inflight_runs` gauge: `+1` when it
+/// starts, `-1` when it is dropped — also when the run panics — so a
+/// failed run undoes only its own count.
+struct InflightRun(telemetry::Gauge);
+
+impl InflightRun {
+    fn start() -> Self {
+        let gauge = telemetry::gauge("sweep.inflight_runs");
+        gauge.add(1);
+        InflightRun(gauge)
+    }
+}
+
+impl Drop for InflightRun {
+    fn drop(&mut self) {
+        self.0.add(-1);
+    }
 }
 
 /// Counts one batch handed to an engine ([`SweepEngine::run`] or
@@ -685,16 +705,16 @@ impl SweepEngine {
             store: None,
             traffic: Mutex::new(CacheStats::default()),
             warnings: Mutex::new(Vec::new()),
-            supervisor: SupervisorPolicy::default(),
+            run_deadline: None,
             failed: Mutex::new(HashMap::new()),
             park_every_rounds: None,
         }
     }
 
-    /// Overrides the supervision policy (attempts, backoff, deadline)
-    /// every run on this engine executes under.
-    pub fn with_supervisor(mut self, policy: SupervisorPolicy) -> Self {
-        self.supervisor = policy;
+    /// Gives every run on this engine a wall-clock deadline: a run that
+    /// returns after it fails terminally.
+    pub fn with_run_deadline(mut self, deadline: Duration) -> Self {
+        self.run_deadline = Some(deadline);
         self
     }
 
@@ -714,9 +734,9 @@ impl SweepEngine {
 
     /// Enables periodic parking: every `rounds` averaging rounds, an
     /// in-flight run checkpoints into the attached store (no-op without a
-    /// store). Trades a little write traffic for
+    /// store) and runs on. Trades a little write traffic for
     /// crash-consistency — after a SIGKILL, recovery resumes from the
-    /// last slice boundary instead of round zero, bit-identically.
+    /// last parked round instead of round zero, bit-identically.
     pub fn with_periodic_park(mut self, rounds: u64) -> Self {
         self.park_every_rounds = Some(rounds.max(1));
         self
@@ -887,9 +907,9 @@ impl SweepEngine {
     }
 
     /// Executes one spec under supervision, returning a clone of its
-    /// (possibly cached) trace — or the terminal failure reason when
-    /// every supervised attempt panicked or the run overran its deadline.
-    /// A failed key is remembered and fails fast on re-request.
+    /// (possibly cached) trace — or the terminal failure reason when the
+    /// run panicked or overran its deadline. A failed key is remembered
+    /// and fails fast on re-request.
     ///
     /// This is [`SweepEngine::try_trace_cancellable`] without a stop
     /// predicate: a batch run is the never-cancelled case of the
@@ -920,10 +940,12 @@ impl SweepEngine {
     /// checkpoint — the remainder of a previous deadline- or
     /// drain-cancelled request — and resumes it bit-identically instead of
     /// starting over (a checkpoint that fails structural validation is
-    /// discarded with a warning and the run starts fresh). The `stop`
-    /// predicate is polled at round boundaries; when it fires, the partial
-    /// run is parked back to the store and [`CancellableRun::Cancelled`]
-    /// is returned — the request lost, the work kept.
+    /// discarded with a warning and the run starts fresh). The run is one
+    /// simulator call whose round hook polls `stop` at every boundary and,
+    /// with [`SweepEngine::with_periodic_park`], then parks a snapshot every
+    /// that many rounds. When `stop` fires, the partial run is parked back
+    /// to the store and [`CancellableRun::Cancelled`] is returned — the
+    /// request lost, the work kept.
     ///
     /// Beyond the lookup the cache is check-compute-insert, never
     /// blocking: two threads racing on the *same* uncached key both
@@ -965,88 +987,48 @@ impl SweepEngine {
             },
             None => None,
         };
-        let supervised = supervisor::run_supervised(&self.supervisor, &key, || {
+        let park = self.store.as_ref().zip(self.park_every_rounds);
+        let mut on_round = |rounds: u64, snapshot: &dyn Fn() -> RunCheckpoint| {
+            if stop.is_some_and(|s| s()) {
+                return ControlFlow::Break(());
+            }
+            if let Some((store, every)) = park {
+                if rounds.is_multiple_of(every) && store.park(&key, &snapshot()).is_ok() {
+                    telemetry::counter("sweep.periodic_parks").inc();
+                }
+            }
+            ControlFlow::Continue(())
+        };
+        let supervised = supervisor::run_supervised(self.run_deadline, &key, || {
             let built = self.scenario(&spec.scenario);
-            let inflight = telemetry::gauge("sweep.inflight_runs");
-            inflight.add(1);
-            let run_started = std::time::Instant::now();
-            // With periodic parking enabled, the run executes in
-            // `park_every` round slices, persisting a resumable
-            // checkpoint between slices; otherwise one uninterrupted
-            // call. Either way the final trace is bit-identical (resume
-            // round-trips are exact by construction).
-            let park_every = if self.store.is_some() {
-                self.park_every_rounds
-            } else {
-                None
-            };
-            let mut resumed = resume_ck.is_some();
-            let mut mine: Option<Box<RunCheckpoint>> = None;
-            let mut use_initial = resumed;
-            let (outcome, resumed) = loop {
-                let resume_ref: Option<&RunCheckpoint> = if use_initial {
-                    resume_ck.as_deref()
-                } else {
-                    mine.as_deref()
-                };
-                let limit = park_every.map(|n| resume_ref.map_or(0, |ck| ck.cluster.rounds) + n);
-                match spec.execute_cancellable(&built, resume_ref, limit, stop) {
-                    Ok(RunOutcome::Completed(trace)) => {
-                        break (RunOutcome::Completed(trace), resumed)
-                    }
-                    Ok(RunOutcome::Checkpointed(ck)) => {
-                        if stop.is_some_and(|s| s()) {
-                            // The cooperative stop fired: this is a real
-                            // cancellation, handled by the caller.
-                            break (RunOutcome::Checkpointed(ck), resumed);
-                        }
-                        // Slice boundary: persist progress (best-effort)
-                        // and keep running.
-                        if let Some(store) = &self.store {
-                            if store.park(&key, &ck).is_ok() {
-                                telemetry::counter("sweep.periodic_parks").inc();
-                            }
-                        }
-                        use_initial = false;
-                        mine = Some(ck);
-                    }
-                    Err(reason) if use_initial => {
-                        // A structurally-mismatched checkpoint (different
-                        // build semantics, foreign spec): discard and
-                        // start over. Fresh runs never fail.
+            let _inflight = InflightRun::start();
+            let run_started = Instant::now();
+            // A structurally-mismatched checkpoint (different build
+            // semantics, foreign spec) is discarded and the run starts over.
+            let resumed = resume_ck.as_deref().and_then(|ck| {
+                spec.execute_cancellable(&built, Some(ck), &mut on_round)
+                    .inspect_err(|reason| {
                         self.warn(format!(
                             "run store: parked checkpoint unusable on resume ({reason}); \
                              running fresh"
-                        ));
-                        use_initial = false;
-                        resumed = false;
-                    }
-                    Err(reason) => {
-                        // A checkpoint this very process produced failed
-                        // to resume — should be impossible; degrade to a
-                        // fresh uninterrupted run rather than loop.
-                        self.warn(format!(
-                            "run store: mid-run slice checkpoint unusable ({reason}); \
-                             restarting the run uninterrupted"
-                        ));
-                        break (
-                            spec.execute_cancellable(&built, None, None, stop)
-                                .expect("fresh runs never fail"),
-                            false,
-                        );
-                    }
-                }
+                        ))
+                    })
+                    .ok()
+            });
+            let pair = match resumed {
+                Some(outcome) => (outcome, true),
+                None => (
+                    spec.execute_cancellable(&built, None, &mut on_round)
+                        .expect("fresh runs never fail"),
+                    false,
+                ),
             };
             telemetry::histogram("sweep.run_secs").observe(run_started.elapsed().as_secs_f64());
-            inflight.add(-1);
-            (outcome, resumed)
+            pair
         });
         let (outcome, resumed) = match supervised {
             Ok(pair) => pair,
             Err(reason) => {
-                // A panicked attempt bails out before its `inflight.add(-1)`;
-                // rebalance so the gauge stays truthful for live dashboards.
-                telemetry::gauge("sweep.inflight_runs").set(0);
                 self.warn(format!("run failed under supervision ({reason}): {key}"));
                 self.failed
                     .lock()

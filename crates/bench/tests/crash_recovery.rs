@@ -9,7 +9,6 @@
 use adacomm_bench::server::journal::{self, Journal};
 use adacomm_bench::server::protocol::{self, Command, Request, Response, ResponseBody, RunRequest};
 use adacomm_bench::server::{self, Server, ServerConfig};
-use adacomm_bench::supervisor::SupervisorPolicy;
 use adacomm_bench::sweep::SweepEngine;
 use adacomm_bench::{CancellableRun, LoadOutcome, RunStore, Scale};
 use pasgd_sim::RunTrace;
@@ -177,10 +176,7 @@ fn recover_reports_each_figure_outcome() {
     }
     // No run meets a zero deadline, so the one figure that asks the engine
     // for a run panics with the supervisor's reason.
-    let doomed = SweepEngine::with_parallelism(false).with_supervisor(SupervisorPolicy {
-        deadline: Some(std::time::Duration::ZERO),
-        ..SupervisorPolicy::default()
-    });
+    let doomed = SweepEngine::with_parallelism(false).with_run_deadline(std::time::Duration::ZERO);
     let mut report = server::recover(&journal_path, &doomed, Scale::Smoke);
     assert_eq!(report.replayed, 3);
     assert_eq!(report.recovered_figures, 1, "fig04 is analytic: healthy");

@@ -5,7 +5,6 @@
 //! and re-saved), proven by the engine's cache-traffic counters. The
 //! store may never panic and never serve a wrong figure.
 
-use adacomm_bench::supervisor::SupervisorPolicy;
 use adacomm_bench::sweep::{LrSpec, ScenarioSpec, SchedulerSpec, SweepEngine, SweepSpec};
 use adacomm_bench::{
     CacheStats, CancellableRun, LoadOutcome, ParkedOutcome, RunStore, TraceSource,
@@ -308,10 +307,7 @@ fn the_three_callers_of_the_cache_head_count_each_outcome_once() {
 /// execution reported; nothing is counted as cache traffic.
 #[test]
 fn lookup_reports_a_failed_key_with_its_reason() {
-    let doomed = SweepEngine::with_parallelism(false).with_supervisor(SupervisorPolicy {
-        deadline: Some(std::time::Duration::ZERO),
-        ..SupervisorPolicy::default()
-    });
+    let doomed = SweepEngine::with_parallelism(false).with_run_deadline(std::time::Duration::ZERO);
     let s = spec(2);
     let reason = doomed
         .try_trace_for(&s)

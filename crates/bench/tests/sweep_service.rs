@@ -13,7 +13,7 @@ use adacomm_bench::server::protocol::{
 };
 use adacomm_bench::server::{Server, ServerConfig, ServerHandle, MAX_LINE_BYTES};
 use adacomm_bench::store::RunStore;
-use adacomm_bench::supervisor::{self, SupervisorPolicy};
+use adacomm_bench::supervisor;
 use adacomm_bench::sweep::SweepEngine;
 use adacomm_bench::Scale;
 use std::io::{BufRead, BufReader, Write};
@@ -171,10 +171,7 @@ fn ping_stats_and_unknown_figure() {
     // No run meets a zero deadline: a figure that asks this engine for a
     // run panics with the supervisor's reason; an analytic one is healthy.
     // (Sequential, so the body fails at its first run, not after a wave.)
-    let doomed = SweepEngine::with_parallelism(false).with_supervisor(SupervisorPolicy {
-        deadline: Some(Duration::ZERO),
-        ..SupervisorPolicy::default()
-    });
+    let doomed = SweepEngine::with_parallelism(false).with_run_deadline(Duration::ZERO);
     let handle = start("basic", 1, 8, doomed);
     let mut client = Client::connect(handle.socket_path());
 
@@ -556,11 +553,7 @@ fn drain_and_drill_are_not_answered_from_the_engine() {
 /// both times.
 #[test]
 fn known_failed_key_is_answered_in_place_with_the_same_error() {
-    let engine = SweepEngine::default().with_supervisor(SupervisorPolicy {
-        max_attempts: 1,
-        backoff_base_millis: 0,
-        ..SupervisorPolicy::default()
-    });
+    let engine = SweepEngine::default();
     // The injection hook is process-global: this budget appears in no
     // other test's spec key.
     supervisor::inject_panics("Some((7125, 7125))", 1);

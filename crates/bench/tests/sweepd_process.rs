@@ -1,6 +1,7 @@
-//! The two drills that need a real `sweepd` *process*: a SIGTERM that
-//! lands mid-burst, and a death between a request's journal append and
-//! its execution. The rest of the service contract is asserted in-process
+//! The drills that need a real `sweepd` *process*: a SIGTERM that lands
+//! mid-burst, a death between a request's journal append and its
+//! execution, and the periodic parking of the run the successor's
+//! recovery re-executes. The rest of the service contract is asserted in-process
 //! (`sweep_service.rs`, `crash_recovery.rs`); the real `kill -9` is the
 //! CI chaos drill. Each drill's daemons run in a scratch directory of
 //! their own — socket, run store (`results/smoke/cache`), trace — so the
@@ -111,7 +112,8 @@ fn stats(dir: &Path) -> StatsBody {
 }
 
 /// A concept run at `tau = 1`: the budget is the round count, so 6 is
-/// instant and 100 000 outlives the drill (only a drain ends it).
+/// instant, 1 000 takes a moment and 100 000 outlives the drill (only a
+/// drain ends it).
 fn run(budget: f64, panic: bool) -> Command {
     Command::Run(RunRequest {
         scenario: "concept".into(),
@@ -141,11 +143,18 @@ fn sigterm_mid_burst_drains_and_exits_zero() {
     }
 
     // Twelve distinct endless runs: two execute, eight queue, two shed.
+    // Were all twelve admitted before a worker woke, four are shed and
+    // the queue drains to six once both workers start: a shed request
+    // also shows the queue filled.
     let burst: Vec<UnixStream> = (0..12)
         .map(|i| send(&dir, i, run(100_000.0 + i as f64, false)))
         .collect();
     let deadline = Instant::now() + PATIENCE;
-    while stats(&dir).queue_depth < 8 {
+    loop {
+        let now = stats(&dir);
+        if now.queue_depth >= 8 || now.shed > 0 {
+            break;
+        }
         assert!(Instant::now() < deadline, "the queue never filled");
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -209,5 +218,46 @@ fn abort_after_journal_append_is_replayed_by_the_successor() {
     let bye = call(&dir, Command::Shutdown);
     assert!(matches!(bye, Some(ResponseBody::ShuttingDown)), "{bye:?}");
     assert_eq!(exit_code(child), Some(0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The runs crash recovery re-executes are the long ones a kill
+/// interrupted, and they park like any other: a successor started with
+/// `--park-every-rounds 1` leaves a parked frame in the store while it
+/// re-executes its predecessor's long run — before its socket binds.
+#[cfg(feature = "failpoints")]
+#[test]
+fn recovery_parks_the_run_it_re_executes() {
+    let dir = scratch("recover-park");
+    let mut armed = sweepd(&dir);
+    armed.env("ADACOMM_FAILPOINTS", "server.journal.post_append_abort=1");
+    let child = serving(armed, &dir);
+    let fate = call(&dir, run(1_000.0, false));
+    assert!(fate.is_none(), "the armed daemon dies unanswered: {fate:?}");
+    assert_ne!(exit_code(child), Some(0), "abort, not a clean exit");
+
+    let parked_dir = dir.join("results/smoke/cache/parked");
+    let parked = || {
+        std::fs::read_dir(&parked_dir).is_ok_and(|entries| {
+            entries
+                .flatten()
+                .any(|entry| entry.path().extension().is_some_and(|ext| ext == "park"))
+        })
+    };
+    let mut successor = sweepd(&dir);
+    successor.args(["--park-every-rounds", "1"]);
+    let mut child = Daemon(successor.spawn().expect("spawn sweepd"));
+    let deadline = Instant::now() + PATIENCE;
+    while !parked() {
+        assert!(
+            UnixStream::connect(dir.join("sweepd.sock")).is_err(),
+            "recovery finished without parking"
+        );
+        let gone = child.0.try_wait().expect("poll sweepd");
+        assert!(gone.is_none(), "sweepd exited during recovery: {gone:?}");
+        assert!(Instant::now() < deadline, "no parked frame appeared");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    drop(child);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -9,6 +9,7 @@ use data::TrainTestSplit;
 use delay::RuntimeModel;
 use gradcomp::CodecSpec;
 use nn::Network;
+use std::ops::ControlFlow;
 
 /// One recorded point of a training run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -182,7 +183,6 @@ pub fn run_experiment(
         config,
         None,
         None,
-        None,
     )
     .expect("a fresh run has no checkpoint to reject")
     .into_completed()
@@ -217,25 +217,30 @@ fn emit_point_event(scheduler: &dyn CommSchedule, point: &TracePoint, cluster: &
 pub enum RunOutcome {
     /// The simulated time budget was exhausted; the full trace follows.
     Completed(RunTrace),
-    /// The requested round limit was reached mid-run; the snapshot resumes
-    /// the run bit-identically via the `resume` argument of
+    /// The round hook stopped the run mid-run; the snapshot resumes the
+    /// run bit-identically via the `resume` argument of
     /// [`run_experiment_cancellable`].
     Checkpointed(Box<RunCheckpoint>),
 }
 
 impl RunOutcome {
-    /// The trace of a run that was given neither a round limit nor a stop
-    /// predicate, and therefore cannot have parked.
+    /// The trace of a run that was given no round hook, and therefore
+    /// cannot have stopped.
     fn into_completed(self) -> RunTrace {
         match self {
             RunOutcome::Completed(trace) => trace,
-            RunOutcome::Checkpointed(_) => unreachable!("no round limit was requested"),
+            RunOutcome::Checkpointed(_) => unreachable!("no round hook was given"),
         }
     }
 }
 
-/// [`run_experiment`] with mid-run checkpoint/resume and a cooperative
-/// stop predicate.
+/// A round-boundary callback: given the averaging rounds completed so far
+/// and a way to snapshot the run as a [`RunCheckpoint`] on demand, it
+/// returns whether the run continues or stops.
+pub type RoundHook<'a> = dyn FnMut(u64, &dyn Fn() -> RunCheckpoint) -> ControlFlow<()> + 'a;
+
+/// [`run_experiment`] with mid-run checkpoint/resume and a round-boundary
+/// hook.
 ///
 /// * `resume` — continue from a [`RunCheckpoint`] instead of starting at
 ///   `t = 0`. The scheduler is `reset()` and fed the checkpoint's exported
@@ -244,18 +249,16 @@ impl RunOutcome {
 ///   produced the checkpoint. The caller must pass the same model, split,
 ///   runtime and configuration as the original run; structural mismatches
 ///   are rejected with `Err` (and the run should be recomputed fresh).
-/// * `stop_after_rounds` — return [`RunOutcome::Checkpointed`] once the
-///   cluster has completed this many averaging rounds **in total** (resumed
-///   rounds included), unless the time budget is exhausted first.
-/// * `stop` — polled at every averaging-round boundary (the only points
-///   where the cluster state is checkpointable); once it returns `true`
-///   while simulated time remains, the run returns
-///   [`RunOutcome::Checkpointed`] exactly as if a round limit had been
-///   hit. The checkpoint resumes bit-identically, so a deadline-cancelled
-///   or drain-preempted run loses no work — the predicate only decides
-///   *when* the run parks, never *what* it computes. A run whose final
-///   round exhausts the budget completes normally even if `stop` fires on
-///   the same round.
+/// * `on_round` — called at every averaging-round boundary (the only
+///   points where the cluster state is checkpointable) while simulated
+///   time remains, with the rounds completed **in total** (resumed rounds
+///   included) and a snapshot function: a caller that persists progress
+///   takes a [`RunCheckpoint`] there and the run goes on. Once it returns
+///   [`ControlFlow::Break`], the run returns [`RunOutcome::Checkpointed`].
+///   Either checkpoint resumes bit-identically, so a deadline-cancelled
+///   or drain-preempted run loses no work — the hook only decides *when*
+///   the run stops or is saved, never *what* it computes. A run whose
+///   final round exhausts the budget completes without a last call.
 ///
 /// Fresh runs (`resume = None`) never return `Err`.
 #[allow(clippy::too_many_arguments)]
@@ -268,8 +271,7 @@ pub fn run_experiment_cancellable(
     lr_schedule: &LrSchedule,
     config: &ExperimentConfig,
     resume: Option<&RunCheckpoint>,
-    stop_after_rounds: Option<u64>,
-    stop: Option<&(dyn Fn() -> bool + Sync)>,
+    mut on_round: Option<&mut RoundHook<'_>>,
 ) -> Result<RunOutcome, String> {
     assert!(
         config.interval_secs > 0.0 && config.total_secs > 0.0,
@@ -402,17 +404,12 @@ pub fn run_experiment_cancellable(
             last_loss = f64::from(points.last().expect("just pushed").train_loss);
         }
 
-        // Round-boundary checkpoint: only while the budget has time left —
-        // a run whose last round exhausted the budget completes normally.
-        if cluster.clock() < config.total_secs {
-            let limit_hit = stop_after_rounds.is_some_and(|limit| cluster.rounds() >= limit);
-            let cancelled = !limit_hit && stop.is_some_and(|s| s());
-            if cancelled {
-                telemetry::counter("sim.cancelled_runs").inc();
-            }
-            if limit_hit || cancelled {
-                return Ok(RunOutcome::Checkpointed(Box::new(RunCheckpoint {
-                    points,
+        // Round boundary: only while the budget has time left — a run
+        // whose last round exhausted the budget completes normally.
+        if let Some(hook) = on_round.as_deref_mut() {
+            if cluster.clock() < config.total_secs {
+                let snapshot = || RunCheckpoint {
+                    points: points.clone(),
                     interval,
                     last_loss,
                     tau,
@@ -421,7 +418,11 @@ pub fn run_experiment_cancellable(
                     initial_lr,
                     scheduler: scheduler.export_state(),
                     cluster: cluster.checkpoint(),
-                })));
+                };
+                if hook(cluster.rounds(), &snapshot).is_break() {
+                    telemetry::counter("sim.cancelled_runs").inc();
+                    return Ok(RunOutcome::Checkpointed(Box::new(snapshot())));
+                }
             }
         }
     }
@@ -515,16 +516,14 @@ impl ExperimentSuite {
             fault,
             None,
             None,
-            None,
         )
         .expect("a fresh run has no checkpoint to reject")
         .into_completed()
     }
 
     /// [`ExperimentSuite::run_configured`] with mid-run checkpoint/resume
-    /// and a cooperative stop predicate — see
-    /// [`run_experiment_cancellable`] for the `resume` /
-    /// `stop_after_rounds` / `stop` semantics. A resumed run must pass the
+    /// and a round-boundary hook — see [`run_experiment_cancellable`] for
+    /// the `resume` / `on_round` semantics. A resumed run must pass the
     /// same overrides as the run that produced the checkpoint. This is the
     /// entry point the sweep engine executes a declarative `SweepSpec`
     /// through, and the one the sweep service's deadline- and
@@ -540,8 +539,7 @@ impl ExperimentSuite {
         budget: Option<(f64, f64)>,
         fault: Option<FaultConfig>,
         resume: Option<&RunCheckpoint>,
-        stop_after_rounds: Option<u64>,
-        stop: Option<&(dyn Fn() -> bool + Sync)>,
+        on_round: Option<&mut RoundHook<'_>>,
     ) -> Result<RunOutcome, String> {
         let mut cluster_config = self.cluster_config.clone();
         if let Some(m) = momentum {
@@ -574,8 +572,7 @@ impl ExperimentSuite {
             lr_schedule,
             &experiment_config,
             resume,
-            stop_after_rounds,
-            stop,
+            on_round,
         )
     }
 
@@ -751,15 +748,19 @@ mod tests {
 
     #[test]
     fn cancelled_run_resumes_bit_identically() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-
         let lr = adacomm::LrSchedule::constant(0.05);
         let straight = quick_suite(8).run(&mut FixedComm::new(4), &lr);
 
-        // Cancel after the stop predicate has been polled three times
-        // (i.e. at the third round boundary), then resume to completion.
-        let polls = AtomicU32::new(0);
-        let stop = move || polls.fetch_add(1, Ordering::SeqCst) + 1 >= 3;
+        // Stop at the third round boundary, then resume to completion.
+        let mut polls = 0;
+        let mut stop_third = |_: u64, _: &dyn Fn() -> RunCheckpoint| {
+            polls += 1;
+            if polls >= 3 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        };
         let suite = quick_suite(8);
         let outcome = suite
             .run_configured_cancellable(
@@ -771,15 +772,15 @@ mod tests {
                 None,
                 None,
                 None,
-                None,
-                Some(&stop),
+                Some(&mut stop_third),
             )
             .expect("fresh run");
         let ck = match outcome {
             RunOutcome::Checkpointed(ck) => ck,
-            RunOutcome::Completed(_) => panic!("stop predicate must park the run"),
+            RunOutcome::Completed(_) => panic!("the hook must stop the run"),
         };
         assert!(ck.cluster.clock < 24.0, "parked mid-run");
+        assert_eq!(ck.cluster.rounds, 3, "the hook sees every boundary");
 
         let resumed = suite
             .run_configured_cancellable(
@@ -792,12 +793,11 @@ mod tests {
                 None,
                 Some(&ck),
                 None,
-                None,
             )
             .expect("checkpoint matches the suite");
         match resumed {
             RunOutcome::Completed(trace) => assert_eq!(trace, straight),
-            RunOutcome::Checkpointed(_) => panic!("no stop requested on resume"),
+            RunOutcome::Checkpointed(_) => panic!("no hook on resume"),
         }
     }
 
@@ -805,7 +805,11 @@ mod tests {
     fn stop_predicate_never_fires_means_completed() {
         let lr = adacomm::LrSchedule::constant(0.05);
         let straight = quick_suite(9).run(&mut FixedComm::new(4), &lr);
-        let stop = || false;
+        let mut rounds_seen = Vec::new();
+        let mut never = |rounds: u64, _: &dyn Fn() -> RunCheckpoint| {
+            rounds_seen.push(rounds);
+            ControlFlow::Continue(())
+        };
         let outcome = quick_suite(9)
             .run_configured_cancellable(
                 &mut FixedComm::new(4),
@@ -816,13 +820,69 @@ mod tests {
                 None,
                 None,
                 None,
-                None,
-                Some(&stop),
+                Some(&mut never),
             )
             .expect("fresh run");
         match outcome {
+            RunOutcome::Completed(trace) => {
+                // Every boundary but the last, which exhausts the budget.
+                let expected: Vec<u64> = (1..trace.rounds).collect();
+                assert_eq!(rounds_seen, expected);
+                assert_eq!(trace, straight);
+            }
+            RunOutcome::Checkpointed(_) => panic!("the hook never stopped the run"),
+        }
+    }
+
+    #[test]
+    fn snapshot_taken_mid_run_resumes_bit_identically() {
+        // A snapshot taken at a boundary the run continues past is the
+        // same checkpoint a stop there would have returned.
+        let lr = adacomm::LrSchedule::constant(0.05);
+        let suite = quick_suite(10);
+        let mut taken = None;
+        let mut save_fourth = |rounds: u64, snapshot: &dyn Fn() -> RunCheckpoint| {
+            if rounds == 4 {
+                taken = Some(snapshot());
+            }
+            ControlFlow::Continue(())
+        };
+        let straight = match suite
+            .run_configured_cancellable(
+                &mut FixedComm::new(2),
+                &lr,
+                None,
+                None,
+                None,
+                None,
+                None,
+                None,
+                Some(&mut save_fourth),
+            )
+            .expect("fresh run")
+        {
+            RunOutcome::Completed(trace) => trace,
+            RunOutcome::Checkpointed(_) => panic!("the hook never stopped the run"),
+        };
+        assert_eq!(straight, suite.run(&mut FixedComm::new(2), &lr));
+        let ck = taken.expect("the run passes round 4");
+        assert_eq!(ck.cluster.rounds, 4);
+        let resumed = suite
+            .run_configured_cancellable(
+                &mut FixedComm::new(2),
+                &lr,
+                None,
+                None,
+                None,
+                None,
+                None,
+                Some(&ck),
+                None,
+            )
+            .expect("checkpoint matches the suite");
+        match resumed {
             RunOutcome::Completed(trace) => assert_eq!(trace, straight),
-            RunOutcome::Checkpointed(_) => panic!("predicate never fired"),
+            RunOutcome::Checkpointed(_) => panic!("no hook on resume"),
         }
     }
 }

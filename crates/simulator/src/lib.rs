@@ -68,8 +68,8 @@ mod worker;
 pub use checkpoint::{ClusterCheckpoint, RunCheckpoint, WorkerCheckpoint};
 pub use cluster::{ClusterConfig, PasgdCluster};
 pub use experiment::{
-    run_experiment, run_experiment_cancellable, ExperimentConfig, ExperimentSuite, RunOutcome,
-    RunTrace, TracePoint,
+    run_experiment, run_experiment_cancellable, ExperimentConfig, ExperimentSuite, RoundHook,
+    RunOutcome, RunTrace, TracePoint,
 };
 pub use fault::{
     AggregationPolicy, FaultCheckpoint, FaultConfig, FaultSpec, FaultStats, FAULT_SEED_SALT,

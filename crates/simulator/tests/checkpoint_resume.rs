@@ -7,9 +7,10 @@ use data::GaussianMixture;
 use delay::{CommModel, DelayDistribution, RuntimeModel};
 use gradcomp::CodecSpec;
 use pasgd_sim::{
-    ClusterConfig, ExperimentConfig, ExperimentSuite, MomentumMode, RunCheckpoint, RunOutcome,
-    RunTrace,
+    ClusterConfig, ExperimentConfig, ExperimentSuite, MomentumMode, RoundHook, RunCheckpoint,
+    RunOutcome, RunTrace,
 };
+use std::ops::ControlFlow;
 
 fn suite(seed: u64, momentum: MomentumMode) -> ExperimentSuite {
     let split = GaussianMixture::small_test().generate(seed);
@@ -43,6 +44,17 @@ fn suite(seed: u64, momentum: MomentumMode) -> ExperimentSuite {
     )
 }
 
+/// A round hook that stops the run once it has completed `n` rounds.
+fn stop_at(n: u64) -> impl FnMut(u64, &dyn Fn() -> RunCheckpoint) -> ControlFlow<()> {
+    move |rounds, _| {
+        if rounds >= n {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+}
+
 /// Runs `scheduler` straight through, then re-runs it interrupted at
 /// `stop_rounds` with the checkpoint round-tripped through bytes, and
 /// asserts the two traces are equal float-for-float.
@@ -70,12 +82,11 @@ fn assert_resume_is_bit_identical<S, F>(
             fault,
             None,
             None,
-            None,
         )
         .unwrap()
     {
         RunOutcome::Completed(t) => t,
-        RunOutcome::Checkpointed(_) => panic!("no round limit requested"),
+        RunOutcome::Checkpointed(_) => panic!("no round hook given"),
     };
 
     let mut interrupted_sched = make_scheduler();
@@ -89,8 +100,7 @@ fn assert_resume_is_bit_identical<S, F>(
             None,
             fault,
             None,
-            Some(stop_rounds),
-            None,
+            Some(&mut stop_at(stop_rounds)),
         )
         .unwrap()
     {
@@ -124,12 +134,11 @@ fn assert_resume_is_bit_identical<S, F>(
             fault,
             Some(&decoded),
             None,
-            None,
         )
         .unwrap()
     {
         RunOutcome::Completed(t) => t,
-        RunOutcome::Checkpointed(_) => panic!("no round limit requested on resume"),
+        RunOutcome::Checkpointed(_) => panic!("no round hook given on resume"),
     };
 
     assert_traces_bit_identical(&golden, &resumed);
@@ -233,7 +242,8 @@ fn corrupted_checkpoint_is_rejected_by_the_driver() {
     let s = suite(6, MomentumMode::None);
     let lr = LrSchedule::constant(0.05);
     // A fresh scheduler per attempt, no overrides.
-    let attempt = |resume: Option<&RunCheckpoint>, stop_after_rounds| {
+    let attempt = |resume: Option<&RunCheckpoint>, stop: Option<u64>| {
+        let mut hook = stop.map(stop_at);
         s.run_configured_cancellable(
             &mut FixedComm::new(4),
             &lr,
@@ -243,8 +253,7 @@ fn corrupted_checkpoint_is_rejected_by_the_driver() {
             None,
             None,
             resume,
-            stop_after_rounds,
-            None,
+            hook.as_mut().map(|h| h as &mut RoundHook<'_>),
         )
     };
     let ck = match attempt(None, Some(3)).unwrap() {
