@@ -23,8 +23,7 @@
 //! histograms are printed one per line (`service <file>: server.shed = N`,
 //! `service <file>: server.queue_wait_us = N (mean M)`) so CI can assert
 //! on them. Exits non-zero listing every violation. The checker
-//! is feature-free: it works in a `--no-default-features` build and on
-//! traces recorded on another machine.
+//! works just as well on traces recorded on another machine.
 
 use adacomm_bench::Table;
 use telemetry::schema::{self, Record};

@@ -33,12 +33,12 @@
 //!   seconds without touching the committed quick-scale results.
 //! * `--trace DIR` writes one JSONL telemetry profile per execution
 //!   window (the sweep wave plus each figure) into `DIR` and appends a
-//!   per-phase timing summary to the report. Requires the `trace`
-//!   feature (on by default); tracing **forces the sequential engine**
-//!   (an explicit notice is printed) so each profile is attributable to
-//!   exactly one figure — combining `--trace` with an explicit
-//!   `--parallel` is a hard argument conflict (exit 2). Inspect the
-//!   profiles with the `obs_report` binary.
+//!   per-phase timing summary to the report. Tracing **forces the
+//!   sequential engine** (an explicit notice is printed) so each profile
+//!   is attributable to exactly one figure — combining `--trace` with an
+//!   explicit `--parallel` is a hard argument conflict (exit 2). The CSVs
+//!   are byte-identical to an untraced run's. Inspect the profiles with
+//!   the `obs_report` binary.
 //! * `--json` replaces the human report with one machine-readable JSON
 //!   document on stdout (per-figure wall times + cache statistics), for
 //!   CI trend tracking.
@@ -127,13 +127,6 @@ fn main() {
     let value_of = |flag: &str| adacomm_bench::cli::value_of(&args, flag);
     let scale = Scale::from_env_and_args();
     let trace_dir = value_of("--trace").map(std::path::PathBuf::from);
-    if trace_dir.is_some() && !telemetry::is_enabled() {
-        eprintln!(
-            "--trace requires the `trace` feature (this binary was built with \
-             --no-default-features); rebuild with default features"
-        );
-        std::process::exit(2);
-    }
     let json_mode = args.iter().any(|a| a == "--json");
     // Default: parallel iff the machine has more than one executor
     // (results are bit-identical either way); force with the flags.

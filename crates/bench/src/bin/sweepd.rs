@@ -79,7 +79,7 @@ usage: sweepd [--socket PATH] [--workers N] [--queue-limit N]
 
 environment:
   ADACOMM_FAILPOINTS  arm seeded fault-injection sites, e.g.
-                      \"store.save.torn=1;server.request.abort=skip:2:1\"
+                      \"store.save.torn=1;server.request.abort=2:1\"
                       (see adacomm_bench::failpoint for the site table)
 
 SIGTERM, SIGINT, and the `shutdown` protocol command all drain
@@ -154,13 +154,6 @@ fn main() {
         adacomm_bench::report::set_results_subdir("smoke");
     }
     let trace_dir = cli::value_of(&args, "--trace").map(PathBuf::from);
-    if trace_dir.is_some() && !telemetry::is_enabled() {
-        eprintln!(
-            "--trace requires the `trace` feature (this binary was built with \
-             --no-default-features); rebuild with default features"
-        );
-        std::process::exit(2);
-    }
     let park_every = numeric_flag(&args, "--park-every-rounds", 256);
     let gc_age = Duration::from_secs(numeric_flag(&args, "--gc-age-secs", 24 * 60 * 60));
     let workers = numeric_flag(&args, "--workers", 2) as usize;
@@ -237,11 +230,7 @@ fn main() {
         signal(SIGINT, on_term as extern "C" fn(i32) as usize);
     }
 
-    let sink = trace_dir.as_ref().map(|_| telemetry::EventSink::new());
-    let previous_sink = sink
-        .as_ref()
-        .map(|s| telemetry::install_sink(Some(s.clone())));
-    let before = telemetry::snapshot();
+    let profile = trace_dir.map(|dir| (dir, telemetry::Profiler::start()));
     let started = Instant::now();
 
     let handle = match Server::start(config, Arc::new(engine)) {
@@ -270,23 +259,11 @@ fn main() {
     handle.join();
 
     let wall_secs = started.elapsed().as_secs_f64();
-    if let Some(dir) = &trace_dir {
-        let delta = telemetry::snapshot().delta_since(&before);
-        let mut lines = vec![telemetry::schema::meta_service_line(
-            "sweepd",
-            &format!("{scale}"),
-            wall_secs,
-        )];
-        lines.extend(delta.to_jsonl_lines());
-        if let Some(sink) = &sink {
-            lines.extend(sink.drain());
-        }
-        if let Err(e) = telemetry::write_jsonl_atomic(&dir.join("sweepd.jsonl"), &lines) {
+    if let Some((dir, mut profiler)) = profile {
+        let meta = telemetry::schema::meta_service_line("sweepd", &format!("{scale}"), wall_secs);
+        if let Err(e) = profiler.cut(&dir.join("sweepd.jsonl"), meta) {
             eprintln!("sweepd: failed to write telemetry trace: {e}");
         }
-    }
-    if let Some(previous) = previous_sink {
-        telemetry::install_sink(previous);
     }
 
     println!(

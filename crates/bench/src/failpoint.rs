@@ -5,11 +5,9 @@
 //!
 //! A failpoint is a *site* in production code (`failpoint::fire("name")`)
 //! plus an optional *arming* (`skip` hits pass through, then `count` hits
-//! trigger). Unarmed sites cost one relaxed atomic load; with the
-//! `failpoints` cargo feature off (it is on by default, like `trace`)
-//! every function in this module is a no-op on nothing, mirroring the
-//! telemetry ZST discipline: a build that never heard of failpoints is
-//! byte-identical in behaviour.
+//! trigger). Every build carries the sites; an unarmed site costs one
+//! relaxed atomic load, and a build with nothing armed behaves exactly as
+//! if the sites were not there.
 //!
 //! Arming is deterministic — no wall-clock, no RNG. A drill that arms
 //! `store.save.torn=1` gets a torn write on exactly the first save, every
@@ -36,6 +34,10 @@
 //! here, so a typo in a CI job fails fast instead of silently arming
 //! nothing.
 
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Mutex;
+
 /// Every site name production code fires. Kept in one place so env
 /// parsing can reject typos.
 pub const KNOWN_SITES: &[&str] = &[
@@ -53,140 +55,106 @@ pub const KNOWN_SITES: &[&str] = &[
 ];
 
 /// Environment variable [`init_from_env`] reads:
-/// `name=count` or `name=skip:count` entries separated by `;` or `,`.
+/// `name=count` or `name=S:count` entries separated by `;` or `,`
+/// (`server.request.abort=2:1`: pass two hits, fail the third).
 pub const ENV_VAR: &str = "ADACOMM_FAILPOINTS";
 
-#[cfg(feature = "failpoints")]
-mod live {
-    use std::collections::HashMap;
-    use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Mutex;
+/// Sum of every armed spec's remaining trigger count: the fast path.
+/// `fire` is one relaxed load when nothing is armed anywhere.
+static ARMED_TOTAL: AtomicU32 = AtomicU32::new(0);
 
-    /// Sum of every armed spec's remaining trigger count: the fast path.
-    /// `fire` is one relaxed load when nothing is armed anywhere.
-    static ARMED_TOTAL: AtomicU32 = AtomicU32::new(0);
+struct Spec {
+    skip: u32,
+    count: u32,
+}
 
-    struct Spec {
-        skip: u32,
-        count: u32,
+struct State {
+    armed: HashMap<String, Spec>,
+    fired: Vec<String>,
+}
+
+static STATE: Mutex<Option<State>> = Mutex::new(None);
+
+fn with_state<T>(f: impl FnOnce(&mut State) -> T) -> T {
+    let mut guard = match STATE.lock() {
+        Ok(guard) => guard,
+        // Nothing panics while this lock is held; were it ever
+        // poisoned, the state would still be usable, and a drill must
+        // not wedge on it.
+        Err(poisoned) => poisoned.into_inner(),
+    };
+    let state = guard.get_or_insert_with(|| State {
+        armed: HashMap::new(),
+        fired: Vec::new(),
+    });
+    f(state)
+}
+
+/// Arms `name` to trigger on its next `count` hits after `skip`
+/// pass-through hits. Re-arming an already-armed site replaces the
+/// previous spec.
+pub fn arm_after(name: &str, skip: u32, count: u32) {
+    with_state(|state| {
+        let previous = state
+            .armed
+            .insert(name.to_string(), Spec { skip, count })
+            .map_or(0, |s| s.count);
+        // Keep the fast-path total equal to the sum of counts.
+        if count > previous {
+            ARMED_TOTAL.fetch_add(count - previous, Ordering::SeqCst);
+        } else {
+            ARMED_TOTAL.fetch_sub(previous - count, Ordering::SeqCst);
+        }
+    });
+}
+
+/// Disarms everything and clears the fired log (test isolation).
+pub fn disarm_all() {
+    with_state(|state| {
+        state.armed.clear();
+        state.fired.clear();
+        ARMED_TOTAL.store(0, Ordering::SeqCst);
+    });
+}
+
+/// One production hit on the site `name`. Returns `true` when the
+/// armed spec elects this hit to fail.
+pub fn fire(name: &str) -> bool {
+    if ARMED_TOTAL.load(Ordering::Relaxed) == 0 {
+        return false;
     }
-
-    struct State {
-        armed: HashMap<String, Spec>,
-        fired: Vec<String>,
-    }
-
-    static STATE: Mutex<Option<State>> = Mutex::new(None);
-
-    fn with_state<T>(f: impl FnOnce(&mut State) -> T) -> T {
-        let mut guard = match STATE.lock() {
-            Ok(guard) => guard,
-            // Nothing panics while this lock is held; were it ever
-            // poisoned, the state would still be usable, and a drill must
-            // not wedge on it.
-            Err(poisoned) => poisoned.into_inner(),
+    with_state(|state| {
+        let Some(spec) = state.armed.get_mut(name) else {
+            return false;
         };
-        let state = guard.get_or_insert_with(|| State {
-            armed: HashMap::new(),
-            fired: Vec::new(),
-        });
-        f(state)
-    }
-
-    /// Arms `name` to trigger on its next `count` hits after `skip`
-    /// pass-through hits. Re-arming an already-armed site replaces the
-    /// previous spec.
-    pub fn arm_after(name: &str, skip: u32, count: u32) {
-        with_state(|state| {
-            let previous = state
-                .armed
-                .insert(name.to_string(), Spec { skip, count })
-                .map_or(0, |s| s.count);
-            // Keep the fast-path total equal to the sum of counts.
-            if count > previous {
-                ARMED_TOTAL.fetch_add(count - previous, Ordering::SeqCst);
-            } else {
-                ARMED_TOTAL.fetch_sub(previous - count, Ordering::SeqCst);
-            }
-        });
-    }
-
-    /// Disarms everything and clears the fired log (test isolation).
-    pub fn disarm_all() {
-        with_state(|state| {
-            state.armed.clear();
-            state.fired.clear();
-            ARMED_TOTAL.store(0, Ordering::SeqCst);
-        });
-    }
-
-    /// One production hit on the site `name`. Returns `true` when the
-    /// armed spec elects this hit to fail.
-    pub fn fire(name: &str) -> bool {
-        if ARMED_TOTAL.load(Ordering::Relaxed) == 0 {
+        if spec.skip > 0 {
+            spec.skip -= 1;
             return false;
         }
-        with_state(|state| {
-            let Some(spec) = state.armed.get_mut(name) else {
-                return false;
-            };
-            if spec.skip > 0 {
-                spec.skip -= 1;
-                return false;
-            }
-            if spec.count == 0 {
-                return false;
-            }
-            spec.count -= 1;
-            if spec.count == 0 {
-                state.armed.remove(name);
-            }
-            ARMED_TOTAL.fetch_sub(1, Ordering::SeqCst);
-            state.fired.push(name.to_string());
-            telemetry::counter("failpoint.fired").inc();
-            true
-        })
-    }
-
-    /// Drains the ordered log of failpoints that actually fired —
-    /// drills assert on it to prove the injected fault happened.
-    pub fn take_fired() -> Vec<String> {
-        with_state(|state| std::mem::take(&mut state.fired))
-    }
-
-    /// Whether any failpoint is currently armed (fast, approximate).
-    pub fn armed() -> bool {
-        ARMED_TOTAL.load(Ordering::Relaxed) != 0
-    }
+        if spec.count == 0 {
+            return false;
+        }
+        spec.count -= 1;
+        if spec.count == 0 {
+            state.armed.remove(name);
+        }
+        ARMED_TOTAL.fetch_sub(1, Ordering::SeqCst);
+        state.fired.push(name.to_string());
+        telemetry::counter("failpoint.fired").inc();
+        true
+    })
 }
 
-#[cfg(feature = "failpoints")]
-pub use live::{arm_after, armed, disarm_all, fire, take_fired};
-
-#[cfg(not(feature = "failpoints"))]
-mod stub {
-    /// No-op: the `failpoints` feature is off.
-    pub fn arm_after(_name: &str, _skip: u32, _count: u32) {}
-    /// No-op: the `failpoints` feature is off.
-    pub fn disarm_all() {}
-    /// Always `false`: the `failpoints` feature is off.
-    #[inline(always)]
-    pub fn fire(_name: &str) -> bool {
-        false
-    }
-    /// Always empty: the `failpoints` feature is off.
-    pub fn take_fired() -> Vec<String> {
-        Vec::new()
-    }
-    /// Always `false`: the `failpoints` feature is off.
-    #[inline(always)]
-    pub fn armed() -> bool {
-        false
-    }
+/// Drains the ordered log of failpoints that actually fired —
+/// drills assert on it to prove the injected fault happened.
+pub fn take_fired() -> Vec<String> {
+    with_state(|state| std::mem::take(&mut state.fired))
 }
 
-#[cfg(not(feature = "failpoints"))]
-pub use stub::{arm_after, armed, disarm_all, fire, take_fired};
+/// Whether any failpoint is currently armed (fast, approximate).
+pub fn armed() -> bool {
+    ARMED_TOTAL.load(Ordering::Relaxed) != 0
+}
 
 /// Arms `name` to trigger on its next `count` hits.
 pub fn arm(name: &str, count: u32) {
@@ -205,7 +173,7 @@ pub fn abort_if(name: &str) {
 }
 
 /// Arms every failpoint listed in [`ENV_VAR`] (`name=count` or
-/// `name=skip:count`, separated by `;` or `,`). Returns the number of
+/// `name=S:count`, separated by `;` or `,`). Returns the number of
 /// sites armed.
 ///
 /// # Errors
@@ -259,17 +227,22 @@ pub fn init_from_spec(raw: &str) -> Result<usize, String> {
     Ok(armed_count)
 }
 
-#[cfg(all(test, feature = "failpoints"))]
+/// Failpoint state is process-global, so every lib unit test that arms a
+/// site or saves or loads through the store holds this one lock: a test's
+/// [`disarm_all`] must never clear another test's arming mid-test.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Failpoint state is process-global; tests in this module serialize.
-    static SERIAL: Mutex<()> = Mutex::new(());
 
     #[test]
     fn unarmed_sites_never_fire() {
-        let _serial = SERIAL.lock().unwrap();
+        let _serial = test_lock();
         disarm_all();
         assert!(!armed());
         assert!(!fire("store.save.io_error"));
@@ -278,7 +251,7 @@ mod tests {
 
     #[test]
     fn skip_then_count_semantics() {
-        let _serial = SERIAL.lock().unwrap();
+        let _serial = test_lock();
         disarm_all();
         arm_after("store.save.io_error", 2, 2);
         let hits: Vec<bool> = (0..6).map(|_| fire("store.save.io_error")).collect();
@@ -290,7 +263,7 @@ mod tests {
 
     #[test]
     fn rearming_replaces_and_other_sites_are_untouched() {
-        let _serial = SERIAL.lock().unwrap();
+        let _serial = test_lock();
         disarm_all();
         arm("store.save.torn", 5);
         arm("store.save.torn", 1);
@@ -302,7 +275,7 @@ mod tests {
 
     #[test]
     fn env_spec_parses_and_rejects_typos() {
-        let _serial = SERIAL.lock().unwrap();
+        let _serial = test_lock();
         disarm_all();
         let n = init_from_spec("store.save.torn=1; store.load.unreadable=2:1").unwrap();
         assert_eq!(n, 2);

@@ -284,43 +284,14 @@ pub fn reproduce_with_trace(
         .filter(|f| only.is_none_or(|needle| f.name.contains(needle)))
         .collect();
 
-    let scale_label = format!("{scale}");
-    let sink = trace_dir.map(|_| telemetry::EventSink::new());
-    let previous_sink = sink
-        .as_ref()
-        .map(|s| telemetry::install_sink(Some(s.clone())));
-    // Restores the previously-installed sink (usually `None`) even on the
-    // early-return I/O error paths below.
-    struct SinkRestore {
-        armed: bool,
-        previous: Option<std::sync::Arc<telemetry::EventSink>>,
-    }
-    impl Drop for SinkRestore {
-        fn drop(&mut self) {
-            if self.armed {
-                telemetry::install_sink(self.previous.take());
-            }
-        }
-    }
-    let _restore = SinkRestore {
-        armed: previous_sink.is_some(),
-        previous: previous_sink.flatten(),
-    };
-
-    let mut window_start = telemetry::snapshot();
-    let mut write_window =
-        |dir: Option<&std::path::Path>, task: &str, wall_secs: f64| -> io::Result<()> {
-            let Some(dir) = dir else { return Ok(()) };
-            let now = telemetry::snapshot();
-            let delta = now.delta_since(&window_start);
-            window_start = now;
-            let mut lines = vec![telemetry::schema::meta_line(task, &scale_label, wall_secs)];
-            lines.extend(delta.to_jsonl_lines());
-            if let Some(sink) = &sink {
-                lines.extend(sink.drain());
-            }
-            telemetry::write_jsonl_atomic(&dir.join(format!("{task}.jsonl")), &lines)
+    let mut profile = trace_dir.map(|dir| (dir, telemetry::Profiler::start()));
+    let mut write_window = |task: &str, wall_secs: f64| -> io::Result<()> {
+        let Some((dir, profiler)) = &mut profile else {
+            return Ok(());
         };
+        let meta = telemetry::schema::meta_line(task, &format!("{scale}"), wall_secs);
+        profiler.cut(&dir.join(format!("{task}.jsonl")), meta)
+    };
 
     let start = Instant::now();
     // Phase 1: the central sweep table. Order follows the registry, so a
@@ -335,7 +306,7 @@ pub fn reproduce_with_trace(
         engine.warm(&all_specs);
     }
     let sweep_secs = start.elapsed().as_secs_f64();
-    write_window(trace_dir, "sweep_wave", sweep_secs)?;
+    write_window("sweep_wave", sweep_secs)?;
 
     // Phase 2: figure bodies (rendering + the non-declarable runs), each
     // filling in its own outcome.
@@ -359,7 +330,7 @@ pub fn reproduce_with_trace(
     if trace_dir.is_some() {
         for outcome in outcomes.iter_mut() {
             exec(outcome);
-            write_window(trace_dir, outcome.name, outcome.wall_secs)?;
+            write_window(outcome.name, outcome.wall_secs)?;
         }
     } else if engine.is_parallel() {
         outcomes.par_iter_mut().with_max_len(1).for_each(exec);

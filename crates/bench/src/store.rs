@@ -44,26 +44,7 @@ use std::fs;
 use std::io;
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
-
-/// Remaining injected save failures (tests and fault drills): while
-/// non-zero, each [`RunStore::save`] consumes one and fails with a
-/// synthetic I/O error before touching the filesystem.
-static INJECTED_SAVE_FAILURES: AtomicU32 = AtomicU32::new(0);
-
-/// Arms `count` synthetic save failures, exercising the retry path
-/// without needing a genuinely broken filesystem.
-pub fn inject_save_failures(count: u32) {
-    INJECTED_SAVE_FAILURES.fetch_add(count, Ordering::SeqCst);
-}
-
-/// Consumes one injected save failure, if armed.
-fn take_injected_save_failure() -> bool {
-    INJECTED_SAVE_FAILURES
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-        .is_ok()
-}
 
 /// Layout version of the entry frame itself. Bump when the framing
 /// (header fields, checksum, payload encoding) changes shape.
@@ -195,7 +176,7 @@ impl RunStore {
     /// the run already happened, the cache just stays cold.
     pub fn save(&self, key: &str, trace: &RunTrace) -> io::Result<PathBuf> {
         let _phase = telemetry::span("phase.store_save");
-        if take_injected_save_failure() || failpoint::fire("store.save.io_error") {
+        if failpoint::fire("store.save.io_error") {
             return Err(io::Error::other("injected save failure (fault drill)"));
         }
         let path = self.entry_path(key);
@@ -643,35 +624,34 @@ mod tests {
         assert!(decode_entry(&[], "k").is_err());
     }
 
-    // Saves in different tests race on the global injected-failure
-    // counter; every test that saves takes this lock.
-    static SAVE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn save_with_retry_recovers_from_injected_io_errors() {
-        let _serial = SAVE_LOCK.lock().unwrap();
+        let _serial = failpoint::test_lock();
         let dir = std::env::temp_dir().join(format!("adacomm_store_retry_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let store = RunStore::new(&dir);
         let trace = sample_trace();
+        failpoint::disarm_all();
 
         // Two injected failures, three attempts: the third succeeds.
-        inject_save_failures(2);
+        failpoint::arm("store.save.io_error", 2);
         store.save_with_retry("rk", &trace, 3).unwrap();
         assert!(matches!(store.load("rk"), LoadOutcome::Hit(_)));
 
         // More failures than attempts: the error surfaces, nothing is
         // written, and the caller's cache simply stays cold.
-        inject_save_failures(3);
+        failpoint::arm("store.save.io_error", 3);
         let err = store.save_with_retry("rk2", &trace, 3).unwrap_err();
         assert!(err.to_string().contains("injected save failure"), "{err}");
         assert!(matches!(store.load("rk2"), LoadOutcome::Absent));
+        assert_eq!(failpoint::take_fired().len(), 5);
+        failpoint::disarm_all();
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn a_failed_save_leaves_no_temp_file() {
-        let _serial = SAVE_LOCK.lock().unwrap();
+        let _serial = failpoint::test_lock();
         let dir = std::env::temp_dir().join(format!("adacomm_store_no_tmp_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let store = RunStore::new(&dir);
@@ -824,6 +804,7 @@ mod tests {
 
     #[test]
     fn parked_checkpoints_absent_rejected_and_unparked() {
+        let _serial = failpoint::test_lock();
         let dir = std::env::temp_dir().join(format!("adacomm_store_park_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let store = RunStore::new(&dir);
@@ -848,7 +829,7 @@ mod tests {
 
     #[test]
     fn save_load_evict_cycle() {
-        let _serial = SAVE_LOCK.lock().unwrap();
+        let _serial = failpoint::test_lock();
         let dir = std::env::temp_dir().join(format!("adacomm_store_unit_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let store = RunStore::new(&dir);

@@ -7,9 +7,7 @@ use std::process::Command;
 /// `--trace` + `--parallel` is a hard error: tracing requires the
 /// sequential engine so each telemetry profile is attributable to
 /// exactly one figure. Exit code 2, conflict named on stderr, and no
-/// figures computed. A build without the `trace` feature refuses
-/// `--trace` before it looks for the conflict, so the test needs it.
-#[cfg(feature = "trace")]
+/// figures computed.
 #[test]
 fn reproduce_all_rejects_trace_plus_parallel() {
     let trace_dir =

@@ -3,8 +3,6 @@
 //! live beside it. The gauge is process-global, so this binary holds the
 //! only test that runs an engine.
 
-#![cfg(feature = "trace")]
-
 use adacomm_bench::sweep::{LrSpec, ScenarioSpec, SchedulerSpec, SweepEngine, SweepSpec};
 use adacomm_bench::CancellableRun;
 use std::sync::atomic::{AtomicBool, Ordering};

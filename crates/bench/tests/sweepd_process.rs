@@ -7,6 +7,7 @@
 //! their own — socket, run store (`results/smoke/cache`), trace — so the
 //! drills share nothing with each other or with the repository.
 
+use adacomm_bench::failpoint;
 use adacomm_bench::server::protocol::{
     encode_request, parse_response, Command, ErrorKind, Request, Response, ResponseBody,
     RunRequest, StatsBody,
@@ -16,6 +17,7 @@ use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command as Proc, Stdio};
 use std::time::{Duration, Instant};
+use telemetry::schema::{parse_line, Record};
 
 /// Upper bound on any single wait; a daemon that hangs fails the drill
 /// here instead of hanging `cargo test`.
@@ -132,9 +134,7 @@ fn run(budget: f64, panic: bool) -> Command {
 fn sigterm_mid_burst_drains_and_exits_zero() {
     let dir = scratch("term");
     let mut cmd = sweepd(&dir);
-    if cfg!(feature = "trace") {
-        cmd.args(["--trace", "trace"]);
-    }
+    cmd.args(["--trace", "trace"]);
     let child = serving(cmd, &dir);
 
     match call(&dir, run(6.0, true)) {
@@ -168,24 +168,19 @@ fn sigterm_mid_burst_drains_and_exits_zero() {
     let answered = burst.iter().filter_map(reply).count();
     assert!(answered >= 8, "queued waiters are answered: {answered}");
 
-    #[cfg(feature = "trace")]
-    {
-        use telemetry::schema::{parse_line, Record};
-        let profile = std::fs::read_to_string(dir.join("trace/sweepd.jsonl"))
-            .expect("the drain writes the service profile");
-        let panics = profile.lines().find_map(|line| match parse_line(line) {
-            Ok(Record::Counter { name, value }) if name == "server.request_panics" => Some(value),
-            _ => None,
-        });
-        assert!(panics >= Some(1.0), "server.request_panics: {panics:?}");
-    }
+    let profile = std::fs::read_to_string(dir.join("trace/sweepd.jsonl"))
+        .expect("the drain writes the service profile");
+    let panics = profile.lines().find_map(|line| match parse_line(line) {
+        Ok(Record::Counter { name, value }) if name == "server.request_panics" => Some(value),
+        _ => None,
+    });
+    assert!(panics >= Some(1.0), "server.request_panics: {panics:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A daemon that dies right after journaling an accept loses nothing: its
 /// successor on the same socket replays the journal, finishes the run,
 /// sweeps the debris, and serves a re-request from the recovered state.
-#[cfg(feature = "failpoints")]
 #[test]
 fn abort_after_journal_append_is_replayed_by_the_successor() {
     let dir = scratch("abort");
@@ -225,7 +220,6 @@ fn abort_after_journal_append_is_replayed_by_the_successor() {
 /// interrupted, and they park like any other: a successor started with
 /// `--park-every-rounds 1` leaves a parked frame in the store while it
 /// re-executes its predecessor's long run — before its socket binds.
-#[cfg(feature = "failpoints")]
 #[test]
 fn recovery_parks_the_run_it_re_executes() {
     let dir = scratch("recover-park");
@@ -260,4 +254,37 @@ fn recovery_parks_the_run_it_re_executes() {
     }
     drop(child);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `ADACOMM_FAILPOINTS` examples that `sweepd --help` and the README
+/// print are specs the parser accepts, so pasting one arms every site it
+/// names instead of failing the daemon's startup.
+#[test]
+fn documented_failpoint_examples_arm() {
+    let help = Proc::new(env!("CARGO_BIN_EXE_sweepd"))
+        .arg("--help")
+        .output()
+        .expect("run sweepd --help");
+    let help = String::from_utf8(help.stdout).expect("help is UTF-8");
+    let quoted = |line: &str| {
+        let (_, rest) = line.split_once('"')?;
+        rest.split_once('"').map(|(spec, _)| spec.to_string())
+    };
+    let from_help = help
+        .lines()
+        .skip_while(|line| !line.contains(failpoint::ENV_VAR))
+        .find_map(quoted)
+        .expect("the help quotes an example spec");
+    let from_readme: Vec<String> = include_str!("../../../README.md")
+        .lines()
+        .filter(|line| line.starts_with(&format!("{}=", failpoint::ENV_VAR)))
+        .filter_map(quoted)
+        .collect();
+    assert!(!from_readme.is_empty(), "the README shows an example spec");
+
+    for spec in std::iter::once(from_help).chain(from_readme) {
+        let sites = spec.split(';').count();
+        assert_eq!(failpoint::init_from_spec(&spec), Ok(sites), "{spec}");
+        failpoint::disarm_all();
+    }
 }

@@ -112,9 +112,6 @@ fn child_view(threads: usize) -> Vec<String> {
 
 #[test]
 fn snapshot_delta_is_identical_across_thread_counts() {
-    if !telemetry::is_enabled() {
-        return;
-    }
     if std::env::var_os(WORKER_ENV).is_some() {
         run_worker();
         return;

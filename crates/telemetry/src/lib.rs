@@ -1,6 +1,5 @@
-//! Zero-cost-when-disabled observability primitives for the AdaComm
-//! reproduction: a metrics registry, hierarchical span timers, and a
-//! JSON-lines event sink.
+//! Observability primitives for the AdaComm reproduction: a metrics
+//! registry, hierarchical span timers, and a JSON-lines event sink.
 //!
 //! Like the other crates under `crates/shims/`, this crate has no external
 //! dependencies (the build environment has no registry access). Unlike the
@@ -8,17 +7,13 @@
 //! observability substrate the sweep engine, simulator, and kernels report
 //! through.
 //!
-//! # Feature gates
+//! # One build
 //!
-//! * Default (no features): every recording type is a zero-sized struct and
-//!   every recording call is an empty inline function. Instrumented crates
-//!   compile to the same code as uninstrumented ones; figure CSVs are
-//!   byte-identical either way.
-//! * `enabled`: counters, gauges, histograms, span timers, and the event
-//!   sink are live.
-//! * `profile` (implies `enabled`): hot-kernel timers ([`kernel_timer`])
-//!   are live too. Kept separate because GEMM/codec entry points are much
-//!   hotter than per-round phase spans.
+//! Counters, gauges, histograms, span timers, and the event sink are live
+//! in every build; observing a run never changes what it computes. The one
+//! cargo feature, `profile`, arms the hot-kernel timers
+//! ([`kernel_timer`]): GEMM and codec entry points are much hotter than
+//! per-round phase spans, so without it a kernel timer is an empty guard.
 //!
 //! # Primitives
 //!
@@ -35,7 +30,8 @@
 //! * **Event sink** ([`install_sink`], [`emit`]): an in-memory JSON-lines
 //!   buffer for structured per-point events, drained by the caller and
 //!   written with [`write_jsonl_atomic`] ([`binio::install`]: temp file,
-//!   fsync, rename).
+//!   fsync, rename). A [`Profiler`] owns one such sink and cuts a run
+//!   into JSONL profile windows.
 //!
 //! # Example
 //!
@@ -47,11 +43,7 @@
 //!     rounds.add(3);
 //! }
 //! let delta = telemetry::snapshot().delta_since(&before);
-//! if telemetry::is_enabled() {
-//!     assert_eq!(delta.counters, vec![("example.rounds".to_string(), 3)]);
-//! } else {
-//!     assert!(delta.counters.is_empty());
-//! }
+//! assert_eq!(delta.counters, vec![("example.rounds".to_string(), 3)]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -62,9 +54,12 @@ pub mod schema;
 
 use std::io;
 use std::path::Path;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
-#[cfg(feature = "enabled")]
-mod live {
+/// The global registry's cells, the thread-local span stack, and the
+/// event-sink slot behind the public handles.
+mod cells {
     use std::cell::RefCell;
     use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -175,28 +170,17 @@ mod live {
         pub static CHILD_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
     }
 
-    pub struct SpanGuardInner {
-        pub cell: &'static SpanCell,
-        pub start: Instant,
+    /// Adds one finished activation of `elapsed` nanoseconds, `self_nanos`
+    /// of them outside child spans, to `cell`.
+    pub fn record(cell: &SpanCell, elapsed: u64, self_nanos: u64) {
+        cell.count.fetch_add(1, Ordering::Relaxed);
+        cell.total_nanos.fetch_add(elapsed, Ordering::Relaxed);
+        cell.self_nanos.fetch_add(self_nanos, Ordering::Relaxed);
     }
 
-    impl Drop for SpanGuardInner {
-        fn drop(&mut self) {
-            let elapsed = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            let child = CHILD_STACK.with(|stack| {
-                let mut stack = stack.borrow_mut();
-                let child = stack.pop().unwrap_or(0);
-                if let Some(parent) = stack.last_mut() {
-                    *parent = parent.saturating_add(elapsed);
-                }
-                child
-            });
-            self.cell.count.fetch_add(1, Ordering::Relaxed);
-            self.cell.total_nanos.fetch_add(elapsed, Ordering::Relaxed);
-            self.cell
-                .self_nanos
-                .fetch_add(elapsed.saturating_sub(child), Ordering::Relaxed);
-        }
+    /// Nanoseconds since `start`, saturated to `u64`.
+    pub fn nanos_since(start: Instant) -> u64 {
+        start.elapsed().as_nanos().min(u64::MAX as u128) as u64
     }
 
     pub static SINK_ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -205,12 +189,6 @@ mod live {
         static SINK: OnceLock<Mutex<Option<Arc<super::EventSink>>>> = OnceLock::new();
         SINK.get_or_init(|| Mutex::new(None))
     }
-}
-
-/// Whether the metrics registry, spans, and event sink are compiled in
-/// (`enabled` feature).
-pub const fn is_enabled() -> bool {
-    cfg!(feature = "enabled")
 }
 
 /// Whether hot-kernel timers are compiled in (`profile` feature).
@@ -222,12 +200,10 @@ pub const fn profile_enabled() -> bool {
 // Counters
 // ---------------------------------------------------------------------------
 
-/// Handle to a named monotonic counter. Zero-sized and inert without the
-/// `enabled` feature. Handles are cheap `Copy` values; hot call sites
-/// should obtain one once and reuse it.
+/// Handle to a named monotonic counter. Handles are cheap `Copy` values;
+/// hot call sites should obtain one once and reuse it.
 #[derive(Clone, Copy)]
 pub struct Counter {
-    #[cfg(feature = "enabled")]
     cell: &'static std::sync::atomic::AtomicU64,
 }
 
@@ -235,10 +211,7 @@ impl Counter {
     /// Add `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "enabled")]
-        self.cell.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Add one to the counter.
@@ -251,16 +224,8 @@ impl Counter {
 /// Look up (registering on first use) the counter named `name`.
 #[inline]
 pub fn counter(name: &'static str) -> Counter {
-    #[cfg(feature = "enabled")]
-    {
-        Counter {
-            cell: live::counter_cell(name),
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = name;
-        Counter {}
+    Counter {
+        cell: cells::counter_cell(name),
     }
 }
 
@@ -271,7 +236,6 @@ pub fn counter(name: &'static str) -> Counter {
 /// Handle to a named signed gauge (instantaneous level, e.g. queue depth).
 #[derive(Clone, Copy)]
 pub struct Gauge {
-    #[cfg(feature = "enabled")]
     cell: &'static std::sync::atomic::AtomicI64,
 }
 
@@ -279,35 +243,21 @@ impl Gauge {
     /// Add `n` (may be negative) to the gauge.
     #[inline]
     pub fn add(&self, n: i64) {
-        #[cfg(feature = "enabled")]
-        self.cell.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Set the gauge to `n`.
     #[inline]
     pub fn set(&self, n: i64) {
-        #[cfg(feature = "enabled")]
-        self.cell.store(n, std::sync::atomic::Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
+        self.cell.store(n, Ordering::Relaxed);
     }
 }
 
 /// Look up (registering on first use) the gauge named `name`.
 #[inline]
 pub fn gauge(name: &'static str) -> Gauge {
-    #[cfg(feature = "enabled")]
-    {
-        Gauge {
-            cell: live::gauge_cell(name),
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = name;
-        Gauge {}
+    Gauge {
+        cell: cells::gauge_cell(name),
     }
 }
 
@@ -320,8 +270,7 @@ pub fn gauge(name: &'static str) -> Gauge {
 /// accumulations, so merged output is identical across thread splits.
 #[derive(Clone, Copy)]
 pub struct Histogram {
-    #[cfg(feature = "enabled")]
-    cell: &'static live::HistCell,
+    cell: &'static cells::HistCell,
 }
 
 impl Histogram {
@@ -329,33 +278,18 @@ impl Histogram {
     /// bucket 0 and contribute nothing to the sum.
     #[inline]
     pub fn observe(&self, value: f64) {
-        #[cfg(feature = "enabled")]
-        {
-            let idx = live::bucket_index(value);
-            self.cell.buckets[idx].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.cell
-                .count
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            live::add_micros_saturating(&self.cell.sum_micros, value);
-        }
-        #[cfg(not(feature = "enabled"))]
-        let _ = value;
+        let idx = cells::bucket_index(value);
+        self.cell.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.cell.count.fetch_add(1, Ordering::Relaxed);
+        cells::add_micros_saturating(&self.cell.sum_micros, value);
     }
 }
 
 /// Look up (registering on first use) the histogram named `name`.
 #[inline]
 pub fn histogram(name: &'static str) -> Histogram {
-    #[cfg(feature = "enabled")]
-    {
-        Histogram {
-            cell: live::hist_cell(name),
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = name;
-        Histogram {}
+    Histogram {
+        cell: cells::hist_cell(name),
     }
 }
 
@@ -370,29 +304,33 @@ pub fn histogram(name: &'static str) -> Histogram {
 /// time, so sibling phases partition their parent without double counting.
 #[must_use = "a span records its timing when the guard is dropped"]
 pub struct SpanGuard {
-    // Held purely for its Drop impl, which records the timing.
-    #[cfg(feature = "enabled")]
-    _inner: live::SpanGuardInner,
+    cell: &'static cells::SpanCell,
+    start: std::time::Instant,
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        let elapsed = cells::nanos_since(self.start);
+        let child = cells::CHILD_STACK.with(|stack| {
+            let mut stack = stack.borrow_mut();
+            let child = stack.pop().unwrap_or(0);
+            if let Some(parent) = stack.last_mut() {
+                *parent = parent.saturating_add(elapsed);
+            }
+            child
+        });
+        cells::record(self.cell, elapsed, elapsed.saturating_sub(child));
+    }
 }
 
 /// Open a span named `name` on the current thread.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    #[cfg(feature = "enabled")]
-    {
-        let cell = live::span_cell(name);
-        live::CHILD_STACK.with(|stack| stack.borrow_mut().push(0));
-        SpanGuard {
-            _inner: live::SpanGuardInner {
-                cell,
-                start: std::time::Instant::now(),
-            },
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = name;
-        SpanGuard {}
+    let cell = cells::span_cell(name);
+    cells::CHILD_STACK.with(|stack| stack.borrow_mut().push(0));
+    SpanGuard {
+        cell,
+        start: std::time::Instant::now(),
     }
 }
 
@@ -405,7 +343,7 @@ pub fn span(name: &'static str) -> SpanGuard {
 #[must_use = "a kernel timer records when the guard is dropped"]
 pub struct KernelGuard {
     #[cfg(feature = "profile")]
-    cell: &'static live::SpanCell,
+    cell: &'static cells::SpanCell,
     #[cfg(feature = "profile")]
     start: std::time::Instant,
 }
@@ -413,11 +351,8 @@ pub struct KernelGuard {
 #[cfg(feature = "profile")]
 impl Drop for KernelGuard {
     fn drop(&mut self) {
-        use std::sync::atomic::Ordering;
-        let elapsed = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.cell.count.fetch_add(1, Ordering::Relaxed);
-        self.cell.total_nanos.fetch_add(elapsed, Ordering::Relaxed);
-        self.cell.self_nanos.fetch_add(elapsed, Ordering::Relaxed);
+        let elapsed = cells::nanos_since(self.start);
+        cells::record(self.cell, elapsed, elapsed);
     }
 }
 
@@ -427,7 +362,7 @@ pub fn kernel_timer(name: &'static str) -> KernelGuard {
     #[cfg(feature = "profile")]
     {
         KernelGuard {
-            cell: live::span_cell(name),
+            cell: cells::span_cell(name),
             start: std::time::Instant::now(),
         }
     }
@@ -470,7 +405,7 @@ pub struct SpanSnapshot {
 }
 
 /// Point-in-time copy of the whole registry, sorted by name within each
-/// kind. Empty when the `enabled` feature is off.
+/// kind.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// `(name, value)` for every registered counter.
@@ -485,66 +420,58 @@ pub struct Snapshot {
 
 /// Capture a [`Snapshot`] of the global registry.
 pub fn snapshot() -> Snapshot {
-    #[cfg(feature = "enabled")]
-    {
-        use std::sync::atomic::Ordering;
-        let reg = live::registry();
-        let counters = reg
-            .counters
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(name, cell)| (name.to_string(), cell.load(Ordering::Relaxed)))
-            .collect();
-        let gauges = reg
-            .gauges
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(name, cell)| (name.to_string(), cell.load(Ordering::Relaxed)))
-            .collect();
-        let hists = reg
-            .hists
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(name, cell)| HistSnapshot {
-                name: name.to_string(),
-                count: cell.count.load(Ordering::Relaxed),
-                sum_micros: cell.sum_micros.load(Ordering::Relaxed),
-                buckets: cell
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(idx, bucket)| {
-                        let n = bucket.load(Ordering::Relaxed);
-                        (n > 0).then_some((idx as u32, n))
-                    })
-                    .collect(),
-            })
-            .collect();
-        let spans = reg
-            .spans
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(name, cell)| SpanSnapshot {
-                name: name.to_string(),
-                count: cell.count.load(Ordering::Relaxed),
-                total_nanos: cell.total_nanos.load(Ordering::Relaxed),
-                self_nanos: cell.self_nanos.load(Ordering::Relaxed),
-            })
-            .collect();
-        Snapshot {
-            counters,
-            gauges,
-            hists,
-            spans,
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        Snapshot::default()
+    let reg = cells::registry();
+    let counters = reg
+        .counters
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|(name, cell)| (name.to_string(), cell.load(Ordering::Relaxed)))
+        .collect();
+    let gauges = reg
+        .gauges
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|(name, cell)| (name.to_string(), cell.load(Ordering::Relaxed)))
+        .collect();
+    let hists = reg
+        .hists
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|(name, cell)| HistSnapshot {
+            name: name.to_string(),
+            count: cell.count.load(Ordering::Relaxed),
+            sum_micros: cell.sum_micros.load(Ordering::Relaxed),
+            buckets: cell
+                .buckets
+                .iter()
+                .enumerate()
+                .filter_map(|(idx, bucket)| {
+                    let n = bucket.load(Ordering::Relaxed);
+                    (n > 0).then_some((idx as u32, n))
+                })
+                .collect(),
+        })
+        .collect();
+    let spans = reg
+        .spans
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|(name, cell)| SpanSnapshot {
+            name: name.to_string(),
+            count: cell.count.load(Ordering::Relaxed),
+            total_nanos: cell.total_nanos.load(Ordering::Relaxed),
+            self_nanos: cell.self_nanos.load(Ordering::Relaxed),
+        })
+        .collect();
+    Snapshot {
+        counters,
+        gauges,
+        hists,
+        spans,
     }
 }
 
@@ -689,8 +616,8 @@ pub struct EventSink {
 
 impl EventSink {
     /// Create an empty sink behind an `Arc` (ready for [`install_sink`]).
-    pub fn new() -> std::sync::Arc<EventSink> {
-        std::sync::Arc::new(EventSink::default())
+    pub fn new() -> Arc<EventSink> {
+        Arc::new(EventSink::default())
     }
 
     /// Append one pre-rendered JSON line.
@@ -705,51 +632,74 @@ impl EventSink {
 }
 
 /// Install `sink` as the global event sink (`None` uninstalls). Returns
-/// the previously installed sink, if any. No-op without `enabled`.
-pub fn install_sink(sink: Option<std::sync::Arc<EventSink>>) -> Option<std::sync::Arc<EventSink>> {
-    #[cfg(feature = "enabled")]
-    {
-        use std::sync::atomic::Ordering;
-        let slot = live::sink_slot();
-        let mut guard = slot.lock().unwrap();
-        live::SINK_ACTIVE.store(sink.is_some(), Ordering::Relaxed);
-        std::mem::replace(&mut *guard, sink)
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        sink
-    }
+/// the previously installed sink, if any.
+pub fn install_sink(sink: Option<Arc<EventSink>>) -> Option<Arc<EventSink>> {
+    let mut slot = cells::sink_slot().lock().unwrap();
+    cells::SINK_ACTIVE.store(sink.is_some(), Ordering::Relaxed);
+    std::mem::replace(&mut *slot, sink)
 }
 
 /// Emit one event line to the installed sink. The closure is only invoked
-/// when telemetry is enabled *and* a sink is installed, so callers can
-/// build the line lazily.
+/// when a sink is installed, so callers can build the line lazily.
 #[inline]
 pub fn emit<F: FnOnce() -> String>(build: F) {
-    #[cfg(feature = "enabled")]
-    {
-        use std::sync::atomic::Ordering;
-        if live::SINK_ACTIVE.load(Ordering::Relaxed) {
-            let sink = live::sink_slot().lock().unwrap().clone();
-            if let Some(sink) = sink {
-                sink.push_line(build());
-            }
+    if cells::SINK_ACTIVE.load(Ordering::Relaxed) {
+        let sink = cells::sink_slot().lock().unwrap().clone();
+        if let Some(sink) = sink {
+            sink.push_line(build());
         }
     }
-    #[cfg(not(feature = "enabled"))]
-    let _ = build;
 }
 
-/// Whether an event sink is currently installed (always `false` when
-/// telemetry is compiled out).
+/// Whether an event sink is currently installed.
 pub fn sink_active() -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        live::SINK_ACTIVE.load(std::sync::atomic::Ordering::Relaxed)
+    cells::SINK_ACTIVE.load(Ordering::Relaxed)
+}
+
+/// A profile being recorded: installs a fresh [`EventSink`] on
+/// [`start`](Profiler::start), writes one JSONL window per
+/// [`cut`](Profiler::cut), and reinstalls the previous sink when dropped
+/// (error paths included).
+pub struct Profiler {
+    sink: Arc<EventSink>,
+    previous: Option<Arc<EventSink>>,
+    window_start: Snapshot,
+}
+
+impl Profiler {
+    /// Installs a fresh sink and opens the first window.
+    pub fn start() -> Profiler {
+        let sink = EventSink::new();
+        let previous = install_sink(Some(sink.clone()));
+        Profiler {
+            sink,
+            previous,
+            window_start: snapshot(),
+        }
     }
-    #[cfg(not(feature = "enabled"))]
-    {
-        false
+
+    /// Closes the open window into `path` and opens the next: `meta` (a
+    /// [`schema`] `meta` line describing the window), the registry's
+    /// [`Snapshot::delta_since`] the window opened, then the events
+    /// emitted meanwhile.
+    ///
+    /// # Errors
+    ///
+    /// The I/O error of [`write_jsonl_atomic`]; the next window is open
+    /// either way.
+    pub fn cut(&mut self, path: &Path, meta: String) -> io::Result<()> {
+        let now = snapshot();
+        let mut lines = vec![meta];
+        lines.extend(now.delta_since(&self.window_start).to_jsonl_lines());
+        lines.extend(self.sink.drain());
+        self.window_start = now;
+        write_jsonl_atomic(path, &lines)
+    }
+}
+
+impl Drop for Profiler {
+    fn drop(&mut self) {
+        install_sink(self.previous.take());
     }
 }
 
@@ -760,8 +710,7 @@ pub fn sink_active() -> bool {
 /// Write `lines` to `path` as newline-terminated JSONL with
 /// [`binio::install`], creating the directory if needed, so readers never
 /// observe a partially written profile and a failed write leaves nothing
-/// behind. Available in every build (the report tooling works on traces
-/// recorded by an instrumented binary).
+/// behind.
 pub fn write_jsonl_atomic(path: &Path, lines: &[String]) -> io::Result<()> {
     if let Some(dir) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir)?;
@@ -776,21 +725,12 @@ pub fn write_jsonl_atomic(path: &Path, lines: &[String]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
 
-    #[test]
-    fn disabled_build_reports_itself() {
-        // This test suite runs in both feature configurations; the
-        // constant must agree with the snapshot behaviour either way.
-        if is_enabled() {
-            counter("test.enabled_probe").inc();
-            assert!(snapshot()
-                .counters
-                .iter()
-                .any(|(n, _)| n == "test.enabled_probe"));
-        } else {
-            counter("test.enabled_probe").inc();
-            assert_eq!(snapshot(), Snapshot::default());
-        }
+    /// The event sink is process-global: tests that install one serialize.
+    fn sink_lock() -> MutexGuard<'static, ()> {
+        static SINK: Mutex<()> = Mutex::new(());
+        SINK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     #[test]
@@ -800,18 +740,14 @@ mod tests {
         c.add(5);
         c.inc();
         let delta = snapshot().delta_since(&before);
-        if is_enabled() {
-            assert_eq!(
-                delta
-                    .counters
-                    .iter()
-                    .find(|(n, _)| n == "test.counter")
-                    .map(|(_, v)| *v),
-                Some(6)
-            );
-        } else {
-            assert!(delta.counters.is_empty());
-        }
+        assert_eq!(
+            delta
+                .counters
+                .iter()
+                .find(|(n, _)| n == "test.counter")
+                .map(|(_, v)| *v),
+            Some(6)
+        );
     }
 
     #[test]
@@ -819,16 +755,14 @@ mod tests {
         let g = gauge("test.gauge");
         g.set(10);
         g.add(-3);
-        if is_enabled() {
-            let snap = snapshot();
-            assert_eq!(
-                snap.gauges
-                    .iter()
-                    .find(|(n, _)| n == "test.gauge")
-                    .map(|(_, v)| *v),
-                Some(7)
-            );
-        }
+        assert_eq!(
+            snapshot()
+                .gauges
+                .iter()
+                .find(|(n, _)| n == "test.gauge")
+                .map(|(_, v)| *v),
+            Some(7)
+        );
     }
 
     #[test]
@@ -840,14 +774,10 @@ mod tests {
         h.observe(4.0); // exponent 2 -> bucket 35
         h.observe(-1.0); // bucket 0, no sum contribution
         let delta = snapshot().delta_since(&before);
-        if is_enabled() {
-            let h = delta.hists.iter().find(|h| h.name == "test.hist").unwrap();
-            assert_eq!(h.count, 4);
-            assert_eq!(h.buckets, vec![(0, 1), (33, 2), (35, 1)]);
-            assert_eq!(h.sum_micros, 7_250_000);
-        } else {
-            assert!(delta.hists.is_empty());
-        }
+        let h = delta.hists.iter().find(|h| h.name == "test.hist").unwrap();
+        assert_eq!(h.count, 4);
+        assert_eq!(h.buckets, vec![(0, 1), (33, 2), (35, 1)]);
+        assert_eq!(h.sum_micros, 7_250_000);
     }
 
     #[test]
@@ -862,30 +792,19 @@ mod tests {
             }
         }
         let delta = snapshot().delta_since(&before);
-        if is_enabled() {
-            let outer = delta
-                .spans
-                .iter()
-                .find(|s| s.name == "test.span_outer")
-                .unwrap();
-            let inner = delta
-                .spans
-                .iter()
-                .find(|s| s.name == "test.span_inner")
-                .unwrap();
-            assert_eq!(outer.count, 1);
-            assert_eq!(inner.count, 1);
-            assert!(outer.total_nanos >= inner.total_nanos);
-            // Outer self time must exclude the inner 8 ms sleep.
-            assert!(outer.self_nanos <= outer.total_nanos - inner.total_nanos + 1_000_000);
-            assert_eq!(inner.self_nanos, inner.total_nanos);
-        } else {
-            assert!(delta.spans.is_empty());
-        }
+        let find = |name: &str| delta.spans.iter().find(|s| s.name == name).unwrap();
+        let (outer, inner) = (find("test.span_outer"), find("test.span_inner"));
+        assert_eq!(outer.count, 1);
+        assert_eq!(inner.count, 1);
+        assert!(outer.total_nanos >= inner.total_nanos);
+        // Outer self time must exclude the inner 8 ms sleep.
+        assert!(outer.self_nanos <= outer.total_nanos - inner.total_nanos + 1_000_000);
+        assert_eq!(inner.self_nanos, inner.total_nanos);
     }
 
     #[test]
     fn sink_collects_emitted_lines() {
+        let _sink = sink_lock();
         let sink = EventSink::new();
         let previous = install_sink(Some(sink.clone()));
         emit(|| {
@@ -894,12 +813,8 @@ mod tests {
         });
         install_sink(previous);
         let lines = sink.drain();
-        if is_enabled() {
-            assert_eq!(lines.len(), 1);
-            assert!(lines[0].contains("\"meta\""));
-        } else {
-            assert!(lines.is_empty());
-        }
+        assert_eq!(lines.len(), 1);
+        assert!(lines[0].contains("\"meta\""));
         // After uninstalling, emits go nowhere.
         emit(unreachable_line);
     }
@@ -955,10 +870,70 @@ mod tests {
     }
 
     #[test]
-    fn bucket_index_is_monotonic() {
-        if !is_enabled() {
-            return;
+    fn profiler_cuts_windows_and_restores_the_sink() {
+        let _sink = sink_lock();
+        let dir = std::env::temp_dir().join(format!("telemetry_profiler_{}", std::process::id()));
+        let outer = EventSink::new();
+        install_sink(Some(outer.clone()));
+        let mut profiler = Profiler::start();
+        counter("test.profiler_counter").add(2);
+        emit(|| "{\"type\":\"warning\",\"source\":\"t\",\"reason\":\"r\"}".to_string());
+        let meta = schema::meta_line("first", "smoke", 0.5);
+        profiler
+            .cut(&dir.join("first.jsonl"), meta.clone())
+            .unwrap();
+        profiler
+            .cut(
+                &dir.join("second.jsonl"),
+                schema::meta_line("second", "smoke", 0.0),
+            )
+            .unwrap();
+        drop(profiler);
+        assert!(
+            Arc::ptr_eq(&install_sink(None).unwrap(), &outer),
+            "drop reinstalls the sink that was there before"
+        );
+        assert!(outer.drain().is_empty(), "the profiler took every event");
+
+        let first = std::fs::read_to_string(dir.join("first.jsonl")).unwrap();
+        let lines: Vec<&str> = first.lines().collect();
+        assert_eq!(lines[0], meta);
+        assert!(lines
+            .contains(&"{\"type\":\"counter\",\"name\":\"test.profiler_counter\",\"value\":2}"));
+        assert!(
+            lines.last().unwrap().contains("\"warning\""),
+            "events come last"
+        );
+        let second = std::fs::read_to_string(dir.join("second.jsonl")).unwrap();
+        assert!(
+            !second.contains("test.profiler_counter"),
+            "a cut opens a new window"
+        );
+        assert!(!second.contains("\"warning\""));
+        for line in first.lines().chain(second.lines()) {
+            schema::validate_line(line).unwrap_or_else(|e| panic!("invalid line {line}: {e}"));
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(feature = "profile")]
+    #[test]
+    fn kernel_timer_records_one_flat_row() {
+        let before = snapshot();
+        drop(kernel_timer("test.kernel_timer"));
+        let delta = snapshot().delta_since(&before);
+        let rows: Vec<&SpanSnapshot> = delta
+            .spans
+            .iter()
+            .filter(|s| s.name == "test.kernel_timer")
+            .collect();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].count, 1);
+        assert_eq!(rows[0].self_nanos, rows[0].total_nanos);
+    }
+
+    #[test]
+    fn bucket_index_is_monotonic() {
         let mut last = 0;
         for exp in -40..40 {
             let idx = {

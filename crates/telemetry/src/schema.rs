@@ -15,9 +15,9 @@
 //! | `warning` | `source` (str), `reason` (str) |
 //!
 //! Unlisted fields are allowed (forward compatibility); unknown `type`
-//! values, missing fields, and wrong field types are errors. Validation is
-//! available in every build (no feature gate), so `obs_report --check`
-//! works on traces recorded elsewhere.
+//! values, missing fields, and wrong field types are errors. Validation
+//! needs nothing but the lines, so `obs_report --check` works on traces
+//! recorded elsewhere.
 
 use crate::json::{self, Value};
 
