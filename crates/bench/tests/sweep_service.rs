@@ -135,11 +135,12 @@ fn run_source(response: &Response) -> String {
 }
 
 /// Occupies the server's only worker with a run far longer than any test
-/// (only a drain ends it) and returns once the worker has taken it off
-/// the queue.
-fn pin_the_worker(path: &Path) -> Client {
+/// and returns once the worker has taken it off the queue. Only a drain
+/// ends it, or `deadline_ms` when given, which holds the worker for the
+/// same time however fast the build simulates.
+fn pin_the_worker(path: &Path, deadline_ms: Option<u64>) -> Client {
     let mut pin = Client::connect(path);
-    pin.send(&run_request(1, 100_000.0, None, false));
+    pin.send(&run_request(1, 100_000.0, deadline_ms, false));
     let mut admin = Client::connect(path);
     let deadline = Instant::now() + Duration::from_secs(10);
     while stats_of(&mut admin).queue_depth > 0 {
@@ -259,15 +260,13 @@ fn identical_requests_share_one_flight() {
 
 /// With the worker pinned and a queue of 2, a pipelined burst of 6
 /// distinct requests sheds exactly 4 with `overloaded`; the 2 admitted
-/// ones complete normally once the worker frees up.
+/// ones complete normally once the pin's deadline frees the worker.
 #[test]
 fn full_queue_sheds_with_overloaded() {
     let handle = start("shed", 1, 2, SweepEngine::default());
     let path = handle.socket_path().to_path_buf();
 
-    let mut pin = Client::connect(&path);
-    pin.send(&run_request(1, 600.0, None, false));
-    std::thread::sleep(Duration::from_millis(200));
+    let _pin = pin_the_worker(&path, Some(2_000));
 
     let mut burst = Client::connect(&path);
     for i in 0..6u64 {
@@ -331,7 +330,7 @@ fn deadline_parks_then_resumes() {
     let handle = start("deadline", 1, 8, engine);
     let mut client = Client::connect(handle.socket_path());
 
-    let response = client.call(&run_request(1, 1000.0, Some(150), false));
+    let response = client.call(&run_request(1, 5000.0, Some(150), false));
     match &response.body {
         ResponseBody::Error {
             kind: ErrorKind::Deadline,
@@ -340,7 +339,7 @@ fn deadline_parks_then_resumes() {
         other => panic!("expected a deadline error, got {other:?}"),
     }
 
-    let response = client.call(&run_request(2, 1000.0, None, false));
+    let response = client.call(&run_request(2, 5000.0, None, false));
     match &response.body {
         ResponseBody::Run(run) => assert_eq!(run.source, "resumed", "parked progress must resume"),
         other => panic!("expected the resumed run, got {other:?}"),
@@ -496,7 +495,7 @@ fn known_spec_is_answered_past_a_pinned_worker_and_a_full_queue() {
         "computed"
     );
 
-    let _pin = pin_the_worker(&path);
+    let _pin = pin_the_worker(&path, None);
     let mut filler = Client::connect(&path);
     filler.send(&run_request(3, 90_000.0, None, false));
 
@@ -564,7 +563,7 @@ fn known_failed_key_is_answered_in_place_with_the_same_error() {
     let from_worker = client.call(&run_request(1, 7.125, None, false));
     assert_eq!(error_kind(&from_worker), Some(ErrorKind::Panic));
 
-    let _pin = pin_the_worker(&path);
+    let _pin = pin_the_worker(&path, None);
     let mut probe = impatient_client(&path);
     let in_place = probe.call(&run_request(2, 7.125, None, false));
     assert_eq!(in_place.body, from_worker.body, "same kind, same message");

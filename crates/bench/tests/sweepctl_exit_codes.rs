@@ -112,8 +112,9 @@ fn draining_exits_four() {
     let handle = start("drain", 8, SweepEngine::default());
     let path = handle.socket_path().to_path_buf();
 
-    // Pin the single worker with a slow run over a raw connection so the
-    // client's request stays queued when the drain begins.
+    // Pin the single worker with a run only the drain ends, over a raw
+    // connection, so the client's request stays queued when the drain
+    // begins.
     let pin = UnixStream::connect(&path).expect("connect pin");
     let request = Request {
         id: Some(1),
@@ -121,7 +122,7 @@ fn draining_exits_four() {
             scenario: "concept".into(),
             scheduler: "fixed".into(),
             tau: 4,
-            budget: Some((600.0, 10.0)),
+            budget: Some((100_000.0, 10.0)),
             deadline_ms: None,
             panic: false,
         }),
@@ -174,7 +175,7 @@ fn deadline_exits_five_and_rerequest_resumes() {
             "run",
             "concept",
             "--budget",
-            "1000",
+            "5000",
             "5",
             "--deadline-ms",
             "150",
@@ -187,7 +188,7 @@ fn deadline_exits_five_and_rerequest_resumes() {
     // parked progress and completes with exit 0.
     let (code, stdout, _) = sweepctl(
         handle.socket_path(),
-        &["run", "concept", "--budget", "1000", "5"],
+        &["run", "concept", "--budget", "5000", "5"],
     );
     assert_eq!(code, 0, "stdout: {stdout}");
     assert!(stdout.contains("source resumed"), "stdout: {stdout}");

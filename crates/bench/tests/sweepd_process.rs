@@ -114,8 +114,8 @@ fn stats(dir: &Path) -> StatsBody {
 }
 
 /// A concept run at `tau = 1`: the budget is the round count, so 6 is
-/// instant, 1 000 takes a moment and 100 000 outlives the drill (only a
-/// drain ends it).
+/// instant and 100 000 outlives the drill (only a drain or a kill ends
+/// it).
 fn run(budget: f64, panic: bool) -> Command {
     Command::Run(RunRequest {
         scenario: "concept".into(),
@@ -226,7 +226,7 @@ fn recovery_parks_the_run_it_re_executes() {
     let mut armed = sweepd(&dir);
     armed.env("ADACOMM_FAILPOINTS", "server.journal.post_append_abort=1");
     let child = serving(armed, &dir);
-    let fate = call(&dir, run(1_000.0, false));
+    let fate = call(&dir, run(100_000.0, false));
     assert!(fate.is_none(), "the armed daemon dies unanswered: {fate:?}");
     assert_ne!(exit_code(child), Some(0), "abort, not a clean exit");
 
