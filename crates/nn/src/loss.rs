@@ -259,6 +259,95 @@ mod tests {
         let _ = Loss::CrossEntropy.loss_and_grad(&logits, &[5]);
     }
 
+    /// Softmax cross-entropy as the crate first computed it, one scalar
+    /// pass per step: fold max, `f32::exp` per logit, left-to-right `f32`
+    /// sum. Returns the per-row losses and the batch-averaged gradient.
+    fn reference_cross_entropy(logits: &Tensor, labels: &[usize]) -> (Vec<f64>, Vec<f32>) {
+        let (batch, classes) = (logits.dims()[0], logits.dims()[1]);
+        let mut rows = Vec::new();
+        let mut grad = Vec::new();
+        for (r, &label) in labels.iter().enumerate() {
+            let row = logits.row(r);
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let exps: Vec<f32> = row.iter().map(|&v| (v - max).exp()).collect();
+            let sum = exps.iter().fold(0.0f32, |acc, &e| acc + e);
+            rows.push(-f64::from((exps[label] / sum).max(f32::MIN_POSITIVE).ln()));
+            for (c, &e) in exps.iter().enumerate() {
+                let onehot = if c == label { 1.0 } else { 0.0 };
+                grad.push((e / sum - onehot) / batch as f32);
+            }
+        }
+        assert_eq!(grad.len(), batch * classes);
+        (rows, grad)
+    }
+
+    /// `to_bits` of every value, with every NaN mapped to one pattern: a
+    /// NaN's payload is whichever operand the hardware picked, which no
+    /// source order pins.
+    fn canonical_bits(v: impl IntoIterator<Item = f64>) -> Vec<u64> {
+        v.into_iter()
+            .map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() })
+            .collect()
+    }
+
+    #[test]
+    fn cross_entropy_is_bit_identical_to_the_scalar_reference() {
+        // Every lane remainder of an 8- or 16-wide pass (classes), batches
+        // 1..=33, and rows that stress the max and the exponentials: ties,
+        // ±0, -inf (also a whole row of it), spreads of 1e4, a NaN.
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for classes in [1usize, 2, 7, 8, 9, 10, 16, 100, 101] {
+            for batch in 1..=33usize {
+                let mut logits = Vec::with_capacity(batch * classes);
+                for r in 0..batch {
+                    for c in 0..classes {
+                        let u = (next() >> 40) as f32 / (1u64 << 24) as f32;
+                        logits.push(match r % 8 {
+                            0 => u * 8.0 - 4.0,
+                            1 => (u * 4.0).floor(),
+                            2 => [0.0, -0.0][c % 2],
+                            3 if c % 3 == 0 => f32::NEG_INFINITY,
+                            4 => f32::NEG_INFINITY,
+                            5 => (u - 0.5) * 2e4,
+                            6 if c == classes / 2 => f32::NAN,
+                            _ => u * 60.0 - 30.0,
+                        });
+                    }
+                }
+                let labels: Vec<usize> = (0..batch).map(|_| next() as usize % classes).collect();
+                let logits = Tensor::from_vec(logits, &[batch, classes]).unwrap();
+                let (rows, grad) = reference_cross_entropy(&logits, &labels);
+                let total = rows.iter().fold(0.0f64, |acc, &v| acc + v);
+                let mean = (total / batch as f64) as f32;
+
+                let case = format!("classes {classes}, batch {batch}");
+                let got_rows = Loss::CrossEntropy.row_losses(&logits, &labels);
+                assert_eq!(
+                    canonical_bits(got_rows),
+                    canonical_bits(rows),
+                    "rows, {case}"
+                );
+                let (loss, got_grad) = Loss::CrossEntropy.loss_and_grad(&logits, &labels);
+                assert_eq!(
+                    canonical_bits([f64::from(loss)]),
+                    canonical_bits([f64::from(mean)]),
+                    "loss, {case}"
+                );
+                assert_eq!(
+                    canonical_bits(got_grad.as_slice().iter().map(|&g| f64::from(g))),
+                    canonical_bits(grad.iter().map(|&g| f64::from(g))),
+                    "grad, {case}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn cross_entropy_is_stable_for_large_logits() {
         let logits = Tensor::from_vec(vec![1e4, -1e4], &[1, 2]).unwrap();
