@@ -88,9 +88,16 @@ impl Tanh {
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let y = x.map(f32::tanh);
-        self.cached_output = Some(y.clone());
+        // Only backward reads the cache, so an evaluation-mode forward
+        // between a training forward and its backward leaves it alone.
+        if train {
+            match &mut self.cached_output {
+                Some(c) if c.dims() == y.dims() => c.copy_from(&y),
+                c => *c = Some(y.clone()),
+            }
+        }
         y
     }
 
@@ -159,6 +166,33 @@ mod tests {
             xm.as_mut_slice()[i] -= eps;
             let fd = (xp.map(f32::tanh).sum() - xm.map(f32::tanh).sum()) / (2.0 * eps);
             assert!((fd - dx.at(i)).abs() < 1e-3, "i={i}: {fd} vs {}", dx.at(i));
+        }
+    }
+
+    #[test]
+    fn eval_forward_between_train_forward_and_backward_changes_nothing() {
+        // Train forward on `x`, backward: the gradient every layer must
+        // give. Again with an evaluation forward on other input in between.
+        use crate::Dense;
+        use rand::SeedableRng;
+        let x = Tensor::from_vec(vec![0.3, -0.7, 1.2, 0.05, -1.5, 0.8], &[2, 3]).unwrap();
+        let other = Tensor::from_vec(vec![2.0, 0.4, -0.9, -3.0, 1.1, 0.6], &[2, 3]).unwrap();
+        let g = Tensor::from_vec(vec![1.0, -0.5, 0.25, 0.75, 2.0, -1.25], &[2, 3]).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let layers: [Box<dyn Layer>; 3] = [
+            Box::new(Dense::new(3, 3, &mut rng)),
+            Box::new(Relu::new()),
+            Box::new(Tanh::new()),
+        ];
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for layer in layers {
+            let (mut plain, mut interleaved) = (layer.clone_box(), layer);
+            let _ = plain.forward(&x, true);
+            let want = plain.backward(&g);
+            let _ = interleaved.forward(&x, true);
+            let _ = interleaved.forward(&other, false);
+            let got = interleaved.backward(&g);
+            assert_eq!(bits(&got), bits(&want), "{}", interleaved.name());
         }
     }
 
