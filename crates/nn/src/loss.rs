@@ -55,19 +55,17 @@ impl Loss {
     pub fn row_losses(&self, logits: &Tensor, labels: &[usize]) -> Vec<f64> {
         let (_, classes) = check(logits, labels);
         match self {
-            Loss::CrossEntropy => labels
-                .iter()
-                .enumerate()
-                .map(|(r, &label)| {
-                    let row = logits.row(r);
-                    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                    // Same exp/sum sequence as the gradient path: the label
-                    // term re-derives exps[label] from the same inputs.
-                    let sum = row.iter().fold(0.0f32, |acc, &v| acc + (v - max).exp());
-                    let _ = classes;
-                    -f64::from(((row[label] - max).exp() / sum).max(f32::MIN_POSITIVE).ln())
-                })
-                .collect(),
+            Loss::CrossEntropy => {
+                let mut exps = vec![0.0f32; classes];
+                labels
+                    .iter()
+                    .enumerate()
+                    .map(|(r, &label)| {
+                        let sum = softmax_row(logits.row(r), &mut exps);
+                        label_loss(exps[label], sum)
+                    })
+                    .collect()
+            }
             Loss::MeanSquaredError => labels
                 .iter()
                 .enumerate()
@@ -113,17 +111,11 @@ fn cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
     let mut grad = Tensor::zeros(&[batch, classes]);
     let mut total = 0.0f64;
     for (r, &label) in labels.iter().enumerate() {
-        let row = logits.row(r);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         // Stage the exponentials in the gradient row (no per-row buffer),
         // then transform them to `(softmax − onehot)/batch` in place.
         let grow = grad.row_mut(r);
-        for (g, &v) in grow.iter_mut().zip(row) {
-            *g = (v - max).exp();
-        }
-        let sum: f32 = grow.iter().sum();
-        // loss = -log softmax[label]
-        total += -f64::from((grow[label] / sum).max(f32::MIN_POSITIVE).ln());
+        let sum = softmax_row(logits.row(r), grow);
+        total += label_loss(grow[label], sum);
         for (c, g) in grow.iter_mut().enumerate() {
             let softmax = *g / sum;
             let onehot = if c == label { 1.0 } else { 0.0 };
@@ -131,6 +123,150 @@ fn cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
         }
     }
     ((total / batch as f64) as f32, grad)
+}
+
+/// The one softmax row kernel behind [`cross_entropy`] and
+/// [`Loss::row_losses`]: writes `exp(v − max)` for every logit `v` of `row`
+/// into `exps` and returns their sum, added left to right in `f32`.
+///
+/// The max runs lane-parallel. That is exact: the max reaches the output
+/// only through `exp(v − max)`, which is the same for either zero sign,
+/// and `f32::max` drops a NaN in any order. The exponentials run
+/// [`LANES`] at a time through [`exp_lanes`]; the row's last partial chunk
+/// is padded, and its padding lanes are discarded.
+fn softmax_row(row: &[f32], exps: &mut [f32]) -> f32 {
+    let mut lanes = [f32::NEG_INFINITY; LANES];
+    let chunks = row.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (m, &v) in lanes.iter_mut().zip(chunk) {
+            *m = m.max(v);
+        }
+    }
+    let max = tail
+        .iter()
+        .chain(&lanes)
+        .copied()
+        .fold(f32::NEG_INFINITY, f32::max);
+
+    let mut outs = exps.chunks_exact_mut(LANES);
+    for (chunk, out) in row.chunks_exact(LANES).zip(&mut outs) {
+        let x: [f32; LANES] = chunk.try_into().expect("chunk has LANES values");
+        out.copy_from_slice(&exp_lanes(x.map(|v| v - max)));
+    }
+    if !tail.is_empty() {
+        let mut x = [0.0f32; LANES];
+        x[..tail.len()].copy_from_slice(tail);
+        let e = exp_lanes(x.map(|v| v - max));
+        outs.into_remainder().copy_from_slice(&e[..tail.len()]);
+    }
+    exps.iter().fold(0.0f32, |acc, &e| acc + e)
+}
+
+/// One row's loss summand, `−ln softmax[label]`, from the label's
+/// exponential and the row sum of [`softmax_row`].
+fn label_loss(exp_label: f32, sum: f32) -> f64 {
+    -f64::from((exp_label / sum).max(f32::MIN_POSITIVE).ln())
+}
+
+/// Values per call of [`exp_lanes`].
+const LANES: usize = 8;
+
+/// [`expf`] on every lane. The array comes and goes by value and `expf`
+/// has no branch, so the loop vectorises.
+#[inline(always)]
+fn exp_lanes(x: [f32; LANES]) -> [f32; LANES] {
+    let mut out = [0.0f32; LANES];
+    for (o, &v) in out.iter_mut().zip(&x) {
+        *o = expf(v);
+    }
+    out
+}
+
+/// `EXP2F_TABLE_BITS` of the port: `2^(k/N)` comes from a table of `N`
+/// entries.
+const N: f64 = 32.0;
+/// `0x1.c6af84b912394p-5 / N³`
+const C0: f64 = f64::from_bits(0x3fac_6af8_4b91_2394) / (N * N * N);
+/// `0x1.ebfce50fac4f3p-3 / N²`
+const C1: f64 = f64::from_bits(0x3fce_bfce_50fa_c4f3) / (N * N);
+/// `0x1.62e42ff0c52d6p-1 / N`
+const C2: f64 = f64::from_bits(0x3fe6_2e42_ff0c_52d6) / N;
+/// `0x1.71547652b82fep+0 · N`, `N / ln 2`.
+const INV_LN2_N: f64 = f64::from_bits(0x3ff7_1547_652b_82fe) * N;
+/// `0x1.8p+52`: adding it rounds to an integer, ties to even.
+const SHIFT: f64 = f64::from_bits(0x4338_0000_0000_0000);
+/// Above this (`0x1.62e42ep6`, ≈ 88.72) the result overflows to `+inf`.
+const OVERFLOW: f32 = f32::from_bits(0x42b1_7217);
+/// Below this (`−0x1.9fe368p6`, ≈ −103.97) the result underflows to `0`.
+const UNDERFLOW: f32 = f32::from_bits(0xc2cf_f1b4);
+/// `T[i] = bits(2^(i/N)) − (i << 47)`: adding `k << 47` to entry `k % N`
+/// gives the bits of `2^(k/N)`.
+const T: [u64; 32] = [
+    0x3ff0_0000_0000_0000,
+    0x3fef_d9b0_d315_8574,
+    0x3fef_b558_6cf9_890f,
+    0x3fef_9301_d012_5b51,
+    0x3fef_72b8_3c7d_517b,
+    0x3fef_5487_3168_b9aa,
+    0x3fef_387a_6e75_6238,
+    0x3fef_1e9d_f51f_dee1,
+    0x3fef_06fe_0a31_b715,
+    0x3fee_f1a7_373a_a9cb,
+    0x3fee_dea6_4c12_3422,
+    0x3fee_ce08_6061_892d,
+    0x3fee_bfda_d536_2a27,
+    0x3fee_b42b_569d_4f82,
+    0x3fee_ab07_dd48_5429,
+    0x3fee_a47e_b03a_5585,
+    0x3fee_a09e_667f_3bcd,
+    0x3fee_9f75_e8ec_5f74,
+    0x3fee_a114_73eb_0187,
+    0x3fee_a589_994c_ce13,
+    0x3fee_ace5_422a_a0db,
+    0x3fee_b737_b0cd_c5e5,
+    0x3fee_c491_82a3_f090,
+    0x3fee_d503_b23e_255d,
+    0x3fee_e89f_995a_d3ad,
+    0x3fee_ff76_f2fb_5e47,
+    0x3fef_199b_dd85_529c,
+    0x3fef_3720_dcef_9069,
+    0x3fef_5818_dcfb_a487,
+    0x3fef_7c97_337b_9b5f,
+    0x3fef_a4af_a2a4_90da,
+    0x3fef_d076_5b6e_4540,
+];
+
+/// `e^x`, equal bit for bit to the `expf` of glibc ≥ 2.28 (ARM's
+/// optimized-routines, built with fused multiply-add) on every input: a
+/// safe-Rust port, all in `f64`.
+///
+/// It writes `x·N/ln 2 = k + r` with integer `k` and `|r| ≤ 1/2`, takes
+/// `2^(k/N)` from [`T`] and `2^(r/N)` from a cubic, and rounds their
+/// product to `f32` once. Out-of-range and NaN inputs are three selects
+/// rather than branches, so a loop over it vectorises.
+///
+/// Because the softmax exponentials come from here and not from the
+/// platform's `expf` (musl's and macOS's differ from glibc's in the last
+/// bit), the cross-entropy gradient bits no longer depend on the host's
+/// libm. The loss value still takes one libm `ln` per row.
+#[inline(always)]
+fn expf(x: f32) -> f32 {
+    let xd = f64::from(x);
+    let k = INV_LN2_N.mul_add(xd, SHIFT);
+    let ki = k.to_bits();
+    let kd = k - SHIFT;
+    let r = INV_LN2_N.mul_add(xd, -kd);
+    let s = f64::from_bits(T[(ki % 32) as usize].wrapping_add(ki << 47));
+    let y = C0.mul_add(r, C1).mul_add(r * r, C2.mul_add(r, 1.0));
+    let e = (y * s) as f32;
+    let e = if x > OVERFLOW { f32::INFINITY } else { e };
+    let e = if x < UNDERFLOW { 0.0 } else { e };
+    if x.is_nan() {
+        x + x
+    } else {
+        e
+    }
 }
 
 /// MSE against one-hot targets: `mean((logits − onehot)²)`.
@@ -346,6 +482,89 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Runs [`exp_lanes`], the shipped vectorised path, over `inputs` and
+    /// asserts each result equals `f32::exp` bit for bit, or both are NaN.
+    /// glibc's `expf` is the routine the port reproduces, so other C
+    /// libraries are no reference.
+    #[cfg(target_env = "gnu")]
+    fn assert_exp_matches_libm(inputs: impl Iterator<Item = f32>) {
+        let mut check = |xs: [f32; LANES]| {
+            for (x, got) in xs.into_iter().zip(exp_lanes(xs)) {
+                let want = x.exp();
+                assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "expf({x:e} = {:#010x}) = {got:e}, libm {want:e}",
+                    x.to_bits()
+                );
+            }
+        };
+        let mut xs = [0.0f32; LANES];
+        let mut filled = 0;
+        for x in inputs {
+            xs[filled] = x;
+            filled += 1;
+            if filled == LANES {
+                check(xs);
+                filled = 0;
+            }
+        }
+        check(xs);
+    }
+
+    #[test]
+    fn exp_table_is_two_to_the_i_over_n() {
+        for (i, &t) in (0u64..).zip(&T) {
+            assert_eq!(t, (i as f64 / N).exp2().to_bits() - (i << 47), "T[{i}]");
+        }
+    }
+
+    #[test]
+    #[cfg(target_env = "gnu")]
+    fn exp_port_matches_libm_on_a_sample_and_every_edge() {
+        let bits = |from: u32, to: u32| (from..=to).map(f32::from_bits);
+        let around = |x: f32| bits(x.to_bits() - 4, x.to_bits() + 4);
+        // Every 4 099th pattern (prime stride: every exponent, both signs,
+        // varied mantissas), the specials, both thresholds and their
+        // neighbours, the `|x| ≥ 88` entry of glibc's slow path, and every
+        // input whose result is subnormal (−103.97 < x < −87.34).
+        let sample = (0..=u32::MAX).step_by(4_099).map(f32::from_bits);
+        let specials = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ]
+        .into_iter()
+        .chain([0x7f80_0001, 0x7fc0_1234, 0xffbf_ffff, 0xff80_0001].map(f32::from_bits));
+        let subnormal = bits((-87.33f32).to_bits(), UNDERFLOW.to_bits());
+        assert_exp_matches_libm(
+            sample
+                .chain(specials)
+                .chain(around(OVERFLOW))
+                .chain(around(UNDERFLOW))
+                .chain(around(88.0))
+                .chain(around(-88.0))
+                .chain(subnormal),
+        );
+    }
+
+    /// All 2³² inputs, split over two threads: about 20 s in the release
+    /// build. `cargo test --release -p nn -- --ignored`.
+    #[test]
+    #[ignore = "exhaustive over every f32; run in the release build"]
+    #[cfg(target_env = "gnu")]
+    fn exp_port_matches_libm_on_every_input() {
+        std::thread::scope(|s| {
+            for half in [0u32, 1 << 31] {
+                s.spawn(move || {
+                    assert_exp_matches_libm((half..=half | 0x7fff_ffff).map(f32::from_bits))
+                });
+            }
+        });
     }
 
     #[test]
