@@ -10,13 +10,14 @@
 //!
 //! # Design
 //!
-//! One driver walks the output in column panels — 32 wide, then at most
-//! one of 16, then at most one zero-padded panel for the last `n % 16`
-//! columns — and runs every panel through `tile.rs`: register tiles of
-//! 4 rows × the panel width, then single rows, each tile's accumulators
-//! held in registers across the whole reduction. So every output shape,
-//! including `m < 4`, `n < 16` and the classifier heads that are no
-//! multiple of anything, takes the same constant-width loops. The entry
+//! One driver walks the output in column panels — `tile.rs`'s widest
+//! (64 with 512-bit registers, else 32), then at most one of 32 and one of
+//! 16, then at most one zero-padded panel for the last `n % 16` columns —
+//! and runs every panel through `tile.rs`: register tiles of 4 rows × the
+//! panel width, then single rows, each tile's accumulators held in
+//! registers across the whole reduction. So every output shape, including
+//! `m < 4`, `n < 16` and the classifier heads that are no multiple of
+//! anything, takes the same constant-width loops. The entry
 //! points differ only in how a reduction step's operands are read:
 //!
 //! * **Left operand** — never packed. `a · …` gathers one scalar from each
@@ -26,8 +27,8 @@
 //!   panel by panel; only its sub-16 column tail is copied, zero-padded to
 //!   width 16, into a reused thread-local panel buffer. `· bᵀ` transposes
 //!   each panel of its `[n, k]` operand into that same buffer right before
-//!   the panel is consumed, so the scratch footprint is one `k × 32` panel
-//!   and no whole matrix is ever materialised.
+//!   the panel is consumed, so the scratch footprint is one panel of `k`
+//!   rows and no whole matrix is ever materialised.
 //!
 //! Convolution does not come through here: its im2col operand is an offset
 //! table over a flat buffer; see `window.rs`, which drives the same tile.
@@ -51,7 +52,7 @@
 //! by the `nn` layer workspaces; the `Tensor` methods wrap them with a
 //! fresh output buffer.
 
-use crate::tile::{matrix_rows, panel_rows, LeftCols, LeftRows, LeftSteps};
+use crate::tile::{matrix_rows, panel_rows, LeftCols, LeftRows, LeftSteps, WIDE};
 use crate::{Result, Tensor, TensorError};
 use std::cell::RefCell;
 
@@ -118,6 +119,7 @@ fn gemm(left: impl LeftSteps, rhs: Rhs<'_>, out: &mut [f32], m: usize, k: usize,
             // `w` valid columns computed as an `nb`-wide panel; they
             // differ only on the zero-padded sub-16 tail.
             let w = match n - j0 {
+                rest if rest >= WIDE => WIDE,
                 32.. => 32,
                 16.. => 16,
                 tail => tail,
@@ -135,8 +137,14 @@ fn gemm(left: impl LeftSteps, rhs: Rhs<'_>, out: &mut [f32], m: usize, k: usize,
                 }
             };
             // Full panels store at constant width; only the tail pays for
-            // a variable-width copy.
+            // a variable-width copy. A guard, not a pattern, picks `WIDE`:
+            // where it is 32 the next arm is never reached.
             match (nb, w) {
+                _ if nb == WIDE => {
+                    panel_rows::<WIDE>(left, m, matrix_rows(b, stride, at), |i, row| {
+                        out[i * n + j0..][..WIDE].copy_from_slice(row)
+                    })
+                }
                 (32, _) => panel_rows::<32>(left, m, matrix_rows(b, stride, at), |i, row| {
                     out[i * n + j0..][..32].copy_from_slice(row)
                 }),
@@ -424,8 +432,8 @@ mod tests {
     #[test]
     fn packed_kernels_are_bit_identical_to_naive() {
         // Every hand-off in the driver: a row tail after a 4-row tile and
-        // rows that never fill one (m), the 32 → 16 → padded-tail panel
-        // sequence with each class present and absent (n), and reductions
+        // rows that never fill one (m), the 64 → 32 → 16 → padded-tail
+        // panel sequence with each class present and absent (n), and reductions
         // of nothing, one step, and lengths around a multiple of four (k).
         // For `tn`, m = 4 and m = 8 read `a[kk][i..i + 4]` with `i + 4 == m`.
         // Dense and ReLU-sparse (about half the entries exactly zero).
@@ -438,9 +446,12 @@ mod tests {
         };
         let edges = (1..=9).flat_map(|m| {
             [0, 1, 3, 4, 5, 32, 257].into_iter().flat_map(move |k| {
-                [1, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 80, 100]
-                    .into_iter()
-                    .map(move |n| (m, k, n))
+                [
+                    1, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 80, 96, 100, 112, 127, 128,
+                    129,
+                ]
+                .into_iter()
+                .map(move |n| (m, k, n))
             })
         });
         // Larger shapes: many row tiles per panel, many panels per row.

@@ -5,19 +5,40 @@
 //! operands come from: four (or one) left values and an `NB`-wide right
 //! row, both handed to [`fma_tile`] **by value** as fixed-size arrays. That
 //! is what keeps the tile fast without `unsafe`: the loop body indexes
-//! nothing, so it has no bounds check, and the 4×32 accumulator block (16
-//! 256-bit registers) plus one right row and a broadcast fit the 32
-//! vector registers of an AVX-512 host, so nothing spills. Per step that
-//! is 16 FMAs against 4 loads, 4 broadcasts and the loop control.
+//! nothing, so it has no bounds check, and the accumulators stay in
+//! registers across the whole reduction.
+//!
+//! **Register budget.** A full tile is 4 rows × [`WIDE`] columns: 16
+//! accumulator registers, plus the 4 registers of one right row and a
+//! broadcast, which is 21 of the 32 vector registers of an AVX-512 host,
+//! so nothing spills. Per step that is 16 FMAs against 4 loads, 4
+//! broadcasts and the loop control. With 512-bit registers `WIDE` is 64;
+//! the 32-column panel the driver falls back to is then 8 zmm accumulators,
+//! which leaves the two FMA ports too few independent chains to hide
+//! their latency (the 32×256×64 product ran at 54–64 GFLOP/s that way,
+//! against a 145–160 GFLOP/s FMA peak). Taller tiles are ruled out, see
+//! [`TILE_ROWS`].
 //!
 //! The bit-exactness contract of the crate lives in [`fma_tile`]'s loop:
 //! every output element is one accumulator from `+0.0`, one `f32::mul_add`
 //! per term, in the order the steps arrive (ascending reduction index).
 
+/// Columns of the widest panel: four vector registers per tile row, so a
+/// full tile holds 16 accumulator registers. That is 64 columns where the
+/// build has 512-bit registers (AVX-512, which `.cargo/config.toml` lets
+/// the autovectoriser use at full width) and 32 with 256-bit ones. The
+/// same 64 columns in 256-bit registers would need all 32 of them for
+/// accumulators alone and spill.
+pub(crate) const WIDE: usize = if cfg!(target_feature = "avx512f") {
+    64
+} else {
+    32
+};
+
 /// Output rows per register tile. Rows left over after the 4-row tiles run
 /// one at a time. Taller is not faster: at 8 rows the autovectoriser turns
 /// the tile into gathers and scatters (measured 5 GFLOP/s against 80 at
-/// 32×256×64).
+/// 32×256×64, and a 14× slower MLP training step).
 const TILE_ROWS: usize = 4;
 
 /// The register tile: folds `acc[r][j] = fma(a[r], b[j], acc[r][j])` over

@@ -34,22 +34,28 @@
 //! already hold inf/NaN carry no bit contract.
 
 use crate::matmul::check_len;
-use crate::tile::{array_at, matrix_rows, panel_rows, LeftCols};
+use crate::tile::{array_at, matrix_rows, panel_rows, LeftCols, WIDE};
 
 /// Column granularity of the tiled kernels: window widths are multiples of
 /// this, so every tile runs through constant-width loops. Callers round
 /// their logical width up and ignore the extra columns.
 pub const WINDOW_PANEL: usize = 16;
 
-/// Walks `n` columns as panels of 32 and then at most one of 16, calling
-/// `f(j0, width)`; right to left when `reverse`.
+/// Walks `n` columns as panels of [`WIDE`], then at most one of 32 and
+/// at most one of 16, calling `f(j0, width)`; right to left when `reverse`.
 #[inline(always)]
 fn for_each_panel(n: usize, reverse: bool, mut f: impl FnMut(usize, usize)) {
-    let wide = n / 32;
-    let panels = wide + (n % 32) / WINDOW_PANEL;
-    for p in 0..panels {
-        let p = if reverse { panels - 1 - p } else { p };
-        f(p * 32, if p < wide { 32 } else { WINDOW_PANEL });
+    let tail16 = n % 32;
+    let tail32 = n % WIDE - tail16;
+    let wide = n - tail32 - tail16;
+    let panels = (0..wide / WIDE)
+        .map(|p| (p * WIDE, WIDE))
+        .chain((tail32 > 0).then_some((wide, 32)))
+        .chain((tail16 > 0).then_some((wide + tail32, WINDOW_PANEL)));
+    if reverse {
+        panels.rev().for_each(|(j0, nb)| f(j0, nb));
+    } else {
+        panels.for_each(|(j0, nb)| f(j0, nb));
     }
 }
 
@@ -97,6 +103,9 @@ pub fn window_gemm_tn_into(
     }
     let left = LeftCols { a, m };
     for_each_panel(n, false, |j0, nb| match nb {
+        _ if nb == WIDE => panel_rows::<WIDE>(left, m, window_rows(src, off, j0), |i, row| {
+            out[i * n + j0..i * n + j0 + WIDE].copy_from_slice(row)
+        }),
         32 => panel_rows::<32>(left, m, window_rows(src, off, j0), |i, row| {
             out[i * n + j0..i * n + j0 + 32].copy_from_slice(row)
         }),
@@ -151,6 +160,9 @@ pub fn window_gemm_tn_add(
     let m = off.len();
     let left = LeftCols { a, m };
     for_each_panel(n, true, |j0, nb| match nb {
+        _ if nb == WIDE => panel_rows::<WIDE>(left, m, matrix_rows(b, n, j0), |i, row| {
+            add_row(&mut dst[off[i] + j0..off[i] + j0 + WIDE], row)
+        }),
         32 => panel_rows::<32>(left, m, matrix_rows(b, n, j0), |i, row| {
             add_row(&mut dst[off[i] + j0..off[i] + j0 + 32], row)
         }),
@@ -339,8 +351,8 @@ mod tests {
 
     #[test]
     fn tn_into_matches_materialized_windows() {
-        // Row counts around the 4-row tile, widths around both panel
-        // classes, reduction lengths 1 and up.
+        // Row counts around the 4-row tile, widths around every panel
+        // class (64, 32, 16), reduction lengths 1 and up.
         for (m, k, n) in [
             (1, 1, 16),
             (3, 9, 32),
@@ -349,6 +361,8 @@ mod tests {
             (8, 72, 288),
             (10, 27, 96),
             (16, 72, 80),
+            (6, 9, 64),
+            (7, 18, 112),
         ] {
             let (off, len) = conv_like_offsets(k, 3, 11, n);
             let a = values(k * m, 1);
@@ -407,6 +421,7 @@ mod tests {
             (10, 3, 80),
             (72, 8, 288),
             (25, 16, 96),
+            (13, 9, 112),
         ] {
             let (off, len) = conv_like_offsets(m, 3, 11, n);
             let a = values(k * m, 5);

@@ -118,7 +118,7 @@ proptest! {
 
     // Bit-identity on awkward shapes: half the draws land m/k/n exactly on
     // a hand-off of the driver — a row tail after a 4-row tile, the
-    // 32 → 16 → padded-tail panel sequence, `tn` reading its last four
+    // 64 → 32 → 16 → padded-tail panel sequence, `tn` reading its last four
     // columns (including m = 1 matvec shapes and k = 0) — and all three
     // entry points must agree with the documented ascending-k FMA
     // reduction exactly, not approximately.
@@ -128,7 +128,7 @@ proptest! {
         k in size_with_edges(0..70, &[0, 1, 3, 4, 5, 32, 257]),
         n in size_with_edges(
             1..70,
-            &[1, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 80, 100],
+            &[1, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 80, 96, 100, 112, 127, 128, 129],
         ),
         seed in 0u64..1 << 48,
         sparse_flag in 0usize..2,
