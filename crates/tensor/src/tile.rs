@@ -15,8 +15,8 @@
 //! broadcasts and the loop control. With 512-bit registers `WIDE` is 64;
 //! the 32-column panel the driver falls back to is then 8 zmm accumulators,
 //! which leaves the two FMA ports too few independent chains to hide
-//! their latency (the 32×256×64 product ran at 54–64 GFLOP/s that way,
-//! against a 145–160 GFLOP/s FMA peak). Taller tiles are ruled out, see
+//! their latency (the 32×256×64 product ran at 55–70 GFLOP/s that way,
+//! against an FMA peak of about 140). Taller tiles are ruled out, see
 //! [`TILE_ROWS`].
 //!
 //! The bit-exactness contract of the crate lives in [`fma_tile`]'s loop:
