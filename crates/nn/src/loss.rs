@@ -56,15 +56,15 @@ impl Loss {
         let (_, classes) = check(logits, labels);
         match self {
             Loss::CrossEntropy => {
-                let mut exps = vec![0.0f32; classes];
-                labels
-                    .iter()
-                    .enumerate()
-                    .map(|(r, &label)| {
-                        let sum = softmax_row(logits.row(r), &mut exps);
-                        label_loss(exps[label], sum)
-                    })
-                    .collect()
+                let mut cols = vec![[0.0f32; LANES]; classes];
+                let mut rows = Vec::with_capacity(labels.len());
+                for (r0, block) in (0..).step_by(LANES).zip(labels.chunks(LANES)) {
+                    let sums = softmax_block(block_rows(logits, r0, block.len()), &mut cols);
+                    rows.extend(
+                        (block.iter().enumerate()).map(|(r, &l)| label_loss(cols[l][r], sums[r])),
+                    );
+                }
+                rows
             }
             Loss::MeanSquaredError => labels
                 .iter()
@@ -110,67 +110,81 @@ fn cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
     let (batch, classes) = check(logits, labels);
     let mut grad = Tensor::zeros(&[batch, classes]);
     let mut total = 0.0f64;
-    for (r, &label) in labels.iter().enumerate() {
-        // Stage the exponentials in the gradient row (no per-row buffer),
-        // then transform them to `(softmax − onehot)/batch` in place.
-        let grow = grad.row_mut(r);
-        let sum = softmax_row(logits.row(r), grow);
-        total += label_loss(grow[label], sum);
-        for (c, g) in grow.iter_mut().enumerate() {
-            let softmax = *g / sum;
-            let onehot = if c == label { 1.0 } else { 0.0 };
-            *g = (softmax - onehot) / batch as f32;
+    let mut cols = vec![[0.0f32; LANES]; classes];
+    for (r0, block) in (0..).step_by(LANES).zip(labels.chunks(LANES)) {
+        let sums = softmax_block(block_rows(logits, r0, block.len()), &mut cols);
+        let label: [usize; LANES] =
+            std::array::from_fn(|r| block.get(r).copied().unwrap_or(usize::MAX));
+        for (r, &l) in block.iter().enumerate() {
+            total += label_loss(cols[l][r], sums[r]);
+        }
+        // `(softmax − onehot)/batch` a column at a time, then back into
+        // the gradient rows.
+        for (c, col) in cols.iter_mut().enumerate() {
+            *col = std::array::from_fn(|r| {
+                let onehot = if c == label[r] { 1.0 } else { 0.0 };
+                (col[r] / sums[r] - onehot) / batch as f32
+            });
+        }
+        let grad_rows = &mut grad.as_mut_slice()[r0 * classes..(r0 + block.len()) * classes];
+        for (r, grow) in grad_rows.chunks_exact_mut(classes).enumerate() {
+            for (g, col) in grow.iter_mut().zip(&cols) {
+                *g = col[r];
+            }
         }
     }
     ((total / batch as f64) as f32, grad)
 }
 
-/// The one softmax row kernel behind [`cross_entropy`] and
-/// [`Loss::row_losses`]: writes `exp(v − max)` for every logit `v` of `row`
-/// into `exps` and returns their sum, added left to right in `f32`.
+/// The logits of rows `r0..r0 + rows`, flat.
+fn block_rows(logits: &Tensor, r0: usize, rows: usize) -> &[f32] {
+    let classes = logits.dims()[1];
+    &logits.as_slice()[r0 * classes..(r0 + rows) * classes]
+}
+
+/// The one softmax kernel behind [`cross_entropy`] and
+/// [`Loss::row_losses`], over a block of at most [`LANES`] logit `rows`
+/// (flat, `cols.len()` classes each): leaves `exp(v − max)` of logit `c`
+/// of row `r` in `cols[c][r]` and returns the row sums, each added left to
+/// right in `f32`.
 ///
-/// The max runs lane-parallel. That is exact: the max reaches the output
-/// only through `exp(v − max)`, which is the same for either zero sign,
-/// and `f32::max` drops a NaN in any order. The exponentials run
-/// [`LANES`] at a time through [`exp_lanes`]; the row's last partial chunk
-/// is padded, and its padding lanes are discarded.
-fn softmax_row(row: &[f32], exps: &mut [f32]) -> f32 {
-    let mut lanes = [f32::NEG_INFINITY; LANES];
-    let chunks = row.chunks_exact(LANES);
-    let tail = chunks.remainder();
-    for chunk in chunks {
-        for (m, &v) in lanes.iter_mut().zip(chunk) {
-            *m = m.max(v);
+/// One lane per row: the block is loaded column by column, so the rows'
+/// exponentials and add chains advance together rather than one
+/// latency-bound row at a time, and each row still sees the float
+/// operations of the one-row loop (its max, one [`expf`] per logit, its
+/// own left-to-right sum). The max order is free: the max reaches the
+/// output only through `exp(v − max)`, which is the same for either zero
+/// sign, and `f32::max` drops a NaN in any order. Lanes past the block's
+/// rows repeat its last row and are never read.
+fn softmax_block(rows: &[f32], cols: &mut [[f32; LANES]]) -> [f32; LANES] {
+    let classes = cols.len();
+    let last = rows.len() / classes - 1;
+    let row: [&[f32]; LANES] = std::array::from_fn(|r| &rows[r.min(last) * classes..][..classes]);
+    for (c, col) in cols.iter_mut().enumerate() {
+        *col = std::array::from_fn(|r| row[r][c]);
+    }
+    let max = cols.iter().fold([f32::NEG_INFINITY; LANES], |m, col| {
+        std::array::from_fn(|r| m[r].max(col[r]))
+    });
+    let mut sums = [0.0f32; LANES];
+    for col in cols.iter_mut() {
+        *col = exp_lanes(std::array::from_fn(|r| col[r] - max[r]));
+        for (s, &e) in sums.iter_mut().zip(col.iter()) {
+            *s += e;
         }
     }
-    let max = tail
-        .iter()
-        .chain(&lanes)
-        .copied()
-        .fold(f32::NEG_INFINITY, f32::max);
-
-    let mut outs = exps.chunks_exact_mut(LANES);
-    for (chunk, out) in row.chunks_exact(LANES).zip(&mut outs) {
-        let x: [f32; LANES] = chunk.try_into().expect("chunk has LANES values");
-        out.copy_from_slice(&exp_lanes(x.map(|v| v - max)));
-    }
-    if !tail.is_empty() {
-        let mut x = [0.0f32; LANES];
-        x[..tail.len()].copy_from_slice(tail);
-        let e = exp_lanes(x.map(|v| v - max));
-        outs.into_remainder().copy_from_slice(&e[..tail.len()]);
-    }
-    exps.iter().fold(0.0f32, |acc, &e| acc + e)
+    sums
 }
 
 /// One row's loss summand, `−ln softmax[label]`, from the label's
-/// exponential and the row sum of [`softmax_row`].
+/// exponential and the row sum of [`softmax_block`].
 fn label_loss(exp_label: f32, sum: f32) -> f64 {
     -f64::from((exp_label / sum).max(f32::MIN_POSITIVE).ln())
 }
 
-/// Values per call of [`exp_lanes`].
-const LANES: usize = 8;
+/// Rows per block of [`softmax_block`], and values per call of
+/// [`exp_lanes`].
+const LANES: usize = 16;
 
 /// [`expf`] on every lane. The array comes and goes by value and `expf`
 /// has no branch, so the loop vectorises.
@@ -428,9 +442,11 @@ mod tests {
 
     #[test]
     fn cross_entropy_is_bit_identical_to_the_scalar_reference() {
-        // Every lane remainder of an 8- or 16-wide pass (classes), batches
-        // 1..=33, and rows that stress the max and the exponentials: ties,
-        // ±0, -inf (also a whole row of it), spreads of 1e4, a NaN.
+        // Every lane remainder of an 8- or 16-wide pass (classes); batches
+        // 1..=33, 47, 48, 49 and the 256-row eval chunk, so full, partial
+        // and several 16-row blocks; and rows that stress the max and the
+        // exponentials: ties, ±0, -inf (also a whole row of it), spreads of
+        // 1e4, a NaN, the last two inside every full block.
         let mut seed = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             seed ^= seed << 13;
@@ -439,7 +455,7 @@ mod tests {
             seed
         };
         for classes in [1usize, 2, 7, 8, 9, 10, 16, 100, 101] {
-            for batch in 1..=33usize {
+            for batch in (1..=33usize).chain([47, 48, 49, 256]) {
                 let mut logits = Vec::with_capacity(batch * classes);
                 for r in 0..batch {
                     for c in 0..classes {

@@ -13,22 +13,26 @@
 //! One driver walks the output in column panels — `tile.rs`'s widest
 //! (64 with 512-bit registers, else 32), then at most one of 32 and one of
 //! 16, then at most one zero-padded panel for the last `n % 16` columns —
-//! and runs every panel through `tile.rs`: register tiles of 4 rows × the
-//! panel width, then single rows, each tile's accumulators held in
-//! registers across the whole reduction. So every output shape, including
-//! `m < 4`, `n < 16` and the classifier heads that are no multiple of
-//! anything, takes the same constant-width loops. The entry
+//! and reduces each panel in blocks of [`KB`] steps, so a block of the
+//! right operand stays in L1 while every row tile reads it. Each block runs
+//! through `tile.rs`: register tiles of 4 rows × the panel width, then
+//! single rows, each tile's accumulators held in registers across the
+//! block, starting at zero in the first block and from the partial rows
+//! the block before stored in every later one. So every output shape,
+//! including `m < 4`, `n < 16` and the classifier heads that are no
+//! multiple of anything, takes the same constant-width loops. The entry
 //! points differ only in how a reduction step's operands are read:
 //!
 //! * **Left operand** — never packed. `a · …` gathers one scalar from each
 //!   of a tile's four row slices; `aᵀ · …` finds a step's four values
 //!   adjacent in the row-major `[k, m]` operand and reads them in place.
 //! * **Right operand** — a row-major `[k, n]` operand is read in place,
-//!   panel by panel; only its sub-16 column tail is copied, zero-padded to
+//!   block by block; only its sub-16 column tail is copied, zero-padded to
 //!   width 16, into a reused thread-local panel buffer. `· bᵀ` transposes
-//!   each panel of its `[n, k]` operand into that same buffer right before
-//!   the panel is consumed, so the scratch footprint is one panel of `k`
-//!   rows and no whole matrix is ever materialised.
+//!   each block of its `[n, k]` operand into that same buffer, 16 columns
+//!   at a time, right before the block is consumed, so the scratch
+//!   footprint is one block of [`KB`] rows and no whole matrix is ever
+//!   materialised.
 //!
 //! Convolution does not come through here: its im2col operand is an offset
 //! table over a flat buffer; see `window.rs`, which drives the same tile.
@@ -37,9 +41,11 @@
 //!
 //! Every output element is reduced with a **single accumulator in
 //! ascending-`k` order via fused multiply-add** (`f32::mul_add`, one
-//! rounding per term instead of two). Panel widths and tile heights change
-//! which elements are computed together, never the sequence of float
-//! operations per element — so results are bit-identical to the FMA-folded
+//! rounding per term instead of two). Panel widths, tile heights and
+//! reduction blocks change which elements are computed together and when,
+//! never the sequence of float operations per element: a block's partial
+//! row goes to memory and comes back as the same `f32`, so the next block
+//! continues the one chain. Results are bit-identical to the FMA-folded
 //! textbook three-loop kernel at any vector width, on any machine with
 //! hardware FMA, and (because each GEMM call is single-threaded with
 //! thread-local scratch) on any thread count or pool size. The
@@ -55,45 +61,75 @@
 use crate::tile::{matrix_rows, panel_rows, LeftCols, LeftRows, LeftSteps, WIDE};
 use crate::{Result, Tensor, TensorError};
 use std::cell::RefCell;
+use std::ops::Range;
 
 thread_local! {
-    /// The reused right-operand panel buffer; grows to the longest
-    /// reduction seen on this thread, so steady-state GEMMs allocate
-    /// nothing.
+    /// The reused right-operand panel buffer; grows to the largest packed
+    /// block seen on this thread (at most [`KB`] rows), so steady-state
+    /// GEMMs allocate nothing.
     static PANEL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
+
+/// Reduction steps per block of the driver. A block of a 64-wide panel's
+/// right-operand rows is 24 KiB, so it stays in the 48 KiB L1 while every
+/// row tile of the product reads it; a whole `[256, 64]` operand would be
+/// streamed from L2 once per tile.
+pub(crate) const KB: usize = 96;
 
 /// How the driver reads the right operand, a logical `[k, n]` matrix.
 #[derive(Clone, Copy)]
 enum Rhs<'a> {
     /// Stored row-major `[k, n]`: full-width panels are read in place.
     Rows(&'a [f32]),
-    /// Stored row-major `[n, k]` (the `· bᵀ` case): every panel is
-    /// transposed into the panel buffer.
+    /// Stored row-major `[n, k]` (the `· bᵀ` case): every block of every
+    /// panel is transposed into the panel buffer.
     Transposed(&'a [f32]),
 }
 
 impl Rhs<'_> {
-    /// Packs logical columns `j0..j0 + width` into `dst` in panel layout:
-    /// element `(kk, j0 + jj)` lands at `dst[kk * nr + jj]`.
+    /// Packs reduction steps `ks` of logical columns `j0..j0 + width` into
+    /// `dst` in panel layout: element `(ks.start + kk, j0 + jj)` lands at
+    /// `dst[kk * nr + jj]`.
     ///
-    /// `dst` has `k * nr` slots and every one is written (the `width..nr`
-    /// column pad with zeros), because the buffer is reused across calls.
-    fn pack_panel(self, k: usize, n: usize, j0: usize, width: usize, nr: usize, dst: &mut [f32]) {
+    /// `dst` has `ks.len() * nr` slots and every one is written (the
+    /// `width..nr` column pad with zeros), because the buffer is reused
+    /// across calls.
+    fn pack_panel(
+        self,
+        ks: Range<usize>,
+        n: usize,
+        j0: usize,
+        width: usize,
+        nr: usize,
+        dst: &mut [f32],
+    ) {
         if width < nr {
             dst.fill(0.0);
         }
         match self {
             Rhs::Rows(b) => {
-                for (row, b_row) in dst.chunks_exact_mut(nr).zip(b.chunks_exact(n)) {
+                let rows = b[ks.start * n..ks.end * n].chunks_exact(n);
+                for (row, b_row) in dst.chunks_exact_mut(nr).zip(rows) {
                     row[..width].copy_from_slice(&b_row[j0..j0 + width]);
                 }
             }
-            // Read `b` rows contiguously, scatter into the panel at
-            // stride `nr`.
+            // Transpose 16 columns at a time: a step's 16 values, one from
+            // each of 16 `b` rows, are gathered into a fixed-size array and
+            // stored as one contiguous panel row. Columns past the last
+            // full strip (a tail panel's) go one scalar at a time.
             Rhs::Transposed(b) => {
-                for (jj, b_row) in b[j0 * k..(j0 + width) * k].chunks_exact(k).enumerate() {
-                    for (kk, &v) in b_row.iter().enumerate() {
+                let k = b.len() / n;
+                let col = |jj: usize| &b[(j0 + jj) * k + ks.start..][..ks.len()];
+                let strips = width / 16 * 16;
+                for jb in (0..strips).step_by(16) {
+                    let cols: [&[f32]; 16] = std::array::from_fn(|r| col(jb + r));
+                    for (kk, row) in dst.chunks_exact_mut(nr).take(ks.len()).enumerate() {
+                        let step: [f32; 16] = std::array::from_fn(|r| cols[r][kk]);
+                        row[jb..jb + 16].copy_from_slice(&step);
+                    }
+                }
+                for jj in strips..width {
+                    for (kk, &v) in col(jj).iter().enumerate() {
                         dst[kk * nr + jj] = v;
                     }
                 }
@@ -112,52 +148,83 @@ fn gemm(left: impl LeftSteps, rhs: Rhs<'_>, out: &mut [f32], m: usize, k: usize,
         out.fill(0.0);
         return;
     }
+    let product = Product { left, rhs, m, k, n };
     PANEL_SCRATCH.with(|scratch| {
         let scratch = &mut *scratch.borrow_mut();
         let mut j0 = 0;
         while j0 < n {
-            // `w` valid columns computed as an `nb`-wide panel; they
-            // differ only on the zero-padded sub-16 tail.
+            // `w` valid columns computed as a panel of 16 or more; they
+            // differ only on the zero-padded sub-16 tail. Full panels load
+            // and store at constant width; only the tail pays for a
+            // variable-width copy. A guard, not a pattern, picks `WIDE`:
+            // where it is 32 the next arm is never reached.
             let w = match n - j0 {
                 rest if rest >= WIDE => WIDE,
                 32.. => 32,
                 16.. => 16,
                 tail => tail,
             };
-            let nb = w.max(16);
-            let (b, stride, at) = match rhs {
-                Rhs::Rows(b) if w == nb => (b, n, j0),
-                _ => {
-                    if scratch.len() < k * nb {
-                        scratch.resize(k * nb, 0.0);
-                    }
-                    let panel = &mut scratch[..k * nb];
-                    rhs.pack_panel(k, n, j0, w, nb, panel);
-                    (&*panel, nb, 0)
-                }
-            };
-            // Full panels store at constant width; only the tail pays for
-            // a variable-width copy. A guard, not a pattern, picks `WIDE`:
-            // where it is 32 the next arm is never reached.
-            match (nb, w) {
-                _ if nb == WIDE => {
-                    panel_rows::<WIDE>(left, m, matrix_rows(b, stride, at), |i, row| {
-                        out[i * n + j0..][..WIDE].copy_from_slice(row)
-                    })
-                }
-                (32, _) => panel_rows::<32>(left, m, matrix_rows(b, stride, at), |i, row| {
-                    out[i * n + j0..][..32].copy_from_slice(row)
-                }),
-                (_, 16) => panel_rows::<16>(left, m, matrix_rows(b, stride, at), |i, row| {
-                    out[i * n + j0..][..16].copy_from_slice(row)
-                }),
-                _ => panel_rows::<16>(left, m, matrix_rows(b, stride, at), |i, row| {
-                    out[i * n + j0..][..w].copy_from_slice(&row[..w])
-                }),
+            match w {
+                _ if w == WIDE => product.panel::<WIDE>(scratch, out, j0, WIDE),
+                32 => product.panel::<32>(scratch, out, j0, 32),
+                16 => product.panel::<16>(scratch, out, j0, 16),
+                _ => product.panel::<16>(scratch, out, j0, w),
             }
             j0 += w;
         }
     });
+}
+
+/// The operands and shape of one [`gemm`] call.
+#[derive(Clone, Copy)]
+struct Product<'a, L> {
+    left: L,
+    rhs: Rhs<'a>,
+    m: usize,
+    k: usize,
+    n: usize,
+}
+
+impl<L: LeftSteps> Product<'_, L> {
+    /// Output columns `j0..j0 + w` of every row, computed `NB` wide, one
+    /// reduction block after another. The first block starts every
+    /// accumulator at `+0.0`, each later one from the `w` columns the block
+    /// before stored in `out` (the lanes past `w` of a tail panel are
+    /// discarded, so they start at zero).
+    #[inline(always)]
+    fn panel<const NB: usize>(self, scratch: &mut Vec<f32>, out: &mut [f32], j0: usize, w: usize) {
+        let Product { left, rhs, m, k, n } = self;
+        for k0 in (0..k).step_by(KB) {
+            let ks = k0..k.min(k0 + KB);
+            let (b, stride, at) = match rhs {
+                Rhs::Rows(b) if w == NB => (&b[k0 * n..ks.end * n], n, j0),
+                _ => {
+                    let len = ks.len() * NB;
+                    if scratch.len() < len {
+                        scratch.resize(len, 0.0);
+                    }
+                    rhs.pack_panel(ks.clone(), n, j0, w, NB, &mut scratch[..len]);
+                    (&scratch[..len], NB, 0)
+                }
+            };
+            let rows = matrix_rows(b, stride, at);
+            let store = |out: &mut [f32], i: usize, row: &[f32; NB]| {
+                out[i * n + j0..][..w].copy_from_slice(&row[..w])
+            };
+            // Two calls, so a product of one block (most of them) starts
+            // from constant zeros with no per-tile branch.
+            if k0 == 0 {
+                panel_rows(left, ks, rows, out, m, |_, _| [0.0; NB], store);
+            } else {
+                let partial = |out: &[f32], i: usize| {
+                    let mut acc = [0.0f32; NB];
+                    acc[..w].copy_from_slice(&out[i * n + j0..][..w]);
+                    acc
+                };
+                panel_rows(left, ks, rows, out, m, partial, store);
+            }
+        }
+    }
 }
 
 /// Writes `a · b` into `out` for row-major `a: [m, k]`, `b: [k, n]`,
@@ -434,7 +501,10 @@ mod tests {
         // Every hand-off in the driver: a row tail after a 4-row tile and
         // rows that never fill one (m), the 64 → 32 → 16 → padded-tail
         // panel sequence with each class present and absent (n), and reductions
-        // of nothing, one step, and lengths around a multiple of four (k).
+        // of nothing, one step, lengths around a multiple of four, lengths
+        // that are no multiple of 8 or 16, and lengths around the reduction
+        // block (a step short of one block, one, a step over, two and a
+        // step) (k).
         // For `tn`, m = 4 and m = 8 read `a[kk][i..i + 4]` with `i + 4 == m`.
         // Dense and ReLU-sparse (about half the entries exactly zero).
         let mut seed = 0x2545_F491_4F6C_DD1Du64;
@@ -444,8 +514,12 @@ mod tests {
             seed ^= seed << 17;
             (seed >> 40) as f32 / 1e5 - 0.08
         };
+        let blocks = [KB - 1, KB, KB + 1, 2 * KB + 1];
         let edges = (1..=9).flat_map(|m| {
-            [0, 1, 3, 4, 5, 32, 257].into_iter().flat_map(move |k| {
+            let ks = [0, 1, 3, 4, 5, 9, 15, 17, 32, 257]
+                .into_iter()
+                .chain(blocks);
+            ks.flat_map(move |k| {
                 [
                     1, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 80, 96, 100, 112, 127, 128,
                     129,
@@ -483,7 +557,8 @@ mod tests {
     fn stale_panel_scratch_never_reaches_a_valid_lane() {
         // The panel buffer is reused across calls on a thread. Fill it with
         // a long, wide `nt` product, then run small products whose panels
-        // are packed (a padded column tail; every `nt` panel) and compare
+        // are packed (a padded column tail; every `nt` panel, among them a
+        // 16-column transpose strip over two reduction blocks) and compare
         // them with the same products on a thread whose buffer is new.
         fn small_products() -> Vec<u32> {
             let a: Vec<f32> = (0..5 * 7).map(|i| i as f32 * 0.37 - 6.0).collect();
@@ -494,7 +569,12 @@ mod tests {
             matmul_tn_into(&a, &b[..5 * 3], &mut tn, 5, 7, 3);
             let mut nt = vec![f32::NAN; 5 * 19];
             matmul_nt_into(&a, &b, &mut nt, 5, 7, 19);
-            bits(&[tailed, tn, nt].concat())
+            let k = KB + 4;
+            let a: Vec<f32> = (0..5 * k).map(|i| (i % 23) as f32 * 0.13 - 1.0).collect();
+            let b: Vec<f32> = (0..19 * k).map(|i| 0.7 - (i % 31) as f32 * 0.05).collect();
+            let mut strips = vec![f32::NAN; 5 * 19];
+            matmul_nt_into(&a, &b, &mut strips, 5, k, 19);
+            bits(&[tailed, tn, nt, strips].concat())
         }
         let (m, k, n) = (8, 300, 40);
         let a = vec![1.5f32; m * k];

@@ -6,7 +6,7 @@
 //! row, both handed to [`fma_tile`] **by value** as fixed-size arrays. That
 //! is what keeps the tile fast without `unsafe`: the loop body indexes
 //! nothing, so it has no bounds check, and the accumulators stay in
-//! registers across the whole reduction.
+//! registers across the whole reduction block.
 //!
 //! **Register budget.** A full tile is 4 rows × [`WIDE`] columns: 16
 //! accumulator registers, plus the 4 registers of one right row and a
@@ -21,7 +21,12 @@
 //!
 //! The bit-exactness contract of the crate lives in [`fma_tile`]'s loop:
 //! every output element is one accumulator from `+0.0`, one `f32::mul_add`
-//! per term, in the order the steps arrive (ascending reduction index).
+//! per term, in the order the steps arrive (ascending reduction index). A
+//! reduction may run in blocks of steps: the tile then starts from the
+//! partial row the previous block stored. That continues the same chain,
+//! because an `f32` stored to memory and loaded back is the same value.
+
+use std::ops::Range;
 
 /// Columns of the widest panel: four vector registers per tile row, so a
 /// full tile holds 16 accumulator registers. That is 64 columns where the
@@ -43,16 +48,17 @@ const TILE_ROWS: usize = 4;
 
 /// The register tile: folds `acc[r][j] = fma(a[r], b[j], acc[r][j])` over
 /// the reduction `steps` in the order they arrive, each step supplying `R`
-/// left-operand values and an `NB`-wide right-operand row.
+/// left-operand values and an `NB`-wide right-operand row, starting from
+/// the accumulators `acc` (zeros, or the partial rows of earlier steps).
 ///
 /// Steps arrive as fixed-size arrays and the tile is returned by value, so
 /// the loop body has no bounds check and the tile stays in registers; each
 /// caller applies its own store.
 #[inline(always)]
 fn fma_tile<const R: usize, const NB: usize>(
+    mut acc: [[f32; NB]; R],
     steps: impl Iterator<Item = ([f32; R], [f32; NB])>,
 ) -> [[f32; NB]; R] {
-    let mut acc = [[0.0f32; NB]; R];
     for (a, b) in steps {
         for (accr, &av) in acc.iter_mut().zip(&a) {
             for (o, &bv) in accr.iter_mut().zip(&b) {
@@ -83,8 +89,8 @@ pub(crate) fn matrix_rows<const NB: usize>(
 /// How a product reads its left operand: the values of `R` consecutive
 /// output rows at each reduction step, in ascending step order.
 pub(crate) trait LeftSteps: Copy {
-    /// The steps of output rows `i..i + R`.
-    fn steps<const R: usize>(self, i: usize) -> impl Iterator<Item = [f32; R]>;
+    /// Steps `ks` of output rows `i..i + R`.
+    fn steps<const R: usize>(self, i: usize, ks: Range<usize>) -> impl Iterator<Item = [f32; R]>;
 }
 
 /// A row-major `[m, k]` left operand (`a · …`): output row `i` is the
@@ -98,10 +104,10 @@ pub(crate) struct LeftRows<'a> {
 
 impl LeftSteps for LeftRows<'_> {
     #[inline(always)]
-    fn steps<const R: usize>(self, i: usize) -> impl Iterator<Item = [f32; R]> {
-        let k = self.k;
-        let rows: [&[f32]; R] = std::array::from_fn(|r| &self.a[(i + r) * k..][..k]);
-        (0..k).map(move |kk| std::array::from_fn(|r| rows[r][kk]))
+    fn steps<const R: usize>(self, i: usize, ks: Range<usize>) -> impl Iterator<Item = [f32; R]> {
+        let (k, len) = (self.k, ks.len());
+        let rows: [&[f32]; R] = std::array::from_fn(|r| &self.a[(i + r) * k + ks.start..][..len]);
+        (0..len).map(move |kk| std::array::from_fn(|r| rows[r][kk]))
     }
 }
 
@@ -116,36 +122,43 @@ pub(crate) struct LeftCols<'a> {
 
 impl LeftSteps for LeftCols<'_> {
     #[inline(always)]
-    fn steps<const R: usize>(self, i: usize) -> impl Iterator<Item = [f32; R]> {
-        self.a
+    fn steps<const R: usize>(self, i: usize, ks: Range<usize>) -> impl Iterator<Item = [f32; R]> {
+        self.a[ks.start * self.m..ks.end * self.m]
             .chunks_exact(self.m)
             .map(move |a_row| array_at(a_row, i))
     }
 }
 
-/// One `NB`-wide column panel of a product with `m` output rows: computes
-/// the rows in ascending order (register tiles of [`TILE_ROWS`], then
-/// single rows) and hands each finished row to `emit(i, row)`. `right`
-/// yields the panel's right-operand rows in ascending reduction order and
-/// is replayed once per tile.
+/// Reduction steps `ks` of one `NB`-wide column panel of a product with `m`
+/// output rows: computes the rows in ascending order (register tiles of
+/// [`TILE_ROWS`], then single rows), each from the accumulators
+/// `init(out, i)` gives it, and hands each finished row to
+/// `emit(out, i, row)`. `right` yields the panel's right-operand rows of
+/// those steps in ascending order and is replayed once per tile. `out` is
+/// passed through to both, so `init` may read the partial row an earlier
+/// block of steps stored there.
 #[inline(always)]
 pub(crate) fn panel_rows<const NB: usize>(
     left: impl LeftSteps,
-    m: usize,
+    ks: Range<usize>,
     right: impl Iterator<Item = [f32; NB]> + Clone,
-    mut emit: impl FnMut(usize, &[f32; NB]),
+    out: &mut [f32],
+    m: usize,
+    init: impl Fn(&[f32], usize) -> [f32; NB],
+    mut emit: impl FnMut(&mut [f32], usize, &[f32; NB]),
 ) {
     let mut i = 0;
     while i + TILE_ROWS <= m {
-        let tile: [_; TILE_ROWS] = fma_tile(left.steps(i).zip(right.clone()));
+        let acc = std::array::from_fn(|r| init(out, i + r));
+        let tile: [_; TILE_ROWS] = fma_tile(acc, left.steps(i, ks.clone()).zip(right.clone()));
         for (r, row) in tile.iter().enumerate() {
-            emit(i + r, row);
+            emit(out, i + r, row);
         }
         i += TILE_ROWS;
     }
     while i < m {
-        let [row] = fma_tile(left.steps(i).zip(right.clone()));
-        emit(i, &row);
+        let [row] = fma_tile([init(out, i)], left.steps(i, ks.clone()).zip(right.clone()));
+        emit(out, i, &row);
         i += 1;
     }
 }

@@ -29,9 +29,10 @@
 //! The same contract as the GEMM in `matmul.rs`: every product element is
 //! reduced by a **single accumulator, from `+0.0`, in ascending reduction
 //! index, one `f32::mul_add` per term**. Tiling only chooses which
-//! elements are computed together. The accumulate-into kernel adds one
-//! more ordering rule, stated on [`window_gemm_tn_add`]. Inputs that
-//! already hold inf/NaN carry no bit contract.
+//! elements are computed together; these kernels reduce in one block. The
+//! accumulate-into kernel adds one more ordering rule, stated on
+//! [`window_gemm_tn_add`]. Inputs that already hold inf/NaN carry no bit
+//! contract.
 
 use crate::matmul::check_len;
 use crate::tile::{array_at, matrix_rows, panel_rows, LeftCols, WIDE};
@@ -101,17 +102,26 @@ pub fn window_gemm_tn_into(
         out.fill(0.0);
         return;
     }
-    let left = LeftCols { a, m };
+    let (left, ks) = (LeftCols { a, m }, 0..off.len());
     for_each_panel(n, false, |j0, nb| match nb {
-        _ if nb == WIDE => panel_rows::<WIDE>(left, m, window_rows(src, off, j0), |i, row| {
-            out[i * n + j0..i * n + j0 + WIDE].copy_from_slice(row)
-        }),
-        32 => panel_rows::<32>(left, m, window_rows(src, off, j0), |i, row| {
-            out[i * n + j0..i * n + j0 + 32].copy_from_slice(row)
-        }),
-        _ => panel_rows::<16>(left, m, window_rows(src, off, j0), |i, row| {
-            out[i * n + j0..i * n + j0 + 16].copy_from_slice(row)
-        }),
+        _ if nb == WIDE => {
+            let rows = window_rows(src, off, j0);
+            panel_rows::<WIDE>(left, ks.clone(), rows, out, m, zeros, |out, i, row| {
+                out[i * n + j0..i * n + j0 + WIDE].copy_from_slice(row)
+            })
+        }
+        32 => {
+            let rows = window_rows(src, off, j0);
+            panel_rows::<32>(left, ks.clone(), rows, out, m, zeros, |out, i, row| {
+                out[i * n + j0..i * n + j0 + 32].copy_from_slice(row)
+            })
+        }
+        _ => {
+            let rows = window_rows(src, off, j0);
+            panel_rows::<16>(left, ks.clone(), rows, out, m, zeros, |out, i, row| {
+                out[i * n + j0..i * n + j0 + 16].copy_from_slice(row)
+            })
+        }
     });
 }
 
@@ -160,16 +170,32 @@ pub fn window_gemm_tn_add(
     let m = off.len();
     let left = LeftCols { a, m };
     for_each_panel(n, true, |j0, nb| match nb {
-        _ if nb == WIDE => panel_rows::<WIDE>(left, m, matrix_rows(b, n, j0), |i, row| {
-            add_row(&mut dst[off[i] + j0..off[i] + j0 + WIDE], row)
-        }),
-        32 => panel_rows::<32>(left, m, matrix_rows(b, n, j0), |i, row| {
-            add_row(&mut dst[off[i] + j0..off[i] + j0 + 32], row)
-        }),
-        _ => panel_rows::<16>(left, m, matrix_rows(b, n, j0), |i, row| {
-            add_row(&mut dst[off[i] + j0..off[i] + j0 + 16], row)
-        }),
+        _ if nb == WIDE => {
+            let rows = matrix_rows(b, n, j0);
+            panel_rows::<WIDE>(left, 0..k, rows, dst, m, zeros, |dst, i, row| {
+                add_row(&mut dst[off[i] + j0..off[i] + j0 + WIDE], row)
+            })
+        }
+        32 => {
+            let rows = matrix_rows(b, n, j0);
+            panel_rows::<32>(left, 0..k, rows, dst, m, zeros, |dst, i, row| {
+                add_row(&mut dst[off[i] + j0..off[i] + j0 + 32], row)
+            })
+        }
+        _ => {
+            let rows = matrix_rows(b, n, j0);
+            panel_rows::<16>(left, 0..k, rows, dst, m, zeros, |dst, i, row| {
+                add_row(&mut dst[off[i] + j0..off[i] + j0 + 16], row)
+            })
+        }
     });
+}
+
+/// The accumulators of a reduction run in one block: every product here
+/// starts from `+0.0`.
+#[inline(always)]
+fn zeros<const NB: usize>(_: &[f32], _: usize) -> [f32; NB] {
+    [0.0; NB]
 }
 
 #[inline(always)]

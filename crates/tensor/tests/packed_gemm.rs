@@ -4,8 +4,9 @@
 //! order — per output element, a single `f32::mul_add` accumulator in
 //! ascending-`k` order — and these properties pin all three entry points
 //! to a naive reference implementing exactly that order, bit for bit, on
-//! awkward shapes: m/k/n on and around every tile and panel boundary,
-//! m = 1 matvec shapes, k = 0, and ReLU-sparse zero blocks.
+//! awkward shapes: m/k/n on and around every tile, panel, transpose-strip
+//! and reduction-block boundary, m = 1 matvec shapes, k = 0, and
+//! ReLU-sparse zero blocks.
 
 use proptest::prelude::*;
 use tensor::{matmul_into, matmul_nt_into, matmul_tn_into};
@@ -125,11 +126,26 @@ proptest! {
     #[test]
     fn packed_kernels_bit_match_reference(
         m in 1usize..20,
-        k in size_with_edges(0..70, &[0, 1, 3, 4, 5, 32, 257]),
+        k in size_with_edges(0..70, &[0, 1, 3, 4, 5, 9, 15, 17, 32, 257]),
         n in size_with_edges(
             1..70,
-            &[1, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 80, 96, 100, 112, 127, 128, 129],
+            &[1, 9, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 80, 96, 100, 112, 127, 128, 129],
         ),
+        seed in 0u64..1 << 48,
+        sparse_flag in 0usize..2,
+    ) {
+        check_all_entry_points(m, k, n, seed, sparse_flag == 1);
+    }
+
+    // Reductions around the driver's 96-step block: one step short, one
+    // block, one step over (a one-step second block) and two blocks and a
+    // step. Every block after the first starts from the partial rows the
+    // one before stored, in every panel class and on the padded tail.
+    #[test]
+    fn packed_kernels_bit_match_across_reduction_blocks(
+        m in 4usize..12,
+        k in (0usize..4).prop_map(|i| [95, 96, 97, 193][i]),
+        n in (0usize..4).prop_map(|i| [16, 64, 100, 129][i]),
         seed in 0u64..1 << 48,
         sparse_flag in 0usize..2,
     ) {
