@@ -42,6 +42,7 @@ use rayon::prelude::*;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::ControlFlow;
+use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -1086,25 +1087,48 @@ impl SweepEngine {
     /// wave uses so one poisoned run cannot abort the whole wave. Failed
     /// keys are recorded (see [`SweepEngine::run_failures`]) and fail
     /// fast when a figure body later requests them.
+    ///
+    /// Every unique key is first looked up ([`SweepEngine::lookup`]); the
+    /// scenarios the cold keys need are then built, each distinct one once,
+    /// before any of those runs starts. Without that, the executors that
+    /// start together all miss the scenario cache and build the same
+    /// scenario side by side. A wave served entirely from memory or the
+    /// store builds nothing.
     pub fn warm(&self, specs: &[SweepSpec]) {
         note_batch();
-        // Unique specs in first-occurrence order; on a parallel engine one
+        // Cold specs in first-occurrence order; on a parallel engine one
         // pool job each, so heterogeneous run lengths load-balance.
         let mut seen = HashSet::new();
-        let mut unique: Vec<&SweepSpec> = specs
+        let mut cold: Vec<&SweepSpec> = specs
             .iter()
-            .filter(|spec| seen.insert(spec.key()))
+            .filter(|spec| {
+                let key = spec.key();
+                seen.insert(key.clone()) && self.lookup(&key).is_none()
+            })
             .collect();
+        let mut scenarios: Vec<&ScenarioSpec> = Vec::new();
+        for spec in &cold {
+            if !scenarios.contains(&&spec.scenario) {
+                scenarios.push(&spec.scenario);
+            }
+        }
+        // A build that panics here is swallowed: it panics again inside
+        // each of its runs' supervision, which records the failure.
+        let build = |scenario: &mut &ScenarioSpec| {
+            let _ = std::panic::catch_unwind(AssertUnwindSafe(|| self.scenario(scenario)));
+        };
         let queue_depth = telemetry::gauge("sweep.queue_depth");
-        queue_depth.add(unique.len() as i64);
+        queue_depth.add(cold.len() as i64);
         let resolve = |spec: &mut &SweepSpec| {
             let _ = self.try_trace_for(spec);
             queue_depth.add(-1);
         };
         if self.parallel {
-            unique.par_iter_mut().with_max_len(1).for_each(resolve);
+            scenarios.par_iter_mut().with_max_len(1).for_each(build);
+            cold.par_iter_mut().with_max_len(1).for_each(resolve);
         } else {
-            unique.iter_mut().for_each(resolve);
+            scenarios.iter_mut().for_each(build);
+            cold.iter_mut().for_each(resolve);
         }
     }
 
@@ -1262,6 +1286,30 @@ mod tests {
         assert_eq!(traces[0].points, traces[1].points);
         assert_eq!(traces[1].name, "again");
         assert_ne!(traces[0].points, traces[2].points);
+    }
+
+    #[test]
+    fn warm_builds_each_cold_scenario_once_and_none_for_stored_runs() {
+        let _serial = crate::failpoint::test_lock();
+        let dir = std::env::temp_dir().join(format!("adacomm_warm_unit_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let specs = vec![tiny_spec(4), tiny_spec(8), tiny_spec(4).named("again")];
+        let built = |engine: &SweepEngine| engine.scenarios.lock().unwrap().len();
+
+        let cold = SweepEngine::with_parallelism(true).with_store(RunStore::new(&dir));
+        cold.warm(&specs);
+        assert_eq!(built(&cold), 1, "one distinct scenario");
+        assert_eq!(cold.unique_runs(), 2);
+
+        let stored = SweepEngine::with_parallelism(true).with_store(RunStore::new(&dir));
+        stored.warm(&specs);
+        assert_eq!(built(&stored), 0, "every run came from the store");
+        let traffic = stored.cache_stats();
+        assert_eq!(
+            (traffic.disk_hits, traffic.misses, traffic.mem_hits),
+            (2, 0, 0)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -35,13 +35,6 @@ fn deterministic_view(delta: &telemetry::Snapshot) -> Vec<String> {
         }
     }
     for span in &delta.spans {
-        // The engine's scenario cache is check-compute-insert (it never
-        // blocks), so racing threads may build the same scenario more
-        // than once — that span's activation count is legitimately
-        // thread-count-dependent.
-        if span.name == "phase.scenario_build" {
-            continue;
-        }
         view.push(format!("span {} count {}", span.name, span.count));
     }
     view
