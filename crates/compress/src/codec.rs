@@ -604,33 +604,82 @@ mod tests {
         assert_eq!(fine.bytes, n.div_ceil(8) * 4 + (n * 5).div_ceil(8));
     }
 
+    /// An input that reaches every QSGD branch under buckets of 1, 7 and
+    /// 512: a run of `±0.0` long enough to give zero-norm buckets, `-0.0`
+    /// and tiny negative entries inside non-zero buckets (level 0 on the
+    /// negative side), and a length that leaves a short last bucket.
+    fn awkward_plane() -> Vec<f32> {
+        (0..1030)
+            .map(|i| match i {
+                512..=1023 if i % 2 == 0 => 0.0,
+                512..=1023 => -0.0,
+                _ if i % 11 == 0 => -0.0,
+                _ if i % 13 == 0 => -1e-30,
+                _ => ((i * 37) as f32 * 0.013).sin(),
+            })
+            .collect()
+    }
+
+    fn bits_of(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn fused_codecs_match_kernel_pipeline() {
         // The fused slice codecs re-implement the kernels inline for
         // zero-allocation operation; this pins them to the kernel pair so
-        // the two copies of the math cannot drift apart.
+        // the two copies of the math cannot drift apart. Bits, not values:
+        // `-0.0 == 0.0`, so a value compare would miss a sign flip on a
+        // zero reconstruction.
         use crate::kernels::{dequantize, pack_signs, quantize_stochastic, unpack_signs};
-        let x: Vec<f32> = (0..1030).map(|i| ((i * 37) as f32 * 0.013).sin()).collect();
+        let x = awkward_plane();
 
-        // QSGD: same buckets, same RNG stream, same reconstruction.
-        let q = Qsgd::new(4).with_bucket(512);
-        let mut fused = vec![0.0f32; x.len()];
-        let _ = q.compress_slice(&x, &mut fused, &mut rng());
-        let mut kernel_rng = rng();
-        let mut via_kernels = Vec::with_capacity(x.len());
-        for chunk in x.chunks(512) {
-            let norm = chunk.iter().map(|v| v * v).sum::<f32>().sqrt();
-            let levels = quantize_stochastic(chunk, norm, 15, &mut kernel_rng);
-            via_kernels.extend(dequantize(&levels, norm, 15));
+        // QSGD: same buckets, same RNG stream, same reconstruction, same
+        // payload bytes.
+        for bits in [1u8, 4, 16] {
+            for bucket in [1usize, 7, 512] {
+                let q = Qsgd::new(bits).with_bucket(bucket);
+                let levels = (1u32 << bits) - 1;
+                let mut fused = vec![0.0f32; x.len()];
+                let mut fused_rng = rng();
+                let bytes = q.compress_slice(&x, &mut fused, &mut fused_rng);
+                let mut kernel_rng = rng();
+                let mut via_kernels = Vec::with_capacity(x.len());
+                for chunk in x.chunks(bucket) {
+                    let norm = chunk.iter().map(|v| v * v).sum::<f32>().sqrt();
+                    let q = quantize_stochastic(chunk, norm, levels, &mut kernel_rng);
+                    via_kernels.extend(dequantize(&q, norm, levels));
+                }
+                assert_eq!(
+                    bits_of(&fused),
+                    bits_of(&via_kernels),
+                    "qsgd{bits}bit/{bucket} fused loop drifted from kernels"
+                );
+                assert_eq!(
+                    fused_rng, kernel_rng,
+                    "qsgd{bits}bit/{bucket} drew a different RNG stream"
+                );
+                let payload_bits = x.len() * (usize::from(bits) + 1);
+                assert_eq!(
+                    bytes,
+                    x.len().div_ceil(bucket) * 4 + payload_bits.div_ceil(8),
+                    "qsgd{bits}bit/{bucket} payload bytes"
+                );
+            }
         }
-        assert_eq!(fused, via_kernels, "qsgd fused loop drifted from kernels");
 
-        // Sign: same scale, same pack/unpack decode.
+        // Sign: same scale, same pack/unpack decode, no RNG draws.
         let mut fused = vec![0.0f32; x.len()];
-        let _ = SignOneBit.compress_slice(&x, &mut fused, &mut rng());
+        let mut fused_rng = rng();
+        let _ = SignOneBit.compress_slice(&x, &mut fused, &mut fused_rng);
         let scale = x.iter().map(|v| v.abs()).sum::<f32>() / x.len() as f32;
         let via_kernels = unpack_signs(&pack_signs(&x), x.len(), scale);
-        assert_eq!(fused, via_kernels, "sign fused loop drifted from kernels");
+        assert_eq!(
+            bits_of(&fused),
+            bits_of(&via_kernels),
+            "sign fused loop drifted from kernels"
+        );
+        assert_eq!(fused_rng, rng(), "sign drew from the RNG");
     }
 
     #[test]

@@ -441,7 +441,9 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use binio::{fnv1a64, ByteWriter};
     use data::GaussianMixture;
+    use gradcomp::CodecSpec;
     use nn::models;
 
     fn toy_worker(id: usize, seed: u64) -> Worker {
@@ -558,6 +560,164 @@ mod tests {
         let mut w = toy_worker(0, 7);
         w.local_steps(1);
         let _ = w.encode_update(&gradcomp::Identity);
+    }
+
+    /// One encode round as bits: FNV-1a of the message plane and of the
+    /// error-feedback state (segment map + residual plane), the payload
+    /// bytes, and FNV-1a of the `comm_rng` state afterwards.
+    type EncodePin = (u64, u64, usize, u64);
+
+    fn encode_rounds(codec: CodecSpec) -> Vec<EncodePin> {
+        let split = GaussianMixture {
+            train_size: 512,
+            test_size: 32,
+            ..GaussianMixture::cifar100_like()
+        }
+        .generate(21);
+        let mut w = Worker::new(
+            1,
+            models::mlp_classifier(256, &[64], 100, 77),
+            Sgd::new(0.05),
+            split.train,
+            32,
+            9,
+        );
+        w.set_reference_tracking(true);
+        let segments = w.model().param_sizes();
+        let mut plane = vec![0.0f32; w.model().param_count()];
+        (0..3)
+            .map(|_| {
+                w.local_steps(2);
+                let bytes = w.encode_update_into(&codec, &segments, &mut plane);
+                let mut sent = ByteWriter::new();
+                sent.put_f32_slice(&plane);
+                let mut residual = ByteWriter::new();
+                w.feedback.write_state(&mut residual);
+                let mut rng = ByteWriter::new();
+                for word in w.comm_rng.state() {
+                    rng.put_u64(word);
+                }
+                let pin = (
+                    fnv1a64(sent.as_slice()),
+                    fnv1a64(residual.as_slice()),
+                    bytes,
+                    fnv1a64(&rng.into_vec()),
+                );
+                w.load_params_from(&plane);
+                pin
+            })
+            .collect()
+    }
+
+    #[test]
+    fn encode_rounds_are_pinned_bitwise() {
+        // Three rounds of the worker's encode path on the 256-64-100 MLP
+        // (22 948 parameters in four segments), for each codec family the
+        // simulator runs. Any drift in a codec kernel, the error-feedback
+        // bookkeeping or the `comm_rng` draw order changes a hash here,
+        // before an averaged `±0` can hide it in a whole-run trace.
+        let cases: [(CodecSpec, [EncodePin; 3]); 4] = [
+            (
+                CodecSpec::TopK { ratio: 0.01 },
+                [
+                    (
+                        0x61d9585f7fd6f9d5,
+                        0xf189d763c8a28dea,
+                        1840,
+                        0xce32936bd3f9ceb1,
+                    ),
+                    (
+                        0xba7abdf8551cfd5e,
+                        0xef13926d6b16069d,
+                        1840,
+                        0xce32936bd3f9ceb1,
+                    ),
+                    (
+                        0xc50f348250992c02,
+                        0x733b70d008e96fd2,
+                        1840,
+                        0xce32936bd3f9ceb1,
+                    ),
+                ],
+            ),
+            (
+                CodecSpec::Sign,
+                [
+                    (
+                        0x12bdb8c53421a75b,
+                        0x4d0530c066af234d,
+                        2885,
+                        0xce32936bd3f9ceb1,
+                    ),
+                    (
+                        0xc2c21ecbe68455cf,
+                        0xbcb350d7a3647a93,
+                        2885,
+                        0xce32936bd3f9ceb1,
+                    ),
+                    (
+                        0xa20b8355ea718145,
+                        0xea6ed8e4e6a512bc,
+                        2885,
+                        0xce32936bd3f9ceb1,
+                    ),
+                ],
+            ),
+            (
+                CodecSpec::Qsgd { bits: 4 },
+                [
+                    (
+                        0xf1cc35a3ad9f405b,
+                        0x88201fb960ff6465,
+                        14531,
+                        0xb2356b58a0e8fd3c,
+                    ),
+                    (
+                        0x42b367746fabdf7a,
+                        0x88201fb960ff6465,
+                        14531,
+                        0x535c4f113df2d806,
+                    ),
+                    (
+                        0xc52f73290afbb891,
+                        0x88201fb960ff6465,
+                        14531,
+                        0x0ab04034beda1107,
+                    ),
+                ],
+            ),
+            (
+                CodecSpec::RandomK { ratio: 0.05 },
+                [
+                    (
+                        0x466abb3c6085b9ce,
+                        0x88201fb960ff6465,
+                        9192,
+                        0x16ca954764937a70,
+                    ),
+                    (
+                        0xe22b2da031ccc77e,
+                        0x88201fb960ff6465,
+                        9192,
+                        0xd6f0b964985e1f57,
+                    ),
+                    (
+                        0x5221927375ff3def,
+                        0x88201fb960ff6465,
+                        9192,
+                        0x35fb67357072db7a,
+                    ),
+                ],
+            ),
+        ];
+        for (codec, expected) in cases {
+            assert_eq!(
+                encode_rounds(codec),
+                expected,
+                "{} encode drifted",
+                codec.name()
+            );
+        }
     }
 
     #[test]
