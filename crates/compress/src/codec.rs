@@ -251,6 +251,25 @@ impl Compressor for SignOneBit {
 /// without which few-bit quantization of large tensors diverges. Payload:
 /// one 4-byte norm per bucket plus `bits + 1` bits per entry (level +
 /// sign).
+///
+/// The encode is bit-for-bit the kernel pair
+/// [`quantize_stochastic`](crate::kernels::quantize_stochastic) +
+/// [`dequantize`](crate::kernels::dequantize) per bucket, RNG stream
+/// included:
+///
+/// * **Draw order.** One uniform `f32` per entry, in entry order, bucket
+///   after bucket; a zero-norm bucket draws none. The encode draws them a
+///   block of 64 at a time onto the stack, then quantizes and dequantizes
+///   the block in one branch-free `f32` pass, so the count and order of
+///   draws are the kernel's.
+/// * **Levels stay in `f32`.** A level is `⌊p⌋` or `⌊p⌋ + 1.0`, an exact
+///   integer below `2^16`, so it equals the kernel's `i32` level converted.
+/// * **`+0.0` rule.** The signed level gets `+ 0.0`: a negative entry that
+///   rounds to level 0 then reconstructs as `+0.0`, as the kernel's
+///   `0i32 as f32` does, not as `-0.0`.
+///
+/// Bucket norms are reduced 16 buckets side by side; each is still its own
+/// left-to-right `f32` sum of squares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Qsgd {
     bits: u8,
@@ -259,6 +278,12 @@ pub struct Qsgd {
 
 /// Default quantization bucket size (entries sharing one norm).
 pub const QSGD_DEFAULT_BUCKET: usize = 512;
+
+/// Uniforms drawn ahead of each branch-free quantize pass.
+const QSGD_DRAW_BLOCK: usize = 64;
+
+/// Buckets whose norms are reduced side by side.
+const QSGD_NORM_GROUP: usize = 16;
 
 impl Qsgd {
     /// Creates a stochastic quantizer with `bits` bits per level and the
@@ -305,43 +330,78 @@ impl Qsgd {
     }
 }
 
+/// The `ℓ2` norms of the buckets of `group` (at most
+/// [`QSGD_NORM_GROUP`] of them, the last possibly short). A full group is
+/// reduced side by side; every norm is the same left-to-right sum of
+/// squares as `chunk.iter().map(|v| v * v).sum::<f32>()`.
+fn bucket_norms(group: &[f32], bucket: usize) -> [f32; QSGD_NORM_GROUP] {
+    let mut sums = [0.0f32; QSGD_NORM_GROUP];
+    if group.len() == bucket * QSGD_NORM_GROUP {
+        for j in 0..bucket {
+            for (b, sum) in sums.iter_mut().enumerate() {
+                let v = group[b * bucket + j];
+                *sum += v * v;
+            }
+        }
+    } else {
+        for (sum, chunk) in sums.iter_mut().zip(group.chunks(bucket)) {
+            *sum = chunk.iter().map(|v| v * v).sum::<f32>();
+        }
+    }
+    sums.map(f32::sqrt)
+}
+
+/// Quantizes and dequantizes one bucket with a non-zero `norm`: a block of
+/// uniforms first, then one branch-free pass over the block.
+fn quantize_bucket(input: &[f32], output: &mut [f32], norm: f32, levels: f32, rng: &mut StdRng) {
+    let mut draws = [0.0f32; QSGD_DRAW_BLOCK];
+    for (block, out_block) in input
+        .chunks(QSGD_DRAW_BLOCK)
+        .zip(output.chunks_mut(QSGD_DRAW_BLOCK))
+    {
+        let draws = &mut draws[..block.len()];
+        for u in draws.iter_mut() {
+            *u = rng.gen::<f32>();
+        }
+        for ((o, &v), &u) in out_block.iter_mut().zip(block).zip(draws.iter()) {
+            let p = (v.abs() / norm).min(1.0) * levels;
+            let lo = p.floor();
+            let level = if u < p - lo { lo + 1.0 } else { lo };
+            let signed = if v < 0.0 { -level } else { level } + 0.0;
+            *o = norm * signed / levels;
+        }
+    }
+}
+
 impl Compressor for Qsgd {
     fn compress_slice(&self, input: &[f32], output: &mut [f32], rng: &mut StdRng) -> usize {
         check_output_len(input, output);
-        let levels = self.levels();
+        let levels = self.levels() as f32;
+        let group = self.bucket * QSGD_NORM_GROUP;
         let mut buckets = 0usize;
-        for (chunk, out_chunk) in input
-            .chunks(self.bucket)
-            .zip(output.chunks_mut(self.bucket))
-        {
-            let norm = chunk.iter().map(|v| v * v).sum::<f32>().sqrt();
-            // Same guard as `kernels::quantize_stochastic`: a diverged
-            // (inf/NaN) update must fail fast, not quantize into silent
-            // NaN broadcasts.
-            assert!(
-                norm >= 0.0 && norm.is_finite(),
-                "invalid quantization norm {norm}"
-            );
-            if norm == 0.0 {
-                // Matches `kernels::quantize_stochastic`: a zero norm
-                // quantizes everything to level 0 without consuming RNG.
-                out_chunk.fill(0.0);
-            } else {
-                // Fused quantize + dequantize, drawing the RNG in the same
-                // per-entry order as the kernel pair.
-                for (o, &v) in out_chunk.iter_mut().zip(chunk) {
-                    let p = (v.abs() / norm).min(1.0) * levels as f32;
-                    let lo = p.floor();
-                    let level = if rng.gen::<f32>() < p - lo {
-                        lo as i32 + 1
-                    } else {
-                        lo as i32
-                    };
-                    let signed = if v < 0.0 { -level } else { level };
-                    *o = norm * signed as f32 / levels as f32;
+        for (group_in, group_out) in input.chunks(group).zip(output.chunks_mut(group)) {
+            let norms = bucket_norms(group_in, self.bucket);
+            for ((chunk, out_chunk), &norm) in group_in
+                .chunks(self.bucket)
+                .zip(group_out.chunks_mut(self.bucket))
+                .zip(&norms)
+            {
+                // Same guard as `kernels::quantize_stochastic`: a diverged
+                // (inf/NaN) update must fail fast, not quantize into silent
+                // NaN broadcasts.
+                assert!(
+                    norm >= 0.0 && norm.is_finite(),
+                    "invalid quantization norm {norm}"
+                );
+                if norm == 0.0 {
+                    // Matches `kernels::quantize_stochastic`: a zero norm
+                    // quantizes everything to level 0 without consuming RNG.
+                    out_chunk.fill(0.0);
+                } else {
+                    quantize_bucket(chunk, out_chunk, norm, levels, rng);
                 }
+                buckets += 1;
             }
-            buckets += 1;
         }
         let payload_bits = input.len() * (usize::from(self.bits) + 1);
         buckets * F32_BYTES + payload_bits.div_ceil(8)

@@ -8,11 +8,31 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
+/// Sample stride of the Top-K candidate floor: every 32nd magnitude.
+const FLOOR_STRIDE: usize = 32;
+
+/// Entries the Top-K candidate pass compares into one `u64` mask.
+const COLLECT_BLOCK: usize = 64;
+
 /// Returns the indices of the `k` largest-magnitude entries of `x`,
 /// sorted ascending.
 ///
-/// Ties are broken toward the lower index, which makes the selection — and
-/// therefore Top-K compression — deterministic and idempotent.
+/// The order is total: integer magnitude (the bits with the sign cleared)
+/// descending, then index ascending. For finite values and `±0` that is
+/// exactly the order of `abs()`; `±inf` ranks above every finite value and
+/// NaN above `±inf`. Ties therefore go to the lower index, which makes the
+/// selection — and Top-K compression — deterministic and idempotent.
+///
+/// The select runs only among candidates. A fixed-stride sample of the
+/// magnitudes (every 32nd entry) sets a floor: the sample's
+/// `⌈4k·s/n⌉`-th largest magnitude, for a sample of `s`. One pass collects
+/// the `(!magnitude, index)` keys at or above the floor — about `4k` of
+/// them — and `select_nth_unstable` picks the `k` smallest keys among
+/// those. Every entry below the floor ranks after every candidate, so
+/// when at least `k` entries pass, the top `k` are all candidates. When
+/// fewer pass, the collection reruns with floor 0, which takes every
+/// entry. Cost: `O(n)` for the sample and the collecting pass, plus the
+/// select over the candidates and an `O(k log k)` sort of the result.
 ///
 /// # Panics
 ///
@@ -20,24 +40,68 @@ use rand::Rng;
 pub fn top_k_indices(x: &[f32], k: usize) -> Vec<u32> {
     assert!(k >= 1, "k must be at least 1");
     assert!(k <= x.len(), "k = {k} exceeds length {}", x.len());
-    let mut order: Vec<u32> = (0..x.len() as u32).collect();
-    // Full selection is O(n); the subsequent sort of the selected prefix is
-    // O(k log k). `select_nth_unstable_by_key` needs a total order:
-    // magnitude descending, index ascending, packed into one u64 key. For
-    // finite (and ±0) values, clearing the sign bit leaves IEEE-754's
-    // monotone integer encoding of the magnitude, so the integer compare
-    // selects exactly the same entries as a float `abs()` compare — at a
-    // fraction of the comparator cost, which dominates the selection.
-    let key = |&i: &u32| {
-        let magnitude = x[i as usize].to_bits() & 0x7FFF_FFFF;
-        ((!magnitude as u64) << 32) | u64::from(i)
-    };
-    if k < x.len() {
-        order.select_nth_unstable_by_key(k - 1, key);
-        order.truncate(k);
+    let mut keys = Vec::with_capacity((4 * k).min(x.len()));
+    collect_candidates(x, candidate_floor(x, k), &mut keys);
+    if keys.len() < k {
+        collect_candidates(x, 0, &mut keys);
     }
+    if k < keys.len() {
+        keys.select_nth_unstable(k - 1);
+        keys.truncate(k);
+    }
+    let mut order: Vec<u32> = keys.iter().map(|&key| key as u32).collect();
     order.sort_unstable();
     order
+}
+
+/// Replaces `keys` with the `(!magnitude, index)` key of every entry of
+/// `x` whose magnitude is at least `floor`, in index order. Each block of
+/// [`COLLECT_BLOCK`] entries is compared at once into a bit mask, and only
+/// its set bits are visited.
+fn collect_candidates(x: &[f32], floor: u32, keys: &mut Vec<u64>) {
+    let key = |i: usize, v: f32| (u64::from(!magnitude(v)) << 32) | i as u64;
+    keys.clear();
+    let mut blocks = x.chunks_exact(COLLECT_BLOCK);
+    let mut base = 0usize;
+    for block in &mut blocks {
+        let block: &[f32; COLLECT_BLOCK] = block.try_into().expect("exact chunk");
+        let mut hits = 0u64;
+        for (j, &v) in block.iter().enumerate() {
+            hits |= u64::from(magnitude(v) >= floor) << j;
+        }
+        while hits != 0 {
+            let j = hits.trailing_zeros() as usize;
+            keys.push(key(base + j, block[j]));
+            hits &= hits - 1;
+        }
+        base += COLLECT_BLOCK;
+    }
+    for (j, &v) in blocks.remainder().iter().enumerate() {
+        if magnitude(v) >= floor {
+            keys.push(key(base + j, v));
+        }
+    }
+}
+
+/// The integer magnitude Top-K ranks by: the bits with the sign cleared.
+fn magnitude(v: f32) -> u32 {
+    v.to_bits() & 0x7FFF_FFFF
+}
+
+/// The Top-K candidate floor: the `⌈4k·s/n⌉`-th largest magnitude of every
+/// [`FLOOR_STRIDE`]-th entry (`s` of them), or 0 when that rank exceeds
+/// the sample.
+fn candidate_floor(x: &[f32], k: usize) -> u32 {
+    let mut sample: Vec<u32> = x
+        .iter()
+        .step_by(FLOOR_STRIDE)
+        .map(|&v| magnitude(v))
+        .collect();
+    let rank = (4 * k * sample.len()).div_ceil(x.len());
+    if rank > sample.len() {
+        return 0;
+    }
+    *sample.select_nth_unstable_by(rank - 1, |a, b| b.cmp(a)).1
 }
 
 /// Packs the signs of `x` into 64-bit words, least-significant bit first.
@@ -130,7 +194,87 @@ pub fn dequantize(levels_per_entry: &[i32], norm: f32, levels: u32) -> Vec<f32> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
+
+    /// The full select [`top_k_indices`] replaced: every index in one
+    /// vector, `select_nth_unstable_by_key` over all `n` of them with the
+    /// same `(!magnitude, index)` key. The reference for the candidate
+    /// select.
+    fn top_k_reference(x: &[f32], k: usize) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..x.len() as u32).collect();
+        let key = |&i: &u32| {
+            let magnitude = x[i as usize].to_bits() & 0x7FFF_FFFF;
+            ((!magnitude as u64) << 32) | u64::from(i)
+        };
+        if k < x.len() {
+            order.select_nth_unstable_by_key(k - 1, key);
+            order.truncate(k);
+        }
+        order.sort_unstable();
+        order
+    }
+
+    /// Entries mixing ordinary values with ties, `±0`, `±inf`, NaNs of
+    /// both signs and subnormals.
+    fn awkward_entry() -> impl Strategy<Value = f32> {
+        (0usize..16, -4.0f32..4.0).prop_map(|(pick, v)| match pick {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::INFINITY,
+            3 => f32::NEG_INFINITY,
+            4 => f32::NAN,
+            5 => -f32::NAN,
+            6 => f32::from_bits(1),
+            7 => -f32::from_bits(3),
+            8 => v * 1e-39,
+            9 => 1.0,
+            10 => -1.0,
+            _ => v,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn top_k_matches_full_select(
+            x in proptest::collection::vec(awkward_entry(), 1..5001),
+            finite in proptest::collection::vec(-4.0f32..4.0, 1..5001),
+            short in proptest::collection::vec(awkward_entry(), 1..100),
+        ) {
+            for x in [&x, &finite, &short] {
+                let n = x.len();
+                for k in [1, n.div_ceil(100), n / 2, n] {
+                    if k == 0 {
+                        continue;
+                    }
+                    prop_assert_eq!(top_k_indices(x, k), top_k_reference(x, k), "n = {}, k = {}", n, k);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn top_k_reruns_below_a_sampled_floor_that_admits_too_few() {
+        // Only the sampled entries (every 32nd) are large, so the floor —
+        // the 4th largest of the 100 sampled — admits 4 entries for k = 32
+        // and the collection reruns at floor 0.
+        let x: Vec<f32> = (0..3200)
+            .map(|i| {
+                if i % FLOOR_STRIDE == 0 {
+                    100.0 + i as f32
+                } else {
+                    1e-3 * (i % 7) as f32
+                }
+            })
+            .collect();
+        let k = 32;
+        let floor = candidate_floor(&x, k);
+        let admitted = x.iter().filter(|&&v| magnitude(v) >= floor).count();
+        assert!(admitted < k, "the floor admits {admitted} of k = {k}");
+        assert_eq!(top_k_indices(&x, k), top_k_reference(&x, k));
+    }
 
     #[test]
     fn top_k_finds_largest_magnitudes() {

@@ -613,9 +613,12 @@ mod tests {
     fn encode_rounds_are_pinned_bitwise() {
         // Three rounds of the worker's encode path on the 256-64-100 MLP
         // (22 948 parameters in four segments), for each codec family the
-        // simulator runs. Any drift in a codec kernel, the error-feedback
-        // bookkeeping or the `comm_rng` draw order changes a hash here,
-        // before an averaged `±0` can hide it in a whole-run trace.
+        // simulator runs. Any drift in a codec kernel's values, the
+        // error-feedback bookkeeping or the `comm_rng` draw order changes a
+        // hash here, before averaging can hide it in a whole-run trace.
+        // The plane holds reference + transmitted, which folds a `-0.0`
+        // codec output into `+0.0`; gradcomp's
+        // `fused_codecs_match_kernel_pipeline` pins the sign of zeros.
         let cases: [(CodecSpec, [EncodePin; 3]); 4] = [
             (
                 CodecSpec::TopK { ratio: 0.01 },
