@@ -249,7 +249,13 @@ mod tests {
                     if k == 0 {
                         continue;
                     }
-                    prop_assert_eq!(top_k_indices(x, k), top_k_reference(x, k), "n = {}, k = {}", n, k);
+                    prop_assert_eq!(
+                        top_k_indices(x, k),
+                        top_k_reference(x, k),
+                        "n = {}, k = {}",
+                        n,
+                        k
+                    );
                 }
             }
         }
