@@ -4,55 +4,31 @@
 use crate::kernels::top_k_indices;
 use rand::rngs::StdRng;
 use rand::Rng;
-use tensor::Tensor;
 
 /// Bytes of an `f32` payload entry.
 const F32_BYTES: usize = 4;
 /// Bytes of a `u32` sparse index.
 const INDEX_BYTES: usize = 4;
 
-/// The result of compressing one tensor: the reconstruction the receiver
-/// would decode, plus the encoded payload size in bytes.
-///
-/// The simulator trains on `tensor` (so compression genuinely perturbs the
-/// mathematics) and charges `bytes` to the communication clock (so
-/// compression genuinely changes the runtime).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Compressed {
-    /// Decode(encode(input)) — what arrives on the other side of the wire.
-    pub tensor: Tensor,
-    /// Encoded payload size in bytes.
-    pub bytes: usize,
-}
-
 /// A gradient/model-update compression codec.
 ///
-/// Implementations compress one tensor at a time and report the encoded
-/// payload size. The trait is object-safe (`&mut StdRng` rather than a
+/// Implementations compress one flat `f32` slice at a time (the simulator
+/// passes one parameter tensor's segment of a worker's parameter plane)
+/// and report the encoded payload size. The trait is object-safe (`&mut StdRng` rather than a
 /// generic RNG) so workers can hold `Box<dyn Compressor>` or dispatch
 /// through [`CodecSpec`].
 pub trait Compressor: Send + Sync + std::fmt::Debug {
-    /// Compresses `input`, writing the reconstruction into `output` and
-    /// returning the encoded payload size in bytes — the slice-based entry
-    /// point the flat-parameter-plane averaging path uses, so steady-state
-    /// compression touches no tensor allocations.
-    ///
-    /// The reconstruction and byte count are identical to
-    /// [`Compressor::compress`] (which is implemented on top of this for
-    /// every codec in this crate), including the RNG draw sequence of
-    /// stochastic codecs.
+    /// Compresses `input`, writing the reconstruction the receiver would
+    /// decode into `output` and returning the encoded payload size in
+    /// bytes. The simulator trains on the reconstruction (so compression
+    /// genuinely perturbs the mathematics) and charges the bytes to the
+    /// communication clock (so compression genuinely changes the
+    /// runtime).
     ///
     /// # Panics
     ///
     /// Panics if `output.len() != input.len()`.
     fn compress_slice(&self, input: &[f32], output: &mut [f32], rng: &mut StdRng) -> usize;
-
-    /// Compresses `input`, returning the reconstruction and payload bytes.
-    fn compress(&self, input: &Tensor, rng: &mut StdRng) -> Compressed {
-        let mut out = Tensor::zeros(input.dims());
-        let bytes = self.compress_slice(input.as_slice(), out.as_mut_slice(), rng);
-        Compressed { tensor: out, bytes }
-    }
 
     /// Whether `E[decode(encode(x))] = x` (Random-K, QSGD, identity).
     /// Biased codecs (Top-K, sign) need error feedback to converge.
@@ -554,71 +530,68 @@ mod tests {
         StdRng::seed_from_u64(7)
     }
 
-    fn sample_tensor() -> Tensor {
-        Tensor::from_slice(&[0.5, -3.0, 0.1, 2.0, -0.2, 0.0, 1.5, -1.0])
+    const SAMPLE: [f32; 8] = [0.5, -3.0, 0.1, 2.0, -0.2, 0.0, 1.5, -1.0];
+
+    /// Compresses `x` on a fresh `rng()`: the reconstruction and the
+    /// payload bytes.
+    fn encode(codec: &dyn Compressor, x: &[f32]) -> (Vec<f32>, usize) {
+        let mut out = vec![0.0f32; x.len()];
+        let bytes = codec.compress_slice(x, &mut out, &mut rng());
+        (out, bytes)
+    }
+
+    fn l2(v: &[f32]) -> f32 {
+        v.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
     #[test]
     fn identity_is_lossless_and_full_size() {
-        let x = sample_tensor();
-        let c = Identity.compress(&x, &mut rng());
-        assert_eq!(c.tensor, x);
-        assert_eq!(c.bytes, 8 * 4);
+        let (out, bytes) = encode(&Identity, &SAMPLE);
+        assert_eq!(out, SAMPLE);
+        assert_eq!(bytes, 8 * 4);
     }
 
     #[test]
     fn topk_keeps_largest_and_counts_bytes() {
-        let x = sample_tensor();
-        let c = TopK::new(0.25).compress(&x, &mut rng());
+        let (out, bytes) = encode(&TopK::new(0.25), &SAMPLE);
         // k = ceil(0.25 * 8) = 2 entries: -3.0 and 2.0.
-        assert_eq!(c.bytes, 2 * 8);
-        let kept: Vec<f32> = c
-            .tensor
-            .as_slice()
-            .iter()
-            .copied()
-            .filter(|v| *v != 0.0)
-            .collect();
+        assert_eq!(bytes, 2 * 8);
+        let kept: Vec<f32> = out.iter().copied().filter(|v| *v != 0.0).collect();
         assert_eq!(kept, vec![-3.0, 2.0]);
     }
 
     #[test]
     fn topk_full_ratio_is_lossless() {
-        let x = sample_tensor();
-        let c = TopK::new(1.0).compress(&x, &mut rng());
-        assert_eq!(c.tensor, x);
+        assert_eq!(encode(&TopK::new(1.0), &SAMPLE).0, SAMPLE);
     }
 
     #[test]
     fn sparse_payload_never_exceeds_dense() {
         // Above a keep-ratio of 1/2 the value+index encoding would cost
         // more than dense; a real encoder falls back, and so do the bytes.
-        let x = sample_tensor();
-        let dense = x.len() * 4;
+        let dense = SAMPLE.len() * 4;
         for ratio in [0.75, 1.0] {
-            assert_eq!(TopK::new(ratio).compress(&x, &mut rng()).bytes, dense);
-            assert_eq!(RandomK::new(ratio).compress(&x, &mut rng()).bytes, dense);
+            assert_eq!(encode(&TopK::new(ratio), &SAMPLE).1, dense);
+            assert_eq!(encode(&RandomK::new(ratio), &SAMPLE).1, dense);
         }
-        assert!(TopK::new(0.5).compress(&x, &mut rng()).bytes <= dense);
+        assert!(encode(&TopK::new(0.5), &SAMPLE).1 <= dense);
     }
 
     #[test]
     fn randk_keeps_k_scaled_entries() {
-        let x = sample_tensor();
-        let c = RandomK::new(0.5).compress(&x, &mut rng());
-        assert_eq!(c.bytes, 4 * 8);
-        let kept = c.tensor.as_slice().iter().filter(|v| **v != 0.0).count();
+        let (out, bytes) = encode(&RandomK::new(0.5), &SAMPLE);
+        assert_eq!(bytes, 4 * 8);
+        let kept = out.iter().filter(|v| **v != 0.0).count();
         // x itself has one zero entry, which may or may not be sampled.
         assert!(kept <= 4, "kept {kept} of 4 sampled entries");
     }
 
     #[test]
     fn sign_payload_is_one_bit_per_entry() {
-        let x = sample_tensor();
-        let c = SignOneBit.compress(&x, &mut rng());
-        assert_eq!(c.bytes, 4 + 1); // scale + 8 bits
-        let scale = x.as_slice().iter().map(|v| v.abs()).sum::<f32>() / 8.0;
-        for (orig, rec) in x.as_slice().iter().zip(c.tensor.as_slice()) {
+        let (out, bytes) = encode(&SignOneBit, &SAMPLE);
+        assert_eq!(bytes, 4 + 1); // scale + 8 bits
+        let scale = SAMPLE.iter().map(|v| v.abs()).sum::<f32>() / 8.0;
+        for (orig, rec) in SAMPLE.iter().zip(&out) {
             assert_eq!(rec.abs(), scale);
             if *orig != 0.0 {
                 assert_eq!(orig.is_sign_negative(), rec.is_sign_negative());
@@ -628,11 +601,10 @@ mod tests {
 
     #[test]
     fn qsgd_respects_norm_bound_and_bytes() {
-        let x = sample_tensor();
-        let c = Qsgd::new(4).compress(&x, &mut rng());
-        assert_eq!(c.bytes, 4 + 8 * 5 / 8); // norm + 5 bits/entry
-        let norm = x.norm();
-        for v in c.tensor.as_slice() {
+        let (out, bytes) = encode(&Qsgd::new(4), &SAMPLE);
+        assert_eq!(bytes, 4 + 8 * 5 / 8); // norm + 5 bits/entry
+        let norm = l2(&SAMPLE);
+        for v in &out {
             assert!(v.abs() <= norm * 1.001);
         }
     }
@@ -640,19 +612,14 @@ mod tests {
     #[test]
     fn qsgd_buckets_bound_bytes_and_noise() {
         let n = 1030usize;
-        let x = Tensor::from_vec((0..n).map(|i| (i as f32 * 0.37).sin()).collect(), &[n])
-            .expect("vector tensor");
-        let c = Qsgd::new(4).compress(&x, &mut rng());
+        let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin()).collect();
+        let (out, bytes) = encode(&Qsgd::new(4), &x);
         // 3 buckets of <= 512 entries: 3 norms + 5 bits/entry.
-        assert_eq!(c.bytes, 3 * 4 + (n * 5).div_ceil(8));
+        assert_eq!(bytes, 3 * 4 + (n * 5).div_ceil(8));
         // Each reconstructed entry is bounded by its own bucket's norm,
         // which is far below the whole-tensor norm for n >> bucket.
-        let full_norm = x.norm();
-        for (chunk_in, chunk_out) in x
-            .as_slice()
-            .chunks(512)
-            .zip(c.tensor.as_slice().chunks(512))
-        {
+        let full_norm = l2(&x);
+        for (chunk_in, chunk_out) in x.chunks(512).zip(out.chunks(512)) {
             let bucket_norm = chunk_in.iter().map(|v| v * v).sum::<f32>().sqrt();
             assert!(bucket_norm < full_norm);
             for v in chunk_out {
@@ -660,8 +627,8 @@ mod tests {
             }
         }
         // A tiny bucket size degrades gracefully too.
-        let fine = Qsgd::new(4).with_bucket(8).compress(&x, &mut rng());
-        assert_eq!(fine.bytes, n.div_ceil(8) * 4 + (n * 5).div_ceil(8));
+        let fine = encode(&Qsgd::new(4).with_bucket(8), &x).1;
+        assert_eq!(fine, n.div_ceil(8) * 4 + (n * 5).div_ceil(8));
     }
 
     /// An input that reaches every QSGD branch under buckets of 1, 7 and
@@ -745,24 +712,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid quantization norm")]
     fn qsgd_rejects_non_finite_input() {
-        let x = Tensor::from_slice(&[1.0, f32::INFINITY]);
-        let _ = Qsgd::new(4).compress(&x, &mut rng());
+        let _ = encode(&Qsgd::new(4), &[1.0, f32::INFINITY]);
     }
 
     #[test]
     fn qsgd_one_bit_still_works() {
-        let x = sample_tensor();
-        let c = Qsgd::new(1).compress(&x, &mut rng());
-        assert!(c.tensor.as_slice().iter().all(|v| v.is_finite()));
+        let (out, _) = encode(&Qsgd::new(1), &SAMPLE);
+        assert!(out.iter().all(|v| v.is_finite()));
     }
 
     #[test]
     fn spec_delegates_to_codecs() {
-        let x = sample_tensor();
         let spec = CodecSpec::TopK { ratio: 0.25 };
-        let direct = TopK::new(0.25).compress(&x, &mut rng());
-        let via_spec = spec.compress(&x, &mut rng());
-        assert_eq!(direct, via_spec);
+        assert_eq!(encode(&TopK::new(0.25), &SAMPLE), encode(&spec, &SAMPLE));
         assert_eq!(spec.name(), "topk(0.25)");
         assert!(!spec.is_unbiased());
         assert!(CodecSpec::Qsgd { bits: 4 }.is_unbiased());
@@ -783,29 +745,30 @@ mod tests {
     }
 
     #[test]
-    fn slice_and_tensor_entry_points_agree() {
-        let x = Tensor::from_vec(
-            (0..1030).map(|i| ((i * 37) as f32 * 0.013).sin()).collect(),
-            &[1030],
-        )
-        .expect("vector tensor");
-        for spec in [
-            CodecSpec::Identity,
-            CodecSpec::TopK { ratio: 0.05 },
-            CodecSpec::RandomK { ratio: 0.05 },
-            CodecSpec::Sign,
-            CodecSpec::Qsgd { bits: 4 },
-        ] {
-            let via_tensor = spec.compress(&x, &mut rng());
-            let mut out = vec![0.0f32; x.len()];
-            let bytes = spec.compress_slice(x.as_slice(), &mut out, &mut rng());
-            assert_eq!(
-                via_tensor.tensor.as_slice(),
-                &out[..],
-                "{} reconstruction mismatch",
-                spec.name()
-            );
-            assert_eq!(via_tensor.bytes, bytes, "{} byte mismatch", spec.name());
+    fn spec_dispatch_matches_each_codec() {
+        // Every `CodecSpec` variant encodes exactly like the codec it
+        // describes: same reconstruction bits, payload bytes and RNG
+        // stream.
+        let x: Vec<f32> = (0..1030).map(|i| ((i * 37) as f32 * 0.013).sin()).collect();
+        let cases: [(CodecSpec, &dyn Compressor); 5] = [
+            (CodecSpec::Identity, &Identity),
+            (CodecSpec::TopK { ratio: 0.05 }, &TopK::new(0.05)),
+            (CodecSpec::RandomK { ratio: 0.05 }, &RandomK::new(0.05)),
+            (CodecSpec::Sign, &SignOneBit),
+            (CodecSpec::Qsgd { bits: 4 }, &Qsgd::new(4)),
+        ];
+        for (spec, codec) in cases {
+            let mut via_spec = vec![0.0f32; x.len()];
+            let mut spec_rng = rng();
+            let spec_bytes = spec.compress_slice(&x, &mut via_spec, &mut spec_rng);
+            let mut direct = vec![0.0f32; x.len()];
+            let mut codec_rng = rng();
+            let codec_bytes = codec.compress_slice(&x, &mut direct, &mut codec_rng);
+            assert_eq!(bits_of(&via_spec), bits_of(&direct), "{}", spec.name());
+            assert_eq!(spec_bytes, codec_bytes, "{} byte mismatch", spec.name());
+            assert_eq!(spec_rng, codec_rng, "{} RNG stream", spec.name());
+            assert_eq!(spec.name(), codec.name());
+            assert_eq!(spec.is_unbiased(), codec.is_unbiased());
         }
     }
 

@@ -8,17 +8,14 @@
 //! The memory is stored as one contiguous flat plane segmented like the
 //! model's parameter plane, so the simulator's flat averaging path runs
 //! compensation without any per-round allocation
-//! ([`ErrorFeedback::compress_flat`]); the tensor-based entry point
-//! ([`ErrorFeedback::compress`]) wraps it.
+//! ([`ErrorFeedback::compress_flat`]).
 
 use crate::codec::Compressor;
 use binio::{ByteReader, ByteWriter, ReadError, ReadResult};
 use rand::rngs::StdRng;
-use tensor::Tensor;
 
 /// Per-worker residual memory: one flat residual plane, segmented per
-/// parameter tensor (codecs are applied segment-by-segment, exactly like
-/// the tensor-based path).
+/// parameter tensor (codecs are applied segment by segment).
 ///
 /// The memory is lazily shaped on first use and validates the segment
 /// layout on every subsequent round.
@@ -29,14 +26,15 @@ use tensor::Tensor;
 /// use gradcomp::{ErrorFeedback, TopK};
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
-/// use tensor::Tensor;
 ///
 /// let mut ef = ErrorFeedback::new();
 /// let mut rng = StdRng::seed_from_u64(0);
-/// let update = vec![Tensor::from_slice(&[1.0, -0.1, 0.2, 3.0])];
-/// let (sent, bytes) = ef.compress(&TopK::new(0.25), &update, &mut rng);
+/// let update = [1.0, -0.1, 0.2, 3.0];
+/// let (mut scratch, mut sent) = ([0.0; 4], [0.0; 4]);
+/// let codec = TopK::new(0.25);
+/// let bytes = ef.compress_flat(&codec, &update, &[4], &mut scratch, &mut sent, &mut rng);
 /// // Only the largest entry went through; the rest is remembered.
-/// assert_eq!(sent[0].as_slice(), &[0.0, 0.0, 0.0, 3.0]);
+/// assert_eq!(sent, [0.0, 0.0, 0.0, 3.0]);
 /// assert!(bytes < 16);
 /// assert!(ef.residual_norm() > 0.0);
 /// ```
@@ -127,43 +125,6 @@ impl ErrorFeedback {
         bytes
     }
 
-    /// Tensor-based compression with error feedback: compresses each
-    /// tensor of `update` as `update + residual`, remembering what the
-    /// codec dropped. Returns the compressed (transmitted) tensors and the
-    /// total payload bytes. Delegates to [`ErrorFeedback::compress_flat`],
-    /// so both entry points share one residual state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `update` has a different tensor count or shapes than the
-    /// previous round.
-    pub fn compress(
-        &mut self,
-        codec: &dyn Compressor,
-        update: &[Tensor],
-        rng: &mut StdRng,
-    ) -> (Vec<Tensor>, usize) {
-        let segments: Vec<usize> = update.iter().map(Tensor::len).collect();
-        let total: usize = segments.iter().sum();
-        let mut flat = Vec::with_capacity(total);
-        for t in update {
-            flat.extend_from_slice(t.as_slice());
-        }
-        let mut scratch = vec![0.0f32; total];
-        let mut out = vec![0.0f32; total];
-        let bytes = self.compress_flat(codec, &flat, &segments, &mut scratch, &mut out, rng);
-        let mut sent = Vec::with_capacity(update.len());
-        let mut offset = 0usize;
-        for t in update {
-            let seg = &out[offset..offset + t.len()];
-            sent.push(
-                Tensor::from_vec(seg.to_vec(), t.dims()).expect("segment matches tensor shape"),
-            );
-            offset += t.len();
-        }
-        (sent, bytes)
-    }
-
     /// Total `ℓ2` norm of the stored residual plane (0 before the first
     /// round).
     pub fn residual_norm(&self) -> f32 {
@@ -221,11 +182,25 @@ mod tests {
         StdRng::seed_from_u64(11)
     }
 
+    /// One compensated round of `update` (laid out as `segments`) on a
+    /// fresh `rng()`: the transmitted plane and the payload bytes.
+    fn send(
+        ef: &mut ErrorFeedback,
+        codec: &dyn Compressor,
+        update: &[f32],
+        segments: &[usize],
+    ) -> (Vec<f32>, usize) {
+        let mut scratch = vec![0.0f32; update.len()];
+        let mut out = vec![0.0f32; update.len()];
+        let bytes = ef.compress_flat(codec, update, segments, &mut scratch, &mut out, &mut rng());
+        (out, bytes)
+    }
+
     #[test]
     fn identity_codec_leaves_no_residual() {
         let mut ef = ErrorFeedback::new();
-        let update = vec![Tensor::from_slice(&[1.0, -2.0, 3.0])];
-        let (sent, bytes) = ef.compress(&Identity, &update, &mut rng());
+        let update = [1.0, -2.0, 3.0];
+        let (sent, bytes) = send(&mut ef, &Identity, &update, &[3]);
         assert_eq!(sent, update);
         assert_eq!(bytes, 12);
         assert_eq!(ef.residual_norm(), 0.0);
@@ -235,14 +210,12 @@ mod tests {
     fn dropped_mass_is_remembered_and_resent() {
         let mut ef = ErrorFeedback::new();
         let codec = TopK::new(0.25); // keeps 1 of 4 entries
-        let update = vec![Tensor::from_slice(&[1.0, 0.5, 0.25, 4.0])];
-        let (sent, _) = ef.compress(&codec, &update, &mut rng());
-        assert_eq!(sent[0].as_slice(), &[0.0, 0.0, 0.0, 4.0]);
+        let (sent, _) = send(&mut ef, &codec, &[1.0, 0.5, 0.25, 4.0], &[4]);
+        assert_eq!(sent, [0.0, 0.0, 0.0, 4.0]);
         // Next round sends a zero update; the residual alone drives what is
         // transmitted, and its largest entry (1.0) goes through.
-        let zero = vec![Tensor::zeros(&[4])];
-        let (sent2, _) = ef.compress(&codec, &zero, &mut rng());
-        assert_eq!(sent2[0].as_slice(), &[1.0, 0.0, 0.0, 0.0]);
+        let (sent2, _) = send(&mut ef, &codec, &[0.0; 4], &[4]);
+        assert_eq!(sent2, [1.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -252,57 +225,25 @@ mod tests {
         let mut ef = ErrorFeedback::new();
         let codec = SignOneBit;
         for step in 0..5 {
-            let update = vec![Tensor::from_slice(&[
-                0.3 * step as f32,
-                -1.0,
-                2.0 - step as f32,
-            ])];
+            let update = [0.3 * step as f32, -1.0, 2.0 - step as f32];
             let before = if ef.is_empty() {
                 vec![0.0f32; 3]
             } else {
                 ef.residual.clone()
             };
-            let (sent, _) = ef.compress(&codec, &update, &mut rng());
+            let (sent, _) = send(&mut ef, &codec, &update, &[3]);
             for (i, &b) in before.iter().enumerate() {
-                let total = update[0].at(i) + b;
-                let roundtrip = sent[0].at(i) + ef.residual[i];
+                let total = update[i] + b;
+                let roundtrip = sent[i] + ef.residual[i];
                 assert_eq!(roundtrip, total, "mass lost at entry {i}");
             }
         }
     }
 
     #[test]
-    fn flat_and_tensor_entry_points_share_state() {
-        // Alternate entry points on two separately evolving memories; the
-        // residuals and transmissions must agree bit-for-bit.
-        let codec = TopK::new(0.5);
-        let segments = [3usize, 2];
-        let updates: Vec<Vec<f32>> = (0..4)
-            .map(|s| (0..5).map(|i| ((s * 5 + i) as f32 * 0.73).sin()).collect())
-            .collect();
-        let mut tensor_ef = ErrorFeedback::new();
-        let mut flat_ef = ErrorFeedback::new();
-        let mut rng_a = rng();
-        let mut rng_b = rng();
-        for u in &updates {
-            let tensors = vec![Tensor::from_slice(&u[..3]), Tensor::from_slice(&u[3..])];
-            let (sent, bytes_a) = tensor_ef.compress(&codec, &tensors, &mut rng_a);
-            let mut scratch = vec![0.0f32; 5];
-            let mut out = vec![0.0f32; 5];
-            let bytes_b =
-                flat_ef.compress_flat(&codec, u, &segments, &mut scratch, &mut out, &mut rng_b);
-            let sent_flat: Vec<f32> = sent.iter().flat_map(|t| t.as_slice().to_vec()).collect();
-            assert_eq!(sent_flat, out);
-            assert_eq!(bytes_a, bytes_b);
-            assert_eq!(tensor_ef.residual, flat_ef.residual);
-        }
-    }
-
-    #[test]
     fn reset_clears_memory() {
         let mut ef = ErrorFeedback::new();
-        let update = vec![Tensor::from_slice(&[1.0, 2.0])];
-        let _ = ef.compress(&TopK::new(0.5), &update, &mut rng());
+        let _ = send(&mut ef, &TopK::new(0.5), &[1.0, 2.0], &[2]);
         assert!(!ef.is_empty());
         ef.reset();
         assert!(ef.is_empty());
@@ -313,12 +254,8 @@ mod tests {
     #[should_panic(expected = "error-feedback memory holds")]
     fn tensor_count_mismatch_rejected() {
         let mut ef = ErrorFeedback::new();
-        let _ = ef.compress(&Identity, &[Tensor::zeros(&[2])], &mut rng());
-        let _ = ef.compress(
-            &Identity,
-            &[Tensor::zeros(&[2]), Tensor::zeros(&[2])],
-            &mut rng(),
-        );
+        let _ = send(&mut ef, &Identity, &[0.0; 2], &[2]);
+        let _ = send(&mut ef, &Identity, &[0.0; 4], &[2, 2]);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! the other half of the communication budget: the *size* of each averaging
 //! message. It provides:
 //!
-//! * [`Compressor`] — the shared codec interface: compress one tensor,
-//!   report the encoded payload in bytes;
+//! * [`Compressor`] — the shared codec interface: compress one flat `f32`
+//!   slice into a reconstruction buffer, report the encoded payload in
+//!   bytes;
 //! * [`TopK`] / [`RandomK`] — sparsification (value + index per kept
 //!   entry), biased/unbiased respectively;
 //! * [`SignOneBit`] — 1-bit sign compression with a mean-magnitude scale
@@ -31,13 +32,13 @@
 //! use gradcomp::{CodecSpec, Compressor};
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
-//! use tensor::Tensor;
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
-//! let x = Tensor::from_slice(&[4.0, -0.5, 0.25, 0.125]);
-//! let compressed = CodecSpec::TopK { ratio: 0.25 }.compress(&x, &mut rng);
-//! assert_eq!(compressed.tensor.as_slice(), &[4.0, 0.0, 0.0, 0.0]);
-//! assert!(compressed.bytes < 16, "1 of 4 entries: 8 bytes, not 16");
+//! let x = [4.0, -0.5, 0.25, 0.125];
+//! let mut decoded = [0.0; 4];
+//! let bytes = CodecSpec::TopK { ratio: 0.25 }.compress_slice(&x, &mut decoded, &mut rng);
+//! assert_eq!(decoded, [4.0, 0.0, 0.0, 0.0]);
+//! assert!(bytes < 16, "1 of 4 entries: 8 bytes, not 16");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,7 +50,6 @@ pub mod kernels;
 pub mod wire;
 
 pub use codec::{
-    CodecSpec, Compressed, Compressor, Identity, Qsgd, RandomK, SignOneBit, TopK,
-    QSGD_DEFAULT_BUCKET,
+    CodecSpec, Compressor, Identity, Qsgd, RandomK, SignOneBit, TopK, QSGD_DEFAULT_BUCKET,
 };
 pub use feedback::ErrorFeedback;

@@ -101,32 +101,14 @@ impl RuntimeModel {
 
     /// Samples one full PASGD round of `tau` local steps (eq. 10's
     /// numerator): the slowest worker's total compute time plus one
-    /// communication delay.
+    /// communication delay carrying no payload bytes (so a bandwidth term
+    /// adds nothing; the cluster prices payloads itself, see
+    /// [`RuntimeModel::sample_worker_compute_times`]).
     ///
     /// # Panics
     ///
     /// Panics if `tau == 0`.
     pub fn sample_round<R: Rng + ?Sized>(&self, tau: usize, rng: &mut R) -> RoundSample {
-        self.sample_round_bytes(tau, 0.0, rng)
-    }
-
-    /// Samples one PASGD round whose averaging step carries `bytes` of
-    /// payload per worker: the slowest worker's compute time plus one
-    /// bytes-aware communication delay (see [`CommModel::sample_bytes`]).
-    ///
-    /// With a latency-only [`CommModel`] (`β = 0`) this is identical to
-    /// [`RuntimeModel::sample_round`]; with a positive bandwidth term a
-    /// compressed round is genuinely cheaper on the simulated clock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tau == 0` or `bytes` is negative or non-finite.
-    pub fn sample_round_bytes<R: Rng + ?Sized>(
-        &self,
-        tau: usize,
-        bytes: f64,
-        rng: &mut R,
-    ) -> RoundSample {
         assert!(tau > 0, "communication period must be positive");
         let mut slowest = f64::NEG_INFINITY;
         for _ in 0..self.workers {
@@ -135,7 +117,7 @@ impl RuntimeModel {
         }
         RoundSample {
             compute: slowest,
-            comm: self.comm.sample_bytes(self.workers, bytes, rng),
+            comm: self.comm.sample_bytes(self.workers, 0.0, rng),
         }
     }
 
@@ -143,12 +125,13 @@ impl RuntimeModel {
     /// steps into `times` (cleared first; worker order), so a caller that
     /// samples every round reuses one buffer.
     ///
-    /// This is the decomposed form of [`RuntimeModel::sample_round_bytes`]:
-    /// drawing all `m` per-worker totals here and then taking the slowest
-    /// (or a partial-aggregation cutoff over them) consumes exactly the
-    /// same RNG stream as the fused sampler, so the cluster's round — which
-    /// needs per-worker times for straggler spikes and quorum policies —
-    /// stays draw-for-draw compatible with it.
+    /// This is the decomposed form of [`RuntimeModel::sample_round`]:
+    /// drawing all `m` per-worker totals here, then one
+    /// [`CommModel::sample_bytes`] delay, consumes exactly the same RNG
+    /// stream as `sample_round`, so the cluster's round — which needs
+    /// per-worker times for straggler spikes and quorum policies, and
+    /// prices its payload bytes into the delay — stays draw-for-draw
+    /// compatible with it.
     ///
     /// # Panics
     ///
@@ -380,30 +363,38 @@ mod tests {
             3,
         );
         let mut rng = StdRng::seed_from_u64(8);
-        let full = model.sample_round_bytes(4, 1_000_000.0, &mut rng);
-        let compressed = model.sample_round_bytes(4, 10_000.0, &mut rng);
+        let full = model.comm().sample_bytes(3, 1_000_000.0, &mut rng);
+        let compressed = model.comm().sample_bytes(3, 10_000.0, &mut rng);
         // 1 MB at 1 µs/byte adds 1.0 s; 10 kB adds 0.01 s.
-        assert!((full.comm - 1.5).abs() < 1e-12);
-        assert!((compressed.comm - 0.51).abs() < 1e-12);
-        assert!(compressed.total() < full.total());
+        assert!((full - 1.5).abs() < 1e-12);
+        assert!((compressed - 0.51).abs() < 1e-12);
+        // A round carries no payload bytes: latency only.
+        assert_eq!(model.sample_round(4, &mut rng).comm, 0.5);
     }
 
     #[test]
     fn zero_bytes_round_matches_plain_round() {
-        let model = constant_model(1.0, 0.5, 2);
+        // With a bandwidth term a round still prices zero bytes: its comm
+        // draw is the latency-only model's, on the same stream.
+        let latency_only = constant_model(1.0, 0.5, 2);
+        let model = RuntimeModel::new(
+            DelayDistribution::constant(1.0),
+            CommModel::constant(0.5).with_bandwidth(1e-6),
+            2,
+        );
         let mut rng = StdRng::seed_from_u64(9);
-        let a = model.sample_round(3, &mut rng);
+        let a = latency_only.sample_round(3, &mut rng);
         let mut rng = StdRng::seed_from_u64(9);
-        let b = model.sample_round_bytes(3, 0.0, &mut rng);
+        let b = model.sample_round(3, &mut rng);
         assert_eq!(a, b);
     }
 
     #[test]
     fn worker_times_match_fused_round_stream() {
-        // The decomposed sampler must consume the RNG exactly like the
-        // fused one: per-worker totals in worker order, then one comm draw
-        // — for every tau, with a random comm base, and over consecutive
-        // rounds on one stream and one reused buffer.
+        // The decomposed sampler must consume the RNG exactly like
+        // `sample_round`: per-worker totals in worker order, then one comm
+        // draw — for every tau, with a random comm base, and over
+        // consecutive rounds on one stream and one reused buffer.
         let model = RuntimeModel::new(
             DelayDistribution::exponential(1.0),
             CommModel::new(
@@ -417,9 +408,9 @@ mod tests {
         let mut split_rng = StdRng::seed_from_u64(10);
         let mut times = Vec::new();
         for tau in [1usize, 3, 8, 2] {
-            let round = model.sample_round_bytes(tau, 2048.0, &mut fused_rng);
+            let round = model.sample_round(tau, &mut fused_rng);
             model.sample_worker_compute_times(tau, &mut times, &mut split_rng);
-            let comm = model.comm().sample_bytes(4, 2048.0, &mut split_rng);
+            let comm = model.comm().sample_bytes(4, 0.0, &mut split_rng);
             assert_eq!(times.len(), 4);
             let slowest = times.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             assert_eq!(round.compute, slowest, "tau={tau}");

@@ -5,8 +5,8 @@
 //! implements one: layers with explicit forward/backward passes
 //! ([`Dense`], [`Conv2d`], [`MaxPool2d`], [`Relu`], [`Tanh`], [`Residual`]),
 //! losses ([`Loss`]), an SGD optimizer with momentum and weight decay
-//! ([`Sgd`]), and a [`Network`] container exposing the parameter
-//! snapshot/load plumbing that periodic model averaging needs.
+//! ([`Sgd`]), and a [`Network`] container exposing its parameters as the
+//! one flat plane that periodic model averaging reads and writes.
 //!
 //! The [`models`] module provides the architectures the experiments use:
 //! [`models::vgg_like`] (plain conv stack, heavy dense head —
@@ -56,7 +56,7 @@ pub use conv::{Conv2d, ImageDims, MaxPool2d};
 pub use dense::Dense;
 pub use layer::{param_count, Layer};
 pub use loss::Loss;
-pub use network::{average_params, Network};
+pub use network::Network;
 pub use optim::Sgd;
 pub use residual::Residual;
 pub use sequential::Sequential;

@@ -7,8 +7,9 @@ use tensor::Tensor;
 /// producing class logits, trained against a [`Loss`].
 ///
 /// `Network` is what the PASGD simulator replicates onto each worker: it
-/// exposes parameter snapshot/load (for model averaging), a combined
-/// forward+backward training step, and evaluation helpers.
+/// exposes its parameters as one flat plane (copy, accumulate and load,
+/// for model averaging), a combined forward+backward training step, and
+/// evaluation helpers.
 ///
 /// # Example
 ///
@@ -120,36 +121,13 @@ impl Network {
     // Parameter plumbing for distributed averaging
     // ------------------------------------------------------------------
 
-    /// Snapshots every parameter tensor, in visitor order.
+    /// Snapshots every parameter tensor, in visitor order — the shapes
+    /// behind the flat plane's segments, for diagnostics and for checking
+    /// that checkpointed per-tensor state still fits the model.
     pub fn params_snapshot(&self) -> Vec<Tensor> {
         let mut out = Vec::new();
         self.stack.visit_params(&mut |p| out.push(p.clone()));
         out
-    }
-
-    /// Loads parameters previously produced by [`Network::params_snapshot`]
-    /// (or an average of several snapshots).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot length or any tensor shape disagrees.
-    pub fn load_params(&mut self, params: &[Tensor]) {
-        let mut idx = 0;
-        self.stack.visit_params_mut(&mut |p| {
-            assert!(
-                idx < params.len(),
-                "snapshot has too few tensors ({} provided)",
-                params.len()
-            );
-            p.copy_from(&params[idx]);
-            idx += 1;
-        });
-        assert_eq!(
-            idx,
-            params.len(),
-            "snapshot has {} tensors but the network has {idx}",
-            params.len()
-        );
     }
 
     /// Lengths of every parameter tensor in visitor order — the segment
@@ -162,8 +140,7 @@ impl Network {
     }
 
     /// Copies every parameter into the flat plane `out` (row-major within
-    /// each tensor, visitor order across tensors). The allocation-free
-    /// counterpart of [`Network::params_snapshot`]; the PASGD cluster keeps
+    /// each tensor, visitor order across tensors). The PASGD cluster keeps
     /// one preallocated plane per worker and refills it every round.
     ///
     /// # Panics
@@ -227,8 +204,8 @@ impl Network {
     }
 
     /// Overwrites every parameter from the flat plane `src` (the layout
-    /// produced by [`Network::copy_params_into`]). The allocation-free
-    /// counterpart of [`Network::load_params`].
+    /// produced by [`Network::copy_params_into`]) — the broadcast half of
+    /// model averaging.
     ///
     /// # Panics
     ///
@@ -253,15 +230,6 @@ impl Network {
         );
     }
 
-    /// Snapshots every gradient tensor, in the same order as
-    /// [`Network::params_snapshot`].
-    pub fn grads_snapshot(&mut self) -> Vec<Tensor> {
-        let mut out = Vec::new();
-        self.stack
-            .visit_param_grad_pairs(&mut |_, g| out.push(g.clone()));
-        out
-    }
-
     /// Squared L2 norm of the current gradient.
     pub fn grad_sq_norm(&mut self) -> f32 {
         let mut total = 0.0;
@@ -281,42 +249,6 @@ impl Network {
     }
 }
 
-/// Averages the parameter snapshots of several replicas — eq. 3's averaging
-/// step, operating tensor-by-tensor.
-///
-/// # Panics
-///
-/// Panics if `snapshots` is empty or shapes are inconsistent.
-///
-/// # Example
-///
-/// ```
-/// use nn::{average_params, models};
-///
-/// let a = models::mlp_classifier(4, &[8], 2, 1).params_snapshot();
-/// let b = models::mlp_classifier(4, &[8], 2, 2).params_snapshot();
-/// let avg = average_params(&[a, b]);
-/// assert_eq!(avg.len(), 4); // two dense layers x (weight, bias)
-/// ```
-pub fn average_params(snapshots: &[Vec<Tensor>]) -> Vec<Tensor> {
-    assert!(!snapshots.is_empty(), "cannot average zero snapshots");
-    let n = snapshots[0].len();
-    for s in snapshots {
-        assert_eq!(
-            s.len(),
-            n,
-            "inconsistent snapshot lengths: {} vs {n}",
-            s.len()
-        );
-    }
-    (0..n)
-        .map(|i| {
-            let tensors: Vec<Tensor> = snapshots.iter().map(|s| s[i].clone()).collect();
-            tensor::average(&tensors)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,18 +259,18 @@ mod tests {
     #[test]
     fn snapshot_load_roundtrip() {
         let net = models::mlp_classifier(4, &[6], 3, 0);
-        let snap = net.params_snapshot();
+        let plane = net.params_flat();
         let mut other = models::mlp_classifier(4, &[6], 3, 99);
-        assert_ne!(other.params_snapshot(), snap);
-        other.load_params(&snap);
-        assert_eq!(other.params_snapshot(), snap);
+        assert_ne!(other.params_flat(), plane);
+        other.load_params_from(&plane);
+        assert_eq!(other.params_snapshot(), net.params_snapshot());
     }
 
     #[test]
     fn identical_params_give_identical_predictions() {
         let mut a = models::mlp_classifier(4, &[6], 3, 0);
         let mut b = models::mlp_classifier(4, &[6], 3, 1);
-        b.load_params(&a.params_snapshot());
+        b.load_params_from(&a.params_flat());
         let mut rng = StdRng::seed_from_u64(2);
         let x = tensor::Tensor::randn(&[8, 4], 1.0, &mut rng);
         assert_eq!(a.predict(&x), b.predict(&x));
@@ -354,21 +286,6 @@ mod tests {
         assert!(net.grad_sq_norm() > 0.0);
         net.zero_grads();
         assert_eq!(net.grad_sq_norm(), 0.0);
-    }
-
-    #[test]
-    fn average_params_midpoint() {
-        let a = vec![tensor::Tensor::full(&[2], 0.0)];
-        let b = vec![tensor::Tensor::full(&[2], 4.0)];
-        let avg = average_params(&[a, b]);
-        assert_eq!(avg[0].as_slice(), &[2.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "too few tensors")]
-    fn load_rejects_short_snapshot() {
-        let mut net = models::mlp_classifier(4, &[6], 3, 0);
-        net.load_params(&[]);
     }
 
     #[test]

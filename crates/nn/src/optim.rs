@@ -272,10 +272,10 @@ mod tests {
             opt_b.step(&mut net_b);
         }
         let buffers = opt_b.momentum_buffers().to_vec();
-        let params = net_b.params_snapshot();
+        let params = net_b.params_flat();
         // "Resume" into fresh objects.
         let mut net_c = models::mlp_classifier(4, &[8], 2, 11);
-        net_c.load_params(&params);
+        net_c.load_params_from(&params);
         let mut opt_c = Sgd::new(0.05).with_momentum(0.9);
         opt_c.restore_momentum_buffers(buffers);
         for _ in 0..5 {

@@ -1,6 +1,6 @@
 //! Property-based tests for the neural-network substrate.
 
-use nn::{average_params, models, Loss, Sgd};
+use nn::{models, Loss, Sgd};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,27 +25,6 @@ proptest! {
         for r in 0..3 {
             let s: f32 = grad.row(r).iter().sum();
             prop_assert!(s.abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn averaging_identical_models_is_identity(seed in 0u64..100) {
-        let net = models::mlp_classifier(6, &[4], 3, seed);
-        let snap = net.params_snapshot();
-        let avg = average_params(&[snap.clone(), snap.clone(), snap.clone()]);
-        for (a, b) in avg.iter().zip(snap.iter()) {
-            prop_assert!(a.distance(b) < 1e-6);
-        }
-    }
-
-    #[test]
-    fn averaging_is_permutation_invariant(s1 in 0u64..50, s2 in 50u64..100) {
-        let a = models::mlp_classifier(6, &[4], 3, s1).params_snapshot();
-        let b = models::mlp_classifier(6, &[4], 3, s2).params_snapshot();
-        let ab = average_params(&[a.clone(), b.clone()]);
-        let ba = average_params(&[b, a]);
-        for (x, y) in ab.iter().zip(ba.iter()) {
-            prop_assert!(x.distance(y) < 1e-6);
         }
     }
 
@@ -75,10 +54,10 @@ proptest! {
     #[test]
     fn snapshot_load_roundtrip_any_model(seed in 0u64..50) {
         let net = models::mlp_classifier(4, &[3, 3], 2, seed);
-        let snap = net.params_snapshot();
+        let plane = net.params_flat();
         let mut fresh = models::mlp_classifier(4, &[3, 3], 2, seed + 1);
-        fresh.load_params(&snap);
-        prop_assert_eq!(fresh.params_snapshot(), snap);
+        fresh.load_params_from(&plane);
+        prop_assert_eq!(fresh.params_snapshot(), net.params_snapshot());
     }
 
     #[test]

@@ -110,7 +110,8 @@ impl Default for ClusterConfig {
 /// advances the clock by `max_i(Σ_k Y_{i,k}) + D`.
 ///
 /// The cluster is deliberately scheduler-agnostic: callers decide `τ` per
-/// round (see [`run_experiment`](crate::run_experiment) for the interval-based driver).
+/// round (see [`ExperimentSuite`](crate::ExperimentSuite) for the
+/// interval-based driver).
 ///
 /// # Example
 ///
@@ -781,7 +782,7 @@ impl PasgdCluster {
             }
             let touched = self
                 .averaging
-                .mix_tracked(&mut self.msg_planes[..count], &mut self.delay_rng);
+                .mix(&mut self.msg_planes[..count], &mut self.delay_rng);
             for (slot, &i) in participants.iter().enumerate().rev() {
                 self.msg_planes.swap(slot, i);
             }
@@ -1092,20 +1093,39 @@ impl PasgdCluster {
 
     /// Mean pairwise parameter distance between local models (a direct
     /// measure of the model discrepancy that grows with `τ`, Figure 2).
+    ///
+    /// A pair's distance is taken segment by segment over the parameter
+    /// planes (one segment per parameter tensor, see
+    /// [`nn::Network::param_sizes`]): each segment's distance is the square
+    /// root of a left-to-right `f32` sum of squared differences, and the
+    /// squared segment distances are summed in segment order before the
+    /// final square root. The golden traces pin this order bit for bit.
     pub fn model_discrepancy(&self) -> f32 {
-        let snaps: Vec<Vec<Tensor>> = self.workers.iter().map(Worker::params_snapshot).collect();
-        if snaps.len() < 2 {
+        let planes: Vec<Vec<f32>> = self
+            .workers
+            .iter()
+            .map(|w| w.model().params_flat())
+            .collect();
+        if planes.len() < 2 {
             return 0.0;
         }
         let mut total = 0.0f32;
         let mut pairs = 0u32;
-        for i in 0..snaps.len() {
-            for j in i + 1..snaps.len() {
-                let dist_sq: f32 = snaps[i]
+        for i in 0..planes.len() {
+            for j in i + 1..planes.len() {
+                let mut offset = 0usize;
+                let dist_sq: f32 = self
+                    .param_sizes
                     .iter()
-                    .zip(snaps[j].iter())
-                    .map(|(a, b)| {
-                        let d = a.distance(b);
+                    .map(|&len| {
+                        let seg = offset..offset + len;
+                        offset += len;
+                        let d = planes[i][seg.clone()]
+                            .iter()
+                            .zip(&planes[j][seg])
+                            .map(|(&a, &b)| (a - b) * (a - b))
+                            .sum::<f32>()
+                            .sqrt();
                         d * d
                     })
                     .sum();

@@ -61,10 +61,7 @@ impl RunTrace {
 
     /// Best (highest) test accuracy over the run — the paper's Table 1
     /// metric ("we report the best accuracy within a time budget").
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is empty.
+    /// An empty trace has no best point and yields `f64::NEG_INFINITY`.
     pub fn best_test_accuracy(&self) -> f64 {
         self.points
             .iter()
@@ -88,11 +85,8 @@ impl RunTrace {
         self.points.iter().map(|p| (p.clock, p.tau)).collect()
     }
 
-    /// Minimum training loss seen over the run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is empty.
+    /// Minimum training loss seen over the run. An empty trace has no
+    /// minimum and yields `f32::INFINITY`.
     pub fn min_loss(&self) -> f32 {
         self.points
             .iter()
@@ -126,68 +120,6 @@ impl Default for ExperimentConfig {
     }
 }
 
-/// Drives a [`PasgdCluster`] under a communication scheduler and a
-/// learning-rate schedule, producing a [`RunTrace`].
-///
-/// This is the top-level API the examples and every figure harness use.
-///
-/// # Example
-///
-/// ```
-/// use pasgd_sim::{run_experiment, ClusterConfig, ExperimentConfig};
-/// use adacomm::{FixedComm, LrSchedule};
-/// use data::GaussianMixture;
-/// use delay::{CommModel, DelayDistribution, RuntimeModel};
-/// use nn::models;
-///
-/// let split = GaussianMixture::small_test().generate(1);
-/// let runtime = RuntimeModel::new(
-///     DelayDistribution::constant(0.1),
-///     CommModel::constant(0.05),
-///     2,
-/// );
-/// let trace = run_experiment(
-///     models::mlp_classifier(8, &[16], 3, 0),
-///     split,
-///     runtime,
-///     ClusterConfig { workers: 2, batch_size: 8, ..ClusterConfig::default() },
-///     &mut FixedComm::new(4),
-///     &LrSchedule::constant(0.05),
-///     &ExperimentConfig {
-///         interval_secs: 5.0,
-///         total_secs: 20.0,
-///         record_every_secs: 2.0,
-///         gate_lr_on_tau: false,
-///     },
-/// );
-/// assert!(trace.points.len() > 2);
-/// assert!(trace.final_loss() < trace.points[0].train_loss);
-/// ```
-#[allow(clippy::too_many_arguments)]
-pub fn run_experiment(
-    model: Network,
-    split: TrainTestSplit,
-    runtime: RuntimeModel,
-    cluster_config: ClusterConfig,
-    scheduler: &mut dyn CommSchedule,
-    lr_schedule: &LrSchedule,
-    config: &ExperimentConfig,
-) -> RunTrace {
-    run_experiment_cancellable(
-        model,
-        split,
-        runtime,
-        cluster_config,
-        scheduler,
-        lr_schedule,
-        config,
-        None,
-        None,
-    )
-    .expect("a fresh run has no checkpoint to reject")
-    .into_completed()
-}
-
 /// Emits one enriched `"point"` JSONL event to the telemetry sink (if one
 /// is installed): the recorded [`TracePoint`] plus the cluster's simulated
 /// compute/communication time split, which the `TracePoint` wire format
@@ -219,7 +151,7 @@ pub enum RunOutcome {
     Completed(RunTrace),
     /// The round hook stopped the run mid-run; the snapshot resumes the
     /// run bit-identically via the `resume` argument of
-    /// [`run_experiment_cancellable`].
+    /// [`ExperimentSuite::run_configured_cancellable`].
     Checkpointed(Box<RunCheckpoint>),
 }
 
@@ -239,51 +171,18 @@ impl RunOutcome {
 /// returns whether the run continues or stops.
 pub type RoundHook<'a> = dyn FnMut(u64, &dyn Fn() -> RunCheckpoint) -> ControlFlow<()> + 'a;
 
-/// [`run_experiment`] with mid-run checkpoint/resume and a round-boundary
-/// hook.
-///
-/// * `resume` — continue from a [`RunCheckpoint`] instead of starting at
-///   `t = 0`. The scheduler is `reset()` and fed the checkpoint's exported
-///   state, the cluster is rebuilt from the same model/data/seed and then
-///   restored, so the continuation is **bit-identical** to the run that
-///   produced the checkpoint. The caller must pass the same model, split,
-///   runtime and configuration as the original run; structural mismatches
-///   are rejected with `Err` (and the run should be recomputed fresh).
-/// * `on_round` — called at every averaging-round boundary (the only
-///   points where the cluster state is checkpointable) while simulated
-///   time remains, with the rounds completed **in total** (resumed rounds
-///   included) and a snapshot function: a caller that persists progress
-///   takes a [`RunCheckpoint`] there and the run goes on. Once it returns
-///   [`ControlFlow::Break`], the run returns [`RunOutcome::Checkpointed`].
-///   Either checkpoint resumes bit-identically, so a deadline-cancelled
-///   or drain-preempted run loses no work — the hook only decides *when*
-///   the run stops or is saved, never *what* it computes. A run whose
-///   final round exhausts the budget completes without a last call.
-///
-/// Fresh runs (`resume = None`) never return `Err`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_experiment_cancellable(
-    model: Network,
-    split: TrainTestSplit,
-    runtime: RuntimeModel,
-    cluster_config: ClusterConfig,
+/// Drives a freshly built `cluster` under a communication scheduler and a
+/// learning-rate schedule, or restores it from `resume` first, producing
+/// a [`RunOutcome`]. See [`ExperimentSuite::run_configured_cancellable`]
+/// for the `resume` / `on_round` semantics.
+fn drive_run(
+    mut cluster: PasgdCluster,
     scheduler: &mut dyn CommSchedule,
     lr_schedule: &LrSchedule,
     config: &ExperimentConfig,
     resume: Option<&RunCheckpoint>,
     mut on_round: Option<&mut RoundHook<'_>>,
 ) -> Result<RunOutcome, String> {
-    assert!(
-        config.interval_secs > 0.0 && config.total_secs > 0.0,
-        "experiment durations must be positive"
-    );
-    // Root span of a run: its *self* time is the driver-loop and
-    // scheduler overhead left over after the compute/codec/average/eval
-    // phases inside claim theirs.
-    let _run_span = telemetry::span("phase.simulate");
-    telemetry::counter("sim.runs").inc();
-    let mut cluster = PasgdCluster::new(model, split, runtime, cluster_config);
-
     let mut points;
     let mut interval;
     let mut last_loss;
@@ -449,11 +348,43 @@ pub fn run_experiment_cancellable(
 }
 
 /// Everything needed to build identical clusters for a family of methods —
-/// the comparison harness behind Figures 9–13.
+/// the one way to run the paper's interval protocol, behind the examples
+/// and every figure harness: consult a scheduler every `T0` simulated
+/// seconds, apply a learning-rate schedule, record a [`RunTrace`].
 ///
 /// Each call to [`ExperimentSuite::run`] constructs a fresh cluster from the
 /// same model/data/seed so that methods differ *only* in their scheduler,
 /// learning-rate schedule and momentum mode.
+///
+/// # Example
+///
+/// ```
+/// use pasgd_sim::{ClusterConfig, ExperimentConfig, ExperimentSuite};
+/// use adacomm::{AdaComm, FixedComm, LrSchedule};
+/// use data::GaussianMixture;
+/// use delay::{CommModel, DelayDistribution, RuntimeModel};
+/// use nn::models;
+///
+/// let suite = ExperimentSuite::new(
+///     models::mlp_classifier(8, &[16], 3, 0),
+///     GaussianMixture::small_test().generate(1),
+///     RuntimeModel::new(DelayDistribution::constant(0.1), CommModel::constant(0.05), 2),
+///     ClusterConfig { workers: 2, batch_size: 8, ..ClusterConfig::default() },
+///     ExperimentConfig {
+///         interval_secs: 5.0,
+///         total_secs: 20.0,
+///         record_every_secs: 2.0,
+///         gate_lr_on_tau: false,
+///     },
+/// );
+/// let lr = LrSchedule::constant(0.05);
+/// let fixed = suite.run(&mut FixedComm::new(4), &lr);
+/// let adaptive = suite.run(&mut AdaComm::with_tau0(8), &lr);
+/// assert!(fixed.points.len() > 2);
+/// assert!(fixed.final_loss() < fixed.points[0].train_loss);
+/// // Same model, data and seed: the methods start from the same point.
+/// assert_eq!(fixed.points[0].train_loss, adaptive.points[0].train_loss);
+/// ```
 pub struct ExperimentSuite {
     model: Network,
     split: TrainTestSplit,
@@ -522,12 +453,31 @@ impl ExperimentSuite {
     }
 
     /// [`ExperimentSuite::run_configured`] with mid-run checkpoint/resume
-    /// and a round-boundary hook — see [`run_experiment_cancellable`] for
-    /// the `resume` / `on_round` semantics. A resumed run must pass the
-    /// same overrides as the run that produced the checkpoint. This is the
-    /// entry point the sweep engine executes a declarative `SweepSpec`
-    /// through, and the one the sweep service's deadline- and
-    /// drain-preemptible runs use.
+    /// and a round-boundary hook. This is the entry point the sweep engine
+    /// executes a declarative `SweepSpec` through, and the one the sweep
+    /// service's deadline- and drain-preemptible runs use.
+    ///
+    /// * `resume` — continue from a [`RunCheckpoint`] instead of starting
+    ///   at `t = 0`. The scheduler is `reset()` and fed the checkpoint's
+    ///   exported state, the cluster is rebuilt from the suite's
+    ///   model/data/seed and then restored, so the continuation is
+    ///   **bit-identical** to the run that produced the checkpoint. A
+    ///   resumed run must pass the same overrides as that run; structural
+    ///   mismatches are rejected with `Err` (and the run should be
+    ///   recomputed fresh).
+    /// * `on_round` — called at every averaging-round boundary (the only
+    ///   points where the cluster state is checkpointable) while simulated
+    ///   time remains, with the rounds completed **in total** (resumed
+    ///   rounds included) and a snapshot function: a caller that persists
+    ///   progress takes a [`RunCheckpoint`] there and the run goes on. Once
+    ///   it returns [`ControlFlow::Break`], the run returns
+    ///   [`RunOutcome::Checkpointed`]. Either checkpoint resumes
+    ///   bit-identically, so a deadline-cancelled or drain-preempted run
+    ///   loses no work — the hook only decides *when* the run stops or is
+    ///   saved, never *what* it computes. A run whose final round exhausts
+    ///   the budget completes without a last call.
+    ///
+    /// Fresh runs (`resume = None`) never return `Err`.
     #[allow(clippy::too_many_arguments)]
     pub fn run_configured_cancellable(
         &self,
@@ -563,11 +513,23 @@ impl ExperimentSuite {
             experiment_config.total_secs = total_secs;
             experiment_config.record_every_secs = record_every_secs;
         }
-        run_experiment_cancellable(
+        assert!(
+            experiment_config.interval_secs > 0.0 && experiment_config.total_secs > 0.0,
+            "experiment durations must be positive"
+        );
+        // Root span of a run: its *self* time is the driver-loop and
+        // scheduler overhead left over after the compute/codec/average/eval
+        // phases inside claim theirs.
+        let _run_span = telemetry::span("phase.simulate");
+        telemetry::counter("sim.runs").inc();
+        let cluster = PasgdCluster::new(
             self.model.clone(),
             self.split.clone(),
             self.runtime,
             cluster_config,
+        );
+        drive_run(
+            cluster,
             scheduler,
             lr_schedule,
             &experiment_config,
@@ -737,6 +699,18 @@ mod tests {
             None,
         );
         assert_ne!(plain, block, "momentum must change the trajectory");
+    }
+
+    #[test]
+    fn empty_trace_extremes_are_infinite() {
+        let empty = RunTrace {
+            name: "empty".to_string(),
+            points: Vec::new(),
+            peak_payload_bytes: 0.0,
+            rounds: 0,
+        };
+        assert_eq!(empty.best_test_accuracy(), f64::NEG_INFINITY);
+        assert_eq!(empty.min_loss(), f32::INFINITY);
     }
 
     #[test]

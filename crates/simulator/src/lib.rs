@@ -16,9 +16,10 @@
 //!
 //! * [`PasgdCluster`] — one averaging round at a time, full control
 //!   (used by the Figure 14 local-vs-synchronized probe);
-//! * [`run_experiment`] / [`ExperimentSuite`] — the paper's interval
-//!   protocol: consult a `CommSchedule` every `T0` seconds, apply a
-//!   learning-rate schedule, record a [`RunTrace`].
+//! * [`ExperimentSuite`] — the paper's interval protocol: consult a
+//!   `CommSchedule` every `T0` seconds, apply a learning-rate schedule,
+//!   record a [`RunTrace`]; every run builds a fresh cluster from the
+//!   suite's model, data and seed.
 //!
 //! Block momentum (Section 5.3.1, eqs. 24–25) is implemented in
 //! [`BlockMomentum`] and selected via [`MomentumMode`].
@@ -26,7 +27,7 @@
 //! # Example
 //!
 //! ```
-//! use pasgd_sim::{run_experiment, ClusterConfig, ExperimentConfig};
+//! use pasgd_sim::{ClusterConfig, ExperimentConfig, ExperimentSuite};
 //! use adacomm::{AdaComm, LrSchedule};
 //! use data::GaussianMixture;
 //! use delay::{CommModel, DelayDistribution, RuntimeModel};
@@ -37,20 +38,19 @@
 //!     CommModel::constant(0.1),
 //!     2,
 //! );
-//! let trace = run_experiment(
+//! let suite = ExperimentSuite::new(
 //!     nn::models::mlp_classifier(8, &[16], 3, 0),
 //!     split,
 //!     runtime,
 //!     ClusterConfig { workers: 2, batch_size: 8, ..ClusterConfig::default() },
-//!     &mut AdaComm::with_tau0(8),
-//!     &LrSchedule::constant(0.05),
-//!     &ExperimentConfig {
+//!     ExperimentConfig {
 //!         interval_secs: 5.0,
 //!         total_secs: 15.0,
 //!         record_every_secs: 5.0,
 //!         gate_lr_on_tau: false,
 //!     },
 //! );
+//! let trace = suite.run(&mut AdaComm::with_tau0(8), &LrSchedule::constant(0.05));
 //! assert_eq!(trace.name, "adacomm");
 //! ```
 
@@ -68,8 +68,7 @@ mod worker;
 pub use checkpoint::{ClusterCheckpoint, RunCheckpoint, WorkerCheckpoint};
 pub use cluster::{ClusterConfig, PasgdCluster};
 pub use experiment::{
-    run_experiment, run_experiment_cancellable, ExperimentConfig, ExperimentSuite, RoundHook,
-    RunOutcome, RunTrace, TracePoint,
+    ExperimentConfig, ExperimentSuite, RoundHook, RunOutcome, RunTrace, TracePoint,
 };
 pub use fault::{
     AggregationPolicy, FaultCheckpoint, FaultConfig, FaultSpec, FaultStats, FAULT_SEED_SALT,

@@ -186,13 +186,6 @@ impl BlockMomentum {
         }
     }
 
-    /// Allocating convenience around [`BlockMomentum::apply_into`].
-    pub fn apply(&mut self, averaged: &[f32], lr: f32) -> Vec<f32> {
-        let mut out = vec![0.0f32; averaged.len()];
-        self.apply_into(averaged, lr, &mut out);
-        out
-    }
-
     /// Borrows the `(buffer, prev_sync)` planes for a run checkpoint.
     pub fn state(&self) -> (&[f32], &[f32]) {
         (&self.buffer, &self.prev_sync)
@@ -222,11 +215,18 @@ impl BlockMomentum {
 mod tests {
     use super::*;
 
+    /// One block-momentum step into a fresh plane.
+    fn apply(bm: &mut BlockMomentum, averaged: &[f32], lr: f32) -> Vec<f32> {
+        let mut out = vec![0.0f32; averaged.len()];
+        bm.apply_into(averaged, lr, &mut out);
+        out
+    }
+
     #[test]
     fn zero_global_beta_is_plain_averaging() {
         let mut bm = BlockMomentum::new(0.0, vec![1.0, 1.0]);
         let avg = [0.5f32, 0.7];
-        let out = bm.apply(&avg, 0.1);
+        let out = apply(&mut bm, &avg, 0.1);
         for (o, a) in out.iter().zip(avg.iter()) {
             assert!((o - a).abs() < 1e-6, "got {out:?}");
         }
@@ -238,10 +238,10 @@ mod tests {
         // broadcast overshoots the plain average (heavy-ball behaviour).
         let mut bm = BlockMomentum::new(0.5, vec![1.0]);
         let lr = 0.1;
-        let first = bm.apply(&[0.8], lr);
+        let first = apply(&mut bm, &[0.8], lr);
         assert!((first[0] - 0.8).abs() < 1e-6, "first round unchanged");
         // Second round: plain average would be 0.6.
-        let second = bm.apply(&[0.6], lr);
+        let second = apply(&mut bm, &[0.6], lr);
         assert!(
             second[0] < 0.6 - 1e-6,
             "expected overshoot below 0.6, got {}",
@@ -282,6 +282,6 @@ mod tests {
     #[should_panic(expected = "parameter structure changed")]
     fn structure_change_detected() {
         let mut bm = BlockMomentum::new(0.3, vec![0.0]);
-        let _ = bm.apply(&[0.0, 1.0], 0.1);
+        let _ = apply(&mut bm, &[0.0, 1.0], 0.1);
     }
 }

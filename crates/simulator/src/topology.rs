@@ -71,30 +71,21 @@ impl AveragingStrategy {
             || matches!(self, AveragingStrategy::Elastic { alpha } if *alpha >= 1.0)
     }
 
-    /// Applies the strategy to the per-worker parameter planes in place.
-    /// `rng` drives participant sampling for
-    /// [`AveragingStrategy::PartialParticipation`].
+    /// Applies the strategy to the per-worker parameter planes in place
+    /// and reports which workers the synchronization touched:
+    /// `touched[i]` is true iff worker `i`'s plane was (re)written. `rng`
+    /// drives participant sampling for
+    /// [`AveragingStrategy::PartialParticipation`], which leaves
+    /// sampled-out workers untouched; a degenerate participant group of
+    /// one exchanges nothing and counts as untouched too. The
+    /// compressed-averaging path uses the mask to decide which workers
+    /// adopt a mixed (lossy) model and which keep their exact local
+    /// parameters.
     ///
     /// # Panics
     ///
     /// Panics if `planes` is empty or the plane lengths differ.
-    pub fn mix<R: Rng + ?Sized>(&self, planes: &mut [Vec<f32>], rng: &mut R) {
-        let _ = self.mix_tracked(planes, rng);
-    }
-
-    /// Like [`AveragingStrategy::mix`], additionally reporting which
-    /// workers the synchronization actually touched: `touched[i]` is true
-    /// iff worker `i`'s plane was (re)written by the mix. Partial
-    /// participation leaves sampled-out workers untouched; a degenerate
-    /// participant group of one exchanges nothing and counts as untouched
-    /// too. The compressed-averaging path uses this to decide which
-    /// workers adopt a mixed (lossy) model and which keep their exact
-    /// local parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `planes` is empty or the plane lengths differ.
-    pub fn mix_tracked<R: Rng + ?Sized>(&self, planes: &mut [Vec<f32>], rng: &mut R) -> Vec<bool> {
+    pub fn mix<R: Rng + ?Sized>(&self, planes: &mut [Vec<f32>], rng: &mut R) -> Vec<bool> {
         assert!(!planes.is_empty(), "no models to mix");
         let m = planes.len();
         let n = planes[0].len();
@@ -324,16 +315,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let mut snaps = planes(&[0.0, 1.0, 2.0]);
         assert_eq!(
-            AveragingStrategy::FullAverage.mix_tracked(&mut snaps, &mut rng),
+            AveragingStrategy::FullAverage.mix(&mut snaps, &mut rng),
             vec![true; 3]
         );
         assert_eq!(
-            AveragingStrategy::Ring.mix_tracked(&mut snaps, &mut rng),
+            AveragingStrategy::Ring.mix(&mut snaps, &mut rng),
             vec![true; 3]
         );
         let mut snaps = planes(&[0.0, 10.0, 20.0, 30.0]);
-        let touched = AveragingStrategy::PartialParticipation { fraction: 0.5 }
-            .mix_tracked(&mut snaps, &mut rng);
+        let touched =
+            AveragingStrategy::PartialParticipation { fraction: 0.5 }.mix(&mut snaps, &mut rng);
         assert_eq!(touched.iter().filter(|&&t| t).count(), 2);
         // Untouched workers keep their exact values.
         for (i, t) in touched.iter().enumerate() {
@@ -347,8 +338,8 @@ mod tests {
     fn lone_participant_touches_nobody() {
         let mut rng = StdRng::seed_from_u64(9);
         let mut snaps = planes(&[1.0, 2.0, 3.0, 4.0]);
-        let touched = AveragingStrategy::PartialParticipation { fraction: 0.25 }
-            .mix_tracked(&mut snaps, &mut rng);
+        let touched =
+            AveragingStrategy::PartialParticipation { fraction: 0.25 }.mix(&mut snaps, &mut rng);
         assert_eq!(touched, vec![false; 4]);
         assert_eq!(firsts(&snaps), vec![1.0, 2.0, 3.0, 4.0]);
     }

@@ -152,13 +152,7 @@ impl Worker {
         self.optimizer.reset_momentum();
     }
 
-    /// Snapshot of the local model parameters.
-    pub fn params_snapshot(&self) -> Vec<Tensor> {
-        self.model.params_snapshot()
-    }
-
-    /// Copies the local model parameters into the flat plane `out` — the
-    /// allocation-free counterpart of [`Worker::params_snapshot`].
+    /// Copies the local model parameters into the flat plane `out`.
     ///
     /// # Panics
     ///
@@ -176,21 +170,6 @@ impl Worker {
     /// Panics if `acc.len()` differs from the model's parameter count.
     pub fn add_params_to(&self, acc: &mut [f32]) {
         self.model.add_params_to(acc);
-    }
-
-    /// Overwrites the local model with `params` (the post-averaging
-    /// broadcast). While reference tracking is enabled they are also
-    /// recorded as the new sync reference for the next compressed round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot does not match the model structure.
-    pub fn load_params(&mut self, params: &[Tensor]) {
-        self.model.load_params(params);
-        if self.track_reference {
-            self.sync_reference.resize(self.model.param_count(), 0.0);
-            self.model.copy_params_into(&mut self.sync_reference);
-        }
     }
 
     /// Overwrites the local model from the flat broadcast plane `plane`
@@ -260,7 +239,7 @@ impl Worker {
     ) -> usize {
         assert!(
             self.track_reference,
-            "encode_update requires sync-reference tracking; \
+            "encode_update_into requires sync-reference tracking; \
              call set_reference_tracking(true) at a synchronization point first"
         );
         let n = self.sync_reference.len();
@@ -300,37 +279,6 @@ impl Worker {
             *o += r;
         }
         bytes
-    }
-
-    /// Tensor-based convenience around [`Worker::encode_update_into`]
-    /// (used by tests and diagnostics; the cluster uses the flat entry
-    /// point).
-    ///
-    /// # Panics
-    ///
-    /// Panics if reference tracking is not enabled.
-    pub fn encode_update(&mut self, codec: &dyn Compressor) -> (Vec<Tensor>, usize) {
-        let segments = self.model.param_sizes();
-        let n: usize = segments.iter().sum();
-        let mut out = vec![0.0f32; n];
-        let bytes = self.encode_update_into(codec, &segments, &mut out);
-        let shapes: Vec<Vec<usize>> = self
-            .model
-            .params_snapshot()
-            .iter()
-            .map(|t| t.dims().to_vec())
-            .collect();
-        let mut sent = Vec::with_capacity(shapes.len());
-        let mut offset = 0usize;
-        for dims in shapes {
-            let len: usize = dims.iter().product();
-            sent.push(
-                Tensor::from_vec(out[offset..offset + len].to_vec(), &dims)
-                    .expect("segment matches tensor shape"),
-            );
-            offset += len;
-        }
-        (sent, bytes)
     }
 
     /// Total `ℓ2` norm of the error-feedback residual (0 when compression
@@ -458,14 +406,23 @@ mod tests {
         )
     }
 
+    /// One encode of the worker's update into a fresh plane: the
+    /// reconstruction and the payload bytes.
+    fn encode(w: &mut Worker, codec: &dyn Compressor) -> (Vec<f32>, usize) {
+        let segments = w.model().param_sizes();
+        let mut out = vec![0.0f32; w.model().param_count()];
+        let bytes = w.encode_update_into(codec, &segments, &mut out);
+        (out, bytes)
+    }
+
     #[test]
     fn local_steps_advance_the_model() {
         let mut w = toy_worker(0, 1);
-        let before = w.params_snapshot();
+        let before = w.model().params_flat();
         let loss = w.local_steps(5);
         assert!(loss > 0.0 && loss.is_finite());
         assert_eq!(w.steps_taken(), 5);
-        let after = w.params_snapshot();
+        let after = w.model().params_flat();
         assert_ne!(before, after);
     }
 
@@ -476,7 +433,7 @@ mod tests {
         let la = a.local_steps(3);
         let lb = b.local_steps(3);
         assert_eq!(la, lb);
-        assert_eq!(a.params_snapshot(), b.params_snapshot());
+        assert_eq!(a.model().params_flat(), b.model().params_flat());
     }
 
     #[test]
@@ -486,7 +443,7 @@ mod tests {
         let mut b = toy_worker(1, 1);
         a.local_steps(3);
         b.local_steps(3);
-        assert_ne!(a.params_snapshot(), b.params_snapshot());
+        assert_ne!(a.model().params_flat(), b.model().params_flat());
     }
 
     #[test]
@@ -494,8 +451,8 @@ mod tests {
         let mut a = toy_worker(0, 1);
         let mut b = toy_worker(1, 1);
         a.local_steps(2);
-        b.load_params(&a.params_snapshot());
-        assert_eq!(a.params_snapshot(), b.params_snapshot());
+        b.load_params_from(&a.model().params_flat());
+        assert_eq!(a.model().params_flat(), b.model().params_flat());
     }
 
     #[test]
@@ -510,18 +467,28 @@ mod tests {
         let mut w = toy_worker(0, 4);
         w.set_reference_tracking(true);
         w.local_steps(3);
-        let snapshot = w.params_snapshot();
-        let (reconstruction, bytes) = w.encode_update(&gradcomp::Identity);
+        let params = w.model().params_flat();
+        let (reconstruction, bytes) = encode(&mut w, &gradcomp::Identity);
         // reference + (x − reference) re-associates float additions, so
-        // compare up to rounding noise.
-        let drift: f32 = reconstruction
+        // compare up to rounding noise: the summed per-tensor distance.
+        let mut offset = 0;
+        let drift: f32 = w
+            .model()
+            .param_sizes()
             .iter()
-            .zip(snapshot.iter())
-            .map(|(a, b)| a.distance(b))
+            .map(|&len| {
+                let seg = offset..offset + len;
+                offset += len;
+                reconstruction[seg.clone()]
+                    .iter()
+                    .zip(&params[seg])
+                    .map(|(a, b)| (a - b) * (a - b))
+                    .sum::<f32>()
+                    .sqrt()
+            })
             .sum();
         assert!(drift < 1e-6, "identity roundtrip drifted by {drift}");
-        let total: usize = snapshot.iter().map(|t| t.len() * 4).sum();
-        assert_eq!(bytes, total);
+        assert_eq!(bytes, params.len() * 4);
         assert_eq!(w.residual_norm(), 0.0);
     }
 
@@ -530,16 +497,16 @@ mod tests {
         let mut w = toy_worker(0, 5);
         w.set_reference_tracking(true);
         w.local_steps(3);
-        let snapshot = w.params_snapshot();
-        let full: usize = snapshot.iter().map(|t| t.len() * 4).sum();
-        let (reconstruction, bytes) = w.encode_update(&gradcomp::TopK::new(0.05));
+        let params = w.model().params_flat();
+        let full = params.len() * 4;
+        let (reconstruction, bytes) = encode(&mut w, &gradcomp::TopK::new(0.05));
         assert!(bytes < full / 5, "payload {bytes} vs full {full}");
-        assert_ne!(reconstruction, snapshot);
+        assert_ne!(reconstruction, params);
         assert!(w.residual_norm() > 0.0);
         // Re-anchoring at the reconstruction then encoding a zero delta
         // flushes residual mass, not nothing.
-        w.load_params(&reconstruction);
-        let (flushed, _) = w.encode_update(&gradcomp::TopK::new(0.05));
+        w.load_params_from(&reconstruction);
+        let (flushed, _) = encode(&mut w, &gradcomp::TopK::new(0.05));
         assert_ne!(flushed, reconstruction);
     }
 
@@ -548,7 +515,7 @@ mod tests {
         let mut w = toy_worker(0, 6);
         w.set_reference_tracking(true);
         w.local_steps(2);
-        let _ = w.encode_update(&gradcomp::SignOneBit);
+        let _ = encode(&mut w, &gradcomp::SignOneBit);
         assert!(w.residual_norm() > 0.0);
         w.reset_feedback();
         assert_eq!(w.residual_norm(), 0.0);
@@ -559,7 +526,7 @@ mod tests {
     fn encode_without_tracking_rejected() {
         let mut w = toy_worker(0, 7);
         w.local_steps(1);
-        let _ = w.encode_update(&gradcomp::Identity);
+        let _ = encode(&mut w, &gradcomp::Identity);
     }
 
     /// One encode round as bits: FNV-1a of the message plane and of the

@@ -3,8 +3,10 @@
 use data::GaussianMixture;
 use delay::{CommModel, DelayDistribution, RuntimeModel};
 use nn::models;
-use pasgd_sim::{ClusterConfig, MomentumMode, PasgdCluster};
+use pasgd_sim::{AveragingStrategy, ClusterConfig, MomentumMode, PasgdCluster};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn cluster(workers: usize, seed: u64, y: f64, d: f64) -> PasgdCluster {
     let split = GaussianMixture::small_test().generate(17);
@@ -29,6 +31,60 @@ fn cluster(workers: usize, seed: u64, y: f64, d: f64) -> PasgdCluster {
             fault: pasgd_sim::FaultConfig::NONE,
         },
     )
+}
+
+/// One full-average synchronization of `planes` — the mix a
+/// full-averaging round applies, reducing through the shared mean helper
+/// a compressed round uses.
+fn full_average(planes: &mut [Vec<f32>]) {
+    let touched = AveragingStrategy::FullAverage.mix(planes, &mut StdRng::seed_from_u64(0));
+    assert!(
+        touched.iter().all(|&t| t),
+        "full averaging touches every worker"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn averaging_identical_models_is_identity(seed in 0u64..100) {
+        let net = models::mlp_classifier(6, &[4], 3, seed);
+        let plane = net.params_flat();
+        let mut planes = vec![plane.clone(); 3];
+        full_average(&mut planes);
+        // (x + x + x) / 3 may round: compare each parameter tensor's
+        // segment up to float noise.
+        for averaged in &planes {
+            let mut offset = 0;
+            for len in net.param_sizes() {
+                let seg = offset..offset + len;
+                offset += len;
+                let distance = averaged[seg.clone()]
+                    .iter()
+                    .zip(&plane[seg])
+                    .map(|(a, b)| (a - b) * (a - b))
+                    .sum::<f32>()
+                    .sqrt();
+                prop_assert!(distance < 1e-6, "segment drifted by {distance}");
+            }
+        }
+    }
+
+    #[test]
+    fn averaging_is_permutation_invariant(s1 in 0u64..50, s2 in 50u64..100) {
+        let a = models::mlp_classifier(6, &[4], 3, s1).params_flat();
+        let b = models::mlp_classifier(6, &[4], 3, s2).params_flat();
+        let mut ab = vec![a.clone(), b.clone()];
+        let mut ba = vec![b, a];
+        full_average(&mut ab);
+        full_average(&mut ba);
+        // IEEE addition is commutative, so swapping two planes changes no
+        // bit of the mean.
+        let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        prop_assert_eq!(bits(&ab[0]), bits(&ba[0]));
+        prop_assert_eq!(bits(&ab[1]), bits(&ba[1]));
+    }
 }
 
 proptest! {

@@ -25,20 +25,19 @@
 //!     CommModel::constant(0.1),
 //!     2,
 //! );
-//! let trace = run_experiment(
+//! let suite = ExperimentSuite::new(
 //!     models::mlp_classifier(8, &[16], 3, 0),
 //!     split,
 //!     runtime,
 //!     ClusterConfig { workers: 2, batch_size: 8, ..ClusterConfig::default() },
-//!     &mut AdaComm::with_tau0(8),
-//!     &LrSchedule::constant(0.05),
-//!     &ExperimentConfig {
+//!     ExperimentConfig {
 //!         interval_secs: 5.0,
 //!         total_secs: 15.0,
 //!         record_every_secs: 5.0,
 //!         gate_lr_on_tau: false,
 //!     },
 //! );
+//! let trace = suite.run(&mut AdaComm::with_tau0(8), &LrSchedule::constant(0.05));
 //! assert!(trace.final_loss().is_finite());
 //! ```
 
@@ -68,11 +67,11 @@ pub mod prelude {
         resnet50_profile, speedup_constant, vgg16_profile, CommModel, CommScaling,
         DelayDistribution, HardwareProfile, Histogram, RuntimeModel,
     };
-    pub use gradcomp::{CodecSpec, Compressed, Compressor, ErrorFeedback};
+    pub use gradcomp::{CodecSpec, Compressor, ErrorFeedback};
     pub use nn::{models, Loss, Network, Sgd};
     pub use pasgd_sim::{
-        run_experiment, AggregationPolicy, AveragingStrategy, ClusterConfig, ExperimentConfig,
-        ExperimentSuite, FaultConfig, FaultSpec, MomentumMode, PasgdCluster, RunTrace, TracePoint,
+        AggregationPolicy, AveragingStrategy, ClusterConfig, ExperimentConfig, ExperimentSuite,
+        FaultConfig, FaultSpec, MomentumMode, PasgdCluster, RunTrace, TracePoint,
     };
     pub use tensor::Tensor;
 }
