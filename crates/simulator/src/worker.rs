@@ -703,4 +703,51 @@ mod tests {
             "loss should drop on an easy task: {early} -> {late}"
         );
     }
+
+    /// A momentum worker after a few steps, so its checkpoint carries one
+    /// momentum buffer per parameter tensor.
+    fn momentum_worker() -> Worker {
+        let split = GaussianMixture::small_test().generate(7);
+        let model = models::mlp_classifier(8, &[16], 3, 42);
+        let opt = Sgd::new(0.05).with_momentum(0.9);
+        let mut w = Worker::new(0, model, opt, split.train, 8, 1);
+        w.local_steps(2);
+        w
+    }
+
+    /// Restores `ck` into a worker that has moved on, and checks that the
+    /// rejection left that worker exactly as it was.
+    fn rejected_restore(ck: &WorkerCheckpoint) -> String {
+        let mut w = momentum_worker();
+        w.local_steps(1);
+        let before = w.export_checkpoint();
+        let err = w.restore_checkpoint(ck).unwrap_err();
+        let after = w.export_checkpoint();
+        assert_eq!(after.params, before.params, "rejection moved the model");
+        assert_eq!(after.momentum_buffers, before.momentum_buffers);
+        assert_eq!(after.steps_taken, before.steps_taken);
+        err
+    }
+
+    #[test]
+    fn restore_rejects_a_wrong_momentum_buffer_count() {
+        let mut ck = momentum_worker().export_checkpoint();
+        assert_eq!(ck.momentum_buffers.len(), 4);
+        ck.momentum_buffers.pop();
+        assert_eq!(
+            rejected_restore(&ck),
+            "3 momentum buffers for 4 parameter tensors"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_wrong_momentum_buffer_shape() {
+        let mut ck = momentum_worker().export_checkpoint();
+        // Same length, other shape: the first weight [8, 16] seen as [16, 8].
+        ck.momentum_buffers[0] = Tensor::zeros(&[16, 8]);
+        assert_eq!(
+            rejected_restore(&ck),
+            "momentum buffer shape [16, 8] does not match parameter [8, 16]"
+        );
+    }
 }
