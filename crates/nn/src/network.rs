@@ -122,8 +122,8 @@ impl Network {
     // ------------------------------------------------------------------
 
     /// Snapshots every parameter tensor, in visitor order — the shapes
-    /// behind the flat plane's segments, for diagnostics and for checking
-    /// that checkpointed per-tensor state still fits the model.
+    /// behind the flat plane's segments, for diagnostics and tests. It
+    /// copies the whole model; to read only dims, visit the stack.
     pub fn params_snapshot(&self) -> Vec<Tensor> {
         let mut out = Vec::new();
         self.stack.visit_params(&mut |p| out.push(p.clone()));

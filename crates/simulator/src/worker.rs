@@ -4,7 +4,7 @@
 use crate::checkpoint::WorkerCheckpoint;
 use data::{BatchIter, Dataset};
 use gradcomp::{Compressor, ErrorFeedback};
-use nn::{Network, Sgd};
+use nn::{Layer, Network, Sgd};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tensor::Tensor;
@@ -331,22 +331,29 @@ impl Worker {
             ));
         }
         if !ck.momentum_buffers.is_empty() {
-            let shapes = self.model.params_snapshot();
-            if ck.momentum_buffers.len() != shapes.len() {
+            // Dims are read in place: the visitor walks the parameters in
+            // buffer order and keeps the first mismatch.
+            let (mut tensors, mut mismatch) = (0, None);
+            self.model.stack().visit_params(&mut |p| {
+                if let Some(buf) = ck.momentum_buffers.get(tensors) {
+                    if mismatch.is_none() && buf.dims() != p.dims() {
+                        mismatch = Some(format!(
+                            "momentum buffer shape {:?} does not match parameter {:?}",
+                            buf.dims(),
+                            p.dims()
+                        ));
+                    }
+                }
+                tensors += 1;
+            });
+            if ck.momentum_buffers.len() != tensors {
                 return Err(format!(
-                    "{} momentum buffers for {} parameter tensors",
-                    ck.momentum_buffers.len(),
-                    shapes.len()
+                    "{} momentum buffers for {tensors} parameter tensors",
+                    ck.momentum_buffers.len()
                 ));
             }
-            for (buf, p) in ck.momentum_buffers.iter().zip(&shapes) {
-                if buf.dims() != p.dims() {
-                    return Err(format!(
-                        "momentum buffer shape {:?} does not match parameter {:?}",
-                        buf.dims(),
-                        p.dims()
-                    ));
-                }
+            if let Some(err) = mismatch {
+                return Err(err);
             }
         }
         if ck.track_reference {
