@@ -48,7 +48,7 @@ mod window;
 
 pub use error::TensorError;
 pub use init::Init;
-pub use linalg::{average, weighted_average};
+pub use linalg::average;
 pub use matmul::{matmul_into, matmul_nt_into, matmul_tn_into};
 pub use shape::Shape;
 pub use tensor::Tensor;

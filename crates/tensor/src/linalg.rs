@@ -44,20 +44,6 @@ impl Tensor {
             .sqrt()
     }
 
-    /// Cosine similarity; returns 0 if either norm is zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn cosine_similarity(&self, other: &Tensor) -> f32 {
-        let denom = self.norm() * other.norm();
-        if denom == 0.0 {
-            0.0
-        } else {
-            self.dot(other) / denom
-        }
-    }
-
     /// Clips every element into `[-bound, bound]`.
     ///
     /// # Panics
@@ -95,30 +81,6 @@ pub fn average(tensors: &[Tensor]) -> Tensor {
     acc
 }
 
-/// Weighted average with the given non-negative weights (normalised
-/// internally).
-///
-/// # Panics
-///
-/// Panics if lengths differ, tensors are empty, or the weight sum is zero.
-pub fn weighted_average(tensors: &[Tensor], weights: &[f32]) -> Tensor {
-    assert_eq!(
-        tensors.len(),
-        weights.len(),
-        "got {} tensors but {} weights",
-        tensors.len(),
-        weights.len()
-    );
-    assert!(!tensors.is_empty(), "cannot average zero tensors");
-    let total: f32 = weights.iter().sum();
-    assert!(total > 0.0, "weight sum must be positive, got {total}");
-    let mut acc = Tensor::zeros(tensors[0].dims());
-    for (t, &w) in tensors.iter().zip(weights.iter()) {
-        acc.axpy(w / total, t);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,14 +99,6 @@ mod tests {
         let b = Tensor::from_slice(&[3.0, 4.0]);
         assert_eq!(a.distance(&b), 5.0);
         assert_eq!(b.distance(&a), 5.0);
-    }
-
-    #[test]
-    fn cosine_similarity_handles_zero() {
-        let z = Tensor::zeros(&[2]);
-        let a = Tensor::from_slice(&[1.0, 0.0]);
-        assert_eq!(z.cosine_similarity(&a), 0.0);
-        assert!((a.cosine_similarity(&a) - 1.0).abs() < 1e-6);
     }
 
     #[test]
@@ -172,20 +126,5 @@ mod tests {
     #[should_panic(expected = "cannot average zero tensors")]
     fn average_of_nothing_panics() {
         let _ = average(&[]);
-    }
-
-    #[test]
-    fn weighted_average_normalises() {
-        let a = Tensor::from_slice(&[0.0]);
-        let b = Tensor::from_slice(&[10.0]);
-        let avg = weighted_average(&[a, b], &[1.0, 3.0]);
-        assert!((avg.at(0) - 7.5).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "weight sum must be positive")]
-    fn weighted_average_rejects_zero_weights() {
-        let a = Tensor::from_slice(&[0.0]);
-        let _ = weighted_average(&[a], &[0.0]);
     }
 }
