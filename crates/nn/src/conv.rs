@@ -1,49 +1,62 @@
-//! 2-D convolution and max-pooling over flattened `[batch, c·h·w]` tensors.
+//! 2-D convolution and max-pooling over **lane groups**: 16 images side by
+//! side in the vector lanes.
 //!
-//! Images travel through the network flattened row-major as `[c, h, w]`;
-//! each spatial layer carries its own input geometry, so no tensor-level
-//! NCHW machinery is needed.
+//! # Layout
+//!
+//! Spatial layers run inside a [`LaneStack`](crate::LaneStack), which turns
+//! a `[batch, c·h·w]` batch into a `[groups, c·h·w, 16]` tensor: image
+//! `g·16 + l` is lane `l` of group `g`, and a group is `[c][h][w][16]`,
+//! the 16 images' values of one pixel adjacent. The last group is padded
+//! with zero images. Every spatial layer takes and returns lane groups and
+//! carries its own input geometry, so no tensor-level NCHW machinery is
+//! needed; a 2-D input panics.
 //!
 //! # Zero-copy convolution
 //!
-//! [`Conv2d`] copies each image once into **zero-bordered planes** — per
-//! channel an `H' × W'` grid, `H' = h + 2·pad`, `W' = w + 2·pad`, the image
-//! in the middle and `+0.0` around it. In that layout im2col row
-//! `kk = (ch, ky, kx)` *is* the contiguous slice starting at
-//! `off[kk] = ch·H'W' + ky·W' + kx`, indexed by the **padded-flat** output
-//! pixel `q = oy·W' + ox`: `plane[off[kk] + q]` is input pixel
-//! `(ch, oy + ky, ox + kx)` of the bordered image. So the im2col matrix
-//! never exists, in any form: all three convolution products are the
-//! windowed GEMM kernels of `tensor` ([`tensor::window_gemm_tn_into`] and
-//! its siblings) over the offset table `off`, with no packing and no
-//! scatter.
+//! [`Conv2d`] copies each group once into **zero-bordered planes** — per
+//! channel an `H' × W'` grid of 16-lane pixels, `H' = h + 2·pad`,
+//! `W' = w + 2·pad`, the images in the middle and `+0.0` around them. In
+//! that layout im2col row `kk = (ch, ky, kx)` of all 16 images *is* the
+//! contiguous slice starting at `off[kk] = 16·(ch·H'W' + ky·W' + kx)`,
+//! indexed by `16·q + l` for the **padded-flat** output pixel
+//! `q = oy·W' + ox` and lane `l`: `plane[off[kk] + 16·q + l]` is input
+//! pixel `(ch, oy + ky, ox + kx)` of image `l`. So the im2col matrix never
+//! exists, in any form, and all three convolution products are one
+//! windowed kernel call of `tensor` per group over the offset table `off`,
+//! 16 images wide: the forward [`tensor::window_gemm_tn_into`] and the
+//! input gradient [`tensor::window_gemm_tn_add`], `n = 16·pixels` columns
+//! wide, and the weight gradient [`tensor::window_gemm_per_lane_into`].
 //!
 //! Padded-flat rows are `W'` wide but only `ow = W' − k + 1` pixels of each
 //! are outputs; the other `k − 1` are **wrap columns** (the window has run
 //! over the right border into the next row). Forward computes them and
-//! drops them at the store (12 % extra FMAs at 16×16); the gradient planes
+//! drops them at the store (12 % extra FMAs at 16×16); the gradient rows
 //! hold `+0.0` there, so they contribute nothing.
 //!
 //! # Why the bits do not change
 //!
-//! Every output element sees the same ordered float operations as the
-//! materialised-im2col formulation (the test-only reference in this file):
+//! A lane is an image, and no kernel ever mixes lanes, so every output
+//! element sees the same ordered float operations as the materialised
+//! im2col formulation run one image at a time (the test-only reference in
+//! this file):
 //!
-//! 1. **Forward** — `y[co][q] = Σ_kk W[co][kk] · plane[off[kk] + q]`, one
-//!    FMA accumulator from `+0.0`, `kk` ascending; border terms are
+//! 1. **Forward** — `y[co][16q + l] = Σ_kk W[co][kk] · plane[off[kk] + 16q + l]`,
+//!    one FMA accumulator from `+0.0`, `kk` ascending; border terms are
 //!    `fma(w, +0, acc)`, exactly the zeros im2col holds at padding.
-//! 2. **Weight gradient** — vector lanes run across *output channels*, so
-//!    each `(co, kk)` element is still one accumulator reduced over pixels
-//!    in ascending order; a wrap column adds `fma(+0, x, acc)`, which
-//!    leaves a finite `acc` unchanged. Per-image `dW` is then added into
-//!    `grad_weight` in image order. The bias gradient is the same pass's
-//!    column sums.
+//! 2. **Weight gradient** — per lane,
+//!    `dW_l[co][kk] = Σ_q dy[co][q][l] · plane[off[kk] + 16q + l]`, one
+//!    accumulator reduced over pixels in ascending order; a wrap column
+//!    adds `fma(+0, x, acc)`, which leaves a finite `acc` unchanged. The
+//!    live lanes' `dW_l` are then added into `grad_weight` in image order,
+//!    as the per-image partials were. The bias gradient is the same pass's
+//!    lane sums. Padded lanes are never added.
 //! 3. **Input gradient** — col2im is fused into the product: row `kk` of
 //!    `Wᵀ·dy` is added straight into the window at `off[kk]` of a
 //!    zero-bordered gradient plane. An input pixel receives its `(ky, kx)`
 //!    contributions in ascending `kk` (the kernel's ordering rule, see
-//!    [`tensor::window_gemm_tn_add`]), as the col2im loop delivered them;
-//!    wrap columns add `+0.0`.
+//!    [`tensor::window_gemm_tn_add`]; the offsets, all scaled by 16, are
+//!    still strictly ascending), as the col2im loop delivered them; wrap
+//!    columns add `+0.0`.
 //!
 //! Accumulators start at `+0.0` and every gradient buffer is zero-filled,
 //! so a `−0.0` that an extra `+0.0` term could flip never reaches a stored
@@ -52,13 +65,26 @@
 use crate::Layer;
 use rand::Rng;
 use tensor::{
-    window_gemm_lanes_into, window_gemm_tn_add, window_gemm_tn_into, Init, Tensor, WINDOW_PANEL,
+    window_gemm_per_lane_into, window_gemm_tn_add, window_gemm_tn_into, Init, Tensor, LANES,
 };
 
 /// The `(channels, height, width)` geometry of a flattened image tensor.
 pub type ImageDims = (usize, usize, usize);
 
-/// Sizes of one layer's padded-flat layout (see the module docs).
+/// Checks that `x` is lane groups `[groups, features, 16]` and returns the
+/// group count.
+fn lane_groups(x: &Tensor, features: usize, layer: &str) -> usize {
+    let dims = x.dims();
+    assert!(
+        dims.len() == 3 && dims[1] == features && dims[2] == LANES,
+        "{layer} expects lane groups [groups, {features}, {LANES}], got shape {}",
+        x.shape()
+    );
+    dims[0]
+}
+
+/// Sizes of one layer's padded-flat layout (see the module docs), in
+/// pixels; a pixel is 16 lanes.
 #[derive(Debug, Clone, Copy)]
 struct Layout {
     /// Input geometry `(c, h, w)`.
@@ -68,44 +94,30 @@ struct Layout {
     out_hw: (usize, usize),
     /// Bordered row length `W'`.
     row: usize,
-    /// One image's bordered planes, `c·H'·W'`.
+    /// One group's bordered planes, `c·H'·W'`.
     plane_len: usize,
-    /// Padded-flat output pixels, `(oh − 1)·W' + ow`.
+    /// Padded-flat output pixels, `(oh − 1)·W' + ow`. The window at the
+    /// largest offset ends exactly at `plane_len`.
     pixels: usize,
-    /// `pixels` rounded up to the window kernels' panel width.
-    width: usize,
-    /// Output channels rounded up to the lane kernel's vector width.
-    lanes: usize,
 }
 
 impl Layout {
-    fn new(dims: ImageDims, out_channels: usize, kernel: usize, pad: usize) -> Self {
+    fn new(dims: ImageDims, kernel: usize, pad: usize) -> Self {
         let (c, h, w) = dims;
         let (rows, row) = (h + 2 * pad, w + 2 * pad);
         let (oh, ow) = (rows - kernel + 1, row - kernel + 1);
-        let pixels = (oh - 1) * row + ow;
-        let width = pixels.next_multiple_of(WINDOW_PANEL);
         Layout {
             dims,
             pad,
             out_hw: (oh, ow),
             row,
             plane_len: c * rows * row,
-            pixels,
-            width,
-            lanes: out_channels.next_multiple_of(8),
+            pixels: (oh - 1) * row + ow,
         }
     }
 
-    /// Length of a buffer of `images` bordered planes: the planes plus
-    /// `width − pixels` trailing zeros, so that a full-width window at the
-    /// largest offset of the last image stays in bounds.
-    fn planes_len(self, images: usize) -> usize {
-        images * self.plane_len + self.width - self.pixels
-    }
-
-    /// Where each image row starts inside the bordered planes, in
-    /// flattened-image row order `(ch, iy)`.
+    /// Where each image row starts inside the bordered planes, in pixels,
+    /// in flattened-image row order `(ch, iy)`.
     fn interior_rows(self) -> impl Iterator<Item = usize> {
         let (c, h, _) = self.dims;
         let rows = h + 2 * self.pad;
@@ -114,32 +126,35 @@ impl Layout {
         })
     }
 
-    /// Copies a flattened image into the interior of its bordered planes.
-    fn fill_planes(self, img: &[f32], planes: &mut [f32]) {
-        let w = self.dims.2;
-        for (src, at) in img.chunks_exact(w).zip(self.interior_rows()) {
-            planes[at..at + w].copy_from_slice(src);
+    /// Copies one lane group into the interior of its bordered planes.
+    fn fill_planes(self, group: &[f32], planes: &mut [f32]) {
+        let w = self.dims.2 * LANES;
+        for (src, at) in group.chunks_exact(w).zip(self.interior_rows()) {
+            planes[at * LANES..at * LANES + w].copy_from_slice(src);
         }
     }
 }
 
 /// 3×3-style 2-D convolution with stride 1 and symmetric zero padding.
 ///
-/// Input: `[batch, c_in·h·w]`; output `[batch, c_out·h'·w']` with
-/// `h' = h + 2·pad − k + 1`.
+/// Input: lane groups `[groups, c_in·h·w, 16]`; output
+/// `[groups, c_out·h'·w', 16]` with `h' = h + 2·pad − k + 1` (see the
+/// module docs; a [`LaneStack`](crate::LaneStack) makes and unmakes lane
+/// groups).
 ///
-/// Every geometry runs the same zero-copy path: each image is copied once
+/// Every geometry runs the same zero-copy path: each group is copied once
 /// into zero-bordered `(h + 2·pad) × (w + 2·pad)` planes, where im2col row
-/// `(ch, ky, kx)` is the contiguous slice at `ch·H'W' + ky·W' + kx`, and
-/// the forward, weight-gradient and input-gradient products are
-/// [`tensor::window_gemm_tn_into`], [`tensor::window_gemm_lanes_into`] and
-/// [`tensor::window_gemm_tn_add`] over that offset table. No im2col or
+/// `(ch, ky, kx)` of all 16 images is the contiguous slice at
+/// `16·(ch·H'W' + ky·W' + kx)`, and the forward, weight-gradient and
+/// input-gradient products are [`tensor::window_gemm_tn_into`],
+/// [`tensor::window_gemm_per_lane_into`] and [`tensor::window_gemm_tn_add`]
+/// over that offset table, one call per group each. No im2col or
 /// gradient-column matrix is ever built; steady state, `forward` allocates
 /// only its output and `backward` only `dx`. Results are bit-identical to
-/// the materialised-im2col formulation (per element: one FMA accumulator
-/// from `+0.0` in ascending `(ch, ky, kx)` / pixel order; per-image `dW`
-/// added in image order; `dx` contributions in ascending `(ky, kx)`). The
-/// training-mode cache is the bordered batch.
+/// the materialised-im2col formulation run image by image (per element:
+/// one FMA accumulator from `+0.0` in ascending `(ch, ky, kx)` / pixel
+/// order; per-image `dW` added in image order; `dx` contributions in
+/// ascending `(ky, kx)`). The training-mode cache is the bordered batch.
 ///
 /// # Example
 ///
@@ -151,8 +166,9 @@ impl Layout {
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 /// // 1×8×8 input, 4 output channels, 3×3 kernel, padding 1 => 4×8×8 output.
 /// let mut conv = Conv2d::new((1, 8, 8), 4, 3, 1, &mut rng);
-/// let y = conv.forward(&Tensor::zeros(&[2, 64]), true);
-/// assert_eq!(y.dims(), &[2, 4 * 8 * 8]);
+/// // One lane group: up to 16 images.
+/// let y = conv.forward(&Tensor::zeros(&[1, 64, 16]), true);
+/// assert_eq!(y.dims(), &[1, 4 * 8 * 8, 16]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Conv2d {
@@ -162,27 +178,28 @@ pub struct Conv2d {
     grad_weight: Tensor,
     grad_bias: Tensor,
     lay: Layout,
-    // Window offset table: im2col row kk starts at off[kk] of an image's
-    // bordered planes.
+    // Window offset table: im2col row kk of a group starts at off[kk] of
+    // its bordered planes (in floats, 16 per pixel).
     off: Vec<usize>,
-    // Backward cache: the training-mode batch as bordered planes, image b
-    // at b·plane_len (`Layout::planes_len`); reused across batches of the
-    // same size.
+    // Images in the lane groups (`Layer::set_images`); lanes from here on
+    // are padding. Until told, every lane is an image.
+    images: usize,
+    // Backward cache: the training-mode batch as bordered planes, group g
+    // at g·plane_len·16; reused across batches of the same group count.
     cached_planes: Vec<f32>,
-    cached_batch: usize,
+    cached_groups: usize,
     // Per-layer workspaces, sized by the first pass that needs them (an
     // evaluation replica never pays for the backward ones), so that steady
-    // state the passes allocate only their returned tensors. Borders, wrap
-    // columns, trailing zeros and dead lanes are +0.0 from allocation and
-    // no pass ever writes them (dx_planes is re-zeroed whole per image).
-    eval_planes: Vec<f32>, // one image's bordered planes
+    // state the passes allocate only their returned tensors. Borders and
+    // wrap columns are +0.0 from allocation and no pass ever writes them
+    // (dx_planes is re-zeroed whole per group).
+    eval_planes: Vec<f32>, // one group's bordered planes
     weight_t: Vec<f32>,    // [c_in*k*k, c_out]: forward's transposed weights
-    y_rows: Vec<f32>,      // [c_out, width]: padded-flat forward rows
-    dy_lanes: Vec<f32>,    // [pixels, lanes]: dy transposed
-    dy_rows: Vec<f32>,     // [c_out, width]: padded-flat dy
-    dw_lanes: Vec<f32>,    // [c_in*k*k, lanes]: one image's dW
-    db_lanes: Vec<f32>,    // [lanes]: one image's db
-    dx_planes: Vec<f32>,   // one image's bordered dx planes
+    y_rows: Vec<f32>,      // [c_out, pixels*16]: padded-flat forward rows
+    dy_rows: Vec<f32>,     // [c_out, pixels*16]: padded-flat dy
+    dw_lanes: Vec<f32>,    // [c_out*c_in*k*k, 16]: one group's per-image dW
+    db_lanes: Vec<f32>,    // [c_out, 16]: one group's per-image db
+    dx_planes: Vec<f32>,   // one group's bordered dx planes
 }
 
 impl Conv2d {
@@ -207,12 +224,12 @@ impl Conv2d {
             "kernel {kernel} does not fit input {h}x{w} with padding {pad}"
         );
         let fan_in = c * kernel * kernel;
-        let lay = Layout::new(input_dims, out_channels, kernel, pad);
+        let lay = Layout::new(input_dims, kernel, pad);
         let taps = kernel * kernel;
         let off = (0..fan_in)
             .map(|kk| {
                 let (ch, ky, kx) = (kk / taps, kk % taps / kernel, kk % kernel);
-                ch * (lay.plane_len / c) + ky * lay.row + kx
+                (ch * (lay.plane_len / c) + ky * lay.row + kx) * LANES
             })
             .collect();
         Conv2d {
@@ -223,12 +240,12 @@ impl Conv2d {
             grad_bias: Tensor::zeros(&[out_channels]),
             lay,
             off,
+            images: usize::MAX,
             cached_planes: Vec::new(),
-            cached_batch: 0,
+            cached_groups: 0,
             eval_planes: Vec::new(),
             weight_t: Vec::new(),
             y_rows: Vec::new(),
-            dy_lanes: Vec::new(),
             dy_rows: Vec::new(),
             dw_lanes: Vec::new(),
             db_lanes: Vec::new(),
@@ -242,141 +259,58 @@ impl Conv2d {
         (self.out_channels, oh, ow)
     }
 
-    /// The parameter-gradient half shared by `backward` and
-    /// `backward_param_only`: per batch element, `dW` and `db` through the
-    /// lane kernel, added into the preallocated gradient buffers in image
-    /// order. Returns the batch size.
+    /// Both backward passes: per group, `dW` and `db` of its 16 images
+    /// through the per-lane kernel, the live lanes added into the gradient
+    /// buffers in image order, and, when `dx` is given, the input gradient
+    /// of the group.
     ///
     /// # Panics
     ///
-    /// Panics if called before a training-mode `forward` or the batch size
-    /// changed.
-    fn accumulate_param_grads(&mut self, grad_out: &Tensor) -> usize {
-        assert!(self.cached_batch > 0, "backward called before forward");
-        let batch = grad_out.dims()[0];
+    /// Panics if called before a training-mode `forward` or the group
+    /// count changed.
+    fn backward_groups(&mut self, grad_out: &Tensor, mut dx: Option<&mut [f32]>) {
+        assert!(self.cached_groups > 0, "backward called before forward");
+        let lay = self.lay;
+        let (co, (oh, ow)) = (self.out_channels, lay.out_hw);
+        let groups = lane_groups(grad_out, co * oh * ow, "conv backward");
         assert_eq!(
-            batch, self.cached_batch,
+            groups, self.cached_groups,
             "batch size changed between forward and backward"
         );
-        let lay = self.lay;
-        let (oh, ow) = lay.out_hw;
         let fan_in = self.off.len();
+        let (plane, n) = (lay.plane_len * LANES, lay.pixels * LANES);
         self.grad_weight.fill_zero();
         self.grad_bias.fill_zero();
-        self.dy_lanes.resize(lay.pixels * lay.lanes, 0.0);
-        self.dw_lanes.resize(fan_in * lay.lanes, 0.0);
-        self.db_lanes.resize(lay.lanes, 0.0);
-        for b in 0..batch {
-            // dy transposed to [pixel, channel lane].
-            for (ch, dy_ch) in grad_out.row(b).chunks_exact(oh * ow).enumerate() {
-                for (oy, dy_row) in dy_ch.chunks_exact(ow).enumerate() {
-                    let at = oy * lay.row * lay.lanes + ch;
-                    for (ox, &v) in dy_row.iter().enumerate() {
-                        self.dy_lanes[at + ox * lay.lanes] = v;
-                    }
+        self.dy_rows.resize(co * n, 0.0);
+        self.dw_lanes.resize(co * fan_in * LANES, 0.0);
+        self.db_lanes.resize(co * LANES, 0.0);
+        if dx.is_some() {
+            self.dx_planes.resize(plane, 0.0);
+        }
+        let dy_groups = grad_out.as_slice().chunks_exact(co * oh * ow * LANES);
+        for (g, dy) in dy_groups.enumerate() {
+            // dy as padded-flat rows.
+            for (ch, dy_ch) in dy.chunks_exact(oh * ow * LANES).enumerate() {
+                for (oy, dy_row) in dy_ch.chunks_exact(ow * LANES).enumerate() {
+                    let at = ch * n + oy * lay.row * LANES;
+                    self.dy_rows[at..at + ow * LANES].copy_from_slice(dy_row);
                 }
             }
-            window_gemm_lanes_into(
-                &self.dy_lanes,
-                &self.cached_planes[b * lay.plane_len..],
+            window_gemm_per_lane_into(
+                &self.dy_rows,
+                &self.cached_planes[g * plane..(g + 1) * plane],
                 &self.off,
                 &mut self.dw_lanes,
                 &mut self.db_lanes,
-                lay.lanes,
+                co,
                 lay.pixels,
             );
-            let gw = self.grad_weight.as_mut_slice();
-            for (ch, gw_row) in gw.chunks_exact_mut(fan_in).enumerate() {
-                for (g, dw) in gw_row.iter_mut().zip(self.dw_lanes.chunks_exact(lay.lanes)) {
-                    *g += dw[ch];
-                }
-            }
-            for (g, &db) in self.grad_bias.as_mut_slice().iter_mut().zip(&self.db_lanes) {
-                *g += db;
-            }
-        }
-        batch
-    }
-}
-
-impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let lay = self.lay;
-        let (c, h, w) = lay.dims;
-        let flat = c * h * w;
-        assert_eq!(
-            x.dims().last().copied(),
-            Some(flat),
-            "conv expects {flat} features ({c}x{h}x{w}), got shape {}",
-            x.shape()
-        );
-        let batch = x.dims()[0];
-        let (co, (oh, ow)) = (self.out_channels, lay.out_hw);
-        let row_len = oh * ow;
-        let fan_in = self.off.len();
-        self.weight_t.resize(fan_in * co, 0.0);
-        self.y_rows.resize(co * lay.width, 0.0);
-        for (ch, w_row) in self.weight.as_slice().chunks_exact(fan_in).enumerate() {
-            for (kk, &v) in w_row.iter().enumerate() {
-                self.weight_t[kk * co + ch] = v;
-            }
-        }
-        // Only backward reads the cache, so evaluation-mode forwards leave
-        // it alone and border one image at a time in a small scratch (the
-        // trace-point evaluation path is forward-only); same policy as
-        // `Dense`.
-        if !train {
-            self.eval_planes.resize(lay.planes_len(1), 0.0);
-        } else if self.cached_batch != batch {
-            self.cached_planes = vec![0.0; lay.planes_len(batch)];
-            self.cached_batch = batch;
-        }
-        let mut out = vec![0.0f32; batch * co * row_len];
-        for (b, dst) in out.chunks_exact_mut(co * row_len).enumerate() {
-            let planes = if train {
-                &mut self.cached_planes[b * lay.plane_len..]
-            } else {
-                &mut self.eval_planes[..]
+            let live = self.images.saturating_sub(g * LANES).min(LANES);
+            add_lanes(self.grad_weight.as_mut_slice(), &self.dw_lanes, live);
+            add_lanes(self.grad_bias.as_mut_slice(), &self.db_lanes, live);
+            let Some(dx) = dx.as_deref_mut() else {
+                continue;
             };
-            lay.fill_planes(x.row(b), planes);
-            window_gemm_tn_into(
-                &self.weight_t,
-                planes,
-                &self.off,
-                &mut self.y_rows,
-                co,
-                lay.width,
-            );
-            // Drop the wrap columns and add the bias in the same copy.
-            for (ch, dst_ch) in dst.chunks_exact_mut(row_len).enumerate() {
-                let bias = self.bias.at(ch);
-                let y_ch = &self.y_rows[ch * lay.width..];
-                for (oy, dst_row) in dst_ch.chunks_exact_mut(ow).enumerate() {
-                    for (o, &y) in dst_row.iter_mut().zip(&y_ch[oy * lay.row..]) {
-                        *o = y + bias;
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(out, &[batch, co * row_len]).expect("volume matches")
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let batch = self.accumulate_param_grads(grad_out);
-        let lay = self.lay;
-        let (c, h, w) = lay.dims;
-        let (oh, ow) = lay.out_hw;
-        self.dy_rows.resize(self.out_channels * lay.width, 0.0);
-        self.dx_planes.resize(lay.planes_len(1), 0.0);
-        let mut dx = vec![0.0f32; batch * c * h * w];
-        for (b, dx_img) in dx.chunks_exact_mut(c * h * w).enumerate() {
-            // dy as padded-flat rows.
-            for (ch, dy_ch) in grad_out.row(b).chunks_exact(oh * ow).enumerate() {
-                for (oy, dy_row) in dy_ch.chunks_exact(ow).enumerate() {
-                    let at = ch * lay.width + oy * lay.row;
-                    self.dy_rows[at..at + ow].copy_from_slice(dy_row);
-                }
-            }
             // dx planes += Wᵀ · dy, row kk into the window at off[kk]:
             // col2im without the column matrix.
             self.dx_planes.fill(0.0);
@@ -385,21 +319,108 @@ impl Layer for Conv2d {
                 &self.dy_rows,
                 &self.off,
                 &mut self.dx_planes,
-                self.out_channels,
-                lay.width,
+                co,
+                n,
             );
-            for (dst, at) in dx_img.chunks_exact_mut(w).zip(lay.interior_rows()) {
-                dst.copy_from_slice(&self.dx_planes[at..at + w]);
+            let (c, h, w) = lay.dims;
+            let (len, w) = (c * h * w * LANES, w * LANES);
+            let dx_group = &mut dx[g * len..(g + 1) * len];
+            for (dst, at) in dx_group.chunks_exact_mut(w).zip(lay.interior_rows()) {
+                dst.copy_from_slice(&self.dx_planes[at * LANES..at * LANES + w]);
             }
         }
-        Tensor::from_vec(dx, &[batch, c * h * w]).expect("volume matches")
+    }
+}
+
+/// Adds lanes `0..live` of every 16-lane partial in `lanes` into `acc`,
+/// lane by lane: each element of `acc` receives its images' partials in
+/// image order, and one lane's pass runs across all elements at once.
+fn add_lanes(acc: &mut [f32], lanes: &[f32], live: usize) {
+    let (lanes, _) = lanes.as_chunks::<LANES>();
+    let lanes = &lanes[..acc.len()];
+    for l in 0..live {
+        for (a, lane) in acc.iter_mut().zip(lanes) {
+            *a += lane[l];
+        }
+    }
+}
+
+impl Layer for Conv2d {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        let lay = self.lay;
+        let (c, h, w) = lay.dims;
+        let groups = lane_groups(x, c * h * w, "conv");
+        if self.images != usize::MAX {
+            assert_eq!(
+                self.images.div_ceil(LANES),
+                groups,
+                "{} images do not fill {groups} lane groups",
+                self.images
+            );
+        }
+        let (co, (oh, ow)) = (self.out_channels, lay.out_hw);
+        let fan_in = self.off.len();
+        let (plane, n) = (lay.plane_len * LANES, lay.pixels * LANES);
+        self.weight_t.resize(fan_in * co, 0.0);
+        self.y_rows.resize(co * n, 0.0);
+        for (ch, w_row) in self.weight.as_slice().chunks_exact(fan_in).enumerate() {
+            for (kk, &v) in w_row.iter().enumerate() {
+                self.weight_t[kk * co + ch] = v;
+            }
+        }
+        // Only backward reads the cache, so evaluation-mode forwards leave
+        // it alone and border one group at a time in a small scratch (the
+        // trace-point evaluation path is forward-only); same policy as
+        // `Dense`.
+        if !train {
+            self.eval_planes.resize(plane, 0.0);
+        } else if self.cached_groups != groups {
+            self.cached_planes = vec![0.0; groups * plane];
+            self.cached_groups = groups;
+        }
+        let out_group = co * oh * ow * LANES;
+        let mut out = vec![0.0f32; groups * out_group];
+        let x_groups = x.as_slice().chunks_exact(c * h * w * LANES);
+        for (g, (dst, src)) in out.chunks_exact_mut(out_group).zip(x_groups).enumerate() {
+            let planes = if train {
+                &mut self.cached_planes[g * plane..(g + 1) * plane]
+            } else {
+                &mut self.eval_planes[..]
+            };
+            lay.fill_planes(src, planes);
+            window_gemm_tn_into(&self.weight_t, planes, &self.off, &mut self.y_rows, co, n);
+            // Drop the wrap columns and add the bias in the same copy.
+            for (ch, dst_ch) in dst.chunks_exact_mut(oh * ow * LANES).enumerate() {
+                let bias = self.bias.at(ch);
+                let y_ch = &self.y_rows[ch * n..];
+                for (oy, dst_row) in dst_ch.chunks_exact_mut(ow * LANES).enumerate() {
+                    let y_row = &y_ch[oy * lay.row * LANES..];
+                    for (o, &y) in dst_row.iter_mut().zip(y_row) {
+                        *o = y + bias;
+                    }
+                }
+            }
+        }
+        Tensor::from_vec(out, &[groups, co * oh * ow, LANES]).expect("volume matches")
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let (c, h, w) = self.lay.dims;
+        let groups = self.cached_groups;
+        let mut dx = vec![0.0f32; groups * c * h * w * LANES];
+        self.backward_groups(grad_out, Some(&mut dx));
+        Tensor::from_vec(dx, &[groups, c * h * w, LANES]).expect("volume matches")
     }
 
     fn backward_param_only(&mut self, grad_out: &Tensor) -> Tensor {
-        let _ = self.accumulate_param_grads(grad_out);
         // Skip the Wᵀ·dy product entirely: nothing reads the input
         // gradient of a model's first layer.
+        self.backward_groups(grad_out, None);
         Tensor::zeros(&[0])
+    }
+
+    fn set_images(&mut self, images: usize) {
+        self.images = images;
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Tensor)) {
@@ -433,12 +454,20 @@ impl Layer for Conv2d {
 
 /// 2×2 max pooling with stride 2.
 ///
-/// Input `[batch, c·h·w]` with even `h`, `w`; output `[batch, c·(h/2)·(w/2)]`.
+/// Input lane groups `[groups, c·h·w, 16]` with even `h`, `w`; output
+/// `[groups, c·(h/2)·(w/2), 16]`. Each lane is pooled on its own with the
+/// comparisons of the image-at-a-time pool: the window's upper-left value,
+/// replaced by a strictly greater one in the order upper-right,
+/// lower-left, lower-right (so ties keep the earlier value and a NaN
+/// upper-left wins). The gradient of an input is `+0.0 + g` at the chosen
+/// one and `+0.0` elsewhere.
 #[derive(Debug, Clone)]
 pub struct MaxPool2d {
     input_dims: ImageDims,
-    argmax: Vec<usize>, // flat input index chosen for each output element
-    batch: usize,
+    // Per output value, which window position won: 0 upper-left,
+    // 1 upper-right, 2 lower-left, 3 lower-right.
+    argmax: Vec<u32>,
+    groups: usize,
 }
 
 impl MaxPool2d {
@@ -457,7 +486,7 @@ impl MaxPool2d {
         MaxPool2d {
             input_dims,
             argmax: Vec::new(),
-            batch: 0,
+            groups: 0,
         }
     }
 
@@ -468,70 +497,69 @@ impl MaxPool2d {
     }
 }
 
+/// The 16-lane values of one pixel.
+type Pixel = [f32; LANES];
+
 impl Layer for MaxPool2d {
     fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
         let (c, h, w) = self.input_dims;
-        let flat = c * h * w;
-        assert_eq!(
-            x.dims().last().copied(),
-            Some(flat),
-            "max-pool expects {flat} features, got shape {}",
-            x.shape()
-        );
-        let batch = x.dims()[0];
+        let groups = lane_groups(x, c * h * w, "max-pool");
         let (oc, oh, ow) = self.output_dims();
-        let per_out = oc * oh * ow;
-        self.batch = batch;
+        self.groups = groups;
         // Every slot is overwritten below, so the resize only sets the
         // length; capacity carries over between calls.
-        self.argmax.resize(batch * per_out, 0);
-        let mut out = vec![0.0f32; batch * per_out];
-        let rows = out
-            .chunks_exact_mut(ow)
-            .zip(self.argmax.chunks_exact_mut(ow));
-        for (r, (out_row, arg_row)) in rows.enumerate() {
-            // Output row r = (b, ch, oy) reads image rows 2·oy and 2·oy + 1
-            // of channel ch.
-            let (b, ch, oy) = (r / (oc * oh), r / oh % oc, r % oh);
-            let top = ch * h * w + 2 * oy * w;
-            let (upper, lower) = x.row(b)[top..top + 2 * w].split_at(w);
+        let outputs = groups * oc * oh * ow;
+        self.argmax.resize(outputs * LANES, 0);
+        let mut out = vec![0.0f32; outputs * LANES];
+        let (src, _) = x.as_slice().as_chunks::<LANES>();
+        let (dst, _) = out.as_chunks_mut::<LANES>();
+        let (arg, _) = self.argmax.as_chunks_mut::<LANES>();
+        // Output row r = (group, ch, oy) reads input rows 2·oy and 2·oy + 1
+        // of the same (group, ch): input rows 2r and 2r + 1.
+        let in_rows = src.chunks_exact(2 * w);
+        let out_rows = dst.chunks_exact_mut(ow).zip(arg.chunks_exact_mut(ow));
+        for ((out_row, arg_row), rows) in out_rows.zip(in_rows) {
+            let (upper, lower) = rows.split_at(w);
             let windows = upper.chunks_exact(2).zip(lower.chunks_exact(2));
-            for (ox, ((o, arg), (up, low))) in
-                out_row.iter_mut().zip(arg_row).zip(windows).enumerate()
-            {
-                let first = top + 2 * ox;
-                let (mut best, mut best_idx) = (up[0], first);
-                for (v, idx) in [
-                    (up[1], first + 1),
-                    (low[0], first + w),
-                    (low[1], first + w + 1),
-                ] {
-                    if v > best {
-                        (best, best_idx) = (v, idx);
-                    }
-                }
-                *o = best;
-                *arg = best_idx;
+            for ((o, a), (up, low)) in out_row.iter_mut().zip(arg_row).zip(windows) {
+                (*o, *a) = pool_window([&up[0], &up[1], &low[0], &low[1]]);
             }
         }
-        Tensor::from_vec(out, &[batch, oc * oh * ow]).expect("volume matches")
+        Tensor::from_vec(out, &[groups, oc * oh * ow, LANES]).expect("volume matches")
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert!(self.batch > 0, "backward called before forward");
+        assert!(self.groups > 0, "backward called before forward");
         let (c, h, w) = self.input_dims;
         let (oc, oh, ow) = self.output_dims();
-        let per_out = oc * oh * ow;
-        assert_eq!(grad_out.dims(), &[self.batch, per_out], "gradient shape");
-        let mut dx = vec![0.0f32; self.batch * c * h * w];
-        for b in 0..self.batch {
-            let g = grad_out.row(b);
-            for (o, &gv) in g.iter().enumerate() {
-                let src = self.argmax[b * per_out + o];
-                dx[b * c * h * w + src] += gv;
+        assert_eq!(
+            grad_out.dims(),
+            &[self.groups, oc * oh * ow, LANES],
+            "gradient shape"
+        );
+        let mut dx = vec![0.0f32; self.groups * c * h * w * LANES];
+        let (g, _) = grad_out.as_slice().as_chunks::<LANES>();
+        let (arg, _) = self.argmax.as_chunks::<LANES>();
+        let (dst, _) = dx.as_chunks_mut::<LANES>();
+        let rows = g.chunks_exact(ow).zip(arg.chunks_exact(ow));
+        for ((g_row, arg_row), dx_rows) in rows.zip(dst.chunks_exact_mut(2 * w)) {
+            let (upper, lower) = dx_rows.split_at_mut(w);
+            let windows = upper.chunks_exact_mut(2).zip(lower.chunks_exact_mut(2));
+            for ((gv, a), (up, low)) in g_row.iter().zip(arg_row).zip(windows) {
+                let (up, low) = (split_pair(up), split_pair(low));
+                // Computed for every lane, so the store below is a select.
+                let mut plus = [0.0f32; LANES];
+                for (p, &gl) in plus.iter_mut().zip(gv) {
+                    *p = 0.0 + gl;
+                }
+                for (pos, d) in (0u32..).zip([up.0, up.1, low.0, low.1]) {
+                    for ((dv, &p), &al) in d.iter_mut().zip(&plus).zip(a) {
+                        *dv = if al == pos { p } else { 0.0 };
+                    }
+                }
             }
         }
-        Tensor::from_vec(dx, &[self.batch, c * h * w]).expect("volume matches")
+        Tensor::from_vec(dx, &[self.groups, c * h * w, LANES]).expect("volume matches")
     }
 
     fn visit_params(&self, _f: &mut dyn FnMut(&Tensor)) {}
@@ -548,11 +576,43 @@ impl Layer for MaxPool2d {
     }
 }
 
+/// The two pixels of a pooling window's row.
+#[inline(always)]
+fn split_pair(pair: &mut [Pixel]) -> (&mut Pixel, &mut Pixel) {
+    let [a, b] = pair else {
+        unreachable!("a window row is two pixels")
+    };
+    (a, b)
+}
+
+/// One 2×2 window of 16 lanes, in the order upper-left, upper-right,
+/// lower-left, lower-right: per lane the maximum by strict `>` from the
+/// first value on, and the position that won.
+#[inline(always)]
+fn pool_window(window: [&Pixel; 4]) -> (Pixel, [u32; LANES]) {
+    let mut best = *window[0];
+    let mut arg = [0u32; LANES];
+    for (pos, v) in (1u32..).zip(&window[1..]) {
+        for ((b, a), &vl) in best.iter_mut().zip(&mut arg).zip(v.iter()) {
+            let greater = vl > *b;
+            *b = if greater { vl } else { *b };
+            *a = if greater { pos } else { *a };
+        }
+    }
+    (best, arg)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LaneStack, Sequential};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// One spatial layer behind the lane boundary.
+    fn lane_stack(layer: impl Layer + 'static) -> LaneStack {
+        LaneStack::new(Sequential::new(vec![Box::new(layer)]))
+    }
 
     #[test]
     fn identity_kernel_preserves_image() {
@@ -565,7 +625,7 @@ mod tests {
         conv.bias = Tensor::zeros(&[1]);
         let img: Vec<f32> = (0..16).map(|v| v as f32).collect();
         let x = Tensor::from_vec(img.clone(), &[1, 16]).unwrap();
-        let y = conv.forward(&x, true);
+        let y = lane_stack(conv).forward(&x, true);
         assert_eq!(y.as_slice(), img.as_slice());
     }
 
@@ -684,14 +744,23 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The layer's own forward + full backward.
-    fn layer_pass(conv: &mut Conv2d, x: &Tensor, dy: &Tensor) -> PassBits {
-        let y = conv.forward(x, true);
-        let dx = conv.backward(dy);
+    /// The `(weight, bias)` gradients of a stack holding one convolution.
+    fn conv_grads(stack: &mut LaneStack) -> (Vec<u32>, Vec<u32>) {
+        let mut grads = Vec::new();
+        stack.visit_param_grad_pairs(&mut |_, g| grads.push(bits(g.as_slice())));
+        let [gw, gb] = <[Vec<u32>; 2]>::try_from(grads).expect("one convolution");
+        (gw, gb)
+    }
+
+    /// The layer's own forward + full backward, through the lane boundary.
+    fn layer_pass(stack: &mut LaneStack, x: &Tensor, dy: &Tensor) -> PassBits {
+        let y = stack.forward(x, true);
+        let dx = stack.backward(dy);
+        let (grad_weight, grad_bias) = conv_grads(stack);
         PassBits {
             y: bits(y.as_slice()),
-            grad_weight: bits(conv.grad_weight.as_slice()),
-            grad_bias: bits(conv.grad_bias.as_slice()),
+            grad_weight,
+            grad_bias,
             dx: bits(dx.as_slice()),
         }
     }
@@ -780,9 +849,11 @@ mod tests {
     }
 
     /// Forward, `dW`, `db` and `dx` are bit-identical to the materialised
-    /// reference on every geometry class `Conv2d::new` accepts: channel
-    /// counts off the lane and tile sizes, 1×1 to 5×5 kernels, padding
-    /// below, at and above "same", non-square images, several images.
+    /// reference run image by image, on every geometry class `Conv2d::new`
+    /// accepts — channel counts off the tile sizes, 1×1 to 5×5 kernels,
+    /// padding below, at and above "same", non-square images — and at
+    /// batch sizes that fill a lane group partly, exactly, and spill one
+    /// or more images into the next.
     #[test]
     fn matches_materialized_im2col_reference_bit_for_bit() {
         let mut seed = 0u64;
@@ -791,49 +862,96 @@ mod tests {
             for co in [1usize, 3, 8, 10, 16] {
                 for kernel in [1usize, 3, 5] {
                     for pad in [0usize, 1, 2] {
-                        cases.push(((c, 6, 5), co, kernel, pad, 2));
+                        cases.push(((c, 6, 5), co, kernel, pad));
                     }
                 }
             }
         }
         // The benchmark's widest layer shape: many column panels.
-        cases.push(((8, 16, 16), 8, 3, 1, 3));
-        for (dims, co, kernel, pad, batch) in cases {
-            seed += 1;
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut conv = Conv2d::new(dims, co, kernel, pad, &mut rng);
-            conv.bias = sparse_tensor(&[co], seed + 1000);
-            let (c, h, w) = dims;
-            let (_, oh, ow) = conv.output_dims();
-            let x = sparse_tensor(&[batch, c * h * w], seed + 2000);
-            let dy = sparse_tensor(&[batch, co * oh * ow], seed + 3000);
-            let want = reference_pass(&conv, dims, kernel, pad, &x, &dy);
-            let got = layer_pass(&mut conv, &x, &dy);
-            assert_eq!(got, want, "{dims:?} -> {co}, kernel {kernel}, pad {pad}");
-            // The first-layer path computes the same parameter gradients.
-            let _ = conv.backward_param_only(&dy);
-            assert_eq!(bits(conv.grad_weight.as_slice()), want.grad_weight);
-            assert_eq!(bits(conv.grad_bias.as_slice()), want.grad_bias);
-            // Evaluation mode is the same forward.
-            assert_eq!(bits(conv.forward(&x, false).as_slice()), want.y);
+        cases.push(((8, 16, 16), 8, 3, 1));
+        for (dims, co, kernel, pad) in cases {
+            for batch in [1usize, 2, 15, 16, 17, 33] {
+                seed += 1;
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut conv = Conv2d::new(dims, co, kernel, pad, &mut rng);
+                conv.bias = sparse_tensor(&[co], seed + 1000);
+                let (c, h, w) = dims;
+                let (_, oh, ow) = conv.output_dims();
+                let x = sparse_tensor(&[batch, c * h * w], seed + 2000);
+                let dy = sparse_tensor(&[batch, co * oh * ow], seed + 3000);
+                let want = reference_pass(&conv, dims, kernel, pad, &x, &dy);
+                let mut stack = lane_stack(conv);
+                let got = layer_pass(&mut stack, &x, &dy);
+                let case = format!("{dims:?} -> {co}, kernel {kernel}, pad {pad}, batch {batch}");
+                assert_eq!(got, want, "{case}");
+                // The first-layer path computes the same parameter gradients.
+                let _ = stack.backward_param_only(&dy);
+                let (gw, gb) = conv_grads(&mut stack);
+                assert_eq!((gw, gb), (want.grad_weight, want.grad_bias), "{case}");
+                // Evaluation mode is the same forward.
+                assert_eq!(bits(stack.forward(&x, false).as_slice()), want.y, "{case}");
+            }
         }
     }
 
-    /// Borders, wrap columns, trailing zeros and dead lanes never pick up
-    /// stale values: a layer that has already seen other batches (of
-    /// another size, in both modes) computes exactly what a fresh layer
-    /// does.
+    /// Padded lanes never reach the parameter gradients, whatever they
+    /// hold: a group whose lanes past the last image carry garbage in `x`
+    /// and `dy` yields the gradients of the same group with zeros there.
+    #[test]
+    fn padded_lanes_never_reach_parameter_gradients() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let dims = (3, 6, 5);
+        let fresh = Conv2d::new(dims, 5, 3, 1, &mut rng);
+        let (co, oh, ow) = fresh.output_dims();
+        let images = 21; // lanes 5..16 of the second group are padding
+        let garbage = |t: &Tensor, seed: u64| {
+            let noise = sparse_tensor(t.dims(), seed);
+            let mut t = t.clone();
+            let features = t.dims()[1];
+            for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+                let image = i / (features * LANES) * LANES + i % LANES;
+                if image >= images {
+                    *v = 1e3 * noise.at(i) + 7.0;
+                }
+            }
+            t
+        };
+        let x = crate::lanes::to_lanes(&sparse_tensor(&[images, 3 * 6 * 5], 1));
+        let dy = crate::lanes::to_lanes(&sparse_tensor(&[images, co * oh * ow], 2));
+        let mut grads = Vec::new();
+        for (x, dy) in [(x.clone(), dy.clone()), (garbage(&x, 3), garbage(&dy, 4))] {
+            let mut conv = fresh.clone();
+            conv.set_images(images);
+            let _ = conv.forward(&x, true);
+            let _ = conv.backward(&dy);
+            grads.push((
+                bits(conv.grad_weight.as_slice()),
+                bits(conv.grad_bias.as_slice()),
+            ));
+            let _ = conv.backward_param_only(&dy);
+            grads.push((
+                bits(conv.grad_weight.as_slice()),
+                bits(conv.grad_bias.as_slice()),
+            ));
+        }
+        assert!(grads.iter().all(|g| *g == grads[0]));
+    }
+
+    /// Borders, wrap columns and padded lanes never pick up stale values:
+    /// a layer that has already seen other batches (of another group
+    /// count, in both modes) computes exactly what a fresh layer does.
     #[test]
     fn reused_scratch_matches_fresh_layer() {
         let mut rng = StdRng::seed_from_u64(5);
         let dims = (3, 6, 5);
-        let mut used = Conv2d::new(dims, 10, 3, 1, &mut rng);
+        let conv = Conv2d::new(dims, 10, 3, 1, &mut rng);
+        let (co, oh, ow) = conv.output_dims();
+        let mut used = lane_stack(conv);
         let fresh = used.clone();
-        let (co, oh, ow) = used.output_dims();
-        for (batch, seed) in [(3usize, 1u64), (2, 2)] {
+        for (batch, seed) in [(20usize, 1u64), (3, 2), (18, 3)] {
             let x = sparse_tensor(&[batch, 3 * 6 * 5], seed);
             let dy = sparse_tensor(&[batch, co * oh * ow], seed + 10);
-            let _ = used.forward(&sparse_tensor(&[4, 3 * 6 * 5], seed + 20), false);
+            let _ = used.forward(&sparse_tensor(&[40, 3 * 6 * 5], seed + 20), false);
             let got = layer_pass(&mut used, &x, &dy);
             assert_eq!(
                 got,
@@ -846,7 +964,7 @@ mod tests {
     #[test]
     fn conv_gradients_match_finite_difference() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut conv = Conv2d::new((2, 4, 4), 3, 3, 1, &mut rng);
+        let mut conv = lane_stack(Conv2d::new((2, 4, 4), 3, 3, 1, &mut rng));
         let x = Tensor::randn(&[2, 32], 1.0, &mut rng);
         let y = conv.forward(&x, true);
         let dx = conv.backward(&Tensor::ones(y.dims()));
@@ -856,15 +974,22 @@ mod tests {
         let mut pairs = Vec::new();
         conv.visit_param_grad_pairs(&mut |p, g| pairs.push((p.clone(), g.clone())));
         let (w, gw) = &pairs[0];
+        let with_weight = |weight: &Tensor| {
+            let mut c = conv.clone();
+            let mut first = true;
+            c.visit_params_mut(&mut |p| {
+                if std::mem::take(&mut first) {
+                    p.copy_from(weight);
+                }
+            });
+            c
+        };
         for idx in [0usize, 10, 25] {
-            let mut cp = conv.clone();
             let mut wp = w.clone();
             wp.as_mut_slice()[idx] += eps;
-            cp.weight = wp;
-            let mut cm = conv.clone();
             let mut wm = w.clone();
             wm.as_mut_slice()[idx] -= eps;
-            cm.weight = wm;
+            let (mut cp, mut cm) = (with_weight(&wp), with_weight(&wm));
             let fd = (cp.forward(&x, true).sum() - cm.forward(&x, true).sum()) / (2.0 * eps);
             assert!(
                 (fd - gw.at(idx)).abs() < 5e-2 * (1.0 + fd.abs()),
@@ -889,8 +1014,7 @@ mod tests {
         }
         // Bias gradient: each output position contributes 1 per channel.
         let (_, gb) = &pairs[1];
-        let (_, oh, ow) = conv.output_dims();
-        let expected = (2 * oh * ow) as f32; // batch of 2
+        let expected = (2 * 4 * 4) as f32; // batch of 2, 4×4 outputs
         for ch in 0..3 {
             assert!((gb.at(ch) - expected).abs() < 1e-3);
         }
@@ -901,12 +1025,27 @@ mod tests {
     fn conv_backward_requires_forward() {
         let mut rng = StdRng::seed_from_u64(4);
         let mut conv = Conv2d::new((1, 4, 4), 1, 3, 1, &mut rng);
-        let _ = conv.backward(&Tensor::zeros(&[1, 16]));
+        let _ = conv.backward(&Tensor::zeros(&[1, 16, LANES]));
+    }
+
+    #[test]
+    #[should_panic(expected = "conv expects lane groups")]
+    fn conv_rejects_a_2d_input() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut conv = Conv2d::new((1, 4, 4), 1, 3, 1, &mut rng);
+        let _ = conv.forward(&Tensor::zeros(&[1, 16]), true);
+    }
+
+    #[test]
+    #[should_panic(expected = "max-pool expects lane groups")]
+    fn maxpool_rejects_a_2d_input() {
+        let mut pool = MaxPool2d::new((1, 2, 2));
+        let _ = pool.forward(&Tensor::zeros(&[1, 4]), true);
     }
 
     #[test]
     fn maxpool_picks_maximum() {
-        let mut pool = MaxPool2d::new((1, 2, 2));
+        let mut pool = lane_stack(MaxPool2d::new((1, 2, 2)));
         let x = Tensor::from_vec(vec![1.0, 5.0, 3.0, 2.0], &[1, 4]).unwrap();
         let y = pool.forward(&x, true);
         assert_eq!(y.as_slice(), &[5.0]);
@@ -923,7 +1062,7 @@ mod tests {
     #[test]
     fn maxpool_gradient_matches_finite_difference() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut pool = MaxPool2d::new((2, 4, 4));
+        let mut pool = lane_stack(MaxPool2d::new((2, 4, 4)));
         let x = Tensor::randn(&[1, 32], 1.0, &mut rng);
         let y = pool.forward(&x, true);
         let dx = pool.backward(&Tensor::ones(y.dims()));
@@ -948,5 +1087,69 @@ mod tests {
     #[should_panic(expected = "even spatial dims")]
     fn maxpool_rejects_odd_dims() {
         let _ = MaxPool2d::new((1, 3, 4));
+    }
+
+    /// The image-at-a-time pool the lane pool replaced, verbatim: per
+    /// output, the window's upper-left value and flat index, replaced on a
+    /// strictly greater value in the order upper-right, lower-left,
+    /// lower-right; backward adds each gradient into a zeroed `dx` at the
+    /// chosen index.
+    fn per_image_pool((c, h, w): ImageDims, x: &Tensor, g: &Tensor) -> (Vec<u32>, Vec<u32>) {
+        let (oh, ow) = (h / 2, w / 2);
+        let batch = x.dims()[0];
+        let (mut y, mut dx) = (Vec::new(), vec![0.0f32; batch * c * h * w]);
+        for b in 0..batch {
+            for (r, gr) in g.row(b).chunks_exact(ow).enumerate() {
+                let (ch, oy) = (r / oh, r % oh);
+                let top = ch * h * w + 2 * oy * w;
+                for (ox, &gv) in gr.iter().enumerate() {
+                    let first = top + 2 * ox;
+                    let (mut best, mut best_idx) = (x.row(b)[first], first);
+                    for idx in [first + 1, first + w, first + w + 1] {
+                        if x.row(b)[idx] > best {
+                            (best, best_idx) = (x.row(b)[idx], idx);
+                        }
+                    }
+                    y.push(best);
+                    dx[b * c * h * w + best_idx] += gv;
+                }
+            }
+        }
+        (bits(&y), bits(&dx))
+    }
+
+    /// The lane pool is bit-identical to the image-at-a-time pool on
+    /// inputs full of ties (signed zeros among them), with NaNs in every
+    /// window position and `−0.0` gradients, at batch sizes around a lane
+    /// group.
+    #[test]
+    fn maxpool_matches_per_image_pool_bit_for_bit() {
+        let dims = (3, 4, 6);
+        let (c, h, w) = dims;
+        let (oh, ow) = (h / 2, w / 2);
+        for (batch, seed) in [(1usize, 1u64), (16, 2), (17, 3), (33, 4)] {
+            let mut x = sparse_tensor(&[batch, c * h * w], seed);
+            for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+                match i % 11 {
+                    // Few distinct values, so most windows hold ties.
+                    0..=4 => *v = (*v * 2.0).round() / 2.0,
+                    5 => *v = f32::NAN,
+                    _ => {}
+                }
+            }
+            let g = sparse_tensor(&[batch, c * oh * ow], seed + 100);
+            assert!(g
+                .as_slice()
+                .iter()
+                .any(|v| v.to_bits() == (-0.0f32).to_bits()));
+            let mut pool = lane_stack(MaxPool2d::new(dims));
+            let y = pool.forward(&x, true);
+            let dx = pool.backward(&g);
+            assert_eq!(
+                (bits(y.as_slice()), bits(dx.as_slice())),
+                per_image_pool(dims, &x, &g),
+                "batch {batch}"
+            );
+        }
     }
 }

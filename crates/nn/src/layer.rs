@@ -40,6 +40,13 @@ pub trait Layer: Send + Sync {
         self.backward(grad_out)
     }
 
+    /// Inside a [`LaneStack`](crate::LaneStack): how many images the lane
+    /// groups of the next passes hold; lanes from image `images` on are
+    /// padding. Layers that reduce across images
+    /// ([`Conv2d`](crate::Conv2d)'s parameter gradients) keep it, and
+    /// containers pass it on. The default ignores it.
+    fn set_images(&mut self, _images: usize) {}
+
     /// Visits every parameter tensor (immutably), outermost layer first.
     fn visit_params(&self, f: &mut dyn FnMut(&Tensor));
 

@@ -3,7 +3,8 @@
 //! The paper trains VGG-16 and ResNet-50 in PyTorch; this offline
 //! reproduction needs a self-contained trainable-model stack, so this crate
 //! implements one: layers with explicit forward/backward passes
-//! ([`Dense`], [`Conv2d`], [`MaxPool2d`], [`Relu`], [`Tanh`], [`Residual`]),
+//! ([`Dense`], [`Conv2d`], [`MaxPool2d`], [`Relu`], [`Tanh`], [`Residual`],
+//! [`LaneStack`]),
 //! losses ([`Loss`]), an SGD optimizer with momentum and weight decay
 //! ([`Sgd`]), and a [`Network`] container exposing its parameters as the
 //! one flat plane that periodic model averaging reads and writes.
@@ -13,12 +14,15 @@
 //! communication-bound) and [`models::resnet_like`] (residual blocks, small
 //! head — computation-bound), plus MLP/softmax baselines.
 //!
-//! Convolution is zero-copy: [`Conv2d`] stores each image as zero-bordered
-//! planes, in which every im2col row is a contiguous slice, and runs its
-//! forward, weight-gradient and input-gradient products as `tensor`'s
-//! windowed GEMM kernels over an offset table — no packing, no column
-//! matrix, col2im fused into the product, and bit-identical to the
-//! materialised-im2col formulation (see [`Conv2d`]).
+//! Convolution is zero-copy and 16 images wide: a [`LaneStack`] runs the
+//! spatial layers on groups of 16 images held side by side in the vector
+//! lanes, and [`Conv2d`] stores each group as zero-bordered planes, in
+//! which every im2col row of all 16 images is a contiguous slice. Its
+//! forward, weight-gradient and input-gradient products are `tensor`'s
+//! windowed kernels over an offset table, one call per group — no
+//! packing, no column matrix, col2im fused into the product, and
+//! bit-identical to the materialised-im2col formulation run image by
+//! image (see [`Conv2d`]).
 //!
 //! # Example
 //!
@@ -42,6 +46,7 @@
 mod activation;
 mod conv;
 mod dense;
+mod lanes;
 mod layer;
 mod loss;
 pub mod metrics;
@@ -54,6 +59,7 @@ mod zoo;
 pub use activation::{Relu, Tanh};
 pub use conv::{Conv2d, ImageDims, MaxPool2d};
 pub use dense::Dense;
+pub use lanes::LaneStack;
 pub use layer::{param_count, Layer};
 pub use loss::Loss;
 pub use network::Network;

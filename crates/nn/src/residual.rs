@@ -66,6 +66,10 @@ impl Layer for Residual {
         through.add(grad_out)
     }
 
+    fn set_images(&mut self, images: usize) {
+        self.inner.set_images(images);
+    }
+
     fn visit_params(&self, f: &mut dyn FnMut(&Tensor)) {
         self.inner.visit_params(f);
     }

@@ -115,6 +115,12 @@ impl Layer for Sequential {
         first.backward_param_only(&g)
     }
 
+    fn set_images(&mut self, images: usize) {
+        for layer in &mut self.layers {
+            layer.set_images(images);
+        }
+    }
+
     fn visit_params(&self, f: &mut dyn FnMut(&Tensor)) {
         for layer in &self.layers {
             layer.visit_params(f);

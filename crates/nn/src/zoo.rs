@@ -7,7 +7,7 @@
 //! is supplied by the calibrated delay profiles in the `delay` crate, not by
 //! the raw FLOPs of these networks (see `DESIGN.md`).
 
-use crate::{Conv2d, Dense, Loss, MaxPool2d, Network, Relu, Residual, Sequential};
+use crate::{Conv2d, Dense, LaneStack, Loss, MaxPool2d, Network, Relu, Residual, Sequential};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -64,25 +64,23 @@ pub fn vgg_like(channels: usize, side: usize, classes: usize, seed: u64) -> Netw
     );
     assert_eq!(side % 4, 0, "side must be divisible by 4, got {side}");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut stack = Sequential::empty();
-    // Block 1: conv-relu-conv-relu-pool.
-    stack.push(Box::new(Conv2d::new(
-        (channels, side, side),
-        8,
-        3,
-        1,
-        &mut rng,
-    )));
-    stack.push(Box::new(Relu::new()));
-    stack.push(Box::new(Conv2d::new((8, side, side), 8, 3, 1, &mut rng)));
-    stack.push(Box::new(Relu::new()));
-    stack.push(Box::new(MaxPool2d::new((8, side, side))));
     let s2 = side / 2;
-    // Block 2: conv-relu-pool.
-    stack.push(Box::new(Conv2d::new((8, s2, s2), 16, 3, 1, &mut rng)));
-    stack.push(Box::new(Relu::new()));
-    stack.push(Box::new(MaxPool2d::new((16, s2, s2))));
     let s4 = side / 4;
+    // The spatial layers run on lane groups of 16 images.
+    let spatial = Sequential::new(vec![
+        // Block 1: conv-relu-conv-relu-pool.
+        Box::new(Conv2d::new((channels, side, side), 8, 3, 1, &mut rng)),
+        Box::new(Relu::new()),
+        Box::new(Conv2d::new((8, side, side), 8, 3, 1, &mut rng)),
+        Box::new(Relu::new()),
+        Box::new(MaxPool2d::new((8, side, side))),
+        // Block 2: conv-relu-pool.
+        Box::new(Conv2d::new((8, s2, s2), 16, 3, 1, &mut rng)),
+        Box::new(Relu::new()),
+        Box::new(MaxPool2d::new((16, s2, s2))),
+    ]);
+    let mut stack = Sequential::empty();
+    stack.push(Box::new(LaneStack::new(spatial)));
     // Large dense head — the VGG signature that makes the model
     // communication-bound.
     let flat = 16 * s4 * s4;
@@ -105,33 +103,31 @@ pub fn resnet_like(channels: usize, side: usize, classes: usize, seed: u64) -> N
     );
     assert_eq!(side % 4, 0, "side must be divisible by 4, got {side}");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut stack = Sequential::empty();
-    stack.push(Box::new(Conv2d::new(
-        (channels, side, side),
-        8,
-        3,
-        1,
-        &mut rng,
-    )));
-    stack.push(Box::new(Relu::new()));
-    // Residual block 1 at full resolution.
-    stack.push(Box::new(Residual::new(Sequential::new(vec![
-        Box::new(Conv2d::new((8, side, side), 8, 3, 1, &mut rng)),
-        Box::new(Relu::new()),
-        Box::new(Conv2d::new((8, side, side), 8, 3, 1, &mut rng)),
-    ]))));
-    stack.push(Box::new(Relu::new()));
-    stack.push(Box::new(MaxPool2d::new((8, side, side))));
     let s2 = side / 2;
-    // Residual block 2 at half resolution.
-    stack.push(Box::new(Residual::new(Sequential::new(vec![
-        Box::new(Conv2d::new((8, s2, s2), 8, 3, 1, &mut rng)),
-        Box::new(Relu::new()),
-        Box::new(Conv2d::new((8, s2, s2), 8, 3, 1, &mut rng)),
-    ]))));
-    stack.push(Box::new(Relu::new()));
-    stack.push(Box::new(MaxPool2d::new((8, s2, s2))));
     let s4 = side / 4;
+    // The spatial layers run on lane groups of 16 images.
+    let spatial = Sequential::new(vec![
+        Box::new(Conv2d::new((channels, side, side), 8, 3, 1, &mut rng)),
+        Box::new(Relu::new()),
+        // Residual block 1 at full resolution.
+        Box::new(Residual::new(Sequential::new(vec![
+            Box::new(Conv2d::new((8, side, side), 8, 3, 1, &mut rng)),
+            Box::new(Relu::new()),
+            Box::new(Conv2d::new((8, side, side), 8, 3, 1, &mut rng)),
+        ]))),
+        Box::new(Relu::new()),
+        Box::new(MaxPool2d::new((8, side, side))),
+        // Residual block 2 at half resolution.
+        Box::new(Residual::new(Sequential::new(vec![
+            Box::new(Conv2d::new((8, s2, s2), 8, 3, 1, &mut rng)),
+            Box::new(Relu::new()),
+            Box::new(Conv2d::new((8, s2, s2), 8, 3, 1, &mut rng)),
+        ]))),
+        Box::new(Relu::new()),
+        Box::new(MaxPool2d::new((8, s2, s2))),
+    ]);
+    let mut stack = Sequential::empty();
+    stack.push(Box::new(LaneStack::new(spatial)));
     // Small dense head — ResNets avoid VGG's parameter-heavy head.
     stack.push(Box::new(Dense::new(8 * s4 * s4, classes, &mut rng)));
     Network::new(stack, Loss::CrossEntropy)

@@ -2,17 +2,18 @@
 //! im2col-sized matrices.
 //!
 //! A counting global allocator is armed around steady-state training
-//! passes: the only heap traffic allowed is the returned tensor (data +
-//! shape) — the output for `forward`, `dx` for `backward` — never
-//! `fan_in × oh·ow` floats of column matrix. Counters are per thread, so
-//! the tests here (and the harness around them) cannot perturb each other.
+//! passes over a lane group (16 images side by side): the only heap
+//! traffic allowed is the returned tensor (data + shape) — the output for
+//! `forward`, `dx` for `backward` — never `fan_in × oh·ow` floats of
+//! column matrix. Counters are per thread, so the tests here (and the
+//! harness around them) cannot perturb each other.
 
 use nn::{Conv2d, Layer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use tensor::Tensor;
+use tensor::{Tensor, LANES};
 
 struct CountingAlloc;
 
@@ -50,9 +51,9 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     (out, ALLOCS.get(), BYTES.get())
 }
 
-// fan_in = 4*3*3 = 36, output pixels = 64: one batch element's im2col
-// matrix would be 36*64*4 = 9216 bytes, the batch's 72 KiB.
-const BATCH: usize = 8;
+// fan_in = 4*3*3 = 36, output pixels = 64: one image's im2col matrix
+// would be 36*64*4 = 9216 bytes, the lane group's 144 KiB.
+const GROUPS: usize = 1;
 const DIMS: (usize, usize, usize) = (4, 8, 8);
 const CO: usize = 8;
 const IM2COL_BYTES: u64 = 36 * 64 * 4;
@@ -61,10 +62,10 @@ fn warmed_layer() -> (Conv2d, Tensor, Tensor) {
     let mut rng = StdRng::seed_from_u64(7);
     let (c, h, w) = DIMS;
     let mut conv = Conv2d::new(DIMS, CO, 3, 1, &mut rng);
-    let x = Tensor::randn(&[BATCH, c * h * w], 1.0, &mut rng);
-    let dy = Tensor::randn(&[BATCH, CO * 64], 1.0, &mut rng);
-    // Warm every reused buffer: the bordered-plane cache of this batch
-    // size and the per-layer workspaces.
+    let x = Tensor::randn(&[GROUPS, c * h * w, LANES], 1.0, &mut rng);
+    let dy = Tensor::randn(&[GROUPS, CO * 64, LANES], 1.0, &mut rng);
+    // Warm every reused buffer: the bordered-plane cache of this group
+    // count and the per-layer workspaces.
     for _ in 0..2 {
         let _ = conv.forward(&x, true);
         let _ = conv.backward(&dy);
@@ -76,10 +77,10 @@ fn warmed_layer() -> (Conv2d, Tensor, Tensor) {
 fn conv_forward_allocates_only_its_output() {
     let (mut conv, x, _) = warmed_layer();
     let (y, allocs, bytes) = counted(|| conv.forward(&x, true));
-    assert_eq!(y.dims(), &[BATCH, CO * 64]);
+    assert_eq!(y.dims(), &[GROUPS, CO * 64, LANES]);
     // The output tensor (data + shape vector) is the only allowed
-    // allocation: 16 KiB, where one image's im2col matrix is 9 KiB more.
-    let out_bytes = (BATCH * CO * 64 * 4) as u64;
+    // allocation: 32 KiB, where one image's im2col matrix is 9 KiB more.
+    let out_bytes = (GROUPS * CO * 64 * LANES * 4) as u64;
     assert!(
         allocs <= 4,
         "steady-state conv forward made {allocs} allocations"
@@ -97,8 +98,8 @@ fn conv_backward_allocates_only_dx() {
     let _ = conv.forward(&x, true);
     let (dx, allocs, bytes) = counted(|| conv.backward(&dy));
     assert_eq!(dx.dims(), x.dims());
-    // dx is 8 KiB; a materialised dcol (or the transposed patch matrix of
-    // the weight gradient) would add 9 KiB per image.
+    // dx is 16 KiB; a materialised dcol (or the transposed patch matrix
+    // of the weight gradient) would add 9 KiB per image.
     let dx_bytes = (x.len() * 4) as u64;
     assert!(
         allocs <= 4,

@@ -7,10 +7,11 @@
 //! arithmetic, reductions, and seeded random initialisation).
 //!
 //! Beside the GEMM sit the *windowed* GEMM kernels
-//! ([`window_gemm_tn_into`], [`window_gemm_lanes_into`],
+//! ([`window_gemm_tn_into`], [`window_gemm_per_lane_into`],
 //! [`window_gemm_tn_add`]): products whose im2col-style operand is an
 //! offset table into a flat buffer, so `nn`'s convolution never packs or
-//! materialises it. Both run on one register tile (`tile.rs`), and every
+//! materialises it. The two row-by-window products run on the GEMM's
+//! register tile (`tile.rs`), and every
 //! kernel keeps one contract: each output element is a single
 //! `f32::mul_add` accumulator reduced in ascending index, so results are
 //! bit-identical at any vector width and thread count.
@@ -52,7 +53,9 @@ pub use linalg::average;
 pub use matmul::{matmul_into, matmul_nt_into, matmul_tn_into};
 pub use shape::Shape;
 pub use tensor::Tensor;
-pub use window::{window_gemm_lanes_into, window_gemm_tn_add, window_gemm_tn_into, WINDOW_PANEL};
+pub use window::{
+    window_gemm_per_lane_into, window_gemm_tn_add, window_gemm_tn_into, LANES, WINDOW_PANEL,
+};
 
 /// Convenience result alias for fallible tensor operations.
 pub type Result<T> = std::result::Result<T, TensorError>;

@@ -4,15 +4,18 @@
 //!
 //! A window operand is a flat slice `src` plus an **offset table** `off`:
 //! logical row `kk` is `src[off[kk]..off[kk] + n]`, and windows may overlap
-//! freely. `nn`'s convolution stores each image as zero-bordered planes,
-//! which makes every im2col row exactly such a window (see `nn::conv`), so
-//! all three convolution products run here with no packing, no
+//! freely. `nn`'s convolution stores each group of 16 images as
+//! zero-bordered planes with the images side by side in the lanes,
+//! `[c][H'][W'][16]`, which makes every im2col row of all 16 images
+//! exactly such a window (see `nn::conv`), so all three convolution
+//! products run here, one call per group, with no packing, no
 //! materialised matrix and no scatter:
 //!
 //! * [`window_gemm_tn_into`] — `out = aᵀ · windows` (convolution forward);
-//! * [`window_gemm_lanes_into`] — the products of every window with every
-//!   row of a left operand given *transposed*, vector lanes running across
-//!   those rows (weight gradient, with the bias gradient as column sums);
+//! * [`window_gemm_per_lane_into`] — per vector lane `l`, the products of
+//!   every window with every row of a left operand laid out in the same
+//!   lanes (weight gradient of 16 images at once, with the bias gradient
+//!   as lane sums);
 //! * [`window_gemm_tn_add`] — `windows += aᵀ · b`, the product accumulated
 //!   *into* overlapping windows (input gradient with col2im fused in).
 //!
@@ -20,19 +23,23 @@
 //! of `tile.rs`, the same ones the GEMM in `matmul.rs` runs on: their left
 //! operand is a transposed row-major matrix read in place, and only the
 //! source of the right-operand rows (a window table, or a plain matrix)
-//! and the store (overwrite, or add into a window) are theirs. The lane
-//! kernel keeps its own block: its vector lanes run across the left
-//! operand, which that tile does not do.
+//! and the store (overwrite, or add into a window) are theirs. With 16
+//! images in the lanes they see nothing new: a column is one lane of one
+//! pixel, and the offsets are scaled by 16. The per-lane kernel keeps its
+//! own tile: its reduction runs along the lanes' own axis, each lane an
+//! independent product, which that tile does not do.
 //!
 //! # Bit-exactness contract
 //!
 //! The same contract as the GEMM in `matmul.rs`: every product element is
 //! reduced by a **single accumulator, from `+0.0`, in ascending reduction
 //! index, one `f32::mul_add` per term**. Tiling only chooses which
-//! elements are computed together; these kernels reduce in one block. The
-//! accumulate-into kernel adds one more ordering rule, stated on
-//! [`window_gemm_tn_add`]. Inputs that already hold inf/NaN carry no bit
-//! contract.
+//! elements are computed together; a reduction split into blocks of steps
+//! continues each chain from the partial the previous block stored. No
+//! kernel ever combines two lanes, so a lane computes exactly what the
+//! same product of one image would. The accumulate-into kernel adds one
+//! more ordering rule, stated on [`window_gemm_tn_add`]. Inputs that
+//! already hold inf/NaN carry no bit contract.
 
 use crate::matmul::check_len;
 use crate::tile::{array_at, matrix_rows, panel_rows, LeftCols, WIDE};
@@ -205,110 +212,176 @@ fn add_row(dst: &mut [f32], row: &[f32]) {
     }
 }
 
-/// Window rows per block of the lane kernel: with 8 or 16 lanes, 9 or 18
-/// vector accumulators stay in registers across the whole reduction (and
-/// a 3×3 convolution's rows come in nines). A final short block repeats
-/// its last row to fill the block (recomputed, never stored), so one
-/// block shape serves every row count.
-const LANE_BLOCK: usize = 9;
+/// Vector lanes of [`window_gemm_per_lane_into`]: 16 `f32`, one 512-bit
+/// register (two 256-bit ones). `nn`'s convolution keeps 16 images side by
+/// side in these lanes.
+pub const LANES: usize = 16;
 
-/// Writes the window products reduced against a *lane-major* left operand:
-/// for `at: [n, lanes]` (the left matrix transposed, so one reduction step
-/// reads one contiguous vector of `lanes` rows),
+/// Output rows (and windows) per register tile of the per-lane kernel:
+/// 4 × 4 tiles hold 16 lane-vector accumulators, and each reduction step
+/// loads 4 rows and 4 windows for 16 FMAs.
+const LANE_TILE: usize = 4;
+
+/// Reduction steps per block of the per-lane kernel. Every tile of one
+/// block reads the same 32 steps of the left rows and of windows that
+/// overlap heavily, about 40 KB at a 3×3 convolution's 8 channels, so a
+/// block stays in L1 while its tiles run; over the whole reduction the
+/// same tiles stream from L2 at about half the FMA rate.
+const LANE_STEPS: usize = 32;
+
+/// Writes the per-lane window products: for a left operand
+/// `dy: [m, n·LANES]` (row `c` is `n` steps of [`LANES`] lanes) and
+/// windows `src[off[kk]..off[kk] + n·LANES]`,
 ///
-/// `out[kk·lanes + l] = Σ_q at[q][l] · src[off[kk] + q]`
+/// `out[(c·k + kk)·LANES + l] = Σ_q dy[c][q·LANES + l] · src[off[kk] + q·LANES + l]`
 ///
-/// and, riding the same pass, the column sums `sums[l] = Σ_q at[q][l]`
-/// (a sequential `+` chain from `+0.0`). Both reduce over `q` ascending
-/// with one accumulator per element, per the module contract; vector
-/// lanes run across `l`, so no element's chain is ever split.
-///
-/// `lanes` must be a multiple of 8; callers zero-pad and ignore the dead
-/// lanes. `n` is the reduction length here and may be any value.
+/// for `k = off.len()`, and, riding the same pass, the lane sums
+/// `sums[c·LANES + l] = Σ_q dy[c][q·LANES + l]` (a sequential `+` chain
+/// from `+0.0`). Both reduce over `q` ascending with one accumulator per
+/// element, per the module contract; the reduction runs in blocks of
+/// steps, each continuing from the partials the previous block stored.
+/// Lanes never meet: lane `l` of the output reads only lane `l` of its
+/// operands, so each lane is an independent product, computed 16 at a
+/// time.
 ///
 /// # Panics
 ///
-/// Panics if `off` is empty, `lanes` is not a multiple of 8, a slice
-/// length disagrees with its dimensions, or a window runs past the end of
-/// `src`.
-pub fn window_gemm_lanes_into(
-    at: &[f32],
+/// Panics if `off` is empty, a slice length disagrees with its dimensions,
+/// an offset is not a multiple of [`LANES`], or a window runs past the end
+/// of `src`.
+pub fn window_gemm_per_lane_into(
+    dy: &[f32],
     src: &[f32],
     off: &[usize],
     out: &mut [f32],
     sums: &mut [f32],
-    lanes: usize,
+    m: usize,
     n: usize,
 ) {
-    let _t = telemetry::kernel_timer("kernel.window_gemm_lanes");
+    let _t = telemetry::kernel_timer("kernel.window_gemm_per_lane");
     assert!(!off.is_empty(), "no windows to reduce against");
     assert!(
-        lanes > 0 && lanes.is_multiple_of(8),
-        "lane count {lanes} is not a positive multiple of 8"
+        off.iter().all(|o| o.is_multiple_of(LANES)),
+        "window offsets must be whole steps of {LANES} lanes"
     );
-    check_len("at", at.len(), n, lanes);
-    check_len("out", out.len(), off.len(), lanes);
-    check_len("sums", sums.len(), 1, lanes);
-    check_windows(src, off, n);
-    let mut l0 = 0;
-    while l0 < lanes {
-        let width = if lanes - l0 >= 16 { 16 } else { 8 };
-        for kk0 in (0..off.len()).step_by(LANE_BLOCK) {
-            let rows = std::array::from_fn(|r| {
-                let o = off[(kk0 + r).min(off.len() - 1)];
-                &src[o..o + n]
-            });
-            let out = &mut out[kk0 * lanes..];
-            match (width, kk0 == 0) {
-                (16, true) => lanes_block::<16, true>(at, rows, out, sums, lanes, l0),
-                (16, false) => lanes_block::<16, false>(at, rows, out, sums, lanes, l0),
-                (_, true) => lanes_block::<8, true>(at, rows, out, sums, lanes, l0),
-                (_, false) => lanes_block::<8, false>(at, rows, out, sums, lanes, l0),
+    check_len("dy", dy.len(), m, n * LANES);
+    check_len("out", out.len(), m * off.len(), LANES);
+    check_len("sums", sums.len(), m, LANES);
+    check_windows(src, off, n * LANES);
+    let k = off.len();
+    let (rows, _) = dy.as_chunks::<LANES>();
+    let (steps, _) = src.as_chunks::<LANES>();
+    let (outs, _) = out.as_chunks_mut::<LANES>();
+    let (sums, _) = sums.as_chunks_mut::<LANES>();
+    outs.fill([0.0; LANES]);
+    sums.fill([0.0; LANES]);
+    for q0 in (0..n).step_by(LANE_STEPS) {
+        let qs = q0..n.min(q0 + LANE_STEPS);
+        let row = |c: usize| &rows[c * n..(c + 1) * n][qs.clone()];
+        let window = |kk: usize| &steps[off[kk] / LANES..][qs.clone()];
+        let mut c0 = 0;
+        while c0 < m {
+            let ct = if m - c0 >= LANE_TILE { LANE_TILE } else { 1 };
+            let mut kk0 = 0;
+            while kk0 < k {
+                let kt = if k - kk0 >= LANE_TILE { LANE_TILE } else { 1 };
+                let tile = Tile {
+                    outs: &mut *outs,
+                    sums: (kk0 == 0).then_some(&mut sums[c0..c0 + ct]),
+                    k,
+                    c0,
+                    kk0,
+                };
+                match (ct, kt) {
+                    (LANE_TILE, LANE_TILE) => tile.run::<LANE_TILE, LANE_TILE>(
+                        std::array::from_fn(|i| row(c0 + i)),
+                        std::array::from_fn(|j| window(kk0 + j)),
+                    ),
+                    (LANE_TILE, _) => tile
+                        .run::<LANE_TILE, 1>(std::array::from_fn(|i| row(c0 + i)), [window(kk0)]),
+                    (_, LANE_TILE) => tile
+                        .run::<1, LANE_TILE>([row(c0)], std::array::from_fn(|j| window(kk0 + j))),
+                    _ => tile.run::<1, 1>([row(c0)], [window(kk0)]),
+                }
+                kk0 += kt;
             }
+            c0 += ct;
         }
-        l0 += width;
     }
 }
 
-/// [`LANE_BLOCK`] window `rows` × `L` lanes from `l0`, the accumulators in
-/// registers across the whole reduction; `SUMS` blocks also carry the
-/// column sums. Stores as many rows as `out` has left.
-#[inline]
-fn lanes_block<const L: usize, const SUMS: bool>(
-    at: &[f32],
-    rows: [&[f32]; LANE_BLOCK],
-    out: &mut [f32],
-    sums: &mut [f32],
-    lanes: usize,
-    l0: usize,
-) {
-    let mut acc = [[0.0f32; L]; LANE_BLOCK];
-    let mut s = [0.0f32; L];
-    for (q, at_row) in at.chunks_exact(lanes).enumerate() {
-        let d = &at_row[l0..l0 + L];
+/// Where one tile of [`window_gemm_per_lane_into`] starts and ends: output
+/// rows from `c0`, windows from `kk0`, the partials in `outs` (and, for a
+/// tile of the first windows, the lane sums of its rows in `sums`).
+struct Tile<'a> {
+    outs: &'a mut [[f32; LANES]],
+    sums: Option<&'a mut [[f32; LANES]]>,
+    k: usize,
+    c0: usize,
+    kk0: usize,
+}
+
+impl Tile<'_> {
+    /// Continues the tile's partials over one block of steps and stores
+    /// them back.
+    #[inline(always)]
+    fn run<const C: usize, const K: usize>(
+        self,
+        rows: [&[[f32; LANES]]; C],
+        windows: [&[[f32; LANES]]; K],
+    ) {
+        let at = |i: usize, j: usize| (self.c0 + i) * self.k + self.kk0 + j;
+        let acc = std::array::from_fn(|i| std::array::from_fn(|j| self.outs[at(i, j)]));
+        let acc = match self.sums {
+            Some(sums) => {
+                let s = std::array::from_fn(|i| sums[i]);
+                let (acc, s) = per_lane_reduce::<C, K, true>(acc, s, rows, windows);
+                sums.copy_from_slice(&s);
+                acc
+            }
+            None => per_lane_reduce::<C, K, false>(acc, [[0.0; LANES]; C], rows, windows).0,
+        };
+        for (i, accr) in acc.iter().enumerate() {
+            for (j, a) in accr.iter().enumerate() {
+                self.outs[at(i, j)] = *a;
+            }
+        }
+    }
+}
+
+/// The reduction of one tile over one block of steps, its `C·K`
+/// lane-vector accumulators (and, for `SUMS`, the `C` lane sums) in
+/// registers across every step.
+#[inline(always)]
+fn per_lane_reduce<const C: usize, const K: usize, const SUMS: bool>(
+    mut acc: [[[f32; LANES]; K]; C],
+    mut s: [[f32; LANES]; C],
+    rows: [&[[f32; LANES]]; C],
+    windows: [&[[f32; LANES]]; K],
+) -> ([[[f32; LANES]; K]; C], [[f32; LANES]; C]) {
+    let n = rows[0].len();
+    // Re-sliced to exactly `n` steps, so the loop indexes without checks.
+    let rows: [&[[f32; LANES]]; C] = std::array::from_fn(|i| &rows[i][..n]);
+    let windows: [&[[f32; LANES]]; K] = std::array::from_fn(|j| &windows[j][..n]);
+    for q in 0..n {
+        let d: [[f32; LANES]; C] = std::array::from_fn(|i| rows[i][q]);
+        let x: [[f32; LANES]; K] = std::array::from_fn(|j| windows[j][q]);
         if SUMS {
-            for (sv, &dv) in s.iter_mut().zip(d) {
-                *sv += dv;
+            for (sv, dv) in s.iter_mut().zip(&d) {
+                for (o, &v) in sv.iter_mut().zip(dv) {
+                    *o += v;
+                }
             }
         }
-        for (accr, row) in acc.iter_mut().zip(&rows) {
-            let xv = row[q];
-            for (o, &dv) in accr.iter_mut().zip(d) {
-                *o = dv.mul_add(xv, *o);
+        for (accr, dv) in acc.iter_mut().zip(&d) {
+            for (a, xv) in accr.iter_mut().zip(&x) {
+                for ((o, &dl), &xl) in a.iter_mut().zip(dv).zip(xv) {
+                    *o = dl.mul_add(xl, *o);
+                }
             }
         }
     }
-    // A constant-trip loop: indexing `acc` by a runtime count would force
-    // it out of registers for the whole reduction.
-    let valid = out.len() / lanes;
-    for (r, accr) in acc.iter().enumerate() {
-        if r < valid {
-            out[r * lanes + l0..r * lanes + l0 + L].copy_from_slice(accr);
-        }
-    }
-    if SUMS {
-        sums[l0..l0 + L].copy_from_slice(&s);
-    }
+    (acc, s)
 }
 
 fn check_width(n: usize) {
@@ -407,33 +480,52 @@ mod tests {
     }
 
     #[test]
-    fn lanes_into_matches_materialized_windows() {
-        // Lane groups of 16 and 8, window rows around the 9-row block,
-        // any reduction length.
-        for (lanes, k, n) in [
-            (8, 1, 1),
+    fn per_lane_into_matches_materialized_windows() {
+        // Rows and windows around the 4 × 4 tile (full tiles, single-row
+        // and single-window remainders), any reduction length.
+        for (m, k, n) in [
+            (1, 1, 1),
+            (4, 4, 7),
             (8, 9, 78),
-            (8, 10, 7),
-            (16, 9, 286),
-            (16, 25, 30),
-            (24, 72, 33),
+            (3, 10, 7),
+            (5, 9, 30),
+            (16, 72, 33),
+            (10, 27, 19),
         ] {
             let (off, len) = conv_like_offsets(k, 3, 11, n);
-            let at = values(n * lanes, 3);
-            let src = values(len, 4);
-            let mut out = vec![f32::NAN; k * lanes];
-            let mut sums = vec![f32::NAN; lanes];
-            window_gemm_lanes_into(&at, &src, &off, &mut out, &mut sums, lanes, n);
-            for l in 0..lanes {
-                for (kk, &o) in off.iter().enumerate() {
-                    let want =
-                        (0..n).fold(0.0f32, |acc, q| at[q * lanes + l].mul_add(src[o + q], acc));
-                    assert_eq!(out[kk * lanes + l], want, "{lanes}x{k}x{n} at ({kk}, {l})");
+            let off: Vec<usize> = off.iter().map(|o| o * LANES).collect();
+            let dy = values(m * n * LANES, 3);
+            let src = values(len * LANES, 4);
+            let mut out = vec![f32::NAN; m * k * LANES];
+            let mut sums = vec![f32::NAN; m * LANES];
+            window_gemm_per_lane_into(&dy, &src, &off, &mut out, &mut sums, m, n);
+            for c in 0..m {
+                for l in 0..LANES {
+                    let d = |q: usize| dy[(c * n + q) * LANES + l];
+                    for (kk, &o) in off.iter().enumerate() {
+                        let want =
+                            (0..n).fold(0.0f32, |acc, q| d(q).mul_add(src[o + q * LANES + l], acc));
+                        let got = out[(c * k + kk) * LANES + l];
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{m}x{k}x{n} ({c}, {kk}, {l})"
+                        );
+                    }
+                    let want = (0..n).fold(0.0f32, |acc, q| acc + d(q));
+                    let got = sums[c * LANES + l];
+                    assert_eq!(got.to_bits(), want.to_bits(), "{m}x{k}x{n} sum ({c}, {l})");
                 }
-                let want = (0..n).fold(0.0f32, |acc, q| acc + at[q * lanes + l]);
-                assert_eq!(sums[l], want, "{lanes}x{k}x{n} sum {l}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "whole steps")]
+    fn per_lane_rejects_offsets_inside_a_step() {
+        let (mut out, mut sums) = (vec![0.0f32; LANES], vec![0.0f32; LANES]);
+        let src = vec![0.0f32; 3 * LANES];
+        window_gemm_per_lane_into(&[0.0; LANES], &src, &[1], &mut out, &mut sums, 1, 1);
     }
 
     #[test]
