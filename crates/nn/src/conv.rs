@@ -188,18 +188,17 @@ pub struct Conv2d {
     // at g·plane_len·16; reused across batches of the same group count.
     cached_planes: Vec<f32>,
     cached_groups: usize,
-    // Per-layer workspaces, sized by the first pass that needs them (an
-    // evaluation replica never pays for the backward ones), so that steady
-    // state the passes allocate only their returned tensors. Borders and
-    // wrap columns are +0.0 from allocation and no pass ever writes them
-    // (dx_planes is re-zeroed whole per group).
-    eval_planes: Vec<f32>, // one group's bordered planes
-    weight_t: Vec<f32>,    // [c_in*k*k, c_out]: forward's transposed weights
-    y_rows: Vec<f32>,      // [c_out, pixels*16]: padded-flat forward rows
-    dy_rows: Vec<f32>,     // [c_out, pixels*16]: padded-flat dy
-    dw_lanes: Vec<f32>,    // [c_out*c_in*k*k, 16]: one group's per-image dW
-    db_lanes: Vec<f32>,    // [c_out, 16]: one group's per-image db
-    dx_planes: Vec<f32>,   // one group's bordered dx planes
+    // Per-layer workspaces, sized by the first pass that needs them, so
+    // that steady state the passes allocate only their returned tensors.
+    // `planes` and `rows` serve forward and backward in turn (a group is
+    // 16 images wide, so each is worth sharing); a pass that needs their
+    // borders or wrap columns at +0.0 zeroes them first and never writes
+    // them after.
+    planes: Vec<f32>,   // one group's bordered planes: eval input, or dx
+    rows: Vec<f32>,     // [c_out, pixels*16]: padded-flat y, or dy
+    weight_t: Vec<f32>, // [c_in*k*k, c_out]: forward's transposed weights
+    dw_lanes: Vec<f32>, // [c_out*c_in*k*k, 16]: one group's per-image dW
+    db_lanes: Vec<f32>, // [c_out, 16]: one group's per-image db
 }
 
 impl Conv2d {
@@ -243,13 +242,11 @@ impl Conv2d {
             images: usize::MAX,
             cached_planes: Vec::new(),
             cached_groups: 0,
-            eval_planes: Vec::new(),
+            planes: Vec::new(),
+            rows: Vec::new(),
             weight_t: Vec::new(),
-            y_rows: Vec::new(),
-            dy_rows: Vec::new(),
             dw_lanes: Vec::new(),
             db_lanes: Vec::new(),
-            dx_planes: Vec::new(),
         }
     }
 
@@ -281,11 +278,13 @@ impl Conv2d {
         let (plane, n) = (lay.plane_len * LANES, lay.pixels * LANES);
         self.grad_weight.fill_zero();
         self.grad_bias.fill_zero();
-        self.dy_rows.resize(co * n, 0.0);
+        // dy rows: the wrap columns stay +0.0 across groups.
+        self.rows.clear();
+        self.rows.resize(co * n, 0.0);
         self.dw_lanes.resize(co * fan_in * LANES, 0.0);
         self.db_lanes.resize(co * LANES, 0.0);
         if dx.is_some() {
-            self.dx_planes.resize(plane, 0.0);
+            self.planes.resize(plane, 0.0);
         }
         let dy_groups = grad_out.as_slice().chunks_exact(co * oh * ow * LANES);
         for (g, dy) in dy_groups.enumerate() {
@@ -293,11 +292,11 @@ impl Conv2d {
             for (ch, dy_ch) in dy.chunks_exact(oh * ow * LANES).enumerate() {
                 for (oy, dy_row) in dy_ch.chunks_exact(ow * LANES).enumerate() {
                     let at = ch * n + oy * lay.row * LANES;
-                    self.dy_rows[at..at + ow * LANES].copy_from_slice(dy_row);
+                    self.rows[at..at + ow * LANES].copy_from_slice(dy_row);
                 }
             }
             window_gemm_per_lane_into(
-                &self.dy_rows,
+                &self.rows,
                 &self.cached_planes[g * plane..(g + 1) * plane],
                 &self.off,
                 &mut self.dw_lanes,
@@ -313,12 +312,12 @@ impl Conv2d {
             };
             // dx planes += Wᵀ · dy, row kk into the window at off[kk]:
             // col2im without the column matrix.
-            self.dx_planes.fill(0.0);
+            self.planes.fill(0.0);
             window_gemm_tn_add(
                 self.weight.as_slice(),
-                &self.dy_rows,
+                &self.rows,
                 &self.off,
-                &mut self.dx_planes,
+                &mut self.planes,
                 co,
                 n,
             );
@@ -326,7 +325,7 @@ impl Conv2d {
             let (len, w) = (c * h * w * LANES, w * LANES);
             let dx_group = &mut dx[g * len..(g + 1) * len];
             for (dst, at) in dx_group.chunks_exact_mut(w).zip(lay.interior_rows()) {
-                dst.copy_from_slice(&self.dx_planes[at * LANES..at * LANES + w]);
+                dst.copy_from_slice(&self.planes[at * LANES..at * LANES + w]);
             }
         }
     }
@@ -362,7 +361,7 @@ impl Layer for Conv2d {
         let fan_in = self.off.len();
         let (plane, n) = (lay.plane_len * LANES, lay.pixels * LANES);
         self.weight_t.resize(fan_in * co, 0.0);
-        self.y_rows.resize(co * n, 0.0);
+        self.rows.resize(co * n, 0.0);
         for (ch, w_row) in self.weight.as_slice().chunks_exact(fan_in).enumerate() {
             for (kk, &v) in w_row.iter().enumerate() {
                 self.weight_t[kk * co + ch] = v;
@@ -373,7 +372,9 @@ impl Layer for Conv2d {
         // trace-point evaluation path is forward-only); same policy as
         // `Dense`.
         if !train {
-            self.eval_planes.resize(plane, 0.0);
+            // Borders at +0.0; the groups only overwrite the interior.
+            self.planes.clear();
+            self.planes.resize(plane, 0.0);
         } else if self.cached_groups != groups {
             self.cached_planes = vec![0.0; groups * plane];
             self.cached_groups = groups;
@@ -385,14 +386,14 @@ impl Layer for Conv2d {
             let planes = if train {
                 &mut self.cached_planes[g * plane..(g + 1) * plane]
             } else {
-                &mut self.eval_planes[..]
+                &mut self.planes[..]
             };
             lay.fill_planes(src, planes);
-            window_gemm_tn_into(&self.weight_t, planes, &self.off, &mut self.y_rows, co, n);
+            window_gemm_tn_into(&self.weight_t, planes, &self.off, &mut self.rows, co, n);
             // Drop the wrap columns and add the bias in the same copy.
             for (ch, dst_ch) in dst.chunks_exact_mut(oh * ow * LANES).enumerate() {
                 let bias = self.bias.at(ch);
-                let y_ch = &self.y_rows[ch * n..];
+                let y_ch = &self.rows[ch * n..];
                 for (oy, dst_row) in dst_ch.chunks_exact_mut(ow * LANES).enumerate() {
                     let y_row = &y_ch[oy * lay.row * LANES..];
                     for (o, &y) in dst_row.iter_mut().zip(y_row) {
