@@ -52,11 +52,6 @@ impl LaneStack {
     pub fn new(inner: Sequential) -> Self {
         LaneStack { inner, images: 0 }
     }
-
-    /// Borrow the inner stack.
-    pub fn inner(&self) -> &Sequential {
-        &self.inner
-    }
 }
 
 impl std::fmt::Debug for LaneStack {
@@ -70,10 +65,10 @@ impl std::fmt::Debug for LaneStack {
 /// `[batch, f]` rows as lane groups `[⌈batch/16⌉, f, 16]`, padded lanes
 /// `+0.0`.
 pub(crate) fn to_lanes(x: &Tensor) -> Tensor {
-    let (batch, f) = (x.dims()[0], x.len() / x.dims()[0].max(1));
+    let (batch, f) = x.matrix_dims();
     let groups = batch.div_ceil(LANES);
     let mut out = vec![0.0f32; groups * f * LANES];
-    for (b, row) in x.as_slice().chunks_exact(f.max(1)).enumerate() {
+    for (b, row) in x.as_slice().chunks_exact(f).enumerate() {
         let group = &mut out[b / LANES * f * LANES..][..f * LANES];
         for (slot, &v) in group.chunks_exact_mut(LANES).zip(row) {
             slot[b % LANES] = v;
@@ -93,7 +88,7 @@ pub(crate) fn from_lanes(lanes: &Tensor, images: usize) -> Tensor {
     );
     let f = dims[1];
     let mut out = vec![0.0f32; images * f];
-    for (b, row) in out.chunks_exact_mut(f.max(1)).enumerate() {
+    for (b, row) in out.chunks_exact_mut(f).enumerate() {
         let group = &lanes.as_slice()[b / LANES * f * LANES..][..f * LANES];
         for (o, slot) in row.iter_mut().zip(group.chunks_exact(LANES)) {
             *o = slot[b % LANES];
