@@ -224,9 +224,10 @@ const LANE_TILE: usize = 4;
 
 /// Reduction steps per block of the per-lane kernel. Every tile of one
 /// block reads the same 32 steps of the left rows and of windows that
-/// overlap heavily, about 40 KB at a 3×3 convolution's 8 channels, so a
-/// block stays in L1 while its tiles run; over the whole reduction the
-/// same tiles stream from L2 at about half the FMA rate.
+/// overlap heavily, about 50 KB for a 3×3 convolution over 8 channels, so
+/// the block is reused from L1 rather than each tile streaming its whole
+/// reduction from L2 (that convolution's weight gradient over 8 groups:
+/// 0.44–0.55 ms blocked against 0.65 ms unblocked, one pinned core).
 const LANE_STEPS: usize = 32;
 
 /// Writes the per-lane window products: for a left operand
