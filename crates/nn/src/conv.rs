@@ -64,6 +64,7 @@
 
 use crate::Layer;
 use rand::Rng;
+use std::cell::RefCell;
 use tensor::{
     window_gemm_per_lane_into, window_gemm_tn_add, window_gemm_tn_into, Init, Tensor, LANES,
 };
@@ -188,17 +189,32 @@ pub struct Conv2d {
     // at g·plane_len·16; reused across batches of the same group count.
     cached_planes: Vec<f32>,
     cached_groups: usize,
-    // Per-layer workspaces, sized by the first pass that needs them, so
-    // that steady state the passes allocate only their returned tensors.
-    // `planes` and `rows` serve forward and backward in turn (a group is
-    // 16 images wide, so each is worth sharing); a pass that needs their
-    // borders or wrap columns at +0.0 zeroes them first and never writes
-    // them after.
+}
+
+/// The transient buffers of a convolution pass. A pass sizes them for its
+/// layer, and one that needs their borders or wrap columns at `+0.0`
+/// zeroes them first; nothing in them outlives the pass. So one set per
+/// thread serves every layer of every model replica that thread runs: it
+/// grows to the largest layer's sizes once, and steady state the passes
+/// allocate only their returned tensors.
+struct Workspace {
     planes: Vec<f32>,   // one group's bordered planes: eval input, or dx
     rows: Vec<f32>,     // [c_out, pixels*16]: padded-flat y, or dy
     weight_t: Vec<f32>, // [c_in*k*k, c_out]: forward's transposed weights
     dw_lanes: Vec<f32>, // [c_out*c_in*k*k, 16]: one group's per-image dW
     db_lanes: Vec<f32>, // [c_out, 16]: one group's per-image db
+}
+
+thread_local! {
+    static WORKSPACE: RefCell<Workspace> = const {
+        RefCell::new(Workspace {
+            planes: Vec::new(),
+            rows: Vec::new(),
+            weight_t: Vec::new(),
+            dw_lanes: Vec::new(),
+            db_lanes: Vec::new(),
+        })
+    };
 }
 
 impl Conv2d {
@@ -242,11 +258,6 @@ impl Conv2d {
             images: usize::MAX,
             cached_planes: Vec::new(),
             cached_groups: 0,
-            planes: Vec::new(),
-            rows: Vec::new(),
-            weight_t: Vec::new(),
-            dw_lanes: Vec::new(),
-            db_lanes: Vec::new(),
         }
     }
 
@@ -265,7 +276,17 @@ impl Conv2d {
     ///
     /// Panics if called before a training-mode `forward` or the group
     /// count changed.
-    fn backward_groups(&mut self, grad_out: &Tensor, mut dx: Option<&mut [f32]>) {
+    fn backward_groups(&mut self, grad_out: &Tensor, dx: Option<&mut [f32]>) {
+        WORKSPACE.with_borrow_mut(|ws| self.backward_groups_in(ws, grad_out, dx));
+    }
+
+    /// [`Conv2d::backward_groups`] over this thread's workspace.
+    fn backward_groups_in(
+        &mut self,
+        ws: &mut Workspace,
+        grad_out: &Tensor,
+        mut dx: Option<&mut [f32]>,
+    ) {
         assert!(self.cached_groups > 0, "backward called before forward");
         let lay = self.lay;
         let (co, (oh, ow)) = (self.out_channels, lay.out_hw);
@@ -279,12 +300,12 @@ impl Conv2d {
         self.grad_weight.fill_zero();
         self.grad_bias.fill_zero();
         // dy rows: the wrap columns stay +0.0 across groups.
-        self.rows.clear();
-        self.rows.resize(co * n, 0.0);
-        self.dw_lanes.resize(co * fan_in * LANES, 0.0);
-        self.db_lanes.resize(co * LANES, 0.0);
+        ws.rows.clear();
+        ws.rows.resize(co * n, 0.0);
+        ws.dw_lanes.resize(co * fan_in * LANES, 0.0);
+        ws.db_lanes.resize(co * LANES, 0.0);
         if dx.is_some() {
-            self.planes.resize(plane, 0.0);
+            ws.planes.resize(plane, 0.0);
         }
         let dy_groups = grad_out.as_slice().chunks_exact(co * oh * ow * LANES);
         for (g, dy) in dy_groups.enumerate() {
@@ -292,32 +313,32 @@ impl Conv2d {
             for (ch, dy_ch) in dy.chunks_exact(oh * ow * LANES).enumerate() {
                 for (oy, dy_row) in dy_ch.chunks_exact(ow * LANES).enumerate() {
                     let at = ch * n + oy * lay.row * LANES;
-                    self.rows[at..at + ow * LANES].copy_from_slice(dy_row);
+                    ws.rows[at..at + ow * LANES].copy_from_slice(dy_row);
                 }
             }
             window_gemm_per_lane_into(
-                &self.rows,
+                &ws.rows,
                 &self.cached_planes[g * plane..(g + 1) * plane],
                 &self.off,
-                &mut self.dw_lanes,
-                &mut self.db_lanes,
+                &mut ws.dw_lanes,
+                &mut ws.db_lanes,
                 co,
                 lay.pixels,
             );
             let live = self.images.saturating_sub(g * LANES).min(LANES);
-            add_lanes(self.grad_weight.as_mut_slice(), &self.dw_lanes, live);
-            add_lanes(self.grad_bias.as_mut_slice(), &self.db_lanes, live);
+            add_lanes(self.grad_weight.as_mut_slice(), &ws.dw_lanes, live);
+            add_lanes(self.grad_bias.as_mut_slice(), &ws.db_lanes, live);
             let Some(dx) = dx.as_deref_mut() else {
                 continue;
             };
             // dx planes += Wᵀ · dy, row kk into the window at off[kk]:
             // col2im without the column matrix.
-            self.planes.fill(0.0);
+            ws.planes.fill(0.0);
             window_gemm_tn_add(
                 self.weight.as_slice(),
-                &self.rows,
+                &ws.rows,
                 &self.off,
-                &mut self.planes,
+                &mut ws.planes,
                 co,
                 n,
             );
@@ -325,9 +346,70 @@ impl Conv2d {
             let (len, w) = (c * h * w * LANES, w * LANES);
             let dx_group = &mut dx[g * len..(g + 1) * len];
             for (dst, at) in dx_group.chunks_exact_mut(w).zip(lay.interior_rows()) {
-                dst.copy_from_slice(&self.planes[at * LANES..at * LANES + w]);
+                dst.copy_from_slice(&ws.planes[at * LANES..at * LANES + w]);
             }
         }
+    }
+
+    /// [`Layer::forward`] over this thread's workspace.
+    fn forward_in(&mut self, ws: &mut Workspace, x: &Tensor, train: bool) -> Tensor {
+        let lay = self.lay;
+        let (c, h, w) = lay.dims;
+        let groups = lane_groups(x, c * h * w, "conv");
+        if self.images != usize::MAX {
+            assert_eq!(
+                self.images.div_ceil(LANES),
+                groups,
+                "{} images do not fill {groups} lane groups",
+                self.images
+            );
+        }
+        let (co, (oh, ow)) = (self.out_channels, lay.out_hw);
+        let fan_in = self.off.len();
+        let (plane, n) = (lay.plane_len * LANES, lay.pixels * LANES);
+        ws.weight_t.resize(fan_in * co, 0.0);
+        ws.rows.resize(co * n, 0.0);
+        for (ch, w_row) in self.weight.as_slice().chunks_exact(fan_in).enumerate() {
+            for (kk, &v) in w_row.iter().enumerate() {
+                ws.weight_t[kk * co + ch] = v;
+            }
+        }
+        // Only backward reads the cache, so evaluation-mode forwards leave
+        // it alone and border one group at a time in a small scratch (the
+        // trace-point evaluation path is forward-only); same policy as
+        // `Dense`.
+        if !train {
+            // Borders at +0.0; the groups only overwrite the interior.
+            ws.planes.clear();
+            ws.planes.resize(plane, 0.0);
+        } else if self.cached_groups != groups {
+            self.cached_planes = vec![0.0; groups * plane];
+            self.cached_groups = groups;
+        }
+        let out_group = co * oh * ow * LANES;
+        let mut out = vec![0.0f32; groups * out_group];
+        let x_groups = x.as_slice().chunks_exact(c * h * w * LANES);
+        for (g, (dst, src)) in out.chunks_exact_mut(out_group).zip(x_groups).enumerate() {
+            let planes = if train {
+                &mut self.cached_planes[g * plane..(g + 1) * plane]
+            } else {
+                &mut ws.planes[..]
+            };
+            lay.fill_planes(src, planes);
+            window_gemm_tn_into(&ws.weight_t, planes, &self.off, &mut ws.rows, co, n);
+            // Drop the wrap columns and add the bias in the same copy.
+            for (ch, dst_ch) in dst.chunks_exact_mut(oh * ow * LANES).enumerate() {
+                let bias = self.bias.at(ch);
+                let y_ch = &ws.rows[ch * n..];
+                for (oy, dst_row) in dst_ch.chunks_exact_mut(ow * LANES).enumerate() {
+                    let y_row = &y_ch[oy * lay.row * LANES..];
+                    for (o, &y) in dst_row.iter_mut().zip(y_row) {
+                        *o = y + bias;
+                    }
+                }
+            }
+        }
+        Tensor::from_vec(out, &[groups, co * oh * ow, LANES]).expect("volume matches")
     }
 }
 
@@ -346,63 +428,7 @@ fn add_lanes(acc: &mut [f32], lanes: &[f32], live: usize) {
 
 impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let lay = self.lay;
-        let (c, h, w) = lay.dims;
-        let groups = lane_groups(x, c * h * w, "conv");
-        if self.images != usize::MAX {
-            assert_eq!(
-                self.images.div_ceil(LANES),
-                groups,
-                "{} images do not fill {groups} lane groups",
-                self.images
-            );
-        }
-        let (co, (oh, ow)) = (self.out_channels, lay.out_hw);
-        let fan_in = self.off.len();
-        let (plane, n) = (lay.plane_len * LANES, lay.pixels * LANES);
-        self.weight_t.resize(fan_in * co, 0.0);
-        self.rows.resize(co * n, 0.0);
-        for (ch, w_row) in self.weight.as_slice().chunks_exact(fan_in).enumerate() {
-            for (kk, &v) in w_row.iter().enumerate() {
-                self.weight_t[kk * co + ch] = v;
-            }
-        }
-        // Only backward reads the cache, so evaluation-mode forwards leave
-        // it alone and border one group at a time in a small scratch (the
-        // trace-point evaluation path is forward-only); same policy as
-        // `Dense`.
-        if !train {
-            // Borders at +0.0; the groups only overwrite the interior.
-            self.planes.clear();
-            self.planes.resize(plane, 0.0);
-        } else if self.cached_groups != groups {
-            self.cached_planes = vec![0.0; groups * plane];
-            self.cached_groups = groups;
-        }
-        let out_group = co * oh * ow * LANES;
-        let mut out = vec![0.0f32; groups * out_group];
-        let x_groups = x.as_slice().chunks_exact(c * h * w * LANES);
-        for (g, (dst, src)) in out.chunks_exact_mut(out_group).zip(x_groups).enumerate() {
-            let planes = if train {
-                &mut self.cached_planes[g * plane..(g + 1) * plane]
-            } else {
-                &mut self.planes[..]
-            };
-            lay.fill_planes(src, planes);
-            window_gemm_tn_into(&self.weight_t, planes, &self.off, &mut self.rows, co, n);
-            // Drop the wrap columns and add the bias in the same copy.
-            for (ch, dst_ch) in dst.chunks_exact_mut(oh * ow * LANES).enumerate() {
-                let bias = self.bias.at(ch);
-                let y_ch = &self.rows[ch * n..];
-                for (oy, dst_row) in dst_ch.chunks_exact_mut(ow * LANES).enumerate() {
-                    let y_row = &y_ch[oy * lay.row * LANES..];
-                    for (o, &y) in dst_row.iter_mut().zip(y_row) {
-                        *o = y + bias;
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(out, &[groups, co * oh * ow, LANES]).expect("volume matches")
+        WORKSPACE.with_borrow_mut(|ws| self.forward_in(ws, x, train))
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -52,8 +52,9 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 }
 
 // fan_in = 4*3*3 = 36, output pixels = 64: one image's im2col matrix
-// would be 36*64*4 = 9216 bytes, the lane group's 144 KiB.
-const GROUPS: usize = 1;
+// would be 36*64*4 = 9216 bytes, a lane group's 144 KiB. Three groups, so
+// that one stray allocation per group already breaks the count bound.
+const GROUPS: usize = 3;
 const DIMS: (usize, usize, usize) = (4, 8, 8);
 const CO: usize = 8;
 const IM2COL_BYTES: u64 = 36 * 64 * 4;
@@ -65,7 +66,7 @@ fn warmed_layer() -> (Conv2d, Tensor, Tensor) {
     let x = Tensor::randn(&[GROUPS, c * h * w, LANES], 1.0, &mut rng);
     let dy = Tensor::randn(&[GROUPS, CO * 64, LANES], 1.0, &mut rng);
     // Warm every reused buffer: the bordered-plane cache of this group
-    // count and the per-layer workspaces.
+    // count and this thread's conv workspaces.
     for _ in 0..2 {
         let _ = conv.forward(&x, true);
         let _ = conv.backward(&dy);
@@ -79,7 +80,7 @@ fn conv_forward_allocates_only_its_output() {
     let (y, allocs, bytes) = counted(|| conv.forward(&x, true));
     assert_eq!(y.dims(), &[GROUPS, CO * 64, LANES]);
     // The output tensor (data + shape vector) is the only allowed
-    // allocation: 32 KiB, where one image's im2col matrix is 9 KiB more.
+    // allocation: 96 KiB, where one image's im2col matrix is 9 KiB more.
     let out_bytes = (GROUPS * CO * 64 * LANES * 4) as u64;
     assert!(
         allocs <= 4,
@@ -98,7 +99,7 @@ fn conv_backward_allocates_only_dx() {
     let _ = conv.forward(&x, true);
     let (dx, allocs, bytes) = counted(|| conv.backward(&dy));
     assert_eq!(dx.dims(), x.dims());
-    // dx is 16 KiB; a materialised dcol (or the transposed patch matrix
+    // dx is 48 KiB; a materialised dcol (or the transposed patch matrix
     // of the weight gradient) would add 9 KiB per image.
     let dx_bytes = (x.len() * 4) as u64;
     assert!(

@@ -53,9 +53,7 @@ pub use linalg::average;
 pub use matmul::{matmul_into, matmul_nt_into, matmul_tn_into};
 pub use shape::Shape;
 pub use tensor::Tensor;
-pub use window::{
-    window_gemm_per_lane_into, window_gemm_tn_add, window_gemm_tn_into, LANES, WINDOW_PANEL,
-};
+pub use window::{window_gemm_per_lane_into, window_gemm_tn_add, window_gemm_tn_into, LANES};
 
 /// Convenience result alias for fallible tensor operations.
 pub type Result<T> = std::result::Result<T, TensorError>;

@@ -45,9 +45,8 @@ use crate::matmul::check_len;
 use crate::tile::{array_at, matrix_rows, panel_rows, LeftCols, WIDE};
 
 /// Column granularity of the tiled kernels: window widths are multiples of
-/// this, so every tile runs through constant-width loops. Callers round
-/// their logical width up and ignore the extra columns.
-pub const WINDOW_PANEL: usize = 16;
+/// this, so every tile runs through constant-width loops.
+const WINDOW_PANEL: usize = 16;
 
 /// Walks `n` columns as panels of [`WIDE`], then at most one of 32 and
 /// at most one of 16, calling `f(j0, width)`; right to left when `reverse`.
@@ -87,7 +86,7 @@ fn window_rows<'a, const NB: usize>(
 ///
 /// # Panics
 ///
-/// Panics if `n` is not a multiple of [`WINDOW_PANEL`], a slice length
+/// Panics if `n` is not a multiple of 16 (the panel width), a slice length
 /// disagrees with its dimensions, or a window runs past the end of `src`.
 pub fn window_gemm_tn_into(
     a: &[f32],
@@ -151,7 +150,7 @@ pub fn window_gemm_tn_into(
 ///
 /// # Panics
 ///
-/// Panics if `n` is not a multiple of [`WINDOW_PANEL`], `off` is not
+/// Panics if `n` is not a multiple of 16 (the panel width), `off` is not
 /// strictly ascending, a slice length disagrees with its dimensions, or a
 /// window runs past the end of `dst`.
 pub fn window_gemm_tn_add(
