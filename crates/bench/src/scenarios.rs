@@ -58,7 +58,8 @@ impl ModelFamily {
     fn build_model(&self, scale: Scale, classes: usize, seed: u64) -> Network {
         match (self, scale) {
             // Quick/smoke scale: MLPs (the delay profile carries the
-            // systems behaviour; see DESIGN.md). Full scale: the real conv
+            // systems behaviour; see the substitution policy in
+            // EXPERIMENTS.md). Full scale: the real conv
             // families.
             (ModelFamily::VggLike, Scale::Full) => models::vgg_like(1, 16, classes, seed),
             (ModelFamily::ResnetLike, Scale::Full) => models::resnet_like(1, 16, classes, seed),

@@ -2,9 +2,9 @@
 //! reproduction.
 //!
 //! The paper evaluates on CIFAR-10/CIFAR-100, which are unavailable in this
-//! offline environment. Following the substitution policy in `DESIGN.md`,
-//! this crate generates seeded synthetic classification problems whose SGD
-//! dynamics exercise the same code paths:
+//! offline environment. Following the substitution policy in
+//! `EXPERIMENTS.md`, this crate generates seeded synthetic classification
+//! problems whose SGD dynamics exercise the same code paths:
 //!
 //! * [`GaussianMixture`] — a `k`-class Gaussian-mixture classification task
 //!   (optionally warped through a random nonlinearity so that linear models

@@ -58,7 +58,7 @@ impl GaussianMixture {
     ///
     /// Dimensions are scaled down from 3×32×32 so that the full figure suite
     /// runs in minutes on a laptop; the error-runtime phenomenology is
-    /// unchanged (see `DESIGN.md`).
+    /// unchanged (see the substitution policy in `EXPERIMENTS.md`).
     pub fn cifar10_like() -> Self {
         GaussianMixture {
             num_classes: 10,

@@ -3,6 +3,31 @@
 use crate::Layer;
 use tensor::Tensor;
 
+/// The ReLU of a pre-activation `v`: `max(v, 0)`. [`Relu`] and every
+/// layer with a fused ReLU ([`Conv2d::with_relu`](crate::Conv2d::with_relu),
+/// [`Residual::with_relu`](crate::Residual::with_relu)) use these three
+/// expressions, so a fused ReLU is bit-identical to the separate layer.
+#[inline(always)]
+pub(crate) fn relu(v: f32) -> f32 {
+    v.max(0.0)
+}
+
+/// Whether the ReLU at pre-activation `v` passes gradient: `v > 0`.
+#[inline(always)]
+pub(crate) fn relu_passes(v: f32) -> bool {
+    v > 0.0
+}
+
+/// The gradient `g` through a ReLU that did (`passed`) or did not pass.
+#[inline(always)]
+pub(crate) fn relu_grad(g: f32, passed: bool) -> f32 {
+    if passed {
+        g
+    } else {
+        0.0
+    }
+}
+
 /// Rectified linear unit, `y = max(0, x)`.
 ///
 /// # Example
@@ -35,9 +60,9 @@ impl Layer for Relu {
             // forwards skip the fill.
             let mask = self.mask.get_or_insert_with(Vec::new);
             mask.clear();
-            mask.extend(x.as_slice().iter().map(|&v| v > 0.0));
+            mask.extend(x.as_slice().iter().map(|&v| relu_passes(v)));
         }
-        x.map(|v| v.max(0.0))
+        x.map(relu)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -53,7 +78,7 @@ impl Layer for Relu {
             .as_slice()
             .iter()
             .zip(mask.iter())
-            .map(|(&g, &m)| if m { g } else { 0.0 })
+            .map(|(&g, &m)| relu_grad(g, m))
             .collect();
         Tensor::from_vec(data, grad_out.dims()).expect("same shape as input")
     }
@@ -172,27 +197,47 @@ mod tests {
     #[test]
     fn eval_forward_between_train_forward_and_backward_changes_nothing() {
         // Train forward on `x`, backward: the gradient every layer must
-        // give. Again with an evaluation forward on other input in between.
-        use crate::Dense;
+        // give. Again with an evaluation forward in between, on other input
+        // of the same batch size and of another (for the lane stack, one
+        // that fills another number of lane groups).
+        use crate::conv::tests::sparse_tensor;
+        use crate::{Conv2d, Dense, LaneStack, MaxPool2d, Residual, Sequential};
         use rand::SeedableRng;
-        let x = Tensor::from_vec(vec![0.3, -0.7, 1.2, 0.05, -1.5, 0.8], &[2, 3]).unwrap();
-        let other = Tensor::from_vec(vec![2.0, 0.4, -0.9, -3.0, 1.1, 0.6], &[2, 3]).unwrap();
-        let g = Tensor::from_vec(vec![1.0, -0.5, 0.25, 0.75, 2.0, -1.25], &[2, 3]).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let layers: [Box<dyn Layer>; 3] = [
-            Box::new(Dense::new(3, 3, &mut rng)),
-            Box::new(Relu::new()),
-            Box::new(Tanh::new()),
+        let spatial = LaneStack::new(Sequential::new(vec![
+            Box::new(Conv2d::new((2, 4, 4), 3, 3, 1, &mut rng).with_relu()),
+            Box::new(Conv2d::new((3, 4, 4), 2, 3, 1, &mut rng)),
+            Box::new(
+                Residual::new(Sequential::new(vec![
+                    Box::new(Conv2d::new((2, 4, 4), 2, 3, 1, &mut rng).with_relu()),
+                    Box::new(Conv2d::new((2, 4, 4), 2, 3, 1, &mut rng)),
+                ]))
+                .with_relu(),
+            ),
+            Box::new(MaxPool2d::new((2, 4, 4))),
+        ]));
+        // (layer, input features, output features)
+        let cases: [(Box<dyn Layer>, usize, usize); 4] = [
+            (Box::new(Dense::new(3, 3, &mut rng)), 3, 3),
+            (Box::new(Relu::new()), 3, 3),
+            (Box::new(Tanh::new()), 3, 3),
+            (Box::new(spatial), 32, 8),
         ];
         let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for layer in layers {
-            let (mut plain, mut interleaved) = (layer.clone_box(), layer);
+        for (layer, fin, fout) in cases {
+            let x = sparse_tensor(&[3, fin], 1);
+            let g = sparse_tensor(&[3, fout], 2);
+            let mut plain = layer.clone_box();
             let _ = plain.forward(&x, true);
             let want = plain.backward(&g);
-            let _ = interleaved.forward(&x, true);
-            let _ = interleaved.forward(&other, false);
-            let got = interleaved.backward(&g);
-            assert_eq!(bits(&got), bits(&want), "{}", interleaved.name());
+            for other in [sparse_tensor(&[3, fin], 3), sparse_tensor(&[20, fin], 4)] {
+                let mut interleaved = layer.clone_box();
+                let _ = interleaved.forward(&x, true);
+                let _ = interleaved.forward(&other, false);
+                let got = interleaved.backward(&g);
+                let case = format!("{}, eval batch {}", layer.name(), other.dims()[0]);
+                assert_eq!(bits(&got), bits(&want), "{case}");
+            }
         }
     }
 

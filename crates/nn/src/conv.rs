@@ -58,10 +58,25 @@
 //!    still strictly ascending), as the col2im loop delivered them; wrap
 //!    columns add `+0.0`.
 //!
-//! Accumulators start at `+0.0` and every gradient buffer is zero-filled,
+//! Accumulators start at `+0.0` and every gradient plane is zero-filled,
 //! so a `−0.0` that an extra `+0.0` term could flip never reaches a stored
 //! value. Inputs that already hold inf/NaN carry no bit contract.
+//!
+//! # Memory traffic
+//!
+//! - Every buffer a window kernel reads or writes — the bordered planes,
+//!   the padded-flat rows, the per-lane partials and the training cache —
+//!   starts on a 64-byte boundary, so no 16-lane vector straddles two cache
+//!   lines (see `AlignedBuf`).
+//! - A ReLU after a convolution runs inside it ([`Conv2d::with_relu`]):
+//!   `max(y + b, 0)` in the copy that drops the wrap columns and adds the
+//!   bias, and the `y + b > 0` mask applied in the copy that stages `dy`
+//!   into padded-flat rows. Same expressions as [`Relu`](crate::Relu), same
+//!   bits, one pass over the activation fewer each way.
+//! - The returned outputs and input gradients of both layers are built
+//!   without a zero fill: every element is written once.
 
+use crate::activation::{relu, relu_grad, relu_passes};
 use crate::Layer;
 use rand::Rng;
 use std::cell::RefCell;
@@ -151,11 +166,12 @@ impl Layout {
 /// [`tensor::window_gemm_per_lane_into`] and [`tensor::window_gemm_tn_add`]
 /// over that offset table, one call per group each. No im2col or
 /// gradient-column matrix is ever built; steady state, `forward` allocates
-/// only its output and `backward` only `dx`. Results are bit-identical to
-/// the materialised-im2col formulation run image by image (per element:
-/// one FMA accumulator from `+0.0` in ascending `(ch, ky, kx)` / pixel
-/// order; per-image `dW` added in image order; `dx` contributions in
-/// ascending `(ky, kx)`). The training-mode cache is the bordered batch.
+/// only its output and `backward` only `dx`, neither zero-filled. Results
+/// are bit-identical to the materialised-im2col formulation run image by
+/// image (per element: one FMA accumulator from `+0.0` in ascending
+/// `(ch, ky, kx)` / pixel order; per-image `dW` added in image order; `dx`
+/// contributions in ascending `(ky, kx)`). The training-mode cache is the
+/// bordered batch. [`Conv2d::with_relu`] fuses a following ReLU.
 ///
 /// # Example
 ///
@@ -182,13 +198,87 @@ pub struct Conv2d {
     // Window offset table: im2col row kk of a group starts at off[kk] of
     // its bordered planes (in floats, 16 per pixel).
     off: Vec<usize>,
-    // Images in the lane groups (`Layer::set_images`); lanes from here on
-    // are padding. Until told, every lane is an image.
+    // The fused ReLU epilogue (`with_relu`), and its training-mode mask,
+    // one flag per output element.
+    relu: bool,
+    mask: Vec<bool>,
+    // Images in the lane groups of the next pass (`Layer::set_images`);
+    // lanes from here on are padding. Until told, every lane is an image.
     images: usize,
     // Backward cache: the training-mode batch as bordered planes, group g
-    // at g·plane_len·16; reused across batches of the same group count.
-    cached_planes: Vec<f32>,
+    // at g·plane_len·16, and its image count; reused across batches of
+    // the same group count.
+    cached_planes: AlignedBuf,
     cached_groups: usize,
+    cached_images: usize,
+}
+
+/// Floats per 64-byte cache line, one 16-lane vector.
+const LINE: usize = 64 / std::mem::size_of::<f32>();
+
+/// A float buffer whose contents start on a 64-byte (cache-line)
+/// boundary, so that a 16-lane vector at any whole-pixel offset lies in
+/// one cache line instead of straddling two. It is a `Vec` over-allocated
+/// by `LINE − 1` floats and sliced from the allocation's first boundary,
+/// found by address arithmetic. Every buffer a window kernel reads or
+/// writes is one of these (or a whole-group slice of one).
+///
+/// The boundary belongs to the allocation, and a clone's allocation can
+/// sit at another offset. [`AlignedBuf::get`] notices and moves the
+/// contents to the new boundary, so a clone holds exactly what the
+/// original held (borders included).
+#[derive(Debug, Clone)]
+struct AlignedBuf {
+    raw: Vec<f32>,
+    start: usize,
+    len: usize,
+}
+
+impl AlignedBuf {
+    const fn new() -> Self {
+        AlignedBuf {
+            raw: Vec::new(),
+            start: 0,
+            len: 0,
+        }
+    }
+
+    /// Floats from the start of `raw` to its first 64-byte boundary (`0`
+    /// for no allocation).
+    fn boundary(raw: &[f32]) -> usize {
+        if raw.is_empty() {
+            return 0;
+        }
+        (raw.as_ptr() as usize).wrapping_neg() % 64 / std::mem::size_of::<f32>()
+    }
+
+    /// The contents, at the allocation's boundary.
+    fn get(&mut self) -> &mut [f32] {
+        let at = Self::boundary(&self.raw);
+        if at != self.start {
+            self.raw.copy_within(self.start..self.start + self.len, at);
+            self.start = at;
+        }
+        &mut self.raw[at..at + self.len]
+    }
+
+    /// Resizes to `len` floats of unspecified value and returns them,
+    /// reusing the allocation when it is large enough.
+    fn resize(&mut self, len: usize) -> &mut [f32] {
+        self.len = len;
+        if self.raw.len() < len + LINE - 1 {
+            self.raw = vec![0.0; len + LINE - 1];
+            self.start = Self::boundary(&self.raw);
+        }
+        self.get()
+    }
+
+    /// Resizes to `len` floats, all `+0.0`, and returns them.
+    fn zeroed(&mut self, len: usize) -> &mut [f32] {
+        let buf = self.resize(len);
+        buf.fill(0.0);
+        buf
+    }
 }
 
 /// The transient buffers of a convolution pass. A pass sizes them for its
@@ -198,21 +288,21 @@ pub struct Conv2d {
 /// grows to the largest layer's sizes once, and steady state the passes
 /// allocate only their returned tensors.
 struct Workspace {
-    planes: Vec<f32>,   // one group's bordered planes: eval input, or dx
-    rows: Vec<f32>,     // [c_out, pixels*16]: padded-flat y, or dy
-    weight_t: Vec<f32>, // [c_in*k*k, c_out]: forward's transposed weights
-    dw_lanes: Vec<f32>, // [c_out*c_in*k*k, 16]: one group's per-image dW
-    db_lanes: Vec<f32>, // [c_out, 16]: one group's per-image db
+    planes: AlignedBuf,   // one group's bordered planes: eval input, or dx
+    rows: AlignedBuf,     // [c_out, pixels*16]: padded-flat y, or dy
+    weight_t: Vec<f32>,   // [c_in*k*k, c_out]: forward's transposed weights
+    dw_lanes: AlignedBuf, // [c_out*c_in*k*k, 16]: one group's per-image dW
+    db_lanes: AlignedBuf, // [c_out, 16]: one group's per-image db
 }
 
 thread_local! {
     static WORKSPACE: RefCell<Workspace> = const {
         RefCell::new(Workspace {
-            planes: Vec::new(),
-            rows: Vec::new(),
+            planes: AlignedBuf::new(),
+            rows: AlignedBuf::new(),
             weight_t: Vec::new(),
-            dw_lanes: Vec::new(),
-            db_lanes: Vec::new(),
+            dw_lanes: AlignedBuf::new(),
+            db_lanes: AlignedBuf::new(),
         })
     };
 }
@@ -255,10 +345,24 @@ impl Conv2d {
             grad_bias: Tensor::zeros(&[out_channels]),
             lay,
             off,
+            relu: false,
+            mask: Vec::new(),
             images: usize::MAX,
-            cached_planes: Vec::new(),
+            cached_planes: AlignedBuf::new(),
             cached_groups: 0,
+            cached_images: usize::MAX,
         }
+    }
+
+    /// Fuses a ReLU into the layer's output: the layer computes
+    /// `max(y + b, 0)` in the copy that adds the bias, and its backward
+    /// masks the incoming gradient by `y + b > 0` in the copy that stages
+    /// it for the products. The expressions are [`Relu`](crate::Relu)'s,
+    /// so the layer is bit-identical to this convolution followed by a
+    /// `Relu`, with one pass over the output fewer each way.
+    pub fn with_relu(mut self) -> Self {
+        self.relu = true;
+        self
     }
 
     /// Output geometry `(c_out, h', w')`.
@@ -270,13 +374,13 @@ impl Conv2d {
     /// Both backward passes: per group, `dW` and `db` of its 16 images
     /// through the per-lane kernel, the live lanes added into the gradient
     /// buffers in image order, and, when `dx` is given, the input gradient
-    /// of the group.
+    /// of the group appended to it.
     ///
     /// # Panics
     ///
     /// Panics if called before a training-mode `forward` or the group
     /// count changed.
-    fn backward_groups(&mut self, grad_out: &Tensor, dx: Option<&mut [f32]>) {
+    fn backward_groups(&mut self, grad_out: &Tensor, dx: Option<&mut Vec<f32>>) {
         WORKSPACE.with_borrow_mut(|ws| self.backward_groups_in(ws, grad_out, dx));
     }
 
@@ -285,7 +389,7 @@ impl Conv2d {
         &mut self,
         ws: &mut Workspace,
         grad_out: &Tensor,
-        mut dx: Option<&mut [f32]>,
+        mut dx: Option<&mut Vec<f32>>,
     ) {
         assert!(self.cached_groups > 0, "backward called before forward");
         let lay = self.lay;
@@ -299,54 +403,63 @@ impl Conv2d {
         let (plane, n) = (lay.plane_len * LANES, lay.pixels * LANES);
         self.grad_weight.fill_zero();
         self.grad_bias.fill_zero();
+        let Workspace {
+            planes,
+            rows,
+            dw_lanes,
+            db_lanes,
+            ..
+        } = ws;
         // dy rows: the wrap columns stay +0.0 across groups.
-        ws.rows.clear();
-        ws.rows.resize(co * n, 0.0);
-        ws.dw_lanes.resize(co * fan_in * LANES, 0.0);
-        ws.db_lanes.resize(co * LANES, 0.0);
-        if dx.is_some() {
-            ws.planes.resize(plane, 0.0);
+        let rows = rows.zeroed(co * n);
+        let dw_lanes = dw_lanes.resize(co * fan_in * LANES);
+        let db_lanes = db_lanes.resize(co * LANES);
+        let planes = planes.resize(if dx.is_some() { plane } else { 0 });
+        let cache = self.cached_planes.get();
+        let (row_len, group_len) = (ow * LANES, co * oh * ow * LANES);
+        // The fused ReLU's mask, laid out as the output and its gradient.
+        let mask = self.relu.then_some(self.mask.as_slice());
+        if let Some(mask) = mask {
+            assert_eq!(mask.len(), grad_out.len(), "ReLU mask length");
         }
-        let dy_groups = grad_out.as_slice().chunks_exact(co * oh * ow * LANES);
+        let dy_groups = grad_out.as_slice().chunks_exact(group_len);
         for (g, dy) in dy_groups.enumerate() {
-            // dy as padded-flat rows.
-            for (ch, dy_ch) in dy.chunks_exact(oh * ow * LANES).enumerate() {
-                for (oy, dy_row) in dy_ch.chunks_exact(ow * LANES).enumerate() {
-                    let at = ch * n + oy * lay.row * LANES;
-                    ws.rows[at..at + ow * LANES].copy_from_slice(dy_row);
+            // dy as padded-flat rows, through the fused ReLU's mask.
+            for (r, dy_row) in dy.chunks_exact(row_len).enumerate() {
+                let at = r / oh * n + r % oh * lay.row * LANES;
+                let dst = &mut rows[at..at + row_len];
+                match mask {
+                    Some(mask) => {
+                        let m = &mask[g * group_len + r * row_len..][..row_len];
+                        for ((d, &gv), &m) in dst.iter_mut().zip(dy_row).zip(m) {
+                            *d = relu_grad(gv, m);
+                        }
+                    }
+                    None => dst.copy_from_slice(dy_row),
                 }
             }
             window_gemm_per_lane_into(
-                &ws.rows,
-                &self.cached_planes[g * plane..(g + 1) * plane],
+                rows,
+                &cache[g * plane..(g + 1) * plane],
                 &self.off,
-                &mut ws.dw_lanes,
-                &mut ws.db_lanes,
+                dw_lanes,
+                db_lanes,
                 co,
                 lay.pixels,
             );
-            let live = self.images.saturating_sub(g * LANES).min(LANES);
-            add_lanes(self.grad_weight.as_mut_slice(), &ws.dw_lanes, live);
-            add_lanes(self.grad_bias.as_mut_slice(), &ws.db_lanes, live);
+            let live = self.cached_images.saturating_sub(g * LANES).min(LANES);
+            add_lanes(self.grad_weight.as_mut_slice(), dw_lanes, live);
+            add_lanes(self.grad_bias.as_mut_slice(), db_lanes, live);
             let Some(dx) = dx.as_deref_mut() else {
                 continue;
             };
             // dx planes += Wᵀ · dy, row kk into the window at off[kk]:
             // col2im without the column matrix.
-            ws.planes.fill(0.0);
-            window_gemm_tn_add(
-                self.weight.as_slice(),
-                &ws.rows,
-                &self.off,
-                &mut ws.planes,
-                co,
-                n,
-            );
-            let (c, h, w) = lay.dims;
-            let (len, w) = (c * h * w * LANES, w * LANES);
-            let dx_group = &mut dx[g * len..(g + 1) * len];
-            for (dst, at) in dx_group.chunks_exact_mut(w).zip(lay.interior_rows()) {
-                dst.copy_from_slice(&ws.planes[at * LANES..at * LANES + w]);
+            planes.fill(0.0);
+            window_gemm_tn_add(self.weight.as_slice(), rows, &self.off, planes, co, n);
+            let w = lay.dims.2 * LANES;
+            for at in lay.interior_rows() {
+                dx.extend_from_slice(&planes[at * LANES..at * LANES + w]);
             }
         }
     }
@@ -368,43 +481,48 @@ impl Conv2d {
         let fan_in = self.off.len();
         let (plane, n) = (lay.plane_len * LANES, lay.pixels * LANES);
         ws.weight_t.resize(fan_in * co, 0.0);
-        ws.rows.resize(co * n, 0.0);
         for (ch, w_row) in self.weight.as_slice().chunks_exact(fan_in).enumerate() {
             for (kk, &v) in w_row.iter().enumerate() {
                 ws.weight_t[kk * co + ch] = v;
             }
         }
-        // Only backward reads the cache, so evaluation-mode forwards leave
-        // it alone and border one group at a time in a small scratch (the
-        // trace-point evaluation path is forward-only); same policy as
-        // `Dense`.
-        if !train {
+        let rows = ws.rows.resize(co * n);
+        // Only backward reads the cache (and the mask), so evaluation-mode
+        // forwards leave them alone and border one group at a time in a
+        // small scratch (the trace-point evaluation path is forward-only);
+        // same policy as `Dense`.
+        let (planes, step) = if !train {
             // Borders at +0.0; the groups only overwrite the interior.
-            ws.planes.clear();
-            ws.planes.resize(plane, 0.0);
-        } else if self.cached_groups != groups {
-            self.cached_planes = vec![0.0; groups * plane];
-            self.cached_groups = groups;
-        }
-        let out_group = co * oh * ow * LANES;
-        let mut out = vec![0.0f32; groups * out_group];
-        let x_groups = x.as_slice().chunks_exact(c * h * w * LANES);
-        for (g, (dst, src)) in out.chunks_exact_mut(out_group).zip(x_groups).enumerate() {
-            let planes = if train {
-                &mut self.cached_planes[g * plane..(g + 1) * plane]
+            (ws.planes.zeroed(plane), 0)
+        } else {
+            self.cached_images = self.images;
+            self.mask.clear();
+            if self.cached_groups != groups {
+                self.cached_groups = groups;
+                (self.cached_planes.zeroed(groups * plane), plane)
             } else {
-                &mut ws.planes[..]
-            };
+                (self.cached_planes.get(), plane)
+            }
+        };
+        let mut out = Vec::with_capacity(groups * co * oh * ow * LANES);
+        let x_groups = x.as_slice().chunks_exact(c * h * w * LANES);
+        for (g, src) in x_groups.enumerate() {
+            let planes = &mut planes[g * step..g * step + plane];
             lay.fill_planes(src, planes);
-            window_gemm_tn_into(&ws.weight_t, planes, &self.off, &mut ws.rows, co, n);
-            // Drop the wrap columns and add the bias in the same copy.
-            for (ch, dst_ch) in dst.chunks_exact_mut(oh * ow * LANES).enumerate() {
+            window_gemm_tn_into(&ws.weight_t, planes, &self.off, rows, co, n);
+            // Drop the wrap columns and add the bias (and apply the fused
+            // ReLU) in the same copy.
+            for (ch, y_ch) in rows.chunks_exact(n).enumerate() {
                 let bias = self.bias.at(ch);
-                let y_ch = &ws.rows[ch * n..];
-                for (oy, dst_row) in dst_ch.chunks_exact_mut(ow * LANES).enumerate() {
-                    let y_row = &y_ch[oy * lay.row * LANES..];
-                    for (o, &y) in dst_row.iter_mut().zip(y_row) {
-                        *o = y + bias;
+                for y_row in y_ch.chunks(lay.row * LANES) {
+                    let pre = y_row[..ow * LANES].iter().map(|&y| y + bias);
+                    if !self.relu {
+                        out.extend(pre);
+                        continue;
+                    }
+                    out.extend(pre.clone().map(relu));
+                    if train {
+                        self.mask.extend(pre.map(relu_passes));
                     }
                 }
             }
@@ -434,7 +552,7 @@ impl Layer for Conv2d {
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let (c, h, w) = self.lay.dims;
         let groups = self.cached_groups;
-        let mut dx = vec![0.0f32; groups * c * h * w * LANES];
+        let mut dx = Vec::with_capacity(groups * c * h * w * LANES);
         self.backward_groups(grad_out, Some(&mut dx));
         Tensor::from_vec(dx, &[groups, c * h * w, LANES]).expect("volume matches")
     }
@@ -528,28 +646,30 @@ impl MaxPool2d {
 type Pixel = [f32; LANES];
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let (c, h, w) = self.input_dims;
         let groups = lane_groups(x, c * h * w, "max-pool");
         let (oc, oh, ow) = self.output_dims();
-        self.groups = groups;
-        // Every slot is overwritten below, so the resize only sets the
-        // length; capacity carries over between calls.
-        let outputs = groups * oc * oh * ow;
-        self.argmax.resize(outputs * LANES, 0);
-        let mut out = vec![0.0f32; outputs * LANES];
+        let outputs = groups * oc * oh * ow * LANES;
+        // Only backward reads the argmax, so evaluation-mode forwards
+        // leave it (and the group count it belongs to) alone.
+        if train {
+            self.groups = groups;
+            self.argmax.clear();
+            self.argmax.reserve(outputs);
+        }
+        let mut out = Vec::with_capacity(outputs);
         let (src, _) = x.as_slice().as_chunks::<LANES>();
-        let (dst, _) = out.as_chunks_mut::<LANES>();
-        let (arg, _) = self.argmax.as_chunks_mut::<LANES>();
         // Output row r = (group, ch, oy) reads input rows 2·oy and 2·oy + 1
         // of the same (group, ch): input rows 2r and 2r + 1.
-        let in_rows = src.chunks_exact(2 * w);
-        let out_rows = dst.chunks_exact_mut(ow).zip(arg.chunks_exact_mut(ow));
-        for ((out_row, arg_row), rows) in out_rows.zip(in_rows) {
+        for rows in src.chunks_exact(2 * w) {
             let (upper, lower) = rows.split_at(w);
-            let windows = upper.chunks_exact(2).zip(lower.chunks_exact(2));
-            for ((o, a), (up, low)) in out_row.iter_mut().zip(arg_row).zip(windows) {
-                (*o, *a) = pool_window([&up[0], &up[1], &low[0], &low[1]]);
+            for (up, low) in upper.chunks_exact(2).zip(lower.chunks_exact(2)) {
+                let (best, arg) = pool_window([&up[0], &up[1], &low[0], &low[1]]);
+                out.extend_from_slice(&best);
+                if train {
+                    self.argmax.extend_from_slice(&arg);
+                }
             }
         }
         Tensor::from_vec(out, &[groups, oc * oh * ow, LANES]).expect("volume matches")
@@ -564,24 +684,18 @@ impl Layer for MaxPool2d {
             &[self.groups, oc * oh * ow, LANES],
             "gradient shape"
         );
-        let mut dx = vec![0.0f32; self.groups * c * h * w * LANES];
+        let mut dx = Vec::with_capacity(self.groups * c * h * w * LANES);
         let (g, _) = grad_out.as_slice().as_chunks::<LANES>();
         let (arg, _) = self.argmax.as_chunks::<LANES>();
-        let (dst, _) = dx.as_chunks_mut::<LANES>();
-        let rows = g.chunks_exact(ow).zip(arg.chunks_exact(ow));
-        for ((g_row, arg_row), dx_rows) in rows.zip(dst.chunks_exact_mut(2 * w)) {
-            let (upper, lower) = dx_rows.split_at_mut(w);
-            let windows = upper.chunks_exact_mut(2).zip(lower.chunks_exact_mut(2));
-            for ((gv, a), (up, low)) in g_row.iter().zip(arg_row).zip(windows) {
-                let (up, low) = (split_pair(up), split_pair(low));
-                // Computed for every lane, so the store below is a select.
-                let mut plus = [0.0f32; LANES];
-                for (p, &gl) in plus.iter_mut().zip(gv) {
-                    *p = 0.0 + gl;
-                }
-                for (pos, d) in (0u32..).zip([up.0, up.1, low.0, low.1]) {
-                    for ((dv, &p), &al) in d.iter_mut().zip(&plus).zip(a) {
-                        *dv = if al == pos { p } else { 0.0 };
+        // Output row r's windows cover input rows 2r (positions 0 and 1 of
+        // each window) and 2r + 1 (positions 2 and 3): every input value
+        // is the chosen one's `+0.0 + g` or `+0.0`, selected lane by lane.
+        for (g_row, arg_row) in g.chunks_exact(ow).zip(arg.chunks_exact(ow)) {
+            for pair in [[0u32, 1], [2, 3]] {
+                for (gv, a) in g_row.iter().zip(arg_row) {
+                    for pos in pair {
+                        let select = gv.iter().zip(a);
+                        dx.extend(select.map(|(&gl, &al)| if al == pos { 0.0 + gl } else { 0.0 }));
                     }
                 }
             }
@@ -603,15 +717,6 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// The two pixels of a pooling window's row.
-#[inline(always)]
-fn split_pair(pair: &mut [Pixel]) -> (&mut Pixel, &mut Pixel) {
-    let [a, b] = pair else {
-        unreachable!("a window row is two pixels")
-    };
-    (a, b)
-}
-
 /// One 2×2 window of 16 lanes, in the order upper-left, upper-right,
 /// lower-left, lower-right: per lane the maximum by strict `>` from the
 /// first value on, and the position that won.
@@ -630,9 +735,9 @@ fn pool_window(window: [&Pixel; 4]) -> (Pixel, [u32; LANES]) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::{LaneStack, Sequential};
+    use crate::{LaneStack, Relu, Sequential};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -767,7 +872,7 @@ mod tests {
         dx: Vec<u32>,
     }
 
-    fn bits(v: &[f32]) -> Vec<u32> {
+    pub(crate) fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
@@ -858,7 +963,7 @@ mod tests {
 
     /// Deterministic operands with exact zeros (ReLU-sparse) and `-0.0`
     /// sprinkled through otherwise-random values.
-    fn sparse_tensor(dims: &[usize], seed: u64) -> Tensor {
+    pub(crate) fn sparse_tensor(dims: &[usize], seed: u64) -> Tensor {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let data = (0..dims.iter().product())
             .map(|_| {
@@ -923,7 +1028,9 @@ mod tests {
 
     /// Padded lanes never reach the parameter gradients, whatever they
     /// hold: a group whose lanes past the last image carry garbage in `x`
-    /// and `dy` yields the gradients of the same group with zeros there.
+    /// and `dy` yields the gradients of the same group with zeros there,
+    /// also when an evaluation pass that fills every lane runs between the
+    /// training forward and its backward.
     #[test]
     fn padded_lanes_never_reach_parameter_gradients() {
         let mut rng = StdRng::seed_from_u64(9);
@@ -946,16 +1053,21 @@ mod tests {
         let x = crate::lanes::to_lanes(&sparse_tensor(&[images, 3 * 6 * 5], 1));
         let dy = crate::lanes::to_lanes(&sparse_tensor(&[images, co * oh * ow], 2));
         let mut grads = Vec::new();
-        for (x, dy) in [(x.clone(), dy.clone()), (garbage(&x, 3), garbage(&dy, 4))] {
+        let cases = [(x.clone(), dy.clone()), (garbage(&x, 3), garbage(&dy, 4))];
+        for ((x, dy), eval_between) in cases.iter().flat_map(|c| [(c, false), (c, true)]) {
             let mut conv = fresh.clone();
             conv.set_images(images);
-            let _ = conv.forward(&x, true);
-            let _ = conv.backward(&dy);
+            let _ = conv.forward(x, true);
+            if eval_between {
+                conv.set_images(2 * LANES);
+                let _ = conv.forward(x, false);
+            }
+            let _ = conv.backward(dy);
             grads.push((
                 bits(conv.grad_weight.as_slice()),
                 bits(conv.grad_bias.as_slice()),
             ));
-            let _ = conv.backward_param_only(&dy);
+            let _ = conv.backward_param_only(dy);
             grads.push((
                 bits(conv.grad_weight.as_slice()),
                 bits(conv.grad_bias.as_slice()),
@@ -1177,6 +1289,143 @@ mod tests {
                 per_image_pool(dims, &x, &g),
                 "batch {batch}"
             );
+        }
+    }
+
+    /// [`sparse_tensor`] with NaNs and ties added: every 29th value NaN,
+    /// and a third of the rest rounded to halves, so that pooling windows
+    /// hold equal values.
+    pub(crate) fn edge_tensor(dims: &[usize], seed: u64) -> Tensor {
+        let mut t = sparse_tensor(dims, seed);
+        for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+            match i % 29 {
+                0 => *v = f32::NAN,
+                1..=9 => *v = (*v * 2.0).round() / 2.0,
+                _ => {}
+            }
+        }
+        t
+    }
+
+    /// Every output bit of a stack's training pass and evaluation forward:
+    /// forward, `dx`, every parameter gradient, the parameter gradients of
+    /// the first-layer path, and the evaluation output.
+    pub(crate) fn stack_pass_bits(stack: &mut dyn Layer, x: &Tensor, dy: &Tensor) -> Vec<Vec<u32>> {
+        let grads = |stack: &mut dyn Layer, out: &mut Vec<Vec<u32>>| {
+            stack.visit_param_grad_pairs(&mut |_, g| out.push(bits(g.as_slice())))
+        };
+        let mut out = vec![bits(stack.forward(x, true).as_slice())];
+        out.push(bits(stack.backward(dy).as_slice()));
+        grads(stack, &mut out);
+        let _ = stack.forward(x, true);
+        let _ = stack.backward_param_only(dy);
+        grads(stack, &mut out);
+        out.push(bits(stack.forward(x, false).as_slice()));
+        out
+    }
+
+    /// A convolution with the fused ReLU is bit-identical to the same
+    /// convolution followed by a `Relu` layer, in training and evaluation
+    /// forwards, `dx`, `dW` and `db`: on inputs and gradients with exact
+    /// zeros, `−0.0`, NaNs and ties, on an output channel whose
+    /// pre-activations are all exact zeros, and at batch sizes that leave
+    /// padded lanes.
+    #[test]
+    fn fused_relu_matches_conv_then_relu_bit_for_bit() {
+        let mut seed = 100u64;
+        for (dims, co, kernel, pad) in [((3, 6, 5), 4, 3, 1), ((2, 8, 8), 8, 3, 0)] {
+            for batch in [1usize, 15, 17, 33] {
+                seed += 1;
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut conv = Conv2d::new(dims, co, kernel, pad, &mut rng);
+                let (c, h, w) = dims;
+                let fan_in = c * kernel * kernel;
+                // Channel 0 computes `+0.0 + b` with b = ±0: ReLU ties.
+                conv.weight.as_mut_slice()[..fan_in].fill(0.0);
+                conv.bias = edge_tensor(&[co], seed + 1000);
+                conv.bias.as_mut_slice()[0] = -0.0;
+                let (_, oh, ow) = conv.output_dims();
+                let x = edge_tensor(&[batch, c * h * w], seed + 2000);
+                let dy = edge_tensor(&[batch, co * oh * ow], seed + 3000);
+                let mut fused = lane_stack(conv.clone().with_relu());
+                let mut separate =
+                    LaneStack::new(Sequential::new(vec![Box::new(conv), Box::new(Relu::new())]));
+                assert_eq!(
+                    stack_pass_bits(&mut fused, &x, &dy),
+                    stack_pass_bits(&mut separate, &x, &dy),
+                    "{dims:?} -> {co}, kernel {kernel}, pad {pad}, batch {batch}"
+                );
+            }
+        }
+    }
+
+    /// Every buffer a window kernel reads or writes starts on a 64-byte
+    /// boundary: this thread's workspace after each kind of pass, and the
+    /// bordered-plane cache of a layer, of its clones and after its group
+    /// count changed. The kernels take whole-group slices of these, at
+    /// multiples of a group's planes, and those are whole cache lines.
+    #[test]
+    fn window_kernel_buffers_start_on_cache_lines() {
+        // An empty buffer hands nothing to a kernel.
+        let aligned =
+            |buf: &mut AlignedBuf| buf.len == 0 || (buf.get().as_ptr() as usize).is_multiple_of(64);
+        let workspace_aligned = || {
+            WORKSPACE.with_borrow_mut(|ws| {
+                [
+                    &mut ws.planes,
+                    &mut ws.rows,
+                    &mut ws.dw_lanes,
+                    &mut ws.db_lanes,
+                ]
+                .into_iter()
+                .all(aligned)
+            })
+        };
+        let mut rng = StdRng::seed_from_u64(11);
+        let dims = (3, 6, 5);
+        let mut conv = Conv2d::new(dims, 5, 3, 1, &mut rng).with_relu();
+        assert!((conv.lay.plane_len * LANES * 4).is_multiple_of(64));
+        let (co, oh, ow) = conv.output_dims();
+        let mut clones = Vec::new();
+        for (groups, seed) in [(1usize, 1u64), (3, 2), (2, 3)] {
+            let x = sparse_tensor(&[groups, 3 * 6 * 5, LANES], seed);
+            let dy = sparse_tensor(&[groups, co * oh * ow, LANES], seed + 10);
+            let _ = conv.forward(&x, true);
+            assert!(aligned(&mut conv.cached_planes) && workspace_aligned());
+            let _ = conv.backward(&dy);
+            assert!(workspace_aligned());
+            let _ = conv.backward_param_only(&dy);
+            assert!(workspace_aligned());
+            let _ = conv.forward(&x, false);
+            assert!(workspace_aligned());
+            clones.push(conv.clone());
+        }
+        for mut clone in clones {
+            assert!(aligned(&mut clone.cached_planes));
+        }
+    }
+
+    /// Contents that sit at another offset than their allocation's
+    /// boundary, as a clone's do when its allocation lands elsewhere
+    /// relative to a cache line, are moved to the boundary before they are
+    /// handed out, borders and all.
+    #[test]
+    fn contents_move_to_the_boundary_of_their_allocation() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut conv = Conv2d::new((2, 4, 4), 3, 3, 1, &mut rng);
+        let _ = conv.forward(&sparse_tensor(&[2, 2 * 4 * 4, LANES], 1), true);
+        let want = bits(conv.cached_planes.get());
+        for shift in 1..LINE {
+            let mut moved = conv.cached_planes.clone();
+            let at = (AlignedBuf::boundary(&moved.raw) + shift) % LINE;
+            moved.raw.fill(f32::NAN);
+            moved.raw[at..at + want.len()]
+                .iter_mut()
+                .zip(&want)
+                .for_each(|(v, &b)| *v = f32::from_bits(b));
+            moved.start = at;
+            assert_eq!(bits(moved.get()), want, "contents {shift} floats off");
+            assert!((moved.get().as_ptr() as usize).is_multiple_of(64));
         }
     }
 }

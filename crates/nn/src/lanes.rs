@@ -27,14 +27,13 @@ use tensor::{Tensor, LANES};
 /// # Example
 ///
 /// ```
-/// use nn::{Conv2d, LaneStack, Layer, MaxPool2d, Relu, Sequential};
+/// use nn::{Conv2d, LaneStack, Layer, MaxPool2d, Sequential};
 /// use rand::SeedableRng;
 /// use tensor::Tensor;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 /// let mut stack = LaneStack::new(Sequential::new(vec![
-///     Box::new(Conv2d::new((1, 8, 8), 4, 3, 1, &mut rng)),
-///     Box::new(Relu::new()),
+///     Box::new(Conv2d::new((1, 8, 8), 4, 3, 1, &mut rng).with_relu()),
 ///     Box::new(MaxPool2d::new((4, 8, 8))),
 /// ]));
 /// let y = stack.forward(&Tensor::zeros(&[3, 64]), true);
@@ -43,7 +42,7 @@ use tensor::{Tensor, LANES};
 #[derive(Clone)]
 pub struct LaneStack {
     inner: Sequential,
-    /// Images in the last forward batch.
+    /// Images in the last training-mode batch, the one backward sees.
     images: usize,
 }
 
@@ -105,10 +104,15 @@ impl Layer for LaneStack {
             "lane stack expects [batch, features], got shape {}",
             x.shape()
         );
-        self.images = x.dims()[0];
-        self.inner.set_images(self.images);
+        // Every pass tells the layers its own image count, but only a
+        // training pass replaces the count its backward needs.
+        let images = x.dims()[0];
+        if train {
+            self.images = images;
+        }
+        self.inner.set_images(images);
         let y = self.inner.forward(&to_lanes(x), train);
-        from_lanes(&y, self.images)
+        from_lanes(&y, images)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

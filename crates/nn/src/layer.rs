@@ -41,10 +41,12 @@ pub trait Layer: Send + Sync {
     }
 
     /// Inside a [`LaneStack`](crate::LaneStack): how many images the lane
-    /// groups of the next passes hold; lanes from image `images` on are
+    /// groups of the next pass hold; lanes from image `images` on are
     /// padding. Layers that reduce across images
-    /// ([`Conv2d`](crate::Conv2d)'s parameter gradients) keep it, and
-    /// containers pass it on. The default ignores it.
+    /// ([`Conv2d`](crate::Conv2d)'s parameter gradients) keep the count of
+    /// their training-mode forward for its backward, so an evaluation pass
+    /// in between does not change it; containers pass it on. The default
+    /// ignores it.
     fn set_images(&mut self, _images: usize) {}
 
     /// Visits every parameter tensor (immutably), outermost layer first.

@@ -22,7 +22,10 @@
 //! windowed kernels over an offset table, one call per group — no
 //! packing, no column matrix, col2im fused into the product, and
 //! bit-identical to the materialised-im2col formulation run image by
-//! image (see [`Conv2d`]).
+//! image (see [`Conv2d`]). The buffers those kernels read and write start
+//! on 64-byte boundaries, and each spatial ReLU runs as an epilogue of the
+//! layer before it ([`Conv2d::with_relu`], [`Residual::with_relu`]),
+//! bit-identical to a separate [`Relu`].
 //!
 //! # Example
 //!

@@ -1,10 +1,12 @@
 //! Residual (skip-connection) wrapper, the defining block of ResNets.
 
+use crate::activation::{relu, relu_grad, relu_passes};
 use crate::{Layer, Sequential};
 use tensor::Tensor;
 
-/// A residual block `y = x + F(x)` where `F` is an inner stack of layers
-/// whose output shape equals its input shape.
+/// A residual block `y = F(x) + x` where `F` is an inner stack of layers
+/// whose output shape equals its input shape; with
+/// [`Residual::with_relu`], `y = max(F(x) + x, 0)`.
 ///
 /// # Example
 ///
@@ -25,12 +27,30 @@ use tensor::Tensor;
 #[derive(Clone)]
 pub struct Residual {
     inner: Sequential,
+    // The fused post-add ReLU (`with_relu`), and its training-mode mask.
+    relu: bool,
+    mask: Vec<bool>,
 }
 
 impl Residual {
     /// Wraps `inner` with an identity skip connection.
     pub fn new(inner: Sequential) -> Self {
-        Residual { inner }
+        Residual {
+            inner,
+            relu: false,
+            mask: Vec::new(),
+        }
+    }
+
+    /// Fuses a ReLU after the add: forward computes `max(F(x) + x, 0)` in
+    /// one pass, and backward masks the incoming gradient once, then feeds
+    /// it to both the inner stack and the skip. The expressions are
+    /// [`Relu`](crate::Relu)'s, so the block is bit-identical to this
+    /// block followed by a `Relu`, with one pass over the output fewer
+    /// each way.
+    pub fn with_relu(mut self) -> Self {
+        self.relu = true;
+        self
     }
 
     /// Borrow the inner stack.
@@ -49,21 +69,49 @@ impl std::fmt::Debug for Residual {
 
 impl Layer for Residual {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let fx = self.inner.forward(x, train);
+        let mut y = self.inner.forward(x, train);
         assert_eq!(
-            fx.shape(),
+            y.shape(),
             x.shape(),
             "residual inner stack changed shape {} -> {}",
             x.shape(),
-            fx.shape()
+            y.shape()
         );
-        fx.add(x)
+        let sums = y.as_mut_slice().iter_mut().zip(x.as_slice());
+        match (self.relu, train) {
+            (false, _) => sums.for_each(|(v, &s)| *v += s),
+            (true, false) => sums.for_each(|(v, &s)| *v = relu(*v + s)),
+            (true, true) => {
+                // Only backward reads the mask: evaluation passes leave it.
+                self.mask.resize(x.len(), false);
+                for ((v, &s), m) in sums.zip(&mut self.mask) {
+                    let sum = *v + s;
+                    *m = relu_passes(sum);
+                    *v = relu(sum);
+                }
+            }
+        }
+        y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        // d(x + F(x)) = grad_out + F'(x)·grad_out.
-        let through = self.inner.backward(grad_out);
-        through.add(grad_out)
+        // d(F(x) + x) = F'(x)·g + g, for g the gradient through the ReLU.
+        let masked;
+        let g = if self.relu {
+            assert_eq!(self.mask.len(), grad_out.len(), "ReLU mask length");
+            let gs = grad_out.as_slice().iter().zip(&self.mask);
+            let data = gs.map(|(&gv, &m)| relu_grad(gv, m)).collect();
+            masked = Tensor::from_vec(data, grad_out.dims()).expect("same shape");
+            &masked
+        } else {
+            grad_out
+        };
+        let mut through = self.inner.backward(g);
+        assert_eq!(through.shape(), g.shape(), "residual gradient shape");
+        for (t, &gv) in through.as_mut_slice().iter_mut().zip(g.as_slice()) {
+            *t += gv;
+        }
+        through
     }
 
     fn set_images(&mut self, images: usize) {
@@ -161,5 +209,38 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut b = Residual::new(Sequential::new(vec![Box::new(Dense::new(3, 4, &mut rng))]));
         let _ = b.forward(&Tensor::zeros(&[1, 3]), true);
+    }
+
+    /// A residual block with the fused ReLU is bit-identical to the same
+    /// block followed by a `Relu` layer, in training and evaluation
+    /// forwards, `dx` and every parameter gradient, on inputs and
+    /// gradients with exact zeros, `−0.0`, NaNs and ties, at batch sizes
+    /// that leave padded lanes.
+    #[test]
+    fn fused_relu_matches_block_then_relu_bit_for_bit() {
+        use crate::conv::tests::{edge_tensor, stack_pass_bits};
+        use crate::{Conv2d, LaneStack, Relu};
+        let dims = (3, 6, 4);
+        let features = 3 * 6 * 4;
+        for (batch, seed) in [(1usize, 1u64), (15, 2), (17, 3), (33, 4)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let block = Residual::new(Sequential::new(vec![
+                Box::new(Conv2d::new(dims, 3, 3, 1, &mut rng).with_relu()),
+                Box::new(Conv2d::new(dims, 3, 3, 1, &mut rng)),
+            ]));
+            let x = edge_tensor(&[batch, features], seed + 10);
+            let dy = edge_tensor(&[batch, features], seed + 20);
+            let mut fused =
+                LaneStack::new(Sequential::new(vec![Box::new(block.clone().with_relu())]));
+            let mut separate = LaneStack::new(Sequential::new(vec![
+                Box::new(block),
+                Box::new(Relu::new()),
+            ]));
+            assert_eq!(
+                stack_pass_bits(&mut fused, &x, &dy),
+                stack_pass_bits(&mut separate, &x, &dy),
+                "batch {batch}"
+            );
+        }
     }
 }

@@ -5,7 +5,8 @@
 //! dense head (VGG-like) and a residual conv network (ResNet-like) — at a
 //! scale where the full figure suite runs on a laptop. Wall-clock behaviour
 //! is supplied by the calibrated delay profiles in the `delay` crate, not by
-//! the raw FLOPs of these networks (see `DESIGN.md`).
+//! the raw FLOPs of these networks (see the substitution policy in
+//! `EXPERIMENTS.md`).
 
 use crate::{Conv2d, Dense, LaneStack, Loss, MaxPool2d, Network, Relu, Residual, Sequential};
 use rand::rngs::StdRng;
@@ -68,15 +69,12 @@ pub fn vgg_like(channels: usize, side: usize, classes: usize, seed: u64) -> Netw
     let s4 = side / 4;
     // The spatial layers run on lane groups of 16 images.
     let spatial = Sequential::new(vec![
-        // Block 1: conv-relu-conv-relu-pool.
-        Box::new(Conv2d::new((channels, side, side), 8, 3, 1, &mut rng)),
-        Box::new(Relu::new()),
-        Box::new(Conv2d::new((8, side, side), 8, 3, 1, &mut rng)),
-        Box::new(Relu::new()),
+        // Block 1: conv-relu-conv-relu-pool, each ReLU fused into its conv.
+        Box::new(Conv2d::new((channels, side, side), 8, 3, 1, &mut rng).with_relu()),
+        Box::new(Conv2d::new((8, side, side), 8, 3, 1, &mut rng).with_relu()),
         Box::new(MaxPool2d::new((8, side, side))),
         // Block 2: conv-relu-pool.
-        Box::new(Conv2d::new((8, s2, s2), 16, 3, 1, &mut rng)),
-        Box::new(Relu::new()),
+        Box::new(Conv2d::new((8, s2, s2), 16, 3, 1, &mut rng).with_relu()),
         Box::new(MaxPool2d::new((16, s2, s2))),
     ]);
     let mut stack = Sequential::empty();
@@ -105,25 +103,27 @@ pub fn resnet_like(channels: usize, side: usize, classes: usize, seed: u64) -> N
     let mut rng = StdRng::seed_from_u64(seed);
     let s2 = side / 2;
     let s4 = side / 4;
-    // The spatial layers run on lane groups of 16 images.
+    // The spatial layers run on lane groups of 16 images; every ReLU is
+    // fused into the conv or residual add before it.
     let spatial = Sequential::new(vec![
-        Box::new(Conv2d::new((channels, side, side), 8, 3, 1, &mut rng)),
-        Box::new(Relu::new()),
-        // Residual block 1 at full resolution.
-        Box::new(Residual::new(Sequential::new(vec![
-            Box::new(Conv2d::new((8, side, side), 8, 3, 1, &mut rng)),
-            Box::new(Relu::new()),
-            Box::new(Conv2d::new((8, side, side), 8, 3, 1, &mut rng)),
-        ]))),
-        Box::new(Relu::new()),
+        Box::new(Conv2d::new((channels, side, side), 8, 3, 1, &mut rng).with_relu()),
+        // Residual block 1 at full resolution: conv-relu-conv, add, relu.
+        Box::new(
+            Residual::new(Sequential::new(vec![
+                Box::new(Conv2d::new((8, side, side), 8, 3, 1, &mut rng).with_relu()),
+                Box::new(Conv2d::new((8, side, side), 8, 3, 1, &mut rng)),
+            ]))
+            .with_relu(),
+        ),
         Box::new(MaxPool2d::new((8, side, side))),
         // Residual block 2 at half resolution.
-        Box::new(Residual::new(Sequential::new(vec![
-            Box::new(Conv2d::new((8, s2, s2), 8, 3, 1, &mut rng)),
-            Box::new(Relu::new()),
-            Box::new(Conv2d::new((8, s2, s2), 8, 3, 1, &mut rng)),
-        ]))),
-        Box::new(Relu::new()),
+        Box::new(
+            Residual::new(Sequential::new(vec![
+                Box::new(Conv2d::new((8, s2, s2), 8, 3, 1, &mut rng).with_relu()),
+                Box::new(Conv2d::new((8, s2, s2), 8, 3, 1, &mut rng)),
+            ]))
+            .with_relu(),
+        ),
         Box::new(MaxPool2d::new((8, s2, s2))),
     ]);
     let mut stack = Sequential::empty();
@@ -195,6 +195,40 @@ mod tests {
             let loss = net.train_step(&x, &[0, 1, 2, 0]);
             assert!(loss.is_finite() && loss > 0.0);
             assert!(net.grad_sq_norm() > 0.0);
+        }
+    }
+
+    /// A replica cloned from a trained model steps to the same bits as the
+    /// model. Each clone's bordered-plane caches are new allocations, which
+    /// can sit at another offset from a 64-byte boundary than the
+    /// original's; odd-sized allocations between the clones move them
+    /// across those offsets.
+    #[test]
+    fn cloned_conv_models_step_to_the_same_bits() {
+        use rand::SeedableRng;
+        for mut net in [vgg_like(1, 8, 3, 1), resnet_like(1, 8, 3, 1)] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+            let labels: Vec<usize> = (0..20).map(|i| i % 3).collect();
+            let _ = net.train_step(&Tensor::randn(&[20, 64], 1.0, &mut rng), &labels);
+            let mut spacers = Vec::new();
+            let mut clones = Vec::new();
+            for i in 0..8 {
+                spacers.push(vec![0u8; 16 * i + 1]);
+                clones.push(net.clone());
+            }
+            let x = Tensor::randn(&[20, 64], 1.0, &mut rng);
+            let step = |net: &mut Network| {
+                let loss = net.train_step(&x, &labels);
+                let mut bits = vec![loss.to_bits()];
+                net.visit_param_grad_pairs(&mut |_, g| {
+                    bits.extend(g.as_slice().iter().map(|v| v.to_bits()))
+                });
+                bits
+            };
+            let want = step(&mut net);
+            for (i, mut clone) in clones.into_iter().enumerate() {
+                assert!(step(&mut clone) == want, "clone {i}");
+            }
         }
     }
 }

@@ -18,7 +18,8 @@ use adacomm_repro::prelude::*;
 fn main() {
     let workers = 4;
     // VGG-16-calibrated delays, slowed 4x so the run fits a laptop budget
-    // while keeping alpha ~ 4 (see DESIGN.md).
+    // while keeping alpha ~ 4 (see the substitution policy in
+    // EXPERIMENTS.md).
     let profile = vgg16_profile().time_scaled(4.0);
     let runtime = profile.runtime_model(workers);
     println!(
